@@ -28,6 +28,10 @@ class UnsupportedSetupError(ValueError):
     """No catalogued chirality transformation for this polarization mix."""
 
 
+class BasisNotClosedError(ValueError):
+    """The basis lacks the M-reversed partner of some level."""
+
+
 @dataclass(frozen=True, order=True)
 class LevelIndex:
     """Multi-index (vibrational level, |J K M>) of one basis state."""
@@ -165,26 +169,65 @@ def _classify_setup(polarizations) -> str:
     )
 
 
+def chirality_permutation(polarizations, basis) -> tuple[np.ndarray, np.ndarray]:
+    """The chirality transformation T as a signed permutation (perm, sign).
+
+    T[perm[k], k] = sign[k] and every other entry is zero; see
+    `chirality_transform` for the catalogued setups.  Raises
+    UnsupportedSetupError for other mixes and BasisNotClosedError when an
+    M-reversing T needs a level the basis lacks.
+    """
+    kind = _classify_setup(polarizations)
+    n = len(basis)
+    perm = np.arange(n)
+    sign = np.empty(n)
+    pos = {lvl: k for k, lvl in enumerate(basis)}
+    for k, lvl in enumerate(basis):
+        r = lvl.rot
+        if kind == "diag-m":
+            sign[k] = (-1.0) ** r.M
+        else:
+            img = LevelIndex(lvl.vib, RotState(r.J, r.K, -r.M))
+            if img not in pos:
+                raise BasisNotClosedError("basis is not closed under M reversal")
+            perm[k] = pos[img]
+            sign[k] = (-1.0) ** (r.J if kind == "mrev-j" else r.J + r.M)
+    return perm, sign
+
+
 def chirality_transform(polarizations, basis) -> np.ndarray:
     """Rotational unitary T with T^dag H^L(t) T = H^R(t) for all t.
 
     Supported setups: any mix of x/y/sigma+- lasers (diagonal T with entries
     (-1)^M), z mixed with y or all-z (T|JKM> = (-1)^J |J K -M>), and z mixed
     with x such as the xxz setup (T|JKM> = (-1)^{J+M} |J K -M>).  Raises
-    UnsupportedSetupError otherwise.
+    UnsupportedSetupError otherwise, and BasisNotClosedError when the basis
+    lacks an M-reversed partner.
     """
-    kind = _classify_setup(polarizations)
-    n = len(basis)
-    t = np.zeros((n, n))
-    pos = {lvl: k for k, lvl in enumerate(basis)}
-    for k, lvl in enumerate(basis):
-        r = lvl.rot
-        if kind == "diag-m":
-            t[k, k] = (-1.0) ** r.M
-        else:
-            img = LevelIndex(lvl.vib, RotState(r.J, r.K, -r.M))
-            if img not in pos:
-                raise ValueError("basis is not closed under M reversal")
-            phase = (-1.0) ** (r.J if kind == "mrev-j" else r.J + r.M)
-            t[pos[img], k] = phase
+    perm, sign = chirality_permutation(polarizations, basis)
+    t = np.zeros((len(basis), len(basis)))
+    t[perm, np.arange(len(basis))] = sign
     return t
+
+
+def transform_residual(hl: CouplingMatrix, hr: CouplingMatrix, perm, sign,
+                       t: float) -> float:
+    """Frobenius norm of T^dag H^L(t) T - H^R(t) for a signed permutation T.
+
+    Computed from the edge lists: conjugation by T moves the L edge (f, i)
+    to (inv[f], inv[i]) with the factor sign[inv[f]] * sign[inv[i]].  Both
+    tables orient edges by vibrational level, which T preserves, so each
+    edge difference appears twice in the Hermitian matrix, and an edge with
+    no partner counts in full.
+    """
+    n = hl.n
+    inv = np.empty(n, dtype=int)
+    inv[perm] = np.arange(n)
+    a, b = inv[hl.fin], inv[hl.ini]
+    vals_l = sign[a] * sign[b] * (hl.omega * np.exp(-2j * np.pi * hl.delta * t))
+    vals_r = hr.omega * np.exp(-2j * np.pi * hr.delta * t)
+    keys, where = np.unique(np.concatenate([a * n + b, hr.fin * n + hr.ini]),
+                            return_inverse=True)
+    diff = np.zeros(len(keys), dtype=complex)
+    np.add.at(diff, where, np.concatenate([vals_l, -vals_r]))
+    return float(np.sqrt(2.0) * np.linalg.norm(diff))

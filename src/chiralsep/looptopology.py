@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 SPECTRUM_CHANGED = "spectrum-changed"
@@ -114,31 +113,40 @@ def flip_sensitivity(
 
 
 def find_loops(edges, max_len: int = 8) -> list[list]:
-    """Deterministically enumerate simple cycles of length >= 3.
+    """Deterministically enumerate simple cycles of length 3..max_len.
 
-    `edges` is an iterable of node pairs (undirected simple graph).  Each
-    cycle is rotated/reflected to a canonical node order; the list is sorted.
+    `edges` is an iterable of node pairs (undirected simple graph) with
+    mutually comparable nodes.  Each cycle is rotated/reflected to a
+    canonical node order; the list is sorted.
+
+    Depth-first search from each start node s through nodes > s only, so a
+    cycle is found from its smallest node; of its two orientations only the
+    one with path[1] < path[-1] is kept, which is the canonical one.
     """
-    g = nx.Graph()
-    g.add_edges_from(edges)
-    seen = set()
+    adj: dict = {}
+    for a, b in edges:
+        if a != b:
+            adj.setdefault(a, set()).add(b)
+            adj.setdefault(b, set()).add(a)
+    nbrs = {u: sorted(vs) for u, vs in adj.items()}
     loops = []
-    for cyc in nx.simple_cycles(g, length_bound=max_len):
-        if len(cyc) < 3:
-            continue
-        canon = _canonical_cycle(cyc)
-        if canon not in seen:
-            seen.add(canon)
-            loops.append(list(canon))
+
+    def extend(path):
+        start, last = path[0], path[-1]
+        if len(path) >= 3 and path[1] < last and start in adj[last]:
+            loops.append(list(path))
+        if len(path) >= max_len:
+            return
+        for v in nbrs[last]:
+            if v > start and v not in path:
+                path.append(v)
+                extend(path)
+                path.pop()
+
+    for s in nbrs:
+        extend([s])
     loops.sort(key=lambda c: (len(c), c))
     return loops
-
-
-def _canonical_cycle(cyc):
-    k = cyc.index(min(cyc))
-    rot = cyc[k:] + cyc[:k]
-    rev = [rot[0]] + rot[1:][::-1]
-    return tuple(min(rot, rev))
 
 
 def random_loop_hamiltonian(

@@ -10,10 +10,17 @@ to a static frame and propagated exactly in one eigendecomposition:
     H(t) = U(t) H0 U(t)^dag,  U = diag(e^{-i 2 pi f t})
     psi(t) = U(t) exp(-i 2 pi (H0 - diag(f)) t) psi(0)
 
-Thermal mixtures are handled as weighted ensembles of pure states; the
-ensemble trace routine aggregates them through the equivalent diagonal
-density matrix for speed, block by connected component of the coupling
-graph.
+Thermal mixtures are handled as weighted ensembles of pure states.  The
+ensemble trace works block by block over the connected components of the
+coupling graph and never forms an n x n matrix: each block's static H0 comes
+from its own edges, its density matrix rho = sum_k w_k |psi_k><psi_k| from
+one matrix product over the members that touch it, and with H0 - diag(f) =
+V diag(eps) V^dag the trace is
+
+    <H(t)> = sum_nm p_n(t) C_nm conj(p_m(t)),  p_n = exp(-i 2 pi eps_n t),
+    C = (V^dag rho V) * (V^dag H0 V)^T,
+
+evaluated as a matrix product and a row sum.
 """
 
 from __future__ import annotations
@@ -22,8 +29,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .hamiltonian import CouplingMatrix, LevelIndex
 
@@ -97,12 +102,24 @@ def node_potential(h: CouplingMatrix, tol: float = 1e-10):
 
 
 def components(h: CouplingMatrix) -> list[np.ndarray]:
-    """Index sets of the connected components of the coupling graph."""
-    n = h.n
-    data = np.ones(len(h.fin))
-    g = coo_matrix((data, (h.fin, h.ini)), shape=(n, n))
-    ncomp, labels = connected_components(g, directed=False)
-    return [np.flatnonzero(labels == c) for c in range(ncomp)]
+    """Index sets of the connected components of the coupling graph.
+
+    Components are ordered by their smallest level, each one ascending.
+    """
+    parent = list(range(h.n))
+
+    def root(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for a, b in zip(h.fin.tolist(), h.ini.tolist()):
+        ra, rb = root(a), root(b)
+        parent[max(ra, rb)] = min(ra, rb)  # the root is the smallest member
+    labels = np.array([root(a) for a in range(h.n)], dtype=int)
+    order = np.argsort(labels, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
 
 
 def propagate(
@@ -204,25 +221,36 @@ def ensemble_potential_trace(
             traces.append((w, potential_trace(h, times, traj, omega_ref)))
         return ensemble_average(traces)
 
-    h0 = h.evaluate(0.0)
+    states = np.array([psi0 for _, psi0 in members], dtype=complex).reshape(len(members), h.n)
+    weights = np.array([w for w, _ in members], dtype=float)
+    blocks = components(h)
+    label = np.empty(h.n, dtype=int)
+    local = np.empty(h.n, dtype=int)
+    for c, idx in enumerate(blocks):
+        label[idx] = c
+        local[idx] = np.arange(len(idx))
+    edge_block = label[h.fin]
     total = np.zeros(len(times))
-    for idx in components(h):
+    for c, idx in enumerate(blocks):
         if len(idx) == 1:
             continue  # uncoupled level: zero-diagonal H contributes nothing
-        rho = np.zeros((len(idx), len(idx)), dtype=complex)
-        for w, psi0 in members:
-            sub = np.asarray(psi0, dtype=complex)[idx]
-            if np.any(sub):
-                rho += w * np.outer(sub, np.conj(sub))
-        if not np.any(rho):
+        sub = states[:, idx]
+        touch = np.flatnonzero(np.any(sub != 0, axis=1))
+        if len(touch) == 0:
             continue
-        heff = h0[np.ix_(idx, idx)] - np.diag(f[idx])
-        eps, v = np.linalg.eigh(heff)
+        sub = sub[touch]
+        rho = (sub.T * weights[touch]) @ sub.conj()
+        e = np.flatnonzero(edge_block == c)
+        a, b = local[h.fin[e]], local[h.ini[e]]
+        h0 = np.zeros((len(idx), len(idx)), dtype=complex)
+        h0[a, b] = h.omega[e]
+        h0[b, a] = np.conj(h.omega[e])
+        eps, v = np.linalg.eigh(h0 - np.diag(f[idx]))
         r = v.conj().T @ rho @ v
-        g = v.conj().T @ h0[np.ix_(idx, idx)] @ v
-        c = r * g.T
+        g = v.conj().T @ h0 @ v
+        c_mat = r * g.T
         p = np.exp(-2j * np.pi * np.outer(times, eps))
-        vals = np.einsum("tn,nm,tm->t", p, c, np.conj(p))
+        vals = np.sum((p @ c_mat) * p.conj(), axis=1)
         if np.max(np.abs(vals.imag)) > 1e-10 * max(1.0, np.max(np.abs(vals.real))):
             raise ValueError("non-real ensemble expectation of a Hermitian operator")
         total += vals.real

@@ -47,12 +47,14 @@ import numpy as np
 from . import dressed as dressedmod
 from .coupling import DipoleModel, DipoleTransition, Enantiomer, GaussianBeam, LaserSpec
 from .hamiltonian import (
+    BasisNotClosedError,
     CouplingMatrix,
     LevelIndex,
     UnsupportedSetupError,
     assemble,
-    chirality_transform,
+    chirality_permutation,
     product_basis,
+    transform_residual,
 )
 from .looptopology import find_loops
 from .propagate import (
@@ -420,13 +422,11 @@ def run_scenario(config: ScenarioConfig, enantiomers=("L", "R")) -> ScenarioResu
     residual = None
     if set(enantiomers) == {"L", "R"}:
         try:
-            t_mat = _transform_or_none(config, href)
+            transform = _transform_or_none(config, href)
             residual = max(
-                float(np.linalg.norm(
-                    t_mat.conj().T @ couplings["L"].evaluate(t) @ t_mat
-                    - couplings["R"].evaluate(t)))
+                transform_residual(couplings["L"], couplings["R"], *transform, t)
                 for t in (0.0, 0.37, 1.9)
-            ) if t_mat is not None else None
+            ) if transform is not None else None
         except UnsupportedSetupError:
             residual = None
 
@@ -443,11 +443,9 @@ def run_scenario(config: ScenarioConfig, enantiomers=("L", "R")) -> ScenarioResu
 
 def _transform_or_none(config, h):
     try:
-        return chirality_transform(config.polarizations, h.basis)
-    except ValueError as exc:
-        if "not closed under M reversal" in str(exc):
-            return None  # restricted bases need not support the M-reversing T
-        raise
+        return chirality_permutation(config.polarizations, h.basis)
+    except BasisNotClosedError:
+        return None  # restricted bases need not support the M-reversing T
 
 
 def loop_census(h: CouplingMatrix, max_len: int = 3) -> list[list[LevelIndex]]:

@@ -5,10 +5,12 @@ import pytest
 
 from chiralsep.coupling import DipoleModel, Enantiomer, LaserSpec
 from chiralsep.hamiltonian import (
+    BasisNotClosedError,
     EmptyCouplingError,
     LevelIndex,
     UnsupportedSetupError,
     assemble,
+    chirality_permutation,
     chirality_transform,
     detuning_formula,
     product_basis,
@@ -112,6 +114,15 @@ def test_chirality_transform_needs_m_closure():
     basis = [LevelIndex(v, RotState(1, 1, 1)) for v in (1, 2, 3)]
     with pytest.raises(ValueError):
         chirality_transform(("z", "z", "z"), basis)
+
+
+def test_m_closure_error_is_typed():
+    basis = [LevelIndex(v, RotState(1, 1, 1)) for v in (1, 2, 3)]
+    with pytest.raises(BasisNotClosedError):
+        chirality_permutation(("x", "x", "z"), basis)
+    # the diagonal transform needs no M-reversed partners
+    perm, sign = chirality_permutation(("x", "x", "x"), basis)
+    assert list(perm) == [0, 1, 2] and list(sign) == [-1.0, -1.0, -1.0]
 
 
 def test_assemble_restricted_basis():

@@ -1,7 +1,11 @@
 """Flip parity of loop spectra and cycle enumeration."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from chiralsep.looptopology import (
     SPECTRUM_CHANGED,
@@ -93,6 +97,30 @@ def test_find_loops_canonical_and_sorted():
     assert loops == sorted(loops, key=lambda c: (len(c), c))
     # deterministic under edge reordering
     assert find_loops(list(reversed(edges)), max_len=6) == loops
+
+
+def brute_force_cycles(edges, max_len):
+    """Canonical simple cycles of length 3..max_len by trying every node sequence."""
+    adj = {frozenset(e) for e in edges if e[0] != e[1]}
+    nodes = sorted({v for e in adj for v in e})
+    found = set()
+    for k in range(3, max_len + 1):
+        for seq in itertools.permutations(nodes, k):
+            if all(frozenset(p) in adj for p in zip(seq, seq[1:] + seq[:1])):
+                i = seq.index(min(seq))
+                rot = seq[i:] + seq[:i]
+                found.add(min(rot, rot[:1] + rot[1:][::-1]))
+    return found
+
+
+@given(edges=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=21),
+       max_len=st.integers(3, 6))
+def test_find_loops_matches_brute_force(edges, max_len):
+    loops = find_loops(edges, max_len=max_len)
+    assert {tuple(c) for c in loops} == brute_force_cycles(edges, max_len)
+    assert len({tuple(c) for c in loops}) == len(loops)
+    assert all(c[0] == min(c) and c[1] < c[-1] for c in loops)
+    assert loops == sorted(loops, key=lambda c: (len(c), c))
 
 
 def test_find_loops_ignores_trees():

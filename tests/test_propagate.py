@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from chiralsep.coupling import Enantiomer
 from chiralsep.hamiltonian import CouplingMatrix, LevelIndex
 from chiralsep.propagate import (
     MismatchedGridError,
@@ -17,7 +18,8 @@ from chiralsep.propagate import (
     prepare_initial,
     propagate,
 )
-from chiralsep.rotbasis import RotState
+from chiralsep.rotbasis import RotState, thermal_rot_state
+from chiralsep.scenarios import _assemble, _branch_members, builtin_config
 
 
 def two_level(omega, delta):
@@ -131,6 +133,28 @@ def test_ensemble_trace_equals_weighted_pure_states():
         slow.append((w, potential_trace(h, times, traj)))
     ref = ensemble_average(slow)
     assert np.max(np.abs(fast.values - ref.values)) < 1e-12
+
+
+def test_block_trace_matches_per_member_static_on_fig7():
+    config = builtin_config("fig7-1mK-xxz")
+    h = _assemble(config, Enantiomer.L)
+    assert len(components(h)) > 1
+    thermal = thermal_rot_state(config.temperature, config.constants, config.trunc,
+                                cutoff_mass=config.truncation_mass)
+    times = np.linspace(0.0, config.t_end, 41)
+    omega_ref = config.omega12_max
+    ensembles = list(_branch_members(config, Enantiomer.L, h, thermal).values())
+    # complex amplitudes, so that rho = sum w |psi><psi| needs its conjugate
+    amps = np.array([1.0, 1j, -0.5 + 0.5j]) / np.sqrt(2.5)
+    ensembles.append(prepare_initial("partially-dressed", h, thermal, vib_amplitudes=amps))
+    for members in ensembles:
+        fast = ensemble_potential_trace(h, members, times, omega_ref=omega_ref)
+        slow = []
+        for w, psi0 in members:
+            _, traj = propagate(h, psi0, times[-1], n_out=len(times), method="static")
+            slow.append((w, potential_trace(h, times, traj, omega_ref)))
+        ref = ensemble_average(slow)
+        assert np.max(np.abs(fast.values - ref.values)) < 1e-12
 
 
 def test_ensemble_trace_midpoint_fallback():

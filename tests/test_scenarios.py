@@ -1,9 +1,12 @@
 """Config parsing, builtin scenarios and deterministic output."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from chiralsep.coupling import Enantiomer
+from chiralsep.hamiltonian import chirality_permutation, chirality_transform, transform_residual
 from chiralsep.rotbasis import RotState
 from chiralsep.scenarios import (
     CONFIG_HEADER,
@@ -175,3 +178,22 @@ def test_timescale_report_separation():
     assert rep["tau_Omega_ns"] == pytest.approx(1 / cfg.omega12_max)
     assert rep["inv_B_ns"] < rep["tau_Omega_ns"]
     assert rep["basis_size"] == 30
+
+
+def test_edge_isospectrality_residual_matches_dense():
+    config = builtin_config("fig7-1mK-xxz")
+    hl, hr = _assemble(config, Enantiomer.L), _assemble(config, Enantiomer.R)
+    perm, sign = chirality_permutation(config.polarizations, hl.basis)
+    t_mat = chirality_transform(config.polarizations, hl.basis)
+    omega = hr.omega.copy()
+    omega[len(omega) // 2] *= 1.001
+    bumped = replace(hr, omega=omega)
+    # an L edge with no R partner counts in full
+    dropped = replace(hr, fin=hr.fin[1:], ini=hr.ini[1:], omega=hr.omega[1:], delta=hr.delta[1:])
+    for t in (0.0, 0.37, 1.9):
+        for r in (hr, bumped, dropped):
+            dense = np.linalg.norm(t_mat.T @ hl.evaluate(t) @ t_mat - r.evaluate(t))
+            edge = transform_residual(hl, r, perm, sign, t)
+            assert edge == pytest.approx(dense, rel=1e-12, abs=1e-15)
+        assert transform_residual(hl, hr, perm, sign, t) == 0.0
+        assert transform_residual(hl, bumped, perm, sign, t) > 1e-6
