@@ -9,7 +9,7 @@ loop interference that separates enantiomers is lost.  Generic rotational
 states under z-polarized light do close a loop.
 """
 
-from chiralsep.coupling import Enantiomer, allowed_transitions
+from chiralsep.coupling import Enantiomer
 from chiralsep.hamiltonian import LevelIndex, assemble
 from chiralsep.rotbasis import RotState
 from chiralsep.scenarios import builtin_config, loop_census
@@ -22,9 +22,10 @@ def main():
     print("transitions driven from |1>|0 0 0> by the x-x-z setup:")
     basis = [ground] + [LevelIndex(2, r) for r in
                         (RotState(1, 0, -1), RotState(1, 0, 0), RotState(1, 0, 1))]
-    for laser in cfg.lasers[:1]:
-        for f, i in allowed_transitions(laser, cfg.dipole, basis):
-            print(f"  {i} -> {f}   (polarization {laser.polarization})")
+    laser = cfg.lasers[0]
+    h = assemble([laser], cfg.dipole, Enantiomer.L, cfg.constants, cfg.trunc, basis=basis)
+    for f, i, _, _ in h.rows():
+        print(f"  {i} -> {f}   (polarization {laser.polarization})")
 
     h = assemble(cfg.lasers, cfg.dipole, Enantiomer.L, cfg.constants, cfg.trunc)
     tri = [cyc for cyc in loop_census(h, max_len=3) if ground in cyc]

@@ -159,19 +159,3 @@ def rabi_frequency(final, initial, laser: LaserSpec, dipole: DipoleModel,
     sign = -1.0 if (who is Enantiomer.R and trans.chiral_sign_flip) else 1.0
     return sign * laser.peak_rabi * laser.beam(x) * total
 
-
-def allowed_transitions(laser: LaserSpec, dipole: DipoleModel, basis) -> list[tuple]:
-    """All (final, initial) pairs with nonzero Rabi frequency at beam center.
-
-    `basis` is an ordered list of LevelIndex-like states; pairs are returned
-    with final.vib > initial.vib, in basis order.
-    """
-    vi, vf = laser.drives
-    lower = [s for s in basis if s.vib == vi]
-    upper = [s for s in basis if s.vib == vf]
-    pairs = []
-    for f in upper:
-        for i in lower:
-            if rabi_frequency(f, i, laser, dipole, x=laser.beam.center) != 0:
-                pairs.append((f, i))
-    return pairs

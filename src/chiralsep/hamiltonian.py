@@ -96,39 +96,47 @@ def assemble(
     x: float = 0.0,
     basis: list[LevelIndex] | None = None,
 ) -> CouplingMatrix:
-    """Build the coupling table over the (possibly restricted) product basis."""
+    """Build the coupling table over the (possibly restricted) product basis.
+
+    Partners of each lower state come from the selection rules: Delta J in
+    {0, +-1}, Delta M from the laser's helicities and Delta K from the
+    dipole's components, kept when the basis holds them.  Each laser's
+    transitions are ordered by (final, initial) basis position.
+    """
     if basis is None:
         basis = product_basis(trunc)
     basis = tuple(basis)
-    pos = {lvl: k for k, lvl in enumerate(basis)}
+    pos = {(lvl.vib, lvl.rot.J, lvl.rot.K, lvl.rot.M): k for k, lvl in enumerate(basis)}
     fin, ini, omega, delta = [], [], [], []
-    by_vib = {}
-    for lvl in basis:
-        by_vib.setdefault(lvl.vib, []).append(lvl)
     for laser in lasers:
         vi, vf = laser.drives
+        sigmas = [s for s, amp in zip((-1, 0, 1), laser.helicity_triple()) if amp != 0]
+        sps = [sp for sp, mu in zip((-1, 0, 1), dipole.get((vi, vf)).mu) if mu != 0]
+        pairs = []
+        for i, lower in enumerate(basis):
+            if lower.vib != vi:
+                continue
+            r = lower.rot
+            for jf in (r.J - 1, r.J, r.J + 1):
+                for s in sigmas:
+                    for sp in sps:
+                        f = pos.get((vf, jf, r.K + sp, r.M + s))
+                        if f is not None:
+                            pairs.append((f, i))
+        pairs.sort()
         count = 0
-        triple = laser.helicity_triple()
-        sigmas = {s for s, amp in zip((-1, 0, 1), triple) if amp != 0}
-        sps = {sp for sp, mu in zip((-1, 0, 1), dipole.get((vi, vf)).mu) if mu != 0}
-        for f in by_vib.get(vf, ()):
-            for i in by_vib.get(vi, ()):
-                # selection-rule prefilter; exact zeros still fall out of rabi
-                if (
-                    abs(f.rot.J - i.rot.J) > 1
-                    or (f.rot.M - i.rot.M) not in sigmas
-                    or (f.rot.K - i.rot.K) not in sps
-                ):
-                    continue
-                w = rabi_frequency(f, i, laser, dipole, who, x)
-                if w == 0:
-                    continue
-                d = rot_energy(f.rot, constants) - rot_energy(i.rot, constants) - laser.rot_offset
-                fin.append(pos[f])
-                ini.append(pos[i])
-                omega.append(w)
-                delta.append(d)
-                count += 1
+        for f, i in pairs:
+            # exact zeros of the 3j symbols still fall out of rabi
+            w = rabi_frequency(basis[f], basis[i], laser, dipole, who, x)
+            if w == 0:
+                continue
+            d = (rot_energy(basis[f].rot, constants) - rot_energy(basis[i].rot, constants)
+                 - laser.rot_offset)
+            fin.append(f)
+            ini.append(i)
+            omega.append(w)
+            delta.append(d)
+            count += 1
         if count == 0:
             raise EmptyCouplingError(
                 f"laser driving {laser.drives} couples nothing in the truncated basis"

@@ -10,17 +10,23 @@ to a static frame and propagated exactly in one eigendecomposition:
     H(t) = U(t) H0 U(t)^dag,  U = diag(e^{-i 2 pi f t})
     psi(t) = U(t) exp(-i 2 pi (H0 - diag(f)) t) psi(0)
 
-Thermal mixtures are handled as weighted ensembles of pure states.  The
-ensemble trace works block by block over the connected components of the
-coupling graph and never forms an n x n matrix: each block's static H0 comes
-from its own edges, its density matrix rho = sum_k w_k |psi_k><psi_k| from
-one matrix product over the members that touch it, and with H0 - diag(f) =
-V diag(eps) V^dag the trace is
+Thermal mixtures are handled as weighted ensembles of pure states, each
+stored as (member, level, amplitude) triplets: a thermal member of a
+diabatic or partially-dressed preparation has one to three nonzero
+amplitudes, so no length-n member vector is formed.  The ensemble trace
+takes every branch of one enantiomer in one call and makes one spectral
+pass per block over the connected components of the coupling graph; it
+never forms an n x n matrix.  Each block's static H0 comes from its own
+edges, and its eigendecomposition H0 - diag(f) = V diag(eps) V^dag and the
+phase matrix p_n(t) = exp(-i 2 pi eps_n t) are shared by all branches.  A
+branch's block density matrix rho = sum_k w_k |psi_k><psi_k| comes from one
+matrix product over the members whose triplets fall in the block, and
 
-    <H(t)> = sum_nm p_n(t) C_nm conj(p_m(t)),  p_n = exp(-i 2 pi eps_n t),
+    <H(t)> = sum_nm p_n(t) C_nm conj(p_m(t)),
     C = (V^dag rho V) * (V^dag H0 V)^T,
 
-evaluated as a matrix product and a row sum.
+evaluated for all branches as one matrix product p @ [C_1 | C_2 | ...]
+followed by a row sum per branch.
 """
 
 from __future__ import annotations
@@ -200,29 +206,75 @@ def potential_trace(h: CouplingMatrix, times, trajectory,
     return PotentialTrace.from_values(times, vals)
 
 
+@dataclass(frozen=True)
+class Ensemble:
+    """Weighted pure states over n levels, stored as nonzero amplitudes.
+
+    Member k has weight weights[k]; triplet j puts amplitude amp[j] on level
+    level[j] of member member[j].  Every (member, level) pair appears at most
+    once, and no length-n vector is stored.
+    """
+
+    n: int
+    weights: np.ndarray      # (members,) float
+    member: np.ndarray       # (triplets,) int
+    level: np.ndarray        # (triplets,) int
+    amp: np.ndarray          # (triplets,) complex
+
+    @classmethod
+    def from_triplets(cls, n, weights, member, level, amp) -> "Ensemble":
+        """From parallel triplet arrays; zero amplitudes are dropped."""
+        amp = np.asarray(amp, dtype=complex)
+        keep = amp != 0
+        return cls(n=n, weights=np.asarray(weights, dtype=float),
+                   member=np.asarray(member, dtype=int)[keep],
+                   level=np.asarray(level, dtype=int)[keep], amp=amp[keep])
+
+    @classmethod
+    def from_members(cls, n, members) -> "Ensemble":
+        """From (weight, length-n state vector) pairs."""
+        states = np.array([psi for _, psi in members], dtype=complex).reshape(len(members), n)
+        member, level = np.nonzero(states)
+        return cls.from_triplets(n, [w for w, _ in members], member, level,
+                                 states[member, level])
+
+    def members(self) -> list[tuple[float, np.ndarray]]:
+        """Dense (weight, state vector) pairs, one per member."""
+        states = np.zeros((len(self.weights), self.n), dtype=complex)
+        states[self.member, self.level] = self.amp
+        return list(zip(self.weights.tolist(), states))
+
+
 def ensemble_potential_trace(
     h: CouplingMatrix,
-    members: list[tuple[float, np.ndarray]],
+    ensembles: dict,
     times,
     omega_ref: float = 1.0,
-) -> PotentialTrace:
-    """Weighted-ensemble <H_int(t)> without storing trajectories.
+) -> dict:
+    """Weighted-ensemble <H_int(t)> of every branch, without trajectories.
 
-    Mathematically identical to propagating each pure member and averaging;
-    uses the static frame and the block structure of the coupling graph.
-    Falls back to per-member propagation when no node potential exists.
+    `ensembles` maps a branch label to its Ensemble; returns the mapping
+    branch -> PotentialTrace in the same order.  Mathematically identical to
+    propagating each pure member and averaging; uses the static frame and
+    the block structure of the coupling graph, with one eigendecomposition
+    and one phase matrix per block shared by all branches.  Falls back to
+    per-member propagation when no node potential exists.
     """
     times = np.asarray(times, dtype=float)
+    for branch, ens in ensembles.items():
+        if len(ens.weights) == 0:
+            raise ValueError(f"branch {branch}: empty ensemble")
     f = node_potential(h)
     if f is None:
-        traces = []
-        for w, psi0 in members:
-            _, traj = propagate(h, psi0, times[-1], n_out=len(times), method="midpoint")
-            traces.append((w, potential_trace(h, times, traj, omega_ref)))
-        return ensemble_average(traces)
+        out = {}
+        for branch, ens in ensembles.items():
+            traces = []
+            for w, psi0 in ens.members():
+                _, traj = propagate(h, psi0, times[-1], n_out=len(times), method="midpoint")
+                traces.append((w, potential_trace(h, times, traj, omega_ref)))
+            out[branch] = ensemble_average(traces)
+        return out
 
-    states = np.array([psi0 for _, psi0 in members], dtype=complex).reshape(len(members), h.n)
-    weights = np.array([w for w, _ in members], dtype=float)
     blocks = components(h)
     label = np.empty(h.n, dtype=int)
     local = np.empty(h.n, dtype=int)
@@ -230,31 +282,49 @@ def ensemble_potential_trace(
         label[idx] = c
         local[idx] = np.arange(len(idx))
     edge_block = label[h.fin]
-    total = np.zeros(len(times))
+    triplet_block = [label[ens.level] for ens in ensembles.values()]
+    totals = np.zeros((len(times), len(ensembles)))
     for c, idx in enumerate(blocks):
         if len(idx) == 1:
             continue  # uncoupled level: zero-diagonal H contributes nothing
-        sub = states[:, idx]
-        touch = np.flatnonzero(np.any(sub != 0, axis=1))
-        if len(touch) == 0:
+        rhos = {}
+        for k, ens in enumerate(ensembles.values()):
+            sel = np.flatnonzero(triplet_block[k] == c)
+            if len(sel) == 0:
+                continue
+            touch, row = np.unique(ens.member[sel], return_inverse=True)
+            sub = np.zeros((len(touch), len(idx)), dtype=complex)
+            sub[row, local[ens.level[sel]]] = ens.amp[sel]
+            rhos[k] = (sub.T * ens.weights[touch]) @ sub.conj()
+        if not rhos:
             continue
-        sub = sub[touch]
-        rho = (sub.T * weights[touch]) @ sub.conj()
         e = np.flatnonzero(edge_block == c)
         a, b = local[h.fin[e]], local[h.ini[e]]
         h0 = np.zeros((len(idx), len(idx)), dtype=complex)
         h0[a, b] = h.omega[e]
         h0[b, a] = np.conj(h.omega[e])
-        eps, v = np.linalg.eigh(h0 - np.diag(f[idx]))
-        r = v.conj().T @ rho @ v
-        g = v.conj().T @ h0 @ v
-        c_mat = r * g.T
-        p = np.exp(-2j * np.pi * np.outer(times, eps))
-        vals = np.sum((p @ c_mat) * p.conj(), axis=1)
-        if np.max(np.abs(vals.imag)) > 1e-10 * max(1.0, np.max(np.abs(vals.real))):
+        vals = _block_expectations(h0, f[idx], list(rhos.values()), times)
+        # also false for NaN, so a non-finite expectation raises here too
+        if not np.max(np.abs(vals.imag)) <= 1e-10 * max(1.0, np.max(np.abs(vals.real))):
             raise ValueError("non-real ensemble expectation of a Hermitian operator")
-        total += vals.real
-    return PotentialTrace.from_values(times, total / omega_ref)
+        totals[:, list(rhos)] += vals.real
+    return {branch: PotentialTrace.from_values(times, totals[:, k] / omega_ref)
+            for k, branch in enumerate(ensembles)}
+
+
+def _block_expectations(h0, f, rhos, times) -> np.ndarray:
+    """<H(t)> of each block density matrix in `rhos`, shape (times, rhos).
+
+    One eigendecomposition and one phase matrix serve every rho.  The
+    (times x rhos*size) intermediates live only inside this call.
+    """
+    eps, v = np.linalg.eigh(h0 - np.diag(f))
+    g_t = (v.conj().T @ h0 @ v).T
+    c_all = np.concatenate([(v.conj().T @ rho @ v) * g_t for rho in rhos], axis=1)
+    p = np.exp(-2j * np.pi * np.outer(times, eps))
+    pc = (p @ c_all).reshape(len(times), len(rhos), len(eps))
+    pc *= np.conj(p, out=p)[:, None, :]
+    return pc.sum(axis=2)
 
 
 def prepare_initial(
@@ -263,7 +333,7 @@ def prepare_initial(
     thermal: dict,
     vib_amplitudes=None,
     gap_warn: float = 1e-9,
-) -> list[tuple[float, np.ndarray]]:
+) -> Ensemble:
     """Weighted pure-state ensemble for one preparation protocol.
 
     mode "diabatic": bare states |1>|JKM> with thermal weights.
@@ -273,26 +343,24 @@ def prepare_initial(
     `vib_amplitudes` (a rotationless dressed state) tensored with each
     thermal rotational basis state.
     """
-    members = []
     pos = {lvl: k for k, lvl in enumerate(h.basis)}
     weights = [(rot, w) for rot, w in thermal.items() if w > 0]
+    ws = [w for _, w in weights]
     if mode == "diabatic":
-        for rot, w in weights:
-            psi = np.zeros(h.n, dtype=complex)
-            psi[pos[LevelIndex(1, rot)]] = 1.0
-            members.append((w, psi))
-    elif mode == "partially-dressed":
+        level = [pos[LevelIndex(1, rot)] for rot, _ in weights]
+        return Ensemble.from_triplets(h.n, ws, np.arange(len(level)), level,
+                                      np.ones(len(level)))
+    if mode == "partially-dressed":
         if vib_amplitudes is None:
             raise ValueError("partially-dressed preparation needs vib_amplitudes")
         amps = np.asarray(vib_amplitudes, dtype=complex)
-        for rot, w in weights:
-            psi = np.zeros(h.n, dtype=complex)
-            for m in range(3):
-                psi[pos[LevelIndex(m + 1, rot)]] = amps[m]
-            members.append((w, psi))
-    elif mode == "adiabatic":
+        level = [pos[LevelIndex(m + 1, rot)] for rot, _ in weights for m in range(3)]
+        return Ensemble.from_triplets(h.n, ws, np.repeat(np.arange(len(weights)), 3),
+                                      level, np.tile(amps, len(weights)))
+    if mode == "adiabatic":
         vals, vecs = np.linalg.eigh(h.evaluate(0.0))
         scale = max(np.max(np.abs(vals)), 1e-300)
+        members = []
         for rot, w in weights:
             bare = pos[LevelIndex(1, rot)]
             n = int(np.argmax(np.abs(vecs[bare, :])))
@@ -304,10 +372,9 @@ def prepare_initial(
                     "resolved by maximal bare-state overlap",
                     DegenerateEigenstateWarning, stacklevel=2,
                 )
-            members.append((w, vecs[:, n].astype(complex)))
-    else:
-        raise ValueError(f"unknown preparation mode {mode!r}")
-    return members
+            members.append((w, vecs[:, n]))
+        return Ensemble.from_members(h.n, members)
+    raise ValueError(f"unknown preparation mode {mode!r}")
 
 
 def ensemble_average(traces: list[tuple[float, PotentialTrace]]) -> PotentialTrace:

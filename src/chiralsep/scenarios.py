@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -58,6 +59,7 @@ from .hamiltonian import (
 )
 from .looptopology import find_loops
 from .propagate import (
+    Ensemble,
     PotentialTrace,
     ensemble_potential_trace,
     prepare_initial,
@@ -105,6 +107,14 @@ class ScenarioConfig:
             raise ConfigError("scenario.loop_rot_state required when restricted_loop = true")
         if self.t_end <= 0 or self.n_times < 2:
             raise ConfigError("scenario: t_end must be positive, n_times >= 2")
+        for key, value in (("temperature_K", self.temperature), ("t_end_ns", self.t_end),
+                           ("evaluation_x", self.evaluation_x),
+                           ("truncation_mass", self.truncation_mass)):
+            if not math.isfinite(value):
+                raise ConfigError(f"scenario.{key}: must be finite, got {value!r}")
+        if self.temperature < 0:
+            raise ConfigError(
+                f"scenario.temperature_K: must be non-negative, got {self.temperature!r}")
 
     @property
     def omega12_max(self) -> float:
@@ -128,7 +138,14 @@ class ScenarioResult:
     timescales: dict
 
 
-def _parse_scalar(section, key, raw, conv, what):
+def _finite(raw) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("not finite")
+    return value
+
+
+def _parse_scalar(section, key, raw, conv=_finite, what="a finite number"):
     try:
         return conv(raw)
     except (TypeError, ValueError):
@@ -165,28 +182,30 @@ def parse_config(text: str) -> ScenarioConfig:
             raise ConfigError(f"molecule.{key}: required")
     try:
         constants = RotorConstants(
-            a=_parse_scalar("molecule", "A_GHz", mol["A_GHz"], float, "a number"),
-            b=_parse_scalar("molecule", "B_GHz", mol["B_GHz"], float, "a number"),
-            c=_parse_scalar("molecule", "C_GHz", mol["C_GHz"], float, "a number"),
+            a=_parse_scalar("molecule", "A_GHz", mol["A_GHz"]),
+            b=_parse_scalar("molecule", "B_GHz", mol["B_GHz"]),
+            c=_parse_scalar("molecule", "C_GHz", mol["C_GHz"]),
         )
     except ValueError as exc:
         raise ConfigError(f"molecule: {exc}") from None
 
     flip = _parse_bool("molecule", "chiral_sign_flip", mol.get("chiral_sign_flip", "true"))
     if "mu" in mol:
-        parts = mol["mu"].split()
-        if len(parts) != 3:
+        parts = [p.split(",") for p in mol["mu"].split()]
+        if len(parts) != 3 or any(len(p) > 2 for p in parts):
             raise ConfigError("molecule.mu: expected three components 're,im re,im re,im'")
-        mu = tuple(complex(*map(float, p.split(","))) if "," in p else complex(float(p))
-                   for p in parts)
+        mu = tuple(complex(*(_parse_scalar("molecule", "mu", c) for c in p)) for p in parts)
     elif mol.get("dipole_axis", "z").strip() == "z":
         mu = (0.0, 1.0, 0.0)
     else:
         raise ConfigError("molecule.dipole_axis: only 'z' is supported (or give mu)")
-    dipole = DipoleModel({
-        pair: DipoleTransition(mu=mu, chiral_sign_flip=flip)
-        for pair in LASER_SECTIONS.values()
-    })
+    try:
+        dipole = DipoleModel({
+            pair: DipoleTransition(mu=mu, chiral_sign_flip=flip)
+            for pair in LASER_SECTIONS.values()
+        })
+    except ValueError as exc:
+        raise ConfigError(f"molecule.mu: {exc}") from None
 
     sc = cp["scenario"]
     omega12 = None
@@ -195,18 +214,18 @@ def parse_config(text: str) -> ScenarioConfig:
         sec = cp[sec_name]
         pol = sec.get("polarization", "z").strip()
         if "peak_rabi_GHz" in sec:
-            peak = _parse_scalar(sec_name, "peak_rabi_GHz", sec["peak_rabi_GHz"], float, "a number")
+            peak = _parse_scalar(sec_name, "peak_rabi_GHz", sec["peak_rabi_GHz"])
         else:
             ratio = _parse_scalar(
                 sec_name, "peak_rabi_over_omega12",
-                sec.get("peak_rabi_over_omega12", "1.0"), float, "a number")
+                sec.get("peak_rabi_over_omega12", "1.0"))
             peak = ratio * OMEGA12_MAX_GHZ
         beam = GaussianBeam(
-            waist=_parse_scalar(sec_name, "waist", sec.get("waist", "1.0"), float, "a number"),
-            center=_parse_scalar(sec_name, "center_x", sec.get("center_x", "0.0"), float, "a number"),
+            waist=_parse_scalar(sec_name, "waist", sec.get("waist", "1.0")),
+            center=_parse_scalar(sec_name, "center_x", sec.get("center_x", "0.0")),
         )
         offset = _parse_scalar(
-            sec_name, "rot_offset_GHz", sec.get("rot_offset_GHz", "0.0"), float, "a number")
+            sec_name, "rot_offset_GHz", sec.get("rot_offset_GHz", "0.0"))
         try:
             lasers.append(LaserSpec(drives=pair, polarization=pol, peak_rabi=peak,
                                     beam=beam, rot_offset=offset))
@@ -217,7 +236,7 @@ def parse_config(text: str) -> ScenarioConfig:
 
     t_end_key = "t_end_ns" if "t_end_ns" in sc else "t_end_over_omega12"
     raw = sc.get(t_end_key, "40")
-    t_end = _parse_scalar("scenario", t_end_key, raw, float, "a number")
+    t_end = _parse_scalar("scenario", t_end_key, raw)
     if t_end_key == "t_end_over_omega12":
         t_end = t_end / omega12
 
@@ -237,19 +256,19 @@ def parse_config(text: str) -> ScenarioConfig:
         lasers=tuple(lasers),
         dipole=dipole,
         temperature=_parse_scalar("scenario", "temperature_K",
-                                  sc.get("temperature_K", "0"), float, "a number"),
+                                  sc.get("temperature_K", "0")),
         preparation=sc.get("preparation", "partially-dressed").strip(),
         trunc=BasisTruncation(
             _parse_scalar("scenario", "jmax", sc.get("jmax", "3"), int, "an integer")),
         t_end=t_end,
         n_times=_parse_scalar("scenario", "n_times", sc.get("n_times", "2000"), int, "an integer"),
         evaluation_x=_parse_scalar("scenario", "evaluation_x",
-                                   sc.get("evaluation_x", "0.0"), float, "a number"),
+                                   sc.get("evaluation_x", "0.0")),
         restricted_loop=_parse_bool("scenario", "restricted_loop",
                                     sc.get("restricted_loop", "false")),
         loop_rot=loop_rot,
         truncation_mass=_parse_scalar("scenario", "truncation_mass",
-                                      sc.get("truncation_mass", "1e-6"), float, "a number"),
+                                      sc.get("truncation_mass", "1e-6")),
     )
 
 
@@ -380,11 +399,12 @@ def _assemble(config: ScenarioConfig, who: Enantiomer) -> CouplingMatrix:
 
 
 def _branch_members(config, who, h, thermal):
-    """Mapping branch label -> weighted pure-state ensemble."""
+    """Mapping branch label -> Ensemble."""
     if config.restricted_loop:
         # eigenstates of the static restricted loop, one branch each
         vals, vecs = np.linalg.eigh(h.evaluate(0.0))
-        return {n + 1: [(1.0, vecs[:, n].astype(complex))] for n in range(len(vals))}
+        return {n + 1: Ensemble.from_members(h.n, [(1.0, vecs[:, n])])
+                for n in range(len(vals))}
     if config.preparation == "partially-dressed":
         sgn = -1.0 if who is Enantiomer.R else 1.0
         peaks = [l.peak_rabi * l.beam(config.evaluation_x) for l in config.lasers]
@@ -412,9 +432,10 @@ def run_scenario(config: ScenarioConfig, enantiomers=("L", "R")) -> ScenarioResu
         who = Enantiomer(tag)
         h = _assemble(config, who)
         couplings[tag] = h
-        for branch, members in _branch_members(config, who, h, thermal).items():
-            traces.setdefault(branch, {})[tag] = ensemble_potential_trace(
-                h, members, times, omega_ref=omega_ref)
+        ensembles = _branch_members(config, who, h, thermal)
+        for branch, tr in ensemble_potential_trace(h, ensembles, times,
+                                                   omega_ref=omega_ref).items():
+            traces.setdefault(branch, {})[tag] = tr
 
     href = couplings[enantiomers[0]]
     loops = loop_census(href)

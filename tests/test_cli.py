@@ -137,3 +137,18 @@ def test_unknown_builtin_exits_2(capsys):
     rc = main(["timescales", "--scenario", "nope"])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("old, new, key", [
+    ("temperature_K = 0", "temperature_K = nan", "scenario.temperature_K"),
+    ("t_end_over_omega12 = 2", "t_end_over_omega12 = inf", "scenario.t_end_over_omega12"),
+    ("C_GHz = 6.399", "C_GHz = 6.399\nmu = 1,x 0 0", "molecule.mu"),
+])
+def test_non_finite_or_unparsable_input_names_its_field(tmp_path, capsys, old, new, key):
+    path = tmp_path / "bad.cfg"
+    path.write_text(TINY.replace(old, new))
+    out = tmp_path / "o"
+    rc = main(["run", "--config", str(path), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {key}: ")
+    assert not out.exists()

@@ -12,11 +12,10 @@ from chiralsep.coupling import (
     GaussianBeam,
     LaserSpec,
     UnknownTransitionError,
-    allowed_transitions,
     rabi_frequency,
 )
-from chiralsep.hamiltonian import LevelIndex, product_basis
-from chiralsep.rotbasis import BasisTruncation, RotState
+from chiralsep.hamiltonian import LevelIndex, assemble, product_basis
+from chiralsep.rotbasis import D2S2, BasisTruncation, RotState
 
 S2 = math.sqrt(2.0)
 
@@ -103,12 +102,18 @@ def test_rabi_frequency_rejects_wrong_pair():
                        LevelIndex(2, RotState(1, 0, 0)), laser, dm)
 
 
+def driven_pairs(laser, dm, basis):
+    """(final, initial) pairs that `assemble` couples with this one laser."""
+    h = assemble([laser], dm, Enantiomer.L, D2S2, BasisTruncation(1), basis=basis)
+    return [(f, i) for f, i, _, _ in h.rows()]
+
+
 def test_allowed_transitions_z_from_ground():
     # z light, z dipole: only |2>|1 0 0> is reachable from |1>|0 0 0>
     basis = product_basis(BasisTruncation(1), vibs=(1, 2))
     laser = LaserSpec(drives=(1, 2), polarization="z")
     dm = DipoleModel.z_aligned()
-    pairs = allowed_transitions(laser, dm, basis)
+    pairs = driven_pairs(laser, dm, basis)
     from_ground = [f for f, i in pairs if i == LevelIndex(1, RotState(0, 0, 0))]
     assert from_ground == [LevelIndex(2, RotState(1, 0, 0))]
     # every reported pair respects Delta M = 0 and Delta K = 0
@@ -120,5 +125,5 @@ def test_allowed_transitions_sigma_plus_raises_m():
     basis = product_basis(BasisTruncation(1), vibs=(1, 2))
     laser = LaserSpec(drives=(1, 2), polarization="sigma+")
     dm = DipoleModel.z_aligned()
-    for f, i in allowed_transitions(laser, dm, basis):
+    for f, i in driven_pairs(laser, dm, basis):
         assert f.rot.M == i.rot.M + 1

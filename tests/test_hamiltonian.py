@@ -2,8 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chiralsep.coupling import DipoleModel, Enantiomer, LaserSpec
+from chiralsep.coupling import (
+    POLARIZATION_TRIPLES,
+    DipoleModel,
+    DipoleTransition,
+    Enantiomer,
+    LaserSpec,
+    rabi_frequency,
+)
 from chiralsep.hamiltonian import (
     BasisNotClosedError,
     EmptyCouplingError,
@@ -15,7 +24,7 @@ from chiralsep.hamiltonian import (
     detuning_formula,
     product_basis,
 )
-from chiralsep.rotbasis import D2S2, BasisTruncation, RotState, rot_energy
+from chiralsep.rotbasis import D2S2, BasisTruncation, RotState, enumerate_basis, rot_energy
 
 
 def lasers(p12, p23, p13, offsets=(0.0, 0.0, 0.0)):
@@ -132,3 +141,67 @@ def test_assemble_restricted_basis():
     assert h.n == 3
     assert len(h.fin) == 3  # the closed loop
     assert np.all(h.delta == 0.0)  # same rotational label on every node
+
+
+POLARIZATION = st.one_of(
+    st.sampled_from(sorted(POLARIZATION_TRIPLES)),
+    st.tuples(*[st.sampled_from([0.0, 1.0, -0.5, 1j, 0.3 - 0.4j])] * 3),
+)
+DIPOLE = st.tuples(*[st.sampled_from([0.0, 1.0, -0.7, 0.5j])] * 3).filter(any)
+
+
+def brute_force_couplings(lasers, dipole, who, basis, x):
+    """(fin, ini, omega, delta) rows of every nonzero pair, or None if a laser couples nothing."""
+    rows = []
+    for laser in lasers:
+        vi, vf = laser.drives
+        before = len(rows)
+        for f, upper in enumerate(basis):
+            for i, lower in enumerate(basis):
+                if upper.vib != vf or lower.vib != vi:
+                    continue
+                w = rabi_frequency(upper, lower, laser, dipole, who, x)
+                if w != 0:
+                    d = rot_energy(upper.rot, D2S2) - rot_energy(lower.rot, D2S2) - laser.rot_offset
+                    rows.append((f, i, w, d))
+        if len(rows) == before:
+            return None
+    return rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_assemble_matches_brute_force_pair_enumeration(data):
+    jmax = data.draw(st.integers(1, 2), label="jmax")
+    trunc = BasisTruncation(jmax)
+    pols = data.draw(st.tuples(POLARIZATION, POLARIZATION, POLARIZATION), label="pols")
+    offsets = data.draw(st.tuples(*[st.sampled_from([0.0, 0.3, -12.8])] * 3), label="offsets")
+    lasers_ = lasers(*pols, offsets=offsets)
+    dipole = DipoleModel({pair: DipoleTransition(mu=mu, chiral_sign_flip=flip)
+                          for pair, mu, flip in zip(
+                              ((1, 2), (2, 3), (1, 3)),
+                              data.draw(st.tuples(DIPOLE, DIPOLE, DIPOLE), label="mu"),
+                              data.draw(st.tuples(*[st.booleans()] * 3), label="flip"))})
+    who = data.draw(st.sampled_from(list(Enantiomer)), label="who")
+    x = data.draw(st.sampled_from([0.0, 0.4]), label="x")
+    full = product_basis(trunc)
+    kind = data.draw(st.sampled_from(["full", "subset", "restricted-loop"]), label="basis")
+    if kind == "full":
+        basis = full
+    elif kind == "subset":
+        keep = data.draw(st.lists(st.booleans(), min_size=len(full), max_size=len(full)))
+        basis = data.draw(st.permutations([lvl for lvl, k in zip(full, keep) if k]))
+    else:
+        rot = data.draw(st.sampled_from(enumerate_basis(trunc)), label="loop rot")
+        basis = [LevelIndex(v, rot) for v in (1, 2, 3)]
+    expected = brute_force_couplings(lasers_, dipole, who, basis, x)
+    if expected is None:
+        with pytest.raises(EmptyCouplingError):
+            assemble(lasers_, dipole, who, D2S2, trunc, x=x, basis=basis)
+        return
+    h = assemble(lasers_, dipole, who, D2S2, trunc, x=x, basis=basis)
+    fin, ini, omega, delta = zip(*expected)
+    assert h.fin.tolist() == list(fin)
+    assert h.ini.tolist() == list(ini)
+    assert h.omega.tolist() == list(omega)
+    assert h.delta.tolist() == list(delta)

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chiralsep.coupling import Enantiomer
-from chiralsep.hamiltonian import CouplingMatrix, LevelIndex
+from chiralsep.coupling import DipoleModel, Enantiomer, LaserSpec
+from chiralsep.hamiltonian import CouplingMatrix, LevelIndex, assemble
 from chiralsep.propagate import (
+    Ensemble,
     MismatchedGridError,
     PotentialTrace,
     StepTooLargeError,
@@ -18,7 +21,7 @@ from chiralsep.propagate import (
     prepare_initial,
     propagate,
 )
-from chiralsep.rotbasis import RotState, thermal_rot_state
+from chiralsep.rotbasis import D2S2, BasisTruncation, RotState, thermal_rot_state
 from chiralsep.scenarios import _assemble, _branch_members, builtin_config
 
 
@@ -126,7 +129,7 @@ def test_ensemble_trace_equals_weighted_pure_states():
         (0.75, np.array([0.0, 1.0, 1.0], dtype=complex) / np.sqrt(2)),
     ]
     times = np.linspace(0.0, 3.0, 61)
-    fast = ensemble_potential_trace(h, members, times)
+    fast = ensemble_potential_trace(h, {0: Ensemble.from_members(h.n, members)}, times)[0]
     slow = []
     for w, psi0 in members:
         _, traj = propagate(h, psi0, times[-1], n_out=len(times))
@@ -143,14 +146,16 @@ def test_block_trace_matches_per_member_static_on_fig7():
                                 cutoff_mass=config.truncation_mass)
     times = np.linspace(0.0, config.t_end, 41)
     omega_ref = config.omega12_max
-    ensembles = list(_branch_members(config, Enantiomer.L, h, thermal).values())
+    ensembles = _branch_members(config, Enantiomer.L, h, thermal)
     # complex amplitudes, so that rho = sum w |psi><psi| needs its conjugate
     amps = np.array([1.0, 1j, -0.5 + 0.5j]) / np.sqrt(2.5)
-    ensembles.append(prepare_initial("partially-dressed", h, thermal, vib_amplitudes=amps))
-    for members in ensembles:
-        fast = ensemble_potential_trace(h, members, times, omega_ref=omega_ref)
+    ensembles["complex"] = prepare_initial("partially-dressed", h, thermal, vib_amplitudes=amps)
+    batched = ensemble_potential_trace(h, ensembles, times, omega_ref=omega_ref)
+    assert list(batched) == list(ensembles)
+    for branch, ens in ensembles.items():
+        fast = batched[branch]
         slow = []
-        for w, psi0 in members:
+        for w, psi0 in ens.members():
             _, traj = propagate(h, psi0, times[-1], n_out=len(times), method="static")
             slow.append((w, potential_trace(h, times, traj, omega_ref)))
         ref = ensemble_average(slow)
@@ -162,7 +167,7 @@ def test_ensemble_trace_midpoint_fallback():
     h = triangle([0.5, 0.3, 0.2], [0.4, -0.1, 0.7])
     members = [(1.0, np.array([1.0, 0.0, 0.0], dtype=complex))]
     times = np.linspace(0.0, 1.0, 21)
-    tr = ensemble_potential_trace(h, members, times)
+    tr = ensemble_potential_trace(h, {0: Ensemble.from_members(h.n, members)}, times)[0]
     _, traj = propagate(h, members[0][1], 1.0, n_out=21, method="midpoint")
     ref = potential_trace(h, times, traj)
     assert np.max(np.abs(tr.values - ref.values)) < 1e-10
@@ -171,12 +176,12 @@ def test_ensemble_trace_midpoint_fallback():
 def test_prepare_initial_modes():
     h = triangle([0.5, 0.3, 0.2], [0.0, 0.0, 0.0])
     thermal = {RotState(0, 0, 0): 1.0}
-    diab = prepare_initial("diabatic", h, thermal)
+    diab = prepare_initial("diabatic", h, thermal).members()
     assert len(diab) == 1 and diab[0][1][0] == 1.0
     amps = np.array([1.0, 1.0, 0.0]) / np.sqrt(2)
-    part = prepare_initial("partially-dressed", h, thermal, vib_amplitudes=amps)
+    part = prepare_initial("partially-dressed", h, thermal, vib_amplitudes=amps).members()
     assert np.allclose(part[0][1], [amps[0], amps[1], 0.0])
-    adia = prepare_initial("adiabatic", h, thermal)
+    adia = prepare_initial("adiabatic", h, thermal).members()
     vals, vecs = np.linalg.eigh(h.evaluate(0.0))
     overlaps = np.abs(vecs.conj().T @ adia[0][1])
     assert np.max(overlaps) == pytest.approx(1.0, abs=1e-12)
@@ -193,3 +198,52 @@ def test_ensemble_average_grid_check():
         ensemble_average([(0.5, a), (0.5, b)])
     with pytest.raises(ValueError):
         ensemble_average([])
+
+
+def test_empty_ensemble_raises():
+    h = triangle([0.5, 0.3, 0.2], [0.0, 0.0, 0.0])
+    empty = prepare_initial("diabatic", h, {RotState(0, 0, 0): float("nan")})
+    with pytest.raises(ValueError, match="empty ensemble"):
+        ensemble_potential_trace(h, {"thermal": empty}, np.linspace(0.0, 1.0, 5))
+
+
+POLARIZATION = st.sampled_from(["x", "y", "z", "sigma+", "sigma-"])
+AMPLITUDE = st.builds(complex, st.floats(-1, 1), st.floats(-1, 1))
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    pols=st.tuples(POLARIZATION, POLARIZATION, POLARIZATION),
+    offsets=st.tuples(st.floats(-3, 3), st.floats(-3, 3)),
+    peaks=st.tuples(*[st.floats(0.1, 2.0)] * 3),
+    # per-branch temperatures, so that some branches miss blocks others touch
+    branches=st.lists(st.tuples(st.sampled_from([0.0, 0.05, 0.5]),
+                                st.tuples(AMPLITUDE, AMPLITUDE, AMPLITUDE)),
+                      min_size=1, max_size=4),
+    jmax=st.integers(1, 2),
+)
+def test_batched_trace_matches_per_member_and_single_branch(pols, offsets, peaks, branches,
+                                                            jmax):
+    trunc = BasisTruncation(jmax)
+    # the 1-3 offset closes the loop, so a node potential exists
+    rot_offsets = (offsets[0], offsets[1], offsets[0] + offsets[1])
+    lasers = [LaserSpec(drives=d, polarization=p, peak_rabi=w, rot_offset=o)
+              for d, p, w, o in zip(((1, 2), (2, 3), (1, 3)), pols, peaks, rot_offsets)]
+    h = assemble(lasers, DipoleModel.z_aligned(), Enantiomer.L, D2S2, trunc)
+    assert node_potential(h) is not None
+    ensembles = {
+        k: prepare_initial("partially-dressed", h,
+                           thermal_rot_state(temperature, D2S2, trunc, cutoff_mass=1.0),
+                           vib_amplitudes=amps)
+        for k, (temperature, amps) in enumerate(branches)
+    }
+    times = np.linspace(0.0, 2.0, 21)
+    batched = ensemble_potential_trace(h, ensembles, times, omega_ref=0.7)
+    for k, ens in ensembles.items():
+        slow = []
+        for w, psi0 in ens.members():
+            _, traj = propagate(h, psi0, times[-1], n_out=len(times), method="static")
+            slow.append((w, potential_trace(h, times, traj, 0.7)))
+        assert np.max(np.abs(batched[k].values - ensemble_average(slow).values)) < 1e-12
+        single = ensemble_potential_trace(h, {k: ens}, times, omega_ref=0.7)[k].values
+        assert np.max(np.abs(batched[k].values - single)) <= 1e-14 * np.max(np.abs(single))
