@@ -12,17 +12,18 @@ import argparse
 import itertools
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import dressed as dressedmod
-from .coupling import Enantiomer
+from .coupling import Enantiomer, GaussianBeam
 from .looptopology import (
     SignPattern,
     flip_sensitivity,
     random_loop_hamiltonian,
 )
-from .rotbasis import TruncationError
+from .rotbasis import BasisTruncation, TruncationError
 from .scenarios import (
     ConfigError,
     builtin_config,
@@ -35,6 +36,7 @@ from .scenarios import (
     timescale_report,
     write_outputs,
     _assemble,
+    _fmt,
 )
 
 
@@ -52,10 +54,6 @@ def _load(args):
     else:
         cfg = builtin_config(args.scenario)
     if args.jmax is not None:
-        from dataclasses import replace
-
-        from .rotbasis import BasisTruncation
-
         cfg = replace(cfg, trunc=BasisTruncation(args.jmax))
     return cfg
 
@@ -101,9 +99,6 @@ def _cmd_dressed_potentials(args):
             raise ValueError
     except ValueError:
         raise ConfigError("--offsets expects three comma-separated numbers") from None
-    from dataclasses import replace
-    from .coupling import GaussianBeam
-
     lasers = [
         replace(l, beam=GaussianBeam(waist=l.beam.waist, center=off))
         for l, off in zip(cfg.lasers, offsets)
@@ -125,8 +120,6 @@ def _cmd_dressed_potentials(args):
 
 
 def _cmd_timescales(args):
-    from .scenarios import _fmt
-
     cfg = _load(args)
     for key, val in timescale_report(cfg).items():
         print(f"{key} = {_fmt(val)}")
@@ -160,7 +153,6 @@ def build_parser():
     _add_config_args(p)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--enantiomer", choices=("L", "R", "both"), default="both")
-    p.add_argument("--seed", type=int, default=0, help="accepted for uniformity; runs are deterministic")
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("loops", help="enumerate closed loops of the coupling graph")

@@ -56,6 +56,10 @@ class GaussianBeam:
     waist: float = 1.0
     center: float = 0.0
 
+    def __post_init__(self):
+        if not (math.isfinite(self.waist) and self.waist > 0):
+            raise ValueError(f"waist: must be finite and positive, got {self.waist!r}")
+
     def __call__(self, x: float) -> float:
         return math.exp(-((x - self.center) ** 2) / self.waist**2)
 

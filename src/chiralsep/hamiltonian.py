@@ -13,6 +13,7 @@ Delta_fi = E_rot(f) - E_rot(i) - rot_offset for an absorption f <- i.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,8 +40,12 @@ class LevelIndex:
     vib: int
     rot: RotState
 
-    def __str__(self):
+    @cached_property
+    def name(self) -> str:  # formatted once per level: CSVs print each many times
         return f"|{self.vib}>{self.rot}"
+
+    def __str__(self):
+        return self.name
 
 
 def product_basis(trunc: BasisTruncation, vibs=(1, 2, 3)) -> list[LevelIndex]:
@@ -147,18 +152,6 @@ def assemble(
         ini=np.asarray(ini, dtype=int),
         omega=np.asarray(omega, dtype=complex),
         delta=np.asarray(delta, dtype=float),
-    )
-
-
-def detuning_formula(final: RotState, initial: RotState, constants: RotorConstants) -> float:
-    """Closed-form rotational detuning B(Jf^2-Ji^2+Jf-Ji) + (A-B)(Kf^2-Ki^2).
-
-    Cross-check only: `assemble` computes detunings from the symmetric-top
-    energies (which use C in place of B, a ~MHz-scale difference).
-    """
-    a, b = constants.a, constants.b
-    return b * (final.J**2 - initial.J**2 + final.J - initial.J) + (a - b) * (
-        final.K**2 - initial.K**2
     )
 
 

@@ -10,23 +10,21 @@ to a static frame and propagated exactly in one eigendecomposition:
     H(t) = U(t) H0 U(t)^dag,  U = diag(e^{-i 2 pi f t})
     psi(t) = U(t) exp(-i 2 pi (H0 - diag(f)) t) psi(0)
 
-Thermal mixtures are handled as weighted ensembles of pure states, each
-stored as (member, level, amplitude) triplets: a thermal member of a
-diabatic or partially-dressed preparation has one to three nonzero
-amplitudes, so no length-n member vector is formed.  The ensemble trace
-takes every branch of one enantiomer in one call and makes one spectral
-pass per block over the connected components of the coupling graph; it
-never forms an n x n matrix.  Each block's static H0 comes from its own
-edges, and its eigendecomposition H0 - diag(f) = V diag(eps) V^dag and the
-phase matrix p_n(t) = exp(-i 2 pi eps_n t) are shared by all branches.  A
-branch's block density matrix rho = sum_k w_k |psi_k><psi_k| comes from one
-matrix product over the members whose triplets fall in the block, and
+Thermal mixtures are weighted ensembles of pure states stored as (member,
+level, amplitude) triplets, so no length-n member vector is formed.  The
+ensemble trace takes every branch of one enantiomer in one call and loops
+once over the blocks (connected components) of the coupling graph, with no
+n x n matrix and no per-member state.  A branch's block density matrix
+rho = sum_k w_k |psi_k><psi_k| comes from one matrix product, and one of
+two kernels evolves the stacked rho of all branches:
 
-    <H(t)> = sum_nm p_n(t) C_nm conj(p_m(t)),
-    C = (V^dag rho V) * (V^dag H0 V)^T,
-
-evaluated for all branches as one matrix product p @ [C_1 | C_2 | ...]
-followed by a row sum per branch.
+- static frame: from the block's H0 - diag(f) = V diag(eps) V^dag and
+  p_n(t) = exp(-i 2 pi eps_n t), with C = (V^dag rho V) * (V^dag H0 V)^T,
+  <H(t)> = sum_nm p_n(t) C_nm conj(p_m(t)) is one product p @ [C_1 | ...]
+  and a row sum per branch;
+- midpoint (no node potential): the generic stepper's schedule, one
+  eigendecomposition per block and step, rho <- U rho U^dag, and
+  <H(t)> = tr(rho H(t)) at the output times.
 """
 
 from __future__ import annotations
@@ -166,26 +164,30 @@ def _propagate_static(h, psi0, times, f):
     return out
 
 
-def _propagate_midpoint(h, psi0, times, dt):
-    t_end = times[-1]
+def _midpoint_schedule(h: CouplingMatrix, times, dt=None) -> tuple[float, int]:
+    """(dt, steps per output interval) of the midpoint stepper.
+
+    dt defaults to `default_dt` over the whole table and is shortened so
+    that a whole number of steps fills each interval of the output grid.
+    """
     if dt is None:
         dt = default_dt(h)
     fmax = max_frequency(h)
     if fmax > 0 and dt > 1.0 / (20.0 * fmax) * (1 + 1e-12):
-        raise StepTooLargeError(
-            f"dt = {dt} does not resolve 1/(20 * {fmax} GHz)"
-        )
-    # align steps with the output grid
-    n_seg = len(times) - 1
-    seg = t_end / n_seg if n_seg else 0.0
-    sub = max(1, int(np.ceil(seg / dt))) if seg else 1
-    dt = seg / sub if seg else dt
+        raise StepTooLargeError(f"dt = {dt} does not resolve 1/(20 * {fmax} GHz)")
+    seg = times[-1] / (len(times) - 1) if len(times) > 1 else 0.0
+    steps = max(1, int(np.ceil(seg / dt)))
+    return (seg / steps if seg else dt), steps
+
+
+def _propagate_midpoint(h, psi0, times, dt):
+    dt, steps = _midpoint_schedule(h, times, dt)
     out = np.empty((len(times), h.n), dtype=complex)
     psi = psi0.copy()
     out[0] = psi
-    for k in range(n_seg):
+    for k in range(len(times) - 1):
         t = times[k]
-        for s in range(sub):
+        for s in range(steps):
             tm = t + (s + 0.5) * dt
             hm = h.evaluate(tm)
             vals, vecs = np.linalg.eigh(hm)
@@ -255,10 +257,9 @@ def ensemble_potential_trace(
 
     `ensembles` maps a branch label to its Ensemble; returns the mapping
     branch -> PotentialTrace in the same order.  Mathematically identical to
-    propagating each pure member and averaging; uses the static frame and
-    the block structure of the coupling graph, with one eigendecomposition
-    and one phase matrix per block shared by all branches.  Falls back to
-    per-member propagation when no node potential exists.
+    propagating each pure member and averaging, but evolves one density
+    matrix per block and branch: in the static frame when a node potential
+    exists, else with the steps of `propagate(method="midpoint")`.
     """
     times = np.asarray(times, dtype=float)
     for branch, ens in ensembles.items():
@@ -266,15 +267,7 @@ def ensemble_potential_trace(
             raise ValueError(f"branch {branch}: empty ensemble")
     f = node_potential(h)
     if f is None:
-        out = {}
-        for branch, ens in ensembles.items():
-            traces = []
-            for w, psi0 in ens.members():
-                _, traj = propagate(h, psi0, times[-1], n_out=len(times), method="midpoint")
-                traces.append((w, potential_trace(h, times, traj, omega_ref)))
-            out[branch] = ensemble_average(traces)
-        return out
-
+        dt, steps = _midpoint_schedule(h, times)
     blocks = components(h)
     label = np.empty(h.n, dtype=int)
     local = np.empty(h.n, dtype=int)
@@ -299,11 +292,12 @@ def ensemble_potential_trace(
         if not rhos:
             continue
         e = np.flatnonzero(edge_block == c)
-        a, b = local[h.fin[e]], local[h.ini[e]]
-        h0 = np.zeros((len(idx), len(idx)), dtype=complex)
-        h0[a, b] = h.omega[e]
-        h0[b, a] = np.conj(h.omega[e])
-        vals = _block_expectations(h0, f[idx], list(rhos.values()), times)
+        edges = (len(idx), local[h.fin[e]], local[h.ini[e]], h.omega[e], h.delta[e])
+        rho = np.array(list(rhos.values()))
+        if f is None:
+            vals = _block_midpoint(edges, rho, times, dt, steps)
+        else:
+            vals = _block_expectations(_block_matrix(*edges, 0.0), f[idx], rho, times)
         # also false for NaN, so a non-finite expectation raises here too
         if not np.max(np.abs(vals.imag)) <= 1e-10 * max(1.0, np.max(np.abs(vals.real))):
             raise ValueError("non-real ensemble expectation of a Hermitian operator")
@@ -312,8 +306,17 @@ def ensemble_potential_trace(
             for k, branch in enumerate(ensembles)}
 
 
+def _block_matrix(size, a, b, omega, delta, t) -> np.ndarray:
+    """Dense block H(t) from its edges (a, b) in block-local positions."""
+    w = omega * np.exp(-2j * np.pi * delta * t)
+    m = np.zeros((size, size), dtype=complex)
+    m[a, b] = w
+    m[b, a] = np.conj(w)
+    return m
+
+
 def _block_expectations(h0, f, rhos, times) -> np.ndarray:
-    """<H(t)> of each block density matrix in `rhos`, shape (times, rhos).
+    """<H(t)> of each stacked block density matrix, shape (times, rhos).
 
     One eigendecomposition and one phase matrix serve every rho.  The
     (times x rhos*size) intermediates live only inside this call.
@@ -325,6 +328,22 @@ def _block_expectations(h0, f, rhos, times) -> np.ndarray:
     pc = (p @ c_all).reshape(len(times), len(rhos), len(eps))
     pc *= np.conj(p, out=p)[:, None, :]
     return pc.sum(axis=2)
+
+
+def _block_midpoint(edges, rho, times, dt, steps) -> np.ndarray:
+    """<H(t)> = tr(rho H(t)) of each stacked block rho, shape (times, rhos).
+
+    Each step applies U = V exp(-i 2 pi lam dt) V^dag, from the midpoint
+    H = V diag(lam) V^dag, to every rho as U rho U^dag.
+    """
+    out = np.empty((len(times), len(rho)), dtype=complex)
+    for k, t in enumerate(times):
+        for s in range(steps if k else 0):  # from times[k - 1] up to t
+            lam, v = np.linalg.eigh(_block_matrix(*edges, times[k - 1] + (s + 0.5) * dt))
+            u = (v * np.exp(-2j * np.pi * lam * dt)) @ v.conj().T
+            rho = u @ rho @ u.conj().T
+        out[k] = np.sum(rho * _block_matrix(*edges, t).T, axis=(1, 2))
+    return out
 
 
 def prepare_initial(

@@ -1,9 +1,8 @@
 """Symmetric-top rotational basis |J K M>, energies and thermal states.
 
 The rotational energy is the prolate symmetric-top expression
-E(J, K)/h = C*J*(J+1) + (A - C)*K**2 in GHz, independent of M.  B enters
-only through the asymmetry diagnostic kappa (and the closed-form detuning
-cross-check in `hamiltonian`).
+E(J, K)/h = C*J*(J+1) + (A - C)*K**2 in GHz, independent of M; B enters
+no energy.
 """
 
 from __future__ import annotations
@@ -12,10 +11,6 @@ import math
 from dataclasses import dataclass
 
 from .units import kelvin_to_ghz
-
-
-class DegenerateRotorError(ValueError):
-    """A = C makes the asymmetry parameter undefined."""
 
 
 class TruncationError(ValueError):
@@ -74,13 +69,6 @@ class BasisTruncation:
 def rot_energy(state: RotState, constants: RotorConstants) -> float:
     """Rotational energy in GHz; M-independent."""
     return constants.c * state.J * (state.J + 1) + (constants.a - constants.c) * state.K**2
-
-
-def asymmetry_kappa(constants: RotorConstants) -> float:
-    """Ray's asymmetry parameter (2B - A - C)/(A - C)."""
-    if constants.a == constants.c:
-        raise DegenerateRotorError("kappa undefined for A = C")
-    return (2 * constants.b - constants.a - constants.c) / (constants.a - constants.c)
 
 
 def enumerate_basis(trunc: BasisTruncation) -> list[RotState]:

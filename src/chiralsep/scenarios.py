@@ -40,6 +40,7 @@ from __future__ import annotations
 import configparser
 import io
 import math
+import os
 import warnings
 from dataclasses import dataclass, replace
 
@@ -64,7 +65,8 @@ from .propagate import (
     ensemble_potential_trace,
     prepare_initial,
 )
-from .rotbasis import BasisTruncation, RotorConstants, RotState, thermal_rot_state
+from .rotbasis import (D2S2, BasisTruncation, RotorConstants, RotState, rot_energy,
+                       thermal_rot_state)
 from .units import OMEGA12_MAX_GHZ
 
 CONFIG_HEADER = "# chiralsep config v1"
@@ -115,6 +117,8 @@ class ScenarioConfig:
         if self.temperature < 0:
             raise ConfigError(
                 f"scenario.temperature_K: must be non-negative, got {self.temperature!r}")
+        if not self.omega12_max > 0:
+            raise ConfigError(f"laser12.peak_rabi: must be positive, got {self.omega12_max!r}")
 
     @property
     def omega12_max(self) -> float:
@@ -208,22 +212,22 @@ def parse_config(text: str) -> ScenarioConfig:
         raise ConfigError(f"molecule.mu: {exc}") from None
 
     sc = cp["scenario"]
-    omega12 = None
     lasers = []
     for sec_name, pair in LASER_SECTIONS.items():
         sec = cp[sec_name]
         pol = sec.get("polarization", "z").strip()
-        if "peak_rabi_GHz" in sec:
-            peak = _parse_scalar(sec_name, "peak_rabi_GHz", sec["peak_rabi_GHz"])
-        else:
-            ratio = _parse_scalar(
-                sec_name, "peak_rabi_over_omega12",
-                sec.get("peak_rabi_over_omega12", "1.0"))
-            peak = ratio * OMEGA12_MAX_GHZ
-        beam = GaussianBeam(
-            waist=_parse_scalar(sec_name, "waist", sec.get("waist", "1.0")),
-            center=_parse_scalar(sec_name, "center_x", sec.get("center_x", "0.0")),
-        )
+        peak_key = "peak_rabi_GHz" if "peak_rabi_GHz" in sec else "peak_rabi_over_omega12"
+        peak = _parse_scalar(sec_name, peak_key, sec.get(peak_key, "1.0"))
+        if sec_name == "laser12" and not peak > 0:  # the reference scale of all outputs
+            raise ConfigError(f"{sec_name}.{peak_key}: must be positive, got {peak!r}")
+        if peak_key == "peak_rabi_over_omega12":
+            peak *= OMEGA12_MAX_GHZ
+        waist = _parse_scalar(sec_name, "waist", sec.get("waist", "1.0"))
+        center = _parse_scalar(sec_name, "center_x", sec.get("center_x", "0.0"))
+        try:
+            beam = GaussianBeam(waist=waist, center=center)
+        except ValueError as exc:
+            raise ConfigError(f"{sec_name}.{exc}") from None  # exc starts "waist: "
         offset = _parse_scalar(
             sec_name, "rot_offset_GHz", sec.get("rot_offset_GHz", "0.0"))
         try:
@@ -231,14 +235,12 @@ def parse_config(text: str) -> ScenarioConfig:
                                     beam=beam, rot_offset=offset))
         except ValueError as exc:
             raise ConfigError(f"{sec_name}: {exc}") from None
-        if sec_name == "laser12":
-            omega12 = peak
 
     t_end_key = "t_end_ns" if "t_end_ns" in sc else "t_end_over_omega12"
     raw = sc.get(t_end_key, "40")
     t_end = _parse_scalar("scenario", t_end_key, raw)
     if t_end_key == "t_end_over_omega12":
-        t_end = t_end / omega12
+        t_end = t_end / lasers[0].peak_rabi
 
     loop_rot = None
     if "loop_rot_state" in sc:
@@ -250,6 +252,12 @@ def parse_config(text: str) -> ScenarioConfig:
         except ValueError as exc:
             raise ConfigError(f"scenario.loop_rot_state: {exc}") from None
 
+    jmax = _parse_scalar("scenario", "jmax", sc.get("jmax", "3"), int, "an integer")
+    try:
+        trunc = BasisTruncation(jmax)
+    except ValueError as exc:
+        raise ConfigError(f"scenario.jmax: {exc}") from None
+
     return ScenarioConfig(
         name=sc.get("name", "unnamed"),
         constants=constants,
@@ -258,8 +266,7 @@ def parse_config(text: str) -> ScenarioConfig:
         temperature=_parse_scalar("scenario", "temperature_K",
                                   sc.get("temperature_K", "0")),
         preparation=sc.get("preparation", "partially-dressed").strip(),
-        trunc=BasisTruncation(
-            _parse_scalar("scenario", "jmax", sc.get("jmax", "3"), int, "an integer")),
+        trunc=trunc,
         t_end=t_end,
         n_times=_parse_scalar("scenario", "n_times", sc.get("n_times", "2000"), int, "an integer"),
         evaluation_x=_parse_scalar("scenario", "evaluation_x",
@@ -360,8 +367,6 @@ polarization = z
 # Fig 5 (lower panel): lasers retuned so the 1-2 and 2-3 transitions are
 # resonant for |1>|J K M> <-> |2>|J+1 K M> <-> |3>|J K M> with (J, K) = (1, 1).
 def _retuned_text():
-    from .rotbasis import D2S2, rot_energy
-
     d = rot_energy(RotState(2, 1, 1), D2S2) - rot_energy(RotState(1, 1, 1), D2S2)
     base = _BUILTIN_TEXT["fig5-T0.5K-xxz-groundres"]
     base = base.replace("name = fig5-T0.5K-xxz-groundres", "name = fig5-T0.5K-xxz-retuned")
@@ -527,8 +532,8 @@ def trace_csv(result: ScenarioResult, branch) -> str:
 def couplings_csv(h: CouplingMatrix) -> str:
     buf = io.StringIO()
     buf.write("final,initial,omega_re_GHz,omega_im_GHz,delta_GHz\n")
-    for f, i, w, d in h.rows():
-        buf.write(f"{f},{i},{w.real!r},{w.imag!r},{d!r}\n")
+    for f, i, w, d in zip(h.fin.tolist(), h.ini.tolist(), h.omega.tolist(), h.delta.tolist()):
+        buf.write(f"{h.basis[f]},{h.basis[i]},{w.real!r},{w.imag!r},{d!r}\n")
     return buf.getvalue()
 
 
@@ -561,8 +566,6 @@ def summary_text(result: ScenarioResult) -> str:
 
 def write_outputs(result: ScenarioResult, out_dir) -> list[str]:
     """Write all CSVs and the summary into out_dir; returns the paths."""
-    import os
-
     os.makedirs(out_dir, exist_ok=True)
     written = []
 

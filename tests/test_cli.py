@@ -143,6 +143,11 @@ def test_unknown_builtin_exits_2(capsys):
     ("temperature_K = 0", "temperature_K = nan", "scenario.temperature_K"),
     ("t_end_over_omega12 = 2", "t_end_over_omega12 = inf", "scenario.t_end_over_omega12"),
     ("C_GHz = 6.399", "C_GHz = 6.399\nmu = 1,x 0 0", "molecule.mu"),
+    ("[laser12]\n", "[laser12]\npeak_rabi_over_omega12 = 0\n", "laser12.peak_rabi_over_omega12"),
+    ("[laser12]\n", "[laser12]\npeak_rabi_GHz = 0\n", "laser12.peak_rabi_GHz"),
+    ("[laser12]\n", "[laser12]\nwaist = 0\n", "laser12.waist"),
+    ("[laser23]\n", "[laser23]\nwaist = 0\n", "laser23.waist"),
+    ("jmax = 1", "jmax = -1", "scenario.jmax"),
 ])
 def test_non_finite_or_unparsable_input_names_its_field(tmp_path, capsys, old, new, key):
     path = tmp_path / "bad.cfg"

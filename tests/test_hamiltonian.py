@@ -21,7 +21,6 @@ from chiralsep.hamiltonian import (
     assemble,
     chirality_permutation,
     chirality_transform,
-    detuning_formula,
     product_basis,
 )
 from chiralsep.rotbasis import D2S2, BasisTruncation, RotState, enumerate_basis, rot_energy
@@ -65,15 +64,6 @@ def test_assemble_detunings_from_level_energies():
         if (i.vib, f.vib) == (1, 2):
             expected -= off
         assert d == pytest.approx(expected, abs=1e-12)
-
-
-def test_detuning_formula_cross_check():
-    # closed form uses B where the energies use C; agreement to the B-C split
-    h = assemble(lasers("z", "z", "z"), DM, Enantiomer.L, D2S2, BasisTruncation(2))
-    for f, i, _, d in h.rows():
-        approx = detuning_formula(f.rot, i.rot, D2S2)
-        dj = abs(f.rot.J * (f.rot.J + 1) - i.rot.J * (i.rot.J + 1))
-        assert abs(d - approx) <= (D2S2.b - D2S2.c) * dj + 1e-12
 
 
 def test_assemble_empty_coupling_raises():

@@ -1,10 +1,13 @@
 """Propagation, potential traces and ensemble aggregation."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from chiralsep import propagate as propagate_module
 from chiralsep.coupling import DipoleModel, Enantiomer, LaserSpec
 from chiralsep.hamiltonian import CouplingMatrix, LevelIndex, assemble
 from chiralsep.propagate import (
@@ -22,7 +25,15 @@ from chiralsep.propagate import (
     propagate,
 )
 from chiralsep.rotbasis import D2S2, BasisTruncation, RotState, thermal_rot_state
-from chiralsep.scenarios import _assemble, _branch_members, builtin_config
+from chiralsep.scenarios import (
+    _assemble,
+    _branch_members,
+    builtin_config,
+    parse_config,
+    run_scenario,
+)
+
+MISMATCH_CONFIG = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "mismatch-j1.cfg"
 
 
 def two_level(omega, delta):
@@ -247,3 +258,63 @@ def test_batched_trace_matches_per_member_and_single_branch(pols, offsets, peaks
         assert np.max(np.abs(batched[k].values - ensemble_average(slow).values)) < 1e-12
         single = ensemble_potential_trace(h, {k: ens}, times, omega_ref=0.7)[k].values
         assert np.max(np.abs(batched[k].values - single)) <= 1e-14 * np.max(np.abs(single))
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    pols=st.tuples(POLARIZATION, POLARIZATION, POLARIZATION),
+    offsets=st.tuples(st.floats(-3, 3), st.floats(-3, 3)),
+    mismatch=st.floats(0.01, 3.0) | st.floats(-3.0, -0.01),
+    peaks=st.tuples(*[st.floats(0.1, 2.0)] * 3),
+    jmax=st.integers(1, 2),
+    data=st.data(),
+)
+def test_midpoint_block_trace_matches_per_member_midpoint(pols, offsets, mismatch, peaks, jmax,
+                                                          data):
+    trunc = BasisTruncation(jmax)
+    # the 1-3 offset misses the loop closure, so no node potential exists
+    rot_offsets = (offsets[0], offsets[1], offsets[0] + offsets[1] + mismatch)
+    lasers = [LaserSpec(drives=d, polarization=p, peak_rabi=w, rot_offset=o)
+              for d, p, w, o in zip(((1, 2), (2, 3), (1, 3)), pols, peaks, rot_offsets)]
+    h = assemble(lasers, DipoleModel.z_aligned(), Enantiomer.L, D2S2, trunc)
+    assume(node_potential(h) is None)  # mixes without three-laser loops close anyway
+    # 1-3 branches of 1-3 weighted members, each a superposition of 1-3 levels
+    # anywhere in the basis, so that members span several blocks
+    member = st.tuples(st.floats(0.1, 1.0),
+                       st.lists(st.tuples(st.integers(0, h.n - 1), AMPLITUDE),
+                                min_size=1, max_size=3, unique_by=lambda la: la[0]))
+    branches = data.draw(st.lists(st.lists(member, min_size=1, max_size=3),
+                                  min_size=1, max_size=3))
+    ensembles = {}
+    for k, members in enumerate(branches):
+        triplets = [(m, lvl, a) for m, (_, amps) in enumerate(members) for lvl, a in amps]
+        ensembles[k] = Ensemble.from_triplets(h.n, [w for w, _ in members], *zip(*triplets))
+    times = np.linspace(0.0, 0.02, 6)
+    batched = ensemble_potential_trace(h, ensembles, times, omega_ref=0.7)
+    for k, ens in ensembles.items():
+        slow = []
+        for w, psi0 in ens.members():
+            _, traj = propagate(h, psi0, times[-1], n_out=len(times), method="midpoint")
+            slow.append((w, potential_trace(h, times, traj, 0.7)))
+        assert np.max(np.abs(batched[k].values - ensemble_average(slow).values)) < 1e-12
+
+
+def test_non_closing_run_takes_no_dense_or_per_member_path(monkeypatch):
+    config = parse_config(MISMATCH_CONFIG.read_text().replace("{rot_offset_13}", "0.01"))
+    assert node_potential(_assemble(config, Enantiomer.L)) is None
+    calls = []
+
+    def spy(name):
+        def record(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"{name} called")
+        return record
+
+    for name in ("propagate", "potential_trace", "ensemble_average"):
+        monkeypatch.setattr(propagate_module, name, spy(name))
+    monkeypatch.setattr(CouplingMatrix, "evaluate", spy("CouplingMatrix.evaluate"))
+    monkeypatch.setattr(Ensemble, "members", spy("Ensemble.members"))
+    result = run_scenario(config)
+    assert calls == []
+    assert all(np.all(np.isfinite(tr.values))
+               for per in result.traces.values() for tr in per.values())

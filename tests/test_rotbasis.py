@@ -7,11 +7,9 @@ import pytest
 from chiralsep.rotbasis import (
     D2S2,
     BasisTruncation,
-    DegenerateRotorError,
     RotorConstants,
     RotState,
     TruncationError,
-    asymmetry_kappa,
     enumerate_basis,
     rot_energy,
     thermal_rot_state,
@@ -44,12 +42,6 @@ def test_rot_energy_values():
     # K enters quadratically through A - C
     e = rot_energy(RotState(2, 2, 0), D2S2)
     assert e == pytest.approx(D2S2.c * 6 + (D2S2.a - D2S2.c) * 4, abs=1e-12)
-
-
-def test_asymmetry_kappa_near_prolate_limit():
-    assert asymmetry_kappa(D2S2) == pytest.approx(-0.99994, abs=1e-5)
-    with pytest.raises(DegenerateRotorError):
-        asymmetry_kappa(RotorConstants(a=1.0, b=1.0, c=1.0))
 
 
 def test_basis_enumeration_size_and_order():

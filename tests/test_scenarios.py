@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from chiralsep.coupling import Enantiomer
+from chiralsep.coupling import Enantiomer, GaussianBeam
 from chiralsep.hamiltonian import chirality_permutation, chirality_transform, transform_residual
 from chiralsep.rotbasis import RotState
 from chiralsep.scenarios import (
@@ -83,6 +83,16 @@ def test_restricted_loop_needs_rot_state():
     bad = MINIMAL.replace("jmax = 1", "jmax = 1\nrestricted_loop = true")
     with pytest.raises(ConfigError, match="loop_rot_state"):
         parse_config(bad)
+
+
+def test_dataclasses_reject_zero_reference_scale_and_waist():
+    cfg = parse_config(MINIMAL)
+    off = replace(cfg.lasers[0], peak_rabi=0.0)
+    with pytest.raises(ConfigError, match="laser12.peak_rabi"):
+        replace(cfg, lasers=(off, *cfg.lasers[1:]))
+    for waist in (0.0, -1.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="positive"):
+            GaussianBeam(waist=waist)
 
 
 def test_builtin_names_and_configs():
