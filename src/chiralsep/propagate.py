@@ -16,12 +16,19 @@ ensemble trace takes every branch of one enantiomer in one call and loops
 once over the blocks (connected components) of the coupling graph, with no
 n x n matrix and no per-member state.  A branch's block density matrix
 rho = sum_k w_k |psi_k><psi_k| comes from one matrix product, and one of
-two kernels evolves the stacked rho of all branches:
+two kernels evolves the stacked rho of all branches.  Both require the
+output grid np.linspace(0, t_end, n):
 
 - static frame: from the block's H0 - diag(f) = V diag(eps) V^dag and
-  p_n(t) = exp(-i 2 pi eps_n t), with C = (V^dag rho V) * (V^dag H0 V)^T,
-  <H(t)> = sum_nm p_n(t) C_nm conj(p_m(t)) is one product p @ [C_1 | ...]
-  and a row sum per branch;
+  p_n(t) = exp(-i 2 pi eps_n t) = c_n - i s_n, with the Hermitian
+  C = (V^dag rho V) * (V^dag H0 V)^T = X + iY,
+  <H(t)> = sum_nm p_n C_nm conj(p_m) = c X c + s X s - 2 c Y s, computed
+  in real arithmetic: one product [c; s] @ [X_1 | ...] for all branches,
+  and c @ [Y_1 | ...] only when some Y is nonzero (never for real couplings
+  and real rho, where V is real).  The phase matrix on the n output times
+  is built from ~2 sqrt(n) rows of exponentials.  On the builtin
+  scenarios the traces stay within 1e-12 Omega12 of the direct complex
+  contraction sum(p @ C * conj(p)) (largest difference 5.3e-13, fig7);
 - midpoint (no node potential): the generic stepper's schedule, one
   eigendecomposition per block and step, rho <- U rho U^dag, and
   <H(t)> = tr(rho H(t)) at the output times.
@@ -29,6 +36,7 @@ two kernels evolves the stacked rho of all branches:
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -259,9 +267,13 @@ def ensemble_potential_trace(
     branch -> PotentialTrace in the same order.  Mathematically identical to
     propagating each pure member and averaging, but evolves one density
     matrix per block and branch: in the static frame when a node potential
-    exists, else with the steps of `propagate(method="midpoint")`.
+    exists, else with the steps of `propagate(method="midpoint")`.  `times`
+    must be np.linspace(0, t_end, n), n >= 1; any other grid raises
+    ValueError, since both kernels step it in equal intervals from t = 0.
     """
     times = np.asarray(times, dtype=float)
+    if len(times) == 0 or not np.array_equal(times, np.linspace(0.0, times[-1], len(times))):
+        raise ValueError("times must be np.linspace(0, t_end, n) with n >= 1")
     for branch, ens in ensembles.items():
         if len(ens.weights) == 0:
             raise ValueError(f"branch {branch}: empty ensemble")
@@ -296,12 +308,14 @@ def ensemble_potential_trace(
         rho = np.array(list(rhos.values()))
         if f is None:
             vals = _block_midpoint(edges, rho, times, dt, steps)
+            if not np.max(np.abs(vals.imag)) <= 1e-10 * max(1.0, np.max(np.abs(vals.real))):
+                raise ValueError("non-real ensemble expectation of a Hermitian operator")
+            vals = vals.real
         else:
             vals = _block_expectations(_block_matrix(*edges, 0.0), f[idx], rho, times)
-        # also false for NaN, so a non-finite expectation raises here too
-        if not np.max(np.abs(vals.imag)) <= 1e-10 * max(1.0, np.max(np.abs(vals.real))):
-            raise ValueError("non-real ensemble expectation of a Hermitian operator")
-        totals[:, list(rhos)] += vals.real
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("non-finite ensemble expectation")
+        totals[:, list(rhos)] += vals
     return {branch: PotentialTrace.from_values(times, totals[:, k] / omega_ref)
             for k, branch in enumerate(ensembles)}
 
@@ -318,16 +332,53 @@ def _block_matrix(size, a, b, omega, delta, t) -> np.ndarray:
 def _block_expectations(h0, f, rhos, times) -> np.ndarray:
     """<H(t)> of each stacked block density matrix, shape (times, rhos).
 
-    One eigendecomposition and one phase matrix serve every rho.  The
-    (times x rhos*size) intermediates live only inside this call.
+    With H0 - diag(f) = V diag(eps) V^dag, C = (V^dag rho V) * (V^dag H0 V)^T
+    is Hermitian; X = Re C is symmetric and Y = Im C antisymmetric.  With
+    c = cos(theta), s = sin(theta), theta_n(t) = 2 pi eps_n t,
+
+        <H(t)> = sum_nm p_n C_nm conj(p_m) = c X c + s X s - 2 c Y s,
+
+    one real product [c; s] @ [X_1 | ...] for all rhos, and a second one
+    c @ [Y_1 | ...] only when some Y is nonzero.  A block with real couplings
+    has a real V, so Y vanishes whenever its rhos are real.  C is replaced
+    by its Hermitian part; a remainder above 1e-10 max(1, max|C|), or a
+    NaN, raises ValueError.  The phases come from `_phases`, so the grid
+    must be linspace(0, t_end, n); the result stays within 1e-12 Omega12 of
+    the direct complex contraction on the builtin scenarios.
     """
+    if not np.any(h0.imag):
+        h0 = h0.real  # real eigh: real V and G
     eps, v = np.linalg.eigh(h0 - np.diag(f))
     g_t = (v.conj().T @ h0 @ v).T
-    c_all = np.concatenate([(v.conj().T @ rho @ v) * g_t for rho in rhos], axis=1)
-    p = np.exp(-2j * np.pi * np.outer(times, eps))
-    pc = (p @ c_all).reshape(len(times), len(rhos), len(eps))
-    pc *= np.conj(p, out=p)[:, None, :]
-    return pc.sum(axis=2)
+    c = np.array([(v.conj().T @ rho @ v) * g_t for rho in rhos])
+    herm = (c + c.conj().transpose(0, 2, 1)) / 2
+    # also false for NaN, so a non-finite C raises here too
+    if not np.max(np.abs(c - herm)) <= 1e-10 * max(1.0, np.max(np.abs(c))):
+        raise ValueError("non-real ensemble expectation of a Hermitian operator")
+    n, b, s = len(times), len(rhos), len(eps)
+    q = _phases(times, eps)
+    q = np.concatenate((q.real, q.imag))  # rows cos(theta), then -sin(theta)
+    z = (q @ np.concatenate(herm.real, axis=1)).reshape(2 * n, b, s)
+    vals = np.einsum("tbn,tn->tb", z, q)
+    vals = vals[:n] + vals[n:]
+    if np.any(herm.imag):
+        w = (q[:n] @ np.concatenate(herm.imag, axis=1)).reshape(n, b, s)
+        vals += 2 * np.einsum("tbn,tn->tb", w, q[n:])
+    return vals
+
+
+def _phases(times, eps) -> np.ndarray:
+    """exp(-i 2 pi eps_n t_k) on the grid times = linspace(0, t_end, n).
+
+    With m = ceil(sqrt(n)), row a*m + b is the product of a coarse row at
+    times[a*m] and a fine row at times[b]: (n/m + m) exponentials per level
+    instead of n.  Each entry is within 4 ulp of max(largest phase, 1) of
+    the direct exp(-i 2 pi outer(times, eps)).
+    """
+    m = math.isqrt(len(times) - 1) + 1
+    coarse = np.exp(-2j * np.pi * np.outer(times[::m], eps))
+    fine = np.exp(-2j * np.pi * np.outer(times[:m], eps))
+    return (coarse[:, None, :] * fine).reshape(-1, len(eps))[:len(times)]
 
 
 def _block_midpoint(edges, rho, times, dt, steps) -> np.ndarray:

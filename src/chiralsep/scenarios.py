@@ -222,6 +222,8 @@ def parse_config(text: str) -> ScenarioConfig:
             raise ConfigError(f"{sec_name}.{peak_key}: must be positive, got {peak!r}")
         if peak_key == "peak_rabi_over_omega12":
             peak *= OMEGA12_MAX_GHZ
+        if peak == 0:  # a dark laser couples nothing; also a ratio that underflows
+            raise ConfigError(f"{sec_name}.{peak_key}: must be nonzero")
         waist = _parse_scalar(sec_name, "waist", sec.get("waist", "1.0"))
         center = _parse_scalar(sec_name, "center_x", sec.get("center_x", "0.0"))
         try:
@@ -241,6 +243,8 @@ def parse_config(text: str) -> ScenarioConfig:
     t_end = _parse_scalar("scenario", t_end_key, raw)
     if t_end_key == "t_end_over_omega12":
         t_end = t_end / lasers[0].peak_rabi
+        if not math.isfinite(t_end):  # a denormal laser12 peak overflows the division
+            raise ConfigError(f"scenario.{t_end_key}: {raw.strip()} / Omega12 is not finite")
 
     loop_rot = None
     if "loop_rot_state" in sc:
@@ -364,26 +368,19 @@ polarization = z
 """,
 }
 
-# Fig 5 (lower panel): lasers retuned so the 1-2 and 2-3 transitions are
-# resonant for |1>|J K M> <-> |2>|J+1 K M> <-> |3>|J K M> with (J, K) = (1, 1).
-def _retuned_text():
-    d = rot_energy(RotState(2, 1, 1), D2S2) - rot_energy(RotState(1, 1, 1), D2S2)
-    base = _BUILTIN_TEXT["fig5-T0.5K-xxz-groundres"]
-    base = base.replace("name = fig5-T0.5K-xxz-groundres", "name = fig5-T0.5K-xxz-retuned")
-    base = base.replace("[laser12]\npolarization = x",
-                        f"[laser12]\npolarization = x\nrot_offset_GHz = {d!r}")
-    base = base.replace("[laser23]\npolarization = x",
-                        f"[laser23]\npolarization = x\nrot_offset_GHz = {-d!r}")
-    return base
-
-
 def builtin_names():
     return sorted(list(_BUILTIN_TEXT) + ["fig5-T0.5K-xxz-retuned"])
 
 
 def builtin_config(name: str, jmax: int | None = None) -> ScenarioConfig:
     if name == "fig5-T0.5K-xxz-retuned":
-        cfg = parse_config(_retuned_text())
+        # Fig 5 (lower panel): lasers retuned so the 1-2 and 2-3 transitions are
+        # resonant for |1>|J K M> <-> |2>|J+1 K M> <-> |3>|J K M> with (J, K) = (1, 1).
+        cfg = parse_config(_BUILTIN_TEXT["fig5-T0.5K-xxz-groundres"])
+        d = rot_energy(RotState(2, 1, 1), D2S2) - rot_energy(RotState(1, 1, 1), D2S2)
+        l12, l23, l13 = cfg.lasers
+        cfg = replace(cfg, name=name, lasers=(replace(l12, rot_offset=d),
+                                              replace(l23, rot_offset=-d), l13))
     elif name in _BUILTIN_TEXT:
         cfg = parse_config(_BUILTIN_TEXT[name])
     else:

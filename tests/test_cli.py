@@ -148,6 +148,11 @@ def test_unknown_builtin_exits_2(capsys):
     ("[laser12]\n", "[laser12]\nwaist = 0\n", "laser12.waist"),
     ("[laser23]\n", "[laser23]\nwaist = 0\n", "laser23.waist"),
     ("jmax = 1", "jmax = -1", "scenario.jmax"),
+    ("[laser23]\n", "[laser23]\npeak_rabi_GHz = 0\n", "laser23.peak_rabi_GHz"),
+    ("[laser13]\n", "[laser13]\npeak_rabi_over_omega12 = 0\n", "laser13.peak_rabi_over_omega12"),
+    ("[laser12]\n", "[laser12]\npeak_rabi_GHz = 1e-320\n", "scenario.t_end_over_omega12"),
+    ("[laser12]\n", "[laser12]\npeak_rabi_over_omega12 = 1e-323\n",
+     "laser12.peak_rabi_over_omega12"),
 ])
 def test_non_finite_or_unparsable_input_names_its_field(tmp_path, capsys, old, new, key):
     path = tmp_path / "bad.cfg"

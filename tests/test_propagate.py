@@ -149,13 +149,13 @@ def test_ensemble_trace_equals_weighted_pure_states():
     assert np.max(np.abs(fast.values - ref.values)) < 1e-12
 
 
-def test_block_trace_matches_per_member_static_on_fig7():
+def _fig7_block_trace_against_per_member_static(n_times, stride):
     config = builtin_config("fig7-1mK-xxz")
     h = _assemble(config, Enantiomer.L)
     assert len(components(h)) > 1
     thermal = thermal_rot_state(config.temperature, config.constants, config.trunc,
                                 cutoff_mass=config.truncation_mass)
-    times = np.linspace(0.0, config.t_end, 41)
+    times = np.linspace(0.0, config.t_end, n_times)
     omega_ref = config.omega12_max
     ensembles = _branch_members(config, Enantiomer.L, h, thermal)
     # complex amplitudes, so that rho = sum w |psi><psi| needs its conjugate
@@ -168,9 +168,19 @@ def test_block_trace_matches_per_member_static_on_fig7():
         slow = []
         for w, psi0 in ens.members():
             _, traj = propagate(h, psi0, times[-1], n_out=len(times), method="static")
-            slow.append((w, potential_trace(h, times, traj, omega_ref)))
+            slow.append((w, potential_trace(h, times[::stride], traj[::stride], omega_ref)))
         ref = ensemble_average(slow)
-        assert np.max(np.abs(fast.values - ref.values)) < 1e-12
+        assert np.max(np.abs(fast.values[::stride] - ref.values)) < 1e-12
+
+
+def test_block_trace_matches_per_member_static_on_fig7():
+    _fig7_block_trace_against_per_member_static(41, 1)
+
+
+def test_block_trace_matches_per_member_static_on_fig7_long_grid():
+    # the builtin's 2000 output times reach phases of ~1e5 rad, where the
+    # factorised phase matrix carries its largest rounding
+    _fig7_block_trace_against_per_member_static(2000, 50)
 
 
 def test_ensemble_trace_midpoint_fallback():
@@ -216,6 +226,43 @@ def test_empty_ensemble_raises():
     empty = prepare_initial("diabatic", h, {RotState(0, 0, 0): float("nan")})
     with pytest.raises(ValueError, match="empty ensemble"):
         ensemble_potential_trace(h, {"thermal": empty}, np.linspace(0.0, 1.0, 5))
+
+
+@pytest.mark.parametrize("deltas", [[0.4, -0.1, 0.3], [0.4, -0.1, 0.7]],
+                         ids=["static", "midpoint"])  # the loop closes, or not
+def test_nan_amplitude_raises(deltas):
+    h = triangle([0.5, 0.3, 0.2], deltas)
+    ens = Ensemble.from_triplets(h.n, [1.0], [0, 0], [0, 1], [1.0, np.nan])
+    with pytest.raises(ValueError, match="ensemble expectation"):
+        ensemble_potential_trace(h, {0: ens}, np.linspace(0.0, 1.0, 5))
+
+
+def test_non_hermitian_block_rho_raises():
+    h0 = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex)
+    rho = np.array([[[1.0, 1.0], [0.0, 0.0]]], dtype=complex)
+    f = np.array([0.0, 1.0])  # so that V^dag H0 V, and hence C, is not diagonal
+    with pytest.raises(ValueError, match="non-real"):
+        propagate_module._block_expectations(h0, f, rho, np.linspace(0.0, 1.0, 3))
+
+
+@pytest.mark.parametrize("times", [np.linspace(0.1, 1.0, 5), np.array([0.0, 0.1, 0.3]),
+                                   np.linspace(1.0, 0.0, 5), np.array([])])
+def test_grid_other_than_linspace_from_zero_raises(times):
+    h = triangle([0.5, 0.3, 0.2], [0.4, -0.1, 0.3])
+    ens = Ensemble.from_triplets(h.n, [1.0], [0], [0], [1.0])
+    with pytest.raises(ValueError, match="linspace"):
+        ensemble_potential_trace(h, {0: ens}, times)
+
+
+@pytest.mark.parametrize("n", [1, 2, 97, 100, 101])  # prime, 10**2, 10**2 + 1
+def test_factorised_phases_match_direct_exponential(n):
+    # fig5's scale: t_end = 40 / Omega12 and block eigenvalues up to ~500 GHz
+    times = np.linspace(0.0, 192.24495645495313, n)
+    eps = np.concatenate([[0.0, -460.728], np.random.default_rng(n).uniform(-500, 500, 40)])
+    direct = np.exp(-2j * np.pi * np.outer(times, eps))
+    largest = 2 * np.pi * np.max(np.abs(eps)) * times[-1]
+    assert np.max(np.abs(propagate_module._phases(times, eps) - direct)) \
+        <= 4 * np.spacing(max(largest, 1.0))
 
 
 POLARIZATION = st.sampled_from(["x", "y", "z", "sigma+", "sigma-"])
