@@ -23,7 +23,7 @@ from .looptopology import (
     flip_sensitivity,
     random_loop_hamiltonian,
 )
-from .rotbasis import BasisTruncation, TruncationError
+from .rotbasis import TruncationError
 from .scenarios import (
     ConfigError,
     builtin_config,
@@ -34,6 +34,7 @@ from .scenarios import (
     run_scenario,
     loop_census,
     timescale_report,
+    with_jmax,
     write_outputs,
     _assemble,
     _fmt,
@@ -49,13 +50,11 @@ def _add_config_args(p):
 
 
 def _load(args):
-    if args.config:
-        cfg = load_config(args.config)
-    else:
-        cfg = builtin_config(args.scenario)
-    if args.jmax is not None:
-        cfg = replace(cfg, trunc=BasisTruncation(args.jmax))
-    return cfg
+    cfg = load_config(args.config) if args.config else builtin_config(args.scenario)
+    try:
+        return with_jmax(cfg, args.jmax)
+    except ValueError as exc:
+        raise ConfigError(f"--jmax: {exc}") from None
 
 
 def _cmd_run(args):

@@ -25,13 +25,23 @@ output grid np.linspace(0, t_end, n):
   <H(t)> = sum_nm p_n C_nm conj(p_m) = c X c + s X s - 2 c Y s, computed
   in real arithmetic: one product [c; s] @ [X_1 | ...] for all branches,
   and c @ [Y_1 | ...] only when some Y is nonzero (never for real couplings
-  and real rho, where V is real).  The phase matrix on the n output times
-  is built from ~2 sqrt(n) rows of exponentials.  On the builtin
-  scenarios the traces stay within 1e-12 Omega12 of the direct complex
-  contraction sum(p @ C * conj(p)) (largest difference 5.3e-13, fig7);
+  and real rho, where V and V^dag rho V are real).  Only the eigen-
+  components that carry thermal weight enter it: with w = diag(V^dag rho V)
+  a Schwarz bound, 2 sum_{n in D} sqrt(w_n) (|G|^T sqrt(w))_n, limits what
+  leaving out a set D moves any value, and each branch leaves out the
+  largest D whose bound stays below SCREEN_BUDGET (1e-14 GHz).  The
+  phase matrix of the kept components on the n output times is built from
+  ~2 sqrt(n) rows of exponentials.  On the builtin scenarios the traces
+  stay within 1e-12 Omega12 of the direct complex contraction
+  sum(p @ C * conj(p)) over all components (largest difference 5.3e-13,
+  fig7);
 - midpoint (no node potential): the generic stepper's schedule, one
   eigendecomposition per block and step, rho <- U rho U^dag, and
   <H(t)> = tr(rho H(t)) at the output times.
+
+A trace predicts its size before it builds any array and raises
+TraceTooLargeError above a fixed ceiling: MAX_TRACE_BYTES for the static
+kernel's largest array, MAX_MIDPOINT_STEPS for the midpoint schedule.
 """
 
 from __future__ import annotations
@@ -44,6 +54,12 @@ import numpy as np
 
 from .hamiltonian import CouplingMatrix, LevelIndex
 
+#: largest change, in GHz, that screening may make to any block's <H(t)>
+SCREEN_BUDGET = 1e-14
+#: ceilings on one trace, checked before it builds any array
+MAX_TRACE_BYTES = 2**30  # the static kernel's largest array
+MAX_MIDPOINT_STEPS = 10**6  # steps of the midpoint schedule
+
 
 class StepTooLargeError(ValueError):
     """dt does not resolve the fastest frequency in the Hamiltonian."""
@@ -51,6 +67,18 @@ class StepTooLargeError(ValueError):
 
 class MismatchedGridError(ValueError):
     """Traces to be averaged live on different time grids."""
+
+
+class TraceTooLargeError(ValueError):
+    """A trace predicted to exceed MAX_TRACE_BYTES or MAX_MIDPOINT_STEPS.
+
+    `by_grid` is true when the number of output times sets the size, false
+    when the length of the time span does.
+    """
+
+    def __init__(self, message, by_grid):
+        super().__init__(message)
+        self.by_grid = by_grid
 
 
 class DegenerateEigenstateWarning(UserWarning):
@@ -272,15 +300,27 @@ def ensemble_potential_trace(
     ValueError, since both kernels step it in equal intervals from t = 0.
     """
     times = np.asarray(times, dtype=float)
-    if len(times) == 0 or not np.array_equal(times, np.linspace(0.0, times[-1], len(times))):
-        raise ValueError("times must be np.linspace(0, t_end, n) with n >= 1")
     for branch, ens in ensembles.items():
         if len(ens.weights) == 0:
             raise ValueError(f"branch {branch}: empty ensemble")
     f = node_potential(h)
-    if f is None:
-        dt, steps = _midpoint_schedule(h, times)
     blocks = components(h)
+    n = len(times)
+    # the ceilings are checked before any array of n values is built
+    if f is not None:
+        size = 16 * n * len(ensembles) * max(len(idx) for idx in blocks)  # [c; s] @ [X_1 | ...]
+        if size > MAX_TRACE_BYTES:
+            raise TraceTooLargeError(f"the static trace needs a {size / 2**30:.3g} GiB array, "
+                                     f"more than {MAX_TRACE_BYTES / 2**30:.3g} GiB", by_grid=True)
+    elif n:
+        dt, steps = _midpoint_schedule(h, times)
+        if steps * (n - 1) > MAX_MIDPOINT_STEPS:
+            raise TraceTooLargeError(f"the midpoint stepper needs {steps * (n - 1)} steps, "
+                                     f"more than {MAX_MIDPOINT_STEPS}", by_grid=steps == 1)
+    if n == 0 or not np.array_equal(times, np.linspace(0.0, times[-1], n)):
+        raise ValueError("times must be np.linspace(0, t_end, n) with n >= 1")
+    # a negative weight leaves rho indefinite, where the screening bound fails
+    budget = SCREEN_BUDGET if all(np.all(e.weights >= 0) for e in ensembles.values()) else 0.0
     label = np.empty(h.n, dtype=int)
     local = np.empty(h.n, dtype=int)
     for c, idx in enumerate(blocks):
@@ -312,7 +352,7 @@ def ensemble_potential_trace(
                 raise ValueError("non-real ensemble expectation of a Hermitian operator")
             vals = vals.real
         else:
-            vals = _block_expectations(_block_matrix(*edges, 0.0), f[idx], rho, times)
+            vals = _block_expectations(_block_matrix(*edges, 0.0), f[idx], rho, times, budget)
         if not np.all(np.isfinite(vals)):
             raise ValueError("non-finite ensemble expectation")
         totals[:, list(rhos)] += vals
@@ -329,34 +369,52 @@ def _block_matrix(size, a, b, omega, delta, t) -> np.ndarray:
     return m
 
 
-def _block_expectations(h0, f, rhos, times) -> np.ndarray:
+def _block_expectations(h0, f, rhos, times, budget=SCREEN_BUDGET) -> np.ndarray:
     """<H(t)> of each stacked block density matrix, shape (times, rhos).
 
-    With H0 - diag(f) = V diag(eps) V^dag, C = (V^dag rho V) * (V^dag H0 V)^T
-    is Hermitian; X = Re C is symmetric and Y = Im C antisymmetric.  With
-    c = cos(theta), s = sin(theta), theta_n(t) = 2 pi eps_n t,
+    With H0 - diag(f) = V diag(eps) V^dag, G = V^dag H0 V and the rotated
+    rho~ = V^dag rho V, C_nm = rho~_nm G_mn is Hermitian; X = Re C is
+    symmetric and Y = Im C antisymmetric.  With c = cos(theta),
+    s = sin(theta), theta_n(t) = 2 pi eps_n t,
 
         <H(t)> = sum_nm p_n C_nm conj(p_m) = c X c + s X s - 2 c Y s,
 
     one real product [c; s] @ [X_1 | ...] for all rhos, and a second one
     c @ [Y_1 | ...] only when some Y is nonzero.  A block with real couplings
-    has a real V, so Y vanishes whenever its rhos are real.  C is replaced
-    by its Hermitian part; a remainder above 1e-10 max(1, max|C|), or a
-    NaN, raises ValueError.  The phases come from `_phases`, so the grid
-    must be linspace(0, t_end, n); the result stays within 1e-12 Omega12 of
-    the direct complex contraction on the builtin scenarios.
+    has a real V, so V^dag rho V is formed in real arithmetic, and Y
+    vanishes, whenever its rhos are real.  C is replaced by its Hermitian
+    part; a remainder above 1e-10 max(1, max|C|), or a NaN, raises
+    ValueError.
+
+    Screening: a positive semidefinite rho~ has |rho~_nm| <= sqrt(w_n w_m),
+    w = diag rho~, so leaving out the components in a set D (every pair n,
+    m with n or m in D) moves each value by at most
+
+        2 sum_{n in D} sqrt(w_n) (|G|^T sqrt(w))_n    (GHz, at every t).
+
+    `_screen` gives each rho the largest D whose bound stays below
+    `budget`; the phases and products are built only for the components
+    some rho keeps, with each rho's own D zeroed, so a value does not
+    depend on the rhos stacked with it.  A block that keeps nothing adds 0.
+    The bound needs every rho to be positive semidefinite: pass budget 0,
+    which drops nothing, for any other.  On the builtin scenarios the
+    traces stay within 1e-12 Omega12 of the unscreened complex contraction.
+    The phases come from `_phases`, so the grid must be linspace(0, t_end, n).
     """
-    if not np.any(h0.imag):
-        h0 = h0.real  # real eigh: real V and G
-    eps, v = np.linalg.eigh(h0 - np.diag(f))
-    g_t = (v.conj().T @ h0 @ v).T
-    c = np.array([(v.conj().T @ rho @ v) * g_t for rho in rhos])
+    eps, g, rot = _eigenframe(h0, f, rhos)
+    c = rot * g.T
     herm = (c + c.conj().transpose(0, 2, 1)) / 2
     # also false for NaN, so a non-finite C raises here too
     if not np.max(np.abs(c - herm)) <= 1e-10 * max(1.0, np.max(np.abs(c))):
         raise ValueError("non-real ensemble expectation of a Hermitian operator")
-    n, b, s = len(times), len(rhos), len(eps)
-    q = _phases(times, eps)
+    dropped, _ = _screen(rot, g, budget)
+    keep = np.flatnonzero(~np.all(dropped, axis=0))
+    n, b, s = len(times), len(rhos), len(keep)
+    if s == 0:
+        return np.zeros((n, b))
+    live = ~dropped[:, keep]
+    herm = herm[:, keep[:, None], keep] * (live[:, :, None] & live[:, None, :])
+    q = _phases(times, eps[keep])
     q = np.concatenate((q.real, q.imag))  # rows cos(theta), then -sin(theta)
     z = (q @ np.concatenate(herm.real, axis=1)).reshape(2 * n, b, s)
     vals = np.einsum("tbn,tn->tb", z, q)
@@ -365,6 +423,42 @@ def _block_expectations(h0, f, rhos, times) -> np.ndarray:
         w = (q[:n] @ np.concatenate(herm.imag, axis=1)).reshape(n, b, s)
         vals += 2 * np.einsum("tbn,tn->tb", w, q[n:])
     return vals
+
+
+def _eigenframe(h0, f, rhos):
+    """(eps, G, rho~) with H0 - diag(f) = V diag(eps) V^dag, G = V^dag H0 V
+    and rho~ = V^dag rho V for each stacked rho.
+
+    V and G are real when h0 is, and rho~ when the rhos are too.
+    """
+    if not np.any(h0.imag):
+        h0 = h0.real  # real eigh: real V and G
+    if not np.any(rhos.imag):
+        rhos = rhos.real
+    eps, v = np.linalg.eigh(h0 - np.diag(f))
+    vh = v.conj().T
+    return eps, vh @ h0 @ v, vh @ rhos @ v
+
+
+def _screen(rot, g, budget) -> tuple[np.ndarray, np.ndarray]:
+    """(dropped, bound): the components each rho leaves out, shape (rhos, s),
+    and the bound on how far that moves its values.
+
+    rot and g are rho~ and G of `_eigenframe`; see `_block_expectations`.
+    The bound of a set D is the sum of t_n = 2 sqrt(w_n) (|G|^T sqrt(w))_n
+    over D, so the largest D below the budget is a prefix of the t_n in
+    ascending order.  A NaN in w is never dropped.
+    """
+    w = np.diagonal(rot, axis1=1, axis2=2).real
+    sw = np.sqrt(np.maximum(w, 0.0))  # rounding can leave a w_n just below 0
+    t = 2 * sw * (sw @ np.abs(g))
+    order = np.argsort(t, axis=1, kind="stable")  # NaN sorts last
+    cum = np.cumsum(np.take_along_axis(t, order, axis=1), axis=1)
+    count = np.count_nonzero(cum < budget, axis=1)  # cum never decreases
+    dropped = np.zeros(t.shape, dtype=bool)
+    np.put_along_axis(dropped, order, np.arange(t.shape[1]) < count[:, None], axis=1)
+    bound = np.take_along_axis(cum, np.maximum(count - 1, 0)[:, None], axis=1)[:, 0]
+    return dropped, np.where(count > 0, bound, 0.0)
 
 
 def _phases(times, eps) -> np.ndarray:

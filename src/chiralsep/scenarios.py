@@ -62,6 +62,7 @@ from .looptopology import find_loops
 from .propagate import (
     Ensemble,
     PotentialTrace,
+    TraceTooLargeError,
     ensemble_potential_trace,
     prepare_initial,
 )
@@ -98,6 +99,7 @@ class ScenarioConfig:
     restricted_loop: bool = False
     loop_rot: RotState | None = None
     truncation_mass: float = 1e-6
+    t_end_key: str = "t_end_ns"      # the config key t_end came from, for errors
 
     def __post_init__(self):
         if self.preparation not in PREPARATIONS:
@@ -280,6 +282,7 @@ def parse_config(text: str) -> ScenarioConfig:
         loop_rot=loop_rot,
         truncation_mass=_parse_scalar("scenario", "truncation_mass",
                                       sc.get("truncation_mass", "1e-6")),
+        t_end_key=t_end_key,
     )
 
 
@@ -385,9 +388,12 @@ def builtin_config(name: str, jmax: int | None = None) -> ScenarioConfig:
         cfg = parse_config(_BUILTIN_TEXT[name])
     else:
         raise ConfigError(f"unknown builtin scenario {name!r}; known: {builtin_names()}")
-    if jmax is not None:
-        cfg = replace(cfg, trunc=BasisTruncation(jmax))
-    return cfg
+    return with_jmax(cfg, jmax)
+
+
+def with_jmax(cfg: ScenarioConfig, jmax: int | None) -> ScenarioConfig:
+    """cfg with its basis truncated at jmax instead; None keeps cfg."""
+    return cfg if jmax is None else replace(cfg, trunc=BasisTruncation(jmax))
 
 
 def _restricted_basis(config: ScenarioConfig):
@@ -435,8 +441,12 @@ def run_scenario(config: ScenarioConfig, enantiomers=("L", "R")) -> ScenarioResu
         h = _assemble(config, who)
         couplings[tag] = h
         ensembles = _branch_members(config, who, h, thermal)
-        for branch, tr in ensemble_potential_trace(h, ensembles, times,
-                                                   omega_ref=omega_ref).items():
+        try:
+            per = ensemble_potential_trace(h, ensembles, times, omega_ref=omega_ref)
+        except TraceTooLargeError as exc:
+            key = "n_times" if exc.by_grid else config.t_end_key
+            raise ConfigError(f"scenario.{key}: {exc}") from None
+        for branch, tr in per.items():
             traces.setdefault(branch, {})[tag] = tr
 
     href = couplings[enantiomers[0]]

@@ -133,6 +133,28 @@ def test_builtin_scenario_with_jmax_override(capsys):
     assert "basis_size = 105" in capsys.readouterr().out
 
 
+def test_negative_jmax_override_names_the_flag(capsys):
+    rc = main(["timescales", "--scenario", "fig7-1mK-xxz", "--jmax", "-1"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: --jmax: ")
+
+
+@pytest.mark.parametrize("old, new, key", [
+    ("t_end_over_omega12 = 2", "t_end_over_omega12 = 1e6", "scenario.t_end_over_omega12"),
+    ("t_end_over_omega12 = 2", "t_end_ns = 1e7", "scenario.t_end_ns"),
+    ("n_times = 21", "n_times = 2000000", "scenario.n_times"),  # one step per output time
+])
+def test_midpoint_step_ceiling_names_its_field(tmp_path, capsys, old, new, key):
+    # a laser13 offset keeps the laser loop from closing: the midpoint stepper
+    text = TINY.replace(old, new) + "rot_offset_GHz = 0.01\n"
+    path = tmp_path / "long.cfg"
+    path.write_text(text)
+    rc = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key}: ") and "steps" in err
+
+
 def test_unknown_builtin_exits_2(capsys):
     rc = main(["timescales", "--scenario", "nope"])
     assert rc == 2
@@ -153,6 +175,9 @@ def test_unknown_builtin_exits_2(capsys):
     ("[laser12]\n", "[laser12]\npeak_rabi_GHz = 1e-320\n", "scenario.t_end_over_omega12"),
     ("[laser12]\n", "[laser12]\npeak_rabi_over_omega12 = 1e-323\n",
      "laser12.peak_rabi_over_omega12"),
+    # the static trace's [c; s] @ [X_1 | ...] would be 1.8 GiB: 5e6 times x a 24-level block
+    ("jmax = 1\nt_end_over_omega12 = 2\nn_times = 21",
+     "jmax = 3\nt_end_over_omega12 = 2\nn_times = 5000000", "scenario.n_times"),
 ])
 def test_non_finite_or_unparsable_input_names_its_field(tmp_path, capsys, old, new, key):
     path = tmp_path / "bad.cfg"

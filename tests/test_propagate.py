@@ -1,10 +1,11 @@
 """Propagation, potential traces and ensemble aggregation."""
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from chiralsep import propagate as propagate_module
@@ -149,7 +150,7 @@ def test_ensemble_trace_equals_weighted_pure_states():
     assert np.max(np.abs(fast.values - ref.values)) < 1e-12
 
 
-def _fig7_block_trace_against_per_member_static(n_times, stride):
+def _fig7_block_trace_against_per_member_static(n_times, stride, negative_weight=False):
     config = builtin_config("fig7-1mK-xxz")
     h = _assemble(config, Enantiomer.L)
     assert len(components(h)) > 1
@@ -161,6 +162,10 @@ def _fig7_block_trace_against_per_member_static(n_times, stride):
     # complex amplitudes, so that rho = sum w |psi><psi| needs its conjugate
     amps = np.array([1.0, 1j, -0.5 + 0.5j]) / np.sqrt(2.5)
     ensembles["complex"] = prepare_initial("partially-dressed", h, thermal, vib_amplitudes=amps)
+    if negative_weight:  # rho is then indefinite, which the screening bound does not cover
+        ens = ensembles["complex"]
+        ensembles["complex"] = replace(ens, weights=ens.weights * np.where(
+            np.arange(len(ens.weights)) == np.argmax(ens.weights), -1.0, 1.0))
     batched = ensemble_potential_trace(h, ensembles, times, omega_ref=omega_ref)
     assert list(batched) == list(ensembles)
     for branch, ens in ensembles.items():
@@ -181,6 +186,63 @@ def test_block_trace_matches_per_member_static_on_fig7_long_grid():
     # the builtin's 2000 output times reach phases of ~1e5 rad, where the
     # factorised phase matrix carries its largest rounding
     _fig7_block_trace_against_per_member_static(2000, 50)
+
+
+def test_block_trace_with_a_negative_weight_matches_per_member_static():
+    _fig7_block_trace_against_per_member_static(41, 1, negative_weight=True)
+
+
+def _static_kernel_calls(monkeypatch, config):
+    """(h0, f, rhos, times) of every static-kernel call of an L and R trace."""
+    calls = []
+    kernel = propagate_module._block_expectations
+
+    def spy(h0, f, rhos, times, budget):
+        calls.append((h0, f, rhos, times))
+        return kernel(h0, f, rhos, times, budget)
+
+    monkeypatch.setattr(propagate_module, "_block_expectations", spy)
+    thermal = thermal_rot_state(config.temperature, config.constants, config.trunc,
+                                cutoff_mass=config.truncation_mass)
+    times = np.linspace(0.0, config.t_end, config.n_times)
+    for who in (Enantiomer.L, Enantiomer.R):
+        h = _assemble(config, who)
+        ensemble_potential_trace(h, _branch_members(config, who, h, thermal), times)
+    monkeypatch.undo()
+    return calls
+
+
+def test_screen_never_drops_a_nan_weight():
+    g = np.ones((2, 2))
+    rot = np.array([[[1.0, 0.0], [0.0, 1e-40]], [[np.nan, 0.0], [0.0, 1e-40]]])
+    dropped, bound = propagate_module._screen(rot, g, propagate_module.SCREEN_BUDGET)
+    assert dropped.tolist() == [[False, True], [False, False]]
+    assert 0 < bound[0] < propagate_module.SCREEN_BUDGET and bound[1] == 0
+
+
+@pytest.mark.parametrize("name, jmax", [("fig7-1mK-xxz", None),
+                                        ("fig5-T0.5K-xxz-groundres", 4)])
+def test_screening_bound_covers_dropped_part(monkeypatch, name, jmax):
+    # fig5's 0.5 K population at J = 4 is above the default truncation mass
+    config = replace(builtin_config(name, jmax=jmax), truncation_mass=1e-4)
+    dropped_somewhere = False
+    for h0, f, rhos, times in _static_kernel_calls(monkeypatch, config):
+        eps, g, rot = propagate_module._eigenframe(h0, f, rhos)
+        outer, bound = propagate_module._screen(rot, g, propagate_module.SCREEN_BUDGET)
+        assert np.all(bound < propagate_module.SCREEN_BUDGET)
+        p = np.exp(-2j * np.pi * np.outer(times, eps))
+        dropped = np.empty((len(times), len(rhos)), dtype=complex)
+        for k in range(len(rhos)):
+            pairs = outer[k][:, None] | outer[k][None, :]  # n in D or m in D
+            dropped[:, k] = np.einsum("tn,nm,tm->t", p, np.where(pairs, rot[k] * g.T, 0.0),
+                                      p.conj())
+        assert np.all(np.abs(dropped) <= bound)
+        # the kernel leaves out exactly that part
+        screened = propagate_module._block_expectations(h0, f, rhos, times)
+        full = propagate_module._block_expectations(h0, f, rhos, times, budget=0.0)
+        assert np.max(np.abs(full - screened - dropped.real)) < 1e-15
+        dropped_somewhere |= bool(np.any(np.all(outer, axis=0)))
+    assert dropped_somewhere
 
 
 def test_ensemble_trace_midpoint_fallback():
@@ -280,6 +342,10 @@ AMPLITUDE = st.builds(complex, st.floats(-1, 1), st.floats(-1, 1))
                       min_size=1, max_size=4),
     jmax=st.integers(1, 2),
 )
+# branches 2 and 3 share blocks, so a common screen would couple their values
+@example(pols=("x", "x", "x"), offsets=(0.0, 0.0), peaks=(1.0, 1.0, 1.0),
+         branches=[(0.0, (0j, 0j, 0j)), (0.0, (0j, 0j, 0j)), (0.5, (0j, 0j, 1j)),
+                   (0.5, (0j, 0j, 0.5j))], jmax=2)
 def test_batched_trace_matches_per_member_and_single_branch(pols, offsets, peaks, branches,
                                                             jmax):
     trunc = BasisTruncation(jmax)
