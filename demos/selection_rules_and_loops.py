@@ -24,8 +24,8 @@ def main():
                         (RotState(1, 0, -1), RotState(1, 0, 0), RotState(1, 0, 1))]
     laser = cfg.lasers[0]
     h = assemble([laser], cfg.dipole, Enantiomer.L, cfg.constants, cfg.trunc, basis=basis)
-    for f, i, _, _ in h.rows():
-        print(f"  {i} -> {f}   (polarization {laser.polarization})")
+    for f, i in zip(h.fin, h.ini):
+        print(f"  {h.basis[i]} -> {h.basis[f]}   (polarization {laser.polarization})")
 
     h = assemble(cfg.lasers, cfg.dipole, Enantiomer.L, cfg.constants, cfg.trunc)
     tri = [cyc for cyc in loop_census(h, max_len=3) if ground in cyc]

@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .wigner import RotIntegralArgs, rot_integral
+from .wigner import rot_integral
 
 SQRT2 = math.sqrt(2.0)
 
@@ -156,9 +156,7 @@ def rabi_frequency(final, initial, laser: LaserSpec, dipole: DipoleModel,
         for s, amp in zip((-1, 0, 1), field_triple):
             if amp == 0:
                 continue
-            orient += amp * rot_integral(
-                RotIntegralArgs(final.rot, initial.rot, s, sp)
-            )
+            orient += amp * rot_integral(final.rot, initial.rot, s, sp)
         total += mu * orient
     sign = -1.0 if (who is Enantiomer.R and trans.chiral_sign_flip) else 1.0
     return sign * laser.peak_rabi * laser.beam(x) * total

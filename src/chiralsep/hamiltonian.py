@@ -84,13 +84,6 @@ class CouplingMatrix:
         h[self.ini, self.fin] = np.conj(vals)
         return h
 
-    def rows(self):
-        """(final, initial, omega, delta) tuples for table dumps."""
-        return [
-            (self.basis[f], self.basis[i], complex(w), float(d))
-            for f, i, w, d in zip(self.fin, self.ini, self.omega, self.delta)
-        ]
-
 
 def assemble(
     lasers: list[LaserSpec],

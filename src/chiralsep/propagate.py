@@ -10,14 +10,18 @@ to a static frame and propagated exactly in one eigendecomposition:
     H(t) = U(t) H0 U(t)^dag,  U = diag(e^{-i 2 pi f t})
     psi(t) = U(t) exp(-i 2 pi (H0 - diag(f)) t) psi(0)
 
+The run works block by block: `_blocks` splits the coupling graph into its
+connected components once, with each level's block and block position and
+each block's edges, and the preparation and the trace both work from that.
 Thermal mixtures are weighted ensembles of pure states stored as (member,
-level, amplitude) triplets, so no length-n member vector is formed.  The
-ensemble trace takes every branch of one enantiomer in one call and loops
-once over the blocks (connected components) of the coupling graph, with no
-n x n matrix and no per-member state.  A branch's block density matrix
+level, amplitude) triplets, so no length-n member vector is formed; an
+adiabatic member is an eigenvector of its bare state's block H(0), so it
+lives inside that block.  The ensemble trace takes every branch of one
+enantiomer in one call and loops once over the blocks, with no n x n matrix
+and no per-member state.  A branch's block density matrix
 rho = sum_k w_k |psi_k><psi_k| comes from one matrix product, and one of
-two kernels evolves the stacked rho of all branches.  Both require the
-output grid np.linspace(0, t_end, n):
+two kernels evolves the stacked rho of all branches on the output grid
+np.linspace(0, t_end, n), which the trace builds itself:
 
 - static frame: from the block's H0 - diag(f) = V diag(eps) V^dag and
   p_n(t) = exp(-i 2 pi eps_n t) = c_n - i s_n, with the Hermitian
@@ -59,6 +63,8 @@ SCREEN_BUDGET = 1e-14
 #: ceilings on one trace, checked before it builds any array
 MAX_TRACE_BYTES = 2**30  # the static kernel's largest array
 MAX_MIDPOINT_STEPS = 10**6  # steps of the midpoint schedule
+#: relative eigenvalue gap below which an adiabatic assignment warns
+GAP_WARN = 1e-9
 
 
 class StepTooLargeError(ValueError):
@@ -268,14 +274,6 @@ class Ensemble:
                    member=np.asarray(member, dtype=int)[keep],
                    level=np.asarray(level, dtype=int)[keep], amp=amp[keep])
 
-    @classmethod
-    def from_members(cls, n, members) -> "Ensemble":
-        """From (weight, length-n state vector) pairs."""
-        states = np.array([psi for _, psi in members], dtype=complex).reshape(len(members), n)
-        member, level = np.nonzero(states)
-        return cls.from_triplets(n, [w for w, _ in members], member, level,
-                                 states[member, level])
-
     def members(self) -> list[tuple[float, np.ndarray]]:
         """Dense (weight, state vector) pairs, one per member."""
         states = np.zeros((len(self.weights), self.n), dtype=complex)
@@ -286,49 +284,46 @@ class Ensemble:
 def ensemble_potential_trace(
     h: CouplingMatrix,
     ensembles: dict,
-    times,
+    t_end: float,
+    n: int,
     omega_ref: float = 1.0,
 ) -> dict:
-    """Weighted-ensemble <H_int(t)> of every branch, without trajectories.
+    """Weighted-ensemble <H_int(t)> of every branch on np.linspace(0, t_end, n).
 
     `ensembles` maps a branch label to its Ensemble; returns the mapping
-    branch -> PotentialTrace in the same order.  Mathematically identical to
-    propagating each pure member and averaging, but evolves one density
-    matrix per block and branch: in the static frame when a node potential
-    exists, else with the steps of `propagate(method="midpoint")`.  `times`
-    must be np.linspace(0, t_end, n), n >= 1; any other grid raises
-    ValueError, since both kernels step it in equal intervals from t = 0.
+    branch -> PotentialTrace in the same order, all on one grid of n >= 1
+    times, which is built only after the size ceilings are checked.
+    Mathematically identical to propagating each pure member and averaging,
+    but evolves one density matrix per block and branch: in the static frame
+    when a node potential exists, else with the steps of
+    `propagate(method="midpoint")`.
     """
-    times = np.asarray(times, dtype=float)
+    if n < 1:
+        raise ValueError(f"a trace needs n >= 1 output times, got {n}")
     for branch, ens in ensembles.items():
         if len(ens.weights) == 0:
             raise ValueError(f"branch {branch}: empty ensemble")
     f = node_potential(h)
-    blocks = components(h)
-    n = len(times)
+    blocks, label, local, edges = _blocks(h)
     # the ceilings are checked before any array of n values is built
     if f is not None:
         size = 16 * n * len(ensembles) * max(len(idx) for idx in blocks)  # [c; s] @ [X_1 | ...]
         if size > MAX_TRACE_BYTES:
             raise TraceTooLargeError(f"the static trace needs a {size / 2**30:.3g} GiB array, "
                                      f"more than {MAX_TRACE_BYTES / 2**30:.3g} GiB", by_grid=True)
-    elif n:
+    elif n - 1 > MAX_MIDPOINT_STEPS:  # at least one step per output interval
+        raise TraceTooLargeError(f"the midpoint stepper needs at least {n - 1} steps, "
+                                 f"more than {MAX_MIDPOINT_STEPS}", by_grid=True)
+    times = np.linspace(0.0, t_end, n)
+    if f is None:
         dt, steps = _midpoint_schedule(h, times)
         if steps * (n - 1) > MAX_MIDPOINT_STEPS:
             raise TraceTooLargeError(f"the midpoint stepper needs {steps * (n - 1)} steps, "
-                                     f"more than {MAX_MIDPOINT_STEPS}", by_grid=steps == 1)
-    if n == 0 or not np.array_equal(times, np.linspace(0.0, times[-1], n)):
-        raise ValueError("times must be np.linspace(0, t_end, n) with n >= 1")
+                                     f"more than {MAX_MIDPOINT_STEPS}", by_grid=False)
     # a negative weight leaves rho indefinite, where the screening bound fails
     budget = SCREEN_BUDGET if all(np.all(e.weights >= 0) for e in ensembles.values()) else 0.0
-    label = np.empty(h.n, dtype=int)
-    local = np.empty(h.n, dtype=int)
-    for c, idx in enumerate(blocks):
-        label[idx] = c
-        local[idx] = np.arange(len(idx))
-    edge_block = label[h.fin]
     triplet_block = [label[ens.level] for ens in ensembles.values()]
-    totals = np.zeros((len(times), len(ensembles)))
+    totals = np.zeros((n, len(ensembles)))
     for c, idx in enumerate(blocks):
         if len(idx) == 1:
             continue  # uncoupled level: zero-diagonal H contributes nothing
@@ -343,21 +338,43 @@ def ensemble_potential_trace(
             rhos[k] = (sub.T * ens.weights[touch]) @ sub.conj()
         if not rhos:
             continue
-        e = np.flatnonzero(edge_block == c)
-        edges = (len(idx), local[h.fin[e]], local[h.ini[e]], h.omega[e], h.delta[e])
         rho = np.array(list(rhos.values()))
         if f is None:
-            vals = _block_midpoint(edges, rho, times, dt, steps)
+            vals = _block_midpoint(edges(c), rho, times, dt, steps)
             if not np.max(np.abs(vals.imag)) <= 1e-10 * max(1.0, np.max(np.abs(vals.real))):
                 raise ValueError("non-real ensemble expectation of a Hermitian operator")
             vals = vals.real
         else:
-            vals = _block_expectations(_block_matrix(*edges, 0.0), f[idx], rho, times, budget)
+            vals = _block_expectations(_block_matrix(*edges(c), 0.0), f[idx], rho, times, budget)
         if not np.all(np.isfinite(vals)):
             raise ValueError("non-finite ensemble expectation")
         totals[:, list(rhos)] += vals
     return {branch: PotentialTrace.from_values(times, totals[:, k] / omega_ref)
             for k, branch in enumerate(ensembles)}
+
+
+def _blocks(h: CouplingMatrix):
+    """(blocks, label, local, edges): the coupling graph by blocks.
+
+    `blocks` are the index sets of `components`; level i sits at position
+    local[i] of block label[i]; edges(c) = (size, a, b, omega, delta) holds
+    block c's couplings in block-local positions, the leading arguments of
+    `_block_matrix`.  edges(c) is built on demand, for the blocks a caller
+    visits only.
+    """
+    blocks = components(h)
+    label = np.empty(h.n, dtype=int)
+    local = np.empty(h.n, dtype=int)
+    for c, idx in enumerate(blocks):
+        label[idx] = c
+        local[idx] = np.arange(len(idx))
+    edge_block = label[h.fin]
+
+    def edges(c):
+        e = np.flatnonzero(edge_block == c)
+        return len(blocks[c]), local[h.fin[e]], local[h.ini[e]], h.omega[e], h.delta[e]
+
+    return blocks, label, local, edges
 
 
 def _block_matrix(size, a, b, omega, delta, t) -> np.ndarray:
@@ -496,13 +513,14 @@ def prepare_initial(
     h: CouplingMatrix,
     thermal: dict,
     vib_amplitudes=None,
-    gap_warn: float = 1e-9,
 ) -> Ensemble:
     """Weighted pure-state ensemble for one preparation protocol.
 
     mode "diabatic": bare states |1>|JKM> with thermal weights.
-    mode "adiabatic": eigenvectors of H(0), each thermal bare state mapped
-    to its maximum-overlap eigenvector (warns near degeneracies).
+    mode "adiabatic": each thermal bare state mapped to the eigenvector of
+    its block's H(0) with the largest overlap; warns when that eigenvalue
+    lies within GAP_WARN times the block's largest |eigenvalue| of another
+    one of the block.
     mode "partially-dressed": the vibrational amplitude triple
     `vib_amplitudes` (a rotationless dressed state) tensored with each
     thermal rotational basis state.
@@ -522,22 +540,27 @@ def prepare_initial(
         return Ensemble.from_triplets(h.n, ws, np.repeat(np.arange(len(weights)), 3),
                                       level, np.tile(amps, len(weights)))
     if mode == "adiabatic":
-        vals, vecs = np.linalg.eigh(h.evaluate(0.0))
-        scale = max(np.max(np.abs(vals)), 1e-300)
-        members = []
-        for rot, w in weights:
+        blocks, label, local, edges = _blocks(h)
+        eig, member, level, amp = {}, [], [], []
+        for k, (rot, _) in enumerate(weights):
             bare = pos[LevelIndex(1, rot)]
-            n = int(np.argmax(np.abs(vecs[bare, :])))
+            c = label[bare]
+            if c not in eig:
+                eig[c] = np.linalg.eigh(_block_matrix(*edges(c), 0.0))
+            vals, vecs = eig[c]
+            n = int(np.argmax(np.abs(vecs[local[bare], :])))
             gaps = np.abs(vals - vals[n])
             gaps[n] = np.inf
-            if np.min(gaps) < gap_warn * scale:
+            if np.min(gaps) < GAP_WARN * max(np.max(np.abs(vals)), 1e-300):
                 warnings.warn(
                     f"adiabatic assignment for {rot} near-degenerate; "
                     "resolved by maximal bare-state overlap",
                     DegenerateEigenstateWarning, stacklevel=2,
                 )
-            members.append((w, vecs[:, n]))
-        return Ensemble.from_members(h.n, members)
+            member += [k] * len(blocks[c])
+            level.extend(blocks[c])
+            amp.extend(vecs[:, n])
+        return Ensemble.from_triplets(h.n, ws, member, level, amp)
     raise ValueError(f"unknown preparation mode {mode!r}")
 
 

@@ -63,6 +63,8 @@ from .propagate import (
     Ensemble,
     PotentialTrace,
     TraceTooLargeError,
+    _block_matrix,
+    _blocks,
     ensemble_potential_trace,
     prepare_initial,
 )
@@ -409,10 +411,15 @@ def _assemble(config: ScenarioConfig, who: Enantiomer) -> CouplingMatrix:
 def _branch_members(config, who, h, thermal):
     """Mapping branch label -> Ensemble."""
     if config.restricted_loop:
-        # eigenstates of the static restricted loop, one branch each
-        vals, vecs = np.linalg.eigh(h.evaluate(0.0))
-        return {n + 1: Ensemble.from_members(h.n, [(1.0, vecs[:, n])])
-                for n in range(len(vals))}
+        # eigenstates of the static restricted loop, one branch each, in
+        # ascending order of their eigenvalues over all blocks
+        blocks, _, _, edges = _blocks(h)
+        eig = [np.linalg.eigh(_block_matrix(*edges(c), 0.0)) for c in range(len(blocks))]
+        states = [(val, idx, vec) for idx, (vals, vecs) in zip(blocks, eig)
+                  for val, vec in zip(vals, vecs.T)]
+        states.sort(key=lambda s: s[0])
+        return {n + 1: Ensemble.from_triplets(h.n, [1.0], np.zeros(len(idx), dtype=int), idx, vec)
+                for n, (_, idx, vec) in enumerate(states)}
     if config.preparation == "partially-dressed":
         sgn = -1.0 if who is Enantiomer.R else 1.0
         peaks = [l.peak_rabi * l.beam(config.evaluation_x) for l in config.lasers]
@@ -430,7 +437,6 @@ def _branch_members(config, who, h, thermal):
 
 def run_scenario(config: ScenarioConfig, enantiomers=("L", "R")) -> ScenarioResult:
     """Propagate every branch for the requested enantiomers."""
-    times = np.linspace(0.0, config.t_end, config.n_times)
     thermal = thermal_rot_state(config.temperature, config.constants, config.trunc,
                                 cutoff_mass=config.truncation_mass)
     omega_ref = config.omega12_max
@@ -442,7 +448,8 @@ def run_scenario(config: ScenarioConfig, enantiomers=("L", "R")) -> ScenarioResu
         couplings[tag] = h
         ensembles = _branch_members(config, who, h, thermal)
         try:
-            per = ensemble_potential_trace(h, ensembles, times, omega_ref=omega_ref)
+            per = ensemble_potential_trace(h, ensembles, config.t_end, config.n_times,
+                                           omega_ref=omega_ref)
         except TraceTooLargeError as exc:
             key = "n_times" if exc.by_grid else config.t_end_key
             raise ConfigError(f"scenario.{key}: {exc}") from None
@@ -465,7 +472,7 @@ def run_scenario(config: ScenarioConfig, enantiomers=("L", "R")) -> ScenarioResu
 
     return ScenarioResult(
         config=config,
-        times=times,
+        times=next(iter(per.values())).times,
         traces=traces,
         couplings=couplings,
         loops=loops,
@@ -522,18 +529,16 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def trace_csv(result: ScenarioResult, branch) -> str:
-    """CSV with columns time_ns, time_in_inverse_Omega12, value_L, value_R."""
+def trace_csv(result: ScenarioResult, branch):
+    """Lines of the CSV with columns time_ns, time_in_inverse_Omega12,
+    value_L, value_R, yielded one at a time."""
     omega12 = result.config.omega12_max
     per = result.traces[branch]
-    cols = ["time_ns", "time_in_inverse_Omega12"] + [f"value_{t}" for t in per]
-    buf = io.StringIO()
-    buf.write(",".join(cols) + "\n")
+    yield ",".join(["time_ns", "time_in_inverse_Omega12"] + [f"value_{t}" for t in per]) + "\n"
     for k, t in enumerate(result.times):
         row = [repr(float(t)), repr(float(t * omega12))]
         row += [repr(float(per[tag].values[k])) for tag in per]
-        buf.write(",".join(row) + "\n")
-    return buf.getvalue()
+        yield ",".join(row) + "\n"
 
 
 def couplings_csv(h: CouplingMatrix) -> str:
@@ -576,16 +581,16 @@ def write_outputs(result: ScenarioResult, out_dir) -> list[str]:
     os.makedirs(out_dir, exist_ok=True)
     written = []
 
-    def put(name, text):
+    def put(name, lines):
         path = os.path.join(out_dir, name)
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(lines)
         written.append(path)
 
     for branch in result.traces:
         put(f"trace_branch{branch}.csv", trace_csv(result, branch))
     for tag, h in result.couplings.items():
-        put(f"couplings_{tag}.csv", couplings_csv(h))
-    put("loops.csv", loops_csv(result.loops))
-    put("summary.txt", summary_text(result))
+        put(f"couplings_{tag}.csv", [couplings_csv(h)])
+    put("loops.csv", [loops_csv(result.loops)])
+    put("summary.txt", [summary_text(result)])
     return written

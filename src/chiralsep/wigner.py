@@ -17,40 +17,10 @@ which carries all rotational selection rules of the dipole coupling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .rotbasis import RotState
-
-
-@dataclass(frozen=True)
-class ThreeJArgs:
-    j1: int
-    j2: int
-    j3: int
-    m1: int
-    m2: int
-    m3: int
-
-    def __post_init__(self):
-        for j, m in ((self.j1, self.m1), (self.j2, self.m2), (self.j3, self.m3)):
-            if j < 0:
-                raise ValueError("angular momenta must be non-negative integers")
-            if abs(m) > j:
-                raise ValueError(f"projection |{m}| exceeds j = {j}")
-
-
-@dataclass(frozen=True)
-class RotIntegralArgs:
-    final: RotState
-    initial: RotState
-    sigma: int
-    sigma_prime: int
-
-    def __post_init__(self):
-        if self.sigma not in (-1, 0, 1) or self.sigma_prime not in (-1, 0, 1):
-            raise ValueError("sigma and sigma_prime must be in {-1, 0, 1}")
 
 
 @lru_cache(maxsize=None)
@@ -93,27 +63,18 @@ def three_j_exact(j1: int, j2: int, j3: int, m1: int, m2: int, m3: int) -> tuple
     return sign, pref * total * total
 
 
-def three_j(args: ThreeJArgs) -> float:
-    """Wigner 3j symbol as a float (exact rational arithmetic internally)."""
-    sign, square = three_j_exact(args.j1, args.j2, args.j3, args.m1, args.m2, args.m3)
-    if sign == 0:
-        return 0.0
-    return sign * math.sqrt(square.numerator / square.denominator)
-
-
-def rot_integral(args: RotIntegralArgs) -> float:
+def rot_integral(final: RotState, initial: RotState, sigma: int, sigma_prime: int) -> float:
     """Orientation factor <J_f K_f M_f| D^1*_{sigma sigma'} |J_i K_i M_i>.
 
-    Nonzero only for Delta J in {0, +-1}, M_f = M_i + sigma and
-    K_f = K_i + sigma_prime.
+    sigma and sigma_prime are in {-1, 0, 1}.  Nonzero only for
+    Delta J in {0, +-1}, M_f = M_i + sigma and K_f = K_i + sigma_prime.
     """
-    fin, ini = args.final, args.initial
-    s1, sq1 = three_j_exact(fin.J, 1, ini.J, fin.M, -args.sigma, -ini.M)
+    s1, sq1 = three_j_exact(final.J, 1, initial.J, final.M, -sigma, -initial.M)
     if s1 == 0:
         return 0.0
-    s2, sq2 = three_j_exact(fin.J, 1, ini.J, fin.K, -args.sigma_prime, -ini.K)
+    s2, sq2 = three_j_exact(final.J, 1, initial.J, final.K, -sigma_prime, -initial.K)
     if s2 == 0:
         return 0.0
-    phase = (-1) ** (-ini.K + ini.M + args.sigma_prime - args.sigma)
-    square = Fraction((2 * fin.J + 1) * (2 * ini.J + 1)) * sq1 * sq2
+    phase = (-1) ** (-initial.K + initial.M + sigma_prime - sigma)
+    square = Fraction((2 * final.J + 1) * (2 * initial.J + 1)) * sq1 * sq2
     return phase * s1 * s2 * math.sqrt(square.numerator / square.denominator)

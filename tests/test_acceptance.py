@@ -17,11 +17,12 @@ from chiralsep.coupling import DipoleModel, Enantiomer, GaussianBeam, LaserSpec
 from chiralsep.dressed import FieldConfiguration, dress, dress_field, scalar_potential, vector_potential
 from chiralsep.hamiltonian import CouplingMatrix, LevelIndex, assemble, chirality_transform
 from chiralsep.looptopology import SignPattern, loop_phases, random_loop_hamiltonian, spectrum
-from chiralsep.propagate import potential_trace, propagate
+from chiralsep.propagate import (Ensemble, _block_midpoint, _midpoint_schedule,
+                                 ensemble_potential_trace, potential_trace, propagate)
 from chiralsep.rotbasis import D2S2, BasisTruncation, RotState, enumerate_basis
 from chiralsep.scenarios import builtin_config, loop_census, run_scenario, _assemble
 from chiralsep.units import HARTREE_GHZ, OMEGA12_MAX_GHZ
-from chiralsep.wigner import RotIntegralArgs, rot_integral, three_j_exact
+from chiralsep.wigner import rot_integral, three_j_exact
 
 
 def xxz_lasers():
@@ -67,7 +68,7 @@ def test_rot_integral_selection_rules_are_exact():
         for i in basis:
             for s in (-1, 0, 1):
                 for sp in (-1, 0, 1):
-                    val = rot_integral(RotIntegralArgs(f, i, s, sp))
+                    val = rot_integral(f, i, s, sp)
                     rule = (
                         abs(f.J - i.J) <= 1
                         and not (f.J == 0 and i.J == 0)
@@ -174,7 +175,7 @@ def test_restricted_loop_recovers_scaled_dressed_eigenvalues():
             flat = max(flat, float(np.max(np.abs(tr.values - tr.values[0]))))
     assert flat < 1e-8
     # equal to the rotationless dressed eigenvalues times the orientation factor
-    orient = rot_integral(RotIntegralArgs(RotState(1, 1, 1), RotState(1, 1, 1), 0, 0))
+    orient = rot_integral(RotState(1, 1, 1), RotState(1, 1, 1), 0, 0)
     assert orient == 0.5
     with pytest.warns(UserWarning):
         rotless, _ = dress((1.0, 1.0, 1.0))
@@ -218,8 +219,24 @@ def test_propagator_against_closed_form_rabi_solutions():
     tr2 = potential_trace(h, times_m, traj_h)
     step_change = float(np.max(np.abs(tr1.values - tr2.values)))
     assert step_change < 1e-6
+
+    # the kernels a run takes, on the detuned case: <H(t)> = Delta * P_2(t)
+    def energy(t):
+        return 0.9 * (0.6 / om_r) ** 2 * np.sin(2 * np.pi * om_r * t) ** 2
+
+    one = Ensemble.from_triplets(2, [1.0], [0], [0], [1.0])
+    static = ensemble_potential_trace(h, {0: one}, 6.0, 601)[0]
+    err_static = float(np.max(np.abs(static.values - energy(static.times))))
+    assert err_static < 1e-12
+    dt, steps = _midpoint_schedule(h, times_m, 2e-4)
+    edges = (2, h.fin, h.ini, h.omega, h.delta)
+    rho = np.array([[[1.0, 0.0], [0.0, 0.0]]], dtype=complex)
+    midpoint = _block_midpoint(edges, rho, times_m, dt, steps)[:, 0]
+    err_midpoint = float(np.max(np.abs(midpoint - energy(times_m))))
+    assert err_midpoint < 1e-6
     print(f"\npropagator oracle (closed-form err {max(err_res, err_det):.2e}, "
-          f"norm drift {drift:.2e}, dt-halving {step_change:.2e}): PASS")
+          f"norm drift {drift:.2e}, dt-halving {step_change:.2e}, static trace "
+          f"{err_static:.2e}, block midpoint {err_midpoint:.2e}): PASS")
 
 
 def test_gauge_potential_numerics():

@@ -1,6 +1,7 @@
 """Command-line entry points (in-process)."""
 
 import os
+import tracemalloc
 
 import pytest
 
@@ -153,6 +154,21 @@ def test_midpoint_step_ceiling_names_its_field(tmp_path, capsys, old, new, key):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {key}: ") and "steps" in err
+
+
+def test_static_ceiling_exits_before_the_output_grid(tmp_path, capsys):
+    # 10**8 output times: the grid alone would take 800 MB
+    path = tmp_path / "long.cfg"
+    path.write_text(TINY.replace("n_times = 21", "n_times = 100000000"))
+    tracemalloc.start()
+    try:
+        rc = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: scenario.n_times: ")
+    assert peak < 50 * 2**20
 
 
 def test_unknown_builtin_exits_2(capsys):

@@ -105,7 +105,7 @@ def test_rabi_frequency_rejects_wrong_pair():
 def driven_pairs(laser, dm, basis):
     """(final, initial) pairs that `assemble` couples with this one laser."""
     h = assemble([laser], dm, Enantiomer.L, D2S2, BasisTruncation(1), basis=basis)
-    return [(f, i) for f, i, _, _ in h.rows()]
+    return [(h.basis[f], h.basis[i]) for f, i in zip(h.fin, h.ini)]
 
 
 def test_allowed_transitions_z_from_ground():

@@ -51,15 +51,16 @@ def test_assemble_hermitian_and_upward():
     m = h.evaluate(0.4)
     assert np.allclose(m, m.conj().T)
     assert np.all(np.diag(m) == 0)
-    for f, i, _, _ in h.rows():
-        assert f.vib > i.vib
+    for f, i in zip(h.fin, h.ini):
+        assert h.basis[f].vib > h.basis[i].vib
 
 
 def test_assemble_detunings_from_level_energies():
     off = 0.3
     h = assemble(lasers("z", "z", "z", offsets=(off, 0.0, 0.0)),
                  DM, Enantiomer.L, D2S2, BasisTruncation(1))
-    for f, i, _, d in h.rows():
+    for f, i, d in zip(h.fin, h.ini, h.delta):
+        f, i = h.basis[f], h.basis[i]
         expected = rot_energy(f.rot, D2S2) - rot_energy(i.rot, D2S2)
         if (i.vib, f.vib) == (1, 2):
             expected -= off

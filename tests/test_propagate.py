@@ -1,5 +1,6 @@
 """Propagation, potential traces and ensemble aggregation."""
 
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,8 +11,9 @@ from hypothesis import strategies as st
 
 from chiralsep import propagate as propagate_module
 from chiralsep.coupling import DipoleModel, Enantiomer, LaserSpec
-from chiralsep.hamiltonian import CouplingMatrix, LevelIndex, assemble
+from chiralsep.hamiltonian import CouplingMatrix, EmptyCouplingError, LevelIndex, assemble
 from chiralsep.propagate import (
+    DegenerateEigenstateWarning,
     Ensemble,
     MismatchedGridError,
     PotentialTrace,
@@ -46,6 +48,14 @@ def two_level(omega, delta):
         omega=np.array([omega], dtype=complex),
         delta=np.array([delta], dtype=float),
     )
+
+
+def from_members(n, members):
+    """Ensemble of (weight, length-n state vector) pairs."""
+    states = np.array([psi for _, psi in members], dtype=complex).reshape(len(members), n)
+    member, level = np.nonzero(states)
+    return Ensemble.from_triplets(n, [w for w, _ in members], member, level,
+                                  states[member, level])
 
 
 def triangle(omegas, deltas):
@@ -141,7 +151,7 @@ def test_ensemble_trace_equals_weighted_pure_states():
         (0.75, np.array([0.0, 1.0, 1.0], dtype=complex) / np.sqrt(2)),
     ]
     times = np.linspace(0.0, 3.0, 61)
-    fast = ensemble_potential_trace(h, {0: Ensemble.from_members(h.n, members)}, times)[0]
+    fast = ensemble_potential_trace(h, {0: from_members(h.n, members)}, 3.0, 61)[0]
     slow = []
     for w, psi0 in members:
         _, traj = propagate(h, psi0, times[-1], n_out=len(times))
@@ -166,7 +176,7 @@ def _fig7_block_trace_against_per_member_static(n_times, stride, negative_weight
         ens = ensembles["complex"]
         ensembles["complex"] = replace(ens, weights=ens.weights * np.where(
             np.arange(len(ens.weights)) == np.argmax(ens.weights), -1.0, 1.0))
-    batched = ensemble_potential_trace(h, ensembles, times, omega_ref=omega_ref)
+    batched = ensemble_potential_trace(h, ensembles, config.t_end, n_times, omega_ref=omega_ref)
     assert list(batched) == list(ensembles)
     for branch, ens in ensembles.items():
         fast = batched[branch]
@@ -204,10 +214,10 @@ def _static_kernel_calls(monkeypatch, config):
     monkeypatch.setattr(propagate_module, "_block_expectations", spy)
     thermal = thermal_rot_state(config.temperature, config.constants, config.trunc,
                                 cutoff_mass=config.truncation_mass)
-    times = np.linspace(0.0, config.t_end, config.n_times)
     for who in (Enantiomer.L, Enantiomer.R):
         h = _assemble(config, who)
-        ensemble_potential_trace(h, _branch_members(config, who, h, thermal), times)
+        ensemble_potential_trace(h, _branch_members(config, who, h, thermal), config.t_end,
+                                 config.n_times)
     monkeypatch.undo()
     return calls
 
@@ -249,9 +259,8 @@ def test_ensemble_trace_midpoint_fallback():
     # loop detunings that close no node potential force the generic stepper
     h = triangle([0.5, 0.3, 0.2], [0.4, -0.1, 0.7])
     members = [(1.0, np.array([1.0, 0.0, 0.0], dtype=complex))]
-    times = np.linspace(0.0, 1.0, 21)
-    tr = ensemble_potential_trace(h, {0: Ensemble.from_members(h.n, members)}, times)[0]
-    _, traj = propagate(h, members[0][1], 1.0, n_out=21, method="midpoint")
+    tr = ensemble_potential_trace(h, {0: from_members(h.n, members)}, 1.0, 21)[0]
+    times, traj = propagate(h, members[0][1], 1.0, n_out=21, method="midpoint")
     ref = potential_trace(h, times, traj)
     assert np.max(np.abs(tr.values - ref.values)) < 1e-10
 
@@ -287,7 +296,7 @@ def test_empty_ensemble_raises():
     h = triangle([0.5, 0.3, 0.2], [0.0, 0.0, 0.0])
     empty = prepare_initial("diabatic", h, {RotState(0, 0, 0): float("nan")})
     with pytest.raises(ValueError, match="empty ensemble"):
-        ensemble_potential_trace(h, {"thermal": empty}, np.linspace(0.0, 1.0, 5))
+        ensemble_potential_trace(h, {"thermal": empty}, 1.0, 5)
 
 
 @pytest.mark.parametrize("deltas", [[0.4, -0.1, 0.3], [0.4, -0.1, 0.7]],
@@ -296,7 +305,7 @@ def test_nan_amplitude_raises(deltas):
     h = triangle([0.5, 0.3, 0.2], deltas)
     ens = Ensemble.from_triplets(h.n, [1.0], [0, 0], [0, 1], [1.0, np.nan])
     with pytest.raises(ValueError, match="ensemble expectation"):
-        ensemble_potential_trace(h, {0: ens}, np.linspace(0.0, 1.0, 5))
+        ensemble_potential_trace(h, {0: ens}, 1.0, 5)
 
 
 def test_non_hermitian_block_rho_raises():
@@ -307,13 +316,11 @@ def test_non_hermitian_block_rho_raises():
         propagate_module._block_expectations(h0, f, rho, np.linspace(0.0, 1.0, 3))
 
 
-@pytest.mark.parametrize("times", [np.linspace(0.1, 1.0, 5), np.array([0.0, 0.1, 0.3]),
-                                   np.linspace(1.0, 0.0, 5), np.array([])])
-def test_grid_other_than_linspace_from_zero_raises(times):
+def test_trace_needs_an_output_time():
     h = triangle([0.5, 0.3, 0.2], [0.4, -0.1, 0.3])
     ens = Ensemble.from_triplets(h.n, [1.0], [0], [0], [1.0])
-    with pytest.raises(ValueError, match="linspace"):
-        ensemble_potential_trace(h, {0: ens}, times)
+    with pytest.raises(ValueError, match="n >= 1"):
+        ensemble_potential_trace(h, {0: ens}, 1.0, 0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 97, 100, 101])  # prime, 10**2, 10**2 + 1
@@ -362,14 +369,14 @@ def test_batched_trace_matches_per_member_and_single_branch(pols, offsets, peaks
         for k, (temperature, amps) in enumerate(branches)
     }
     times = np.linspace(0.0, 2.0, 21)
-    batched = ensemble_potential_trace(h, ensembles, times, omega_ref=0.7)
+    batched = ensemble_potential_trace(h, ensembles, 2.0, 21, omega_ref=0.7)
     for k, ens in ensembles.items():
         slow = []
         for w, psi0 in ens.members():
             _, traj = propagate(h, psi0, times[-1], n_out=len(times), method="static")
             slow.append((w, potential_trace(h, times, traj, 0.7)))
         assert np.max(np.abs(batched[k].values - ensemble_average(slow).values)) < 1e-12
-        single = ensemble_potential_trace(h, {k: ens}, times, omega_ref=0.7)[k].values
+        single = ensemble_potential_trace(h, {k: ens}, 2.0, 21, omega_ref=0.7)[k].values
         assert np.max(np.abs(batched[k].values - single)) <= 1e-14 * np.max(np.abs(single))
 
 
@@ -403,7 +410,7 @@ def test_midpoint_block_trace_matches_per_member_midpoint(pols, offsets, mismatc
         triplets = [(m, lvl, a) for m, (_, amps) in enumerate(members) for lvl, a in amps]
         ensembles[k] = Ensemble.from_triplets(h.n, [w for w, _ in members], *zip(*triplets))
     times = np.linspace(0.0, 0.02, 6)
-    batched = ensemble_potential_trace(h, ensembles, times, omega_ref=0.7)
+    batched = ensemble_potential_trace(h, ensembles, 0.02, 6, omega_ref=0.7)
     for k, ens in ensembles.items():
         slow = []
         for w, psi0 in ens.members():
@@ -412,9 +419,7 @@ def test_midpoint_block_trace_matches_per_member_midpoint(pols, offsets, mismatc
         assert np.max(np.abs(batched[k].values - ensemble_average(slow).values)) < 1e-12
 
 
-def test_non_closing_run_takes_no_dense_or_per_member_path(monkeypatch):
-    config = parse_config(MISMATCH_CONFIG.read_text().replace("{rot_offset_13}", "0.01"))
-    assert node_potential(_assemble(config, Enantiomer.L)) is None
+def _run_without_dense_or_per_member_path(monkeypatch, config):
     calls = []
 
     def spy(name):
@@ -431,3 +436,90 @@ def test_non_closing_run_takes_no_dense_or_per_member_path(monkeypatch):
     assert calls == []
     assert all(np.all(np.isfinite(tr.values))
                for per in result.traces.values() for tr in per.values())
+
+
+def test_non_closing_run_takes_no_dense_or_per_member_path(monkeypatch):
+    config = parse_config(MISMATCH_CONFIG.read_text().replace("{rot_offset_13}", "0.01"))
+    assert node_potential(_assemble(config, Enantiomer.L)) is None
+    _run_without_dense_or_per_member_path(monkeypatch, config)
+
+
+@pytest.mark.parametrize("name, preparation", [
+    ("fig5-T0.5K-xxz-groundres", None), ("fig5-T0.5K-xxz-retuned", None),
+    ("fig7-1mK-xxz", None), ("restricted-loop", None), ("fig7-1mK-xxz", "adiabatic")])
+def test_run_takes_no_dense_or_per_member_path(monkeypatch, name, preparation):
+    config = builtin_config(name)
+    if preparation is not None:
+        config = replace(config, preparation=preparation)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateEigenstateWarning)
+        _run_without_dense_or_per_member_path(monkeypatch, config)
+
+
+def _check_adiabatic_members(h, thermal):
+    """Every member lies in its bare state's block, as a unit eigenvector of
+    that block's H(0)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateEigenstateWarning)
+        ens = prepare_initial("adiabatic", h, thermal)
+    blocks = components(h)
+    rots = [rot for rot, w in thermal.items() if w > 0]
+    assert ens.weights.tolist() == [thermal[rot] for rot in rots]
+    h0 = h.evaluate(0.0)
+    for k, rot in enumerate(rots):
+        bare = h.index(LevelIndex(1, rot))
+        idx = next(b for b in blocks if bare in b)
+        sel = ens.member == k
+        assert set(ens.level[sel].tolist()) <= set(idx.tolist())
+        psi = np.zeros(len(idx), dtype=complex)
+        psi[np.searchsorted(idx, ens.level[sel])] = ens.amp[sel]
+        block = h0[np.ix_(idx, idx)]
+        energy = np.vdot(psi, block @ psi).real
+        assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
+        assert np.linalg.norm(block @ psi - energy * psi) < 1e-12
+
+
+@pytest.mark.parametrize("tag", ["L", "R"])
+def test_adiabatic_members_are_block_eigenvectors_on_fig7(tag):
+    config = builtin_config("fig7-1mK-xxz")
+    thermal = thermal_rot_state(config.temperature, config.constants, config.trunc,
+                                cutoff_mass=config.truncation_mass)
+    _check_adiabatic_members(_assemble(config, Enantiomer(tag)), thermal)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    pols=st.tuples(POLARIZATION, POLARIZATION, POLARIZATION),
+    offsets=st.tuples(*[st.floats(-3, 3)] * 3),
+    peaks=st.tuples(*[st.floats(0.1, 2.0)] * 3),
+    temperature=st.sampled_from([0.0, 0.05, 0.5]),
+    jmax=st.integers(1, 2),
+)
+def test_adiabatic_members_are_block_eigenvectors(pols, offsets, peaks, temperature, jmax):
+    trunc = BasisTruncation(jmax)
+    lasers = [LaserSpec(drives=d, polarization=p, peak_rabi=w, rot_offset=o)
+              for d, p, w, o in zip(((1, 2), (2, 3), (1, 3)), pols, peaks, offsets)]
+    try:
+        h = assemble(lasers, DipoleModel.z_aligned(), Enantiomer.L, D2S2, trunc)
+    except EmptyCouplingError:
+        assume(False)
+    _check_adiabatic_members(h, thermal_rot_state(temperature, D2S2, trunc, cutoff_mass=1.0))
+
+
+def test_adiabatic_blocks_match_dense_preparation_on_fig7():
+    # the dense H(0) rule: each bare state's maximum-overlap eigenvector
+    config = replace(builtin_config("fig7-1mK-xxz"), preparation="adiabatic")
+    thermal = thermal_rot_state(config.temperature, config.constants, config.trunc,
+                                cutoff_mass=config.truncation_mass)
+    for who in (Enantiomer.L, Enantiomer.R):
+        h = _assemble(config, who)
+        vals, vecs = np.linalg.eigh(h.evaluate(0.0))
+        members = [(w, vecs[:, np.argmax(np.abs(vecs[h.index(LevelIndex(1, rot))]))])
+                   for rot, w in thermal.items() if w > 0]
+        dense = from_members(h.n, members)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateEigenstateWarning)
+            blocks = prepare_initial("adiabatic", h, thermal)
+        traces = ensemble_potential_trace(h, {"dense": dense, "blocks": blocks}, config.t_end,
+                                          config.n_times)
+        assert np.max(np.abs(traces["dense"].values - traces["blocks"].values)) < 1e-12
