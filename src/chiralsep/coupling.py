@@ -7,6 +7,9 @@ A coupling factorizes as
 
 with I the orientation integral from `wigner`.  Chirality enters as a sign
 flip of the vibrational matrix element on flagged transitions.
+`rabi_frequency` takes a whole array of pairs of one laser in one call and
+evaluates the sums in the single-pair order, so every value is the one the
+sum over sigma' and sigma gives term by term.
 
 Helicity convention for the field triples (E_{-1}, E_0, E_{+1}):
 
@@ -26,7 +29,9 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .wigner import rot_integral
+import numpy as np
+
+from .wigner import rot_integrals
 
 SQRT2 = math.sqrt(2.0)
 
@@ -132,32 +137,49 @@ class DipoleModel:
             raise UnknownTransitionError(f"no dipole declared for pair {pair}") from None
 
 
-def rabi_frequency(final, initial, laser: LaserSpec, dipole: DipoleModel,
-                   who: Enantiomer = Enantiomer.L, x: float = 0.0) -> complex:
-    """Complex Rabi frequency (GHz) for final <- initial at position x.
+def _times(c: complex, z: np.ndarray) -> np.ndarray:
+    """c * z per entry with Python's complex product, one rounding per real operation.
 
-    `final` and `initial` are LevelIndex-like objects with .vib and .rot.
-    The pair must match the laser's driven vibrational pair (either order of
-    the matrix element; the returned value is for absorption f <- i when
-    final.vib > initial.vib).
+    numpy's own complex multiply may fuse the products, which changes the
+    last bit when both factors are fully complex.
     """
-    pair = (min(final.vib, initial.vib), max(final.vib, initial.vib))
-    if pair != tuple(laser.drives):
-        raise UnknownTransitionError(
-            f"laser drives {laser.drives}, not {pair}"
-        )
+    c = complex(c)
+    out = np.empty(len(z), dtype=complex)
+    out.real = c.real * z.real - c.imag * z.imag
+    out.imag = c.real * z.imag + c.imag * z.real
+    return out
+
+
+def rabi_frequency(final: np.ndarray, initial: np.ndarray, laser: LaserSpec,
+                   dipole: DipoleModel, who: Enantiomer = Enantiomer.L,
+                   x: float = 0.0) -> np.ndarray:
+    """Complex Rabi frequencies (GHz) of many pairs final <- initial at position x.
+
+    `final` and `initial` are (vib, J, K, M) integer arrays of shape
+    (4, pairs) with |M_f - M_i| <= 1 and |K_f - K_i| <= 1.  Every pair must
+    match the laser's driven vibrational pair (either order of the matrix
+    element; the value is for absorption f <- i when final vib > initial
+    vib).  The sums over sigma' and sigma run in that order for every pair,
+    so each value equals the single-pair sum term by term.
+    """
+    final, initial = np.asarray(final), np.asarray(initial)
+    pair = tuple(laser.drives)
+    lo, hi = np.minimum(final[0], initial[0]), np.maximum(final[0], initial[0])
+    if np.any(lo != pair[0]) or np.any(hi != pair[1]):
+        raise UnknownTransitionError(f"laser drives {pair}; some pair couples other levels")
     trans = dipole.get(pair)
     field_triple = laser.helicity_triple()
-    total = 0j
+    orient = rot_integrals(final[1:], initial[1:])
+    sigma, sigma_p = final[3] - initial[3], final[2] - initial[2]
+    total = np.zeros(len(orient), dtype=complex)
     for sp, mu in zip((-1, 0, 1), trans.mu):
         if mu == 0:
             continue
-        orient = 0j
+        part = np.zeros(len(orient), dtype=complex)
         for s, amp in zip((-1, 0, 1), field_triple):
             if amp == 0:
                 continue
-            orient += amp * rot_integral(final.rot, initial.rot, s, sp)
-        total += mu * orient
+            part += _times(amp, np.where((sigma == s) & (sigma_p == sp), orient, 0.0))
+        total += _times(mu, part)
     sign = -1.0 if (who is Enantiomer.R and trans.chiral_sign_flip) else 1.0
-    return sign * laser.peak_rabi * laser.beam(x) * total
-
+    return _times(sign * laser.peak_rabi * laser.beam(x), total)

@@ -17,8 +17,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .coupling import DipoleModel, Enantiomer, LaserSpec, rabi_frequency
-from .rotbasis import BasisTruncation, RotorConstants, RotState, enumerate_basis, rot_energy
+from . import coupling
+from .coupling import DipoleModel, Enantiomer, LaserSpec
+from .rotbasis import BasisTruncation, RotorConstants, RotState, enumerate_basis
 
 
 class EmptyCouplingError(ValueError):
@@ -99,52 +100,60 @@ def assemble(
     Partners of each lower state come from the selection rules: Delta J in
     {0, +-1}, Delta M from the laser's helicities and Delta K from the
     dipole's components, kept when the basis holds them.  Each laser's
-    transitions are ordered by (final, initial) basis position.
+    transitions are ordered by (final, initial) basis position, evaluated
+    in one `coupling.rabi_frequency` call, and exact zeros are dropped.
     """
     if basis is None:
         basis = product_basis(trunc)
     basis = tuple(basis)
-    pos = {(lvl.vib, lvl.rot.J, lvl.rot.K, lvl.rot.M): k for k, lvl in enumerate(basis)}
+    n = len(basis)
+    qn = np.array([(lvl.vib, lvl.rot.J, lvl.rot.K, lvl.rot.M) for lvl in basis],
+                  dtype=np.int64).reshape(n, 4).T
+    vib, j, k, m = qn
+    # rot_energy of every level, in its operation order
+    energy = constants.c * j * (j + 1) + (constants.a - constants.c) * k**2
+    # integer (vib, J, K, M) codes; the radix also covers the candidates'
+    # J = -1 and |K|, |M| = Jmax + 1
+    r = 2 * int(j.max(initial=0)) + 4
+
+    def code(v, jj, kk, mm):
+        return ((v * r + jj + r // 2) * r + kk + r // 2) * r + mm + r // 2
+
+    codes = code(vib, j, k, m)
+    order = np.argsort(codes, kind="stable")
+    codes = codes[order]
     fin, ini, omega, delta = [], [], [], []
     for laser in lasers:
         vi, vf = laser.drives
         sigmas = [s for s, amp in zip((-1, 0, 1), laser.helicity_triple()) if amp != 0]
         sps = [sp for sp, mu in zip((-1, 0, 1), dipole.get((vi, vf)).mu) if mu != 0]
-        pairs = []
-        for i, lower in enumerate(basis):
-            if lower.vib != vi:
-                continue
-            r = lower.rot
-            for jf in (r.J - 1, r.J, r.J + 1):
-                for s in sigmas:
-                    for sp in sps:
-                        f = pos.get((vf, jf, r.K + sp, r.M + s))
-                        if f is not None:
-                            pairs.append((f, i))
-        pairs.sort()
-        count = 0
-        for f, i in pairs:
-            # exact zeros of the 3j symbols still fall out of rabi
-            w = rabi_frequency(basis[f], basis[i], laser, dipole, who, x)
-            if w == 0:
-                continue
-            d = (rot_energy(basis[f].rot, constants) - rot_energy(basis[i].rot, constants)
-                 - laser.rot_offset)
-            fin.append(f)
-            ini.append(i)
-            omega.append(w)
-            delta.append(d)
-            count += 1
-        if count == 0:
+        # candidates (vf, J + dj, K + sigma', M + sigma), axes (lower, dj, sigma, sigma')
+        lower, dj, s, sp = np.ix_(np.flatnonzero(vib == vi), (-1, 0, 1), sigmas, sps)
+        want = code(vf, j[lower] + dj, k[lower] + sp, m[lower] + s)
+        lower = np.broadcast_to(lower, want.shape).ravel()
+        want = want.ravel()
+        # the last basis position holding each code, as a dict would keep
+        at = np.searchsorted(codes, want, side="right") - 1
+        hit = codes[at] == want
+        pairs = np.sort(order[at[hit]] * n + lower[hit], kind="stable")
+        f, i = pairs // n, pairs % n
+        w = coupling.rabi_frequency(qn[:, f], qn[:, i], laser, dipole, who, x)
+        keep = w != 0
+        if not keep.any():
             raise EmptyCouplingError(
                 f"laser driving {laser.drives} couples nothing in the truncated basis"
             )
+        f, i = f[keep], i[keep]
+        fin.append(f)
+        ini.append(i)
+        omega.append(w[keep])
+        delta.append(energy[f] - energy[i] - laser.rot_offset)
     return CouplingMatrix(
         basis=basis,
-        fin=np.asarray(fin, dtype=int),
-        ini=np.asarray(ini, dtype=int),
-        omega=np.asarray(omega, dtype=complex),
-        delta=np.asarray(delta, dtype=float),
+        fin=np.concatenate([np.empty(0, dtype=int)] + fin),
+        ini=np.concatenate([np.empty(0, dtype=int)] + ini),
+        omega=np.concatenate([np.empty(0, dtype=complex)] + omega),
+        delta=np.concatenate([np.empty(0)] + delta),
     )
 
 

@@ -65,6 +65,8 @@ MAX_TRACE_BYTES = 2**30  # the static kernel's largest array
 MAX_MIDPOINT_STEPS = 10**6  # steps of the midpoint schedule
 #: relative eigenvalue gap below which an adiabatic assignment warns
 GAP_WARN = 1e-9
+#: bare-state overlaps this close (relative) to the largest count as a tie
+TIE_RTOL = 1e-12
 
 
 class StepTooLargeError(ValueError):
@@ -125,12 +127,12 @@ def node_potential(h: CouplingMatrix, tol: float = 1e-10):
     does not close.
     """
     n = h.n
-    f = np.zeros(n)
-    seen = np.zeros(n, dtype=bool)
+    f = [0.0] * n
+    seen = [False] * n
     adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for a, b, d in zip(h.fin, h.ini, h.delta):
-        adj[a].append((b, -float(d)))
-        adj[b].append((a, float(d)))
+    for a, b, d in zip(h.fin.tolist(), h.ini.tolist(), h.delta.tolist()):
+        adj[a].append((b, -d))
+        adj[b].append((a, d))
     for root in range(n):
         if seen[root]:
             continue
@@ -143,6 +145,7 @@ def node_potential(h: CouplingMatrix, tol: float = 1e-10):
                     seen[v] = True
                     f[v] = f[u] + step
                     stack.append(v)
+    f = np.array(f)
     resid = np.max(np.abs(f[h.fin] - f[h.ini] - h.delta), initial=0.0)
     return f if resid <= tol else None
 
@@ -162,7 +165,11 @@ def components(h: CouplingMatrix) -> list[np.ndarray]:
 
     for a, b in zip(h.fin.tolist(), h.ini.tolist()):
         ra, rb = root(a), root(b)
-        parent[max(ra, rb)] = min(ra, rb)  # the root is the smallest member
+        # the root is the smallest member (comparisons, not max/min: a hot loop)
+        if ra < rb:
+            parent[rb] = ra
+        else:
+            parent[ra] = rb
     labels = np.array([root(a) for a in range(h.n)], dtype=int)
     order = np.argsort(labels, kind="stable")
     return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
@@ -520,7 +527,9 @@ def prepare_initial(
     mode "adiabatic": each thermal bare state mapped to the eigenvector of
     its block's H(0) with the largest overlap; warns when that eigenvalue
     lies within GAP_WARN times the block's largest |eigenvalue| of another
-    one of the block.
+    one of the block.  Overlaps within TIE_RTOL (relative) of the largest
+    are a tie, which takes the lowest eigenvalue and warns with the tied
+    eigenvalues, so rounding cannot split L from R.
     mode "partially-dressed": the vibrational amplitude triple
     `vib_amplitudes` (a rotationless dressed state) tensored with each
     thermal rotational basis state.
@@ -548,7 +557,18 @@ def prepare_initial(
             if c not in eig:
                 eig[c] = np.linalg.eigh(_block_matrix(*edges(c), 0.0))
             vals, vecs = eig[c]
-            n = int(np.argmax(np.abs(vecs[local[bare], :])))
+            overlap = np.abs(vecs[local[bare], :])
+            # overlaps within TIE_RTOL of the largest tie; eigh sorts vals
+            # ascending, so the first tied eigenvector has the lowest eigenvalue
+            tied = np.flatnonzero(overlap >= (1.0 - TIE_RTOL) * np.max(overlap))
+            n = int(tied[0])
+            if len(tied) > 1:
+                warnings.warn(
+                    f"adiabatic assignment for {rot}: bare-state overlaps tie for "
+                    f"eigenvalues {', '.join(f'{vals[t]:.12g}' for t in tied)} GHz; "
+                    "took the lowest",
+                    DegenerateEigenstateWarning, stacklevel=2,
+                )
             gaps = np.abs(vals - vals[n])
             gaps[n] = np.inf
             if np.min(gaps) < GAP_WARN * max(np.max(np.abs(vals)), 1e-300):

@@ -1,9 +1,10 @@
 """Exact Wigner 3j symbols and the rotational three-D-matrix integral.
 
 The 3j symbol is evaluated with the Racah sum using exact big-integer
-rationals; the only floating-point operation is the final square root.
-Invalid couplings (triangle violation, m1 + m2 + m3 != 0) return 0 by
-convention.  Only integer angular momenta are supported.
+rationals (Edmonds, Angular Momentum in Quantum Mechanics, 1957) and
+cached per argument tuple.  Invalid couplings (triangle violation,
+m1 + m2 + m3 != 0) return 0 by convention.  Only integer angular momenta
+are supported.
 
 The orientation integral over three rotation matrices reduces to
 
@@ -12,6 +13,13 @@ The orientation integral over three rotation matrices reduces to
         * 3j(J_f, 1, J_i; K_f, -sigma', -K_i)
 
 which carries all rotational selection rules of the dipole coupling.
+`rot_integrals` evaluates it for a whole array of pairs: one cached 3j
+lookup per distinct argument tuple, the exact squares combined as integer
+numerators and denominators, then one float division and one square root
+per pair.  Both integers stay below 2**53, so the division is correctly
+rounded and equals the float of the exact rational square.  That holds for
+every pair up to J ~ 250; beyond it the products are checked and a pair
+that leaves the exact range raises ValueError.
 """
 
 from __future__ import annotations
@@ -20,7 +28,10 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .rotbasis import RotState
+import numpy as np
+
+#: integers below this convert to float64 exactly
+EXACT_LIMIT = 2**53
 
 
 @lru_cache(maxsize=None)
@@ -63,18 +74,53 @@ def three_j_exact(j1: int, j2: int, j3: int, m1: int, m2: int, m3: int) -> tuple
     return sign, pref * total * total
 
 
-def rot_integral(final: RotState, initial: RotState, sigma: int, sigma_prime: int) -> float:
-    """Orientation factor <J_f K_f M_f| D^1*_{sigma sigma'} |J_i K_i M_i>.
+def _exact_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b for non-negative int64 arrays, refused unless every product is below 2**53."""
+    if np.any(a > (EXACT_LIMIT - 1) // np.maximum(b, 1)):
+        raise ValueError("3j square exceeds the exact float64 integer range (J too large)")
+    return a * b
 
-    sigma and sigma_prime are in {-1, 0, 1}.  Nonzero only for
-    Delta J in {0, +-1}, M_f = M_i + sigma and K_f = K_i + sigma_prime.
+
+def _three_j_table(j_f, j_i, x_f, x_i):
+    """(sign, numerator, denominator) of 3j(J_f, 1, J_i; x_f, x_i - x_f, -x_i) per entry.
+
+    three_j_exact runs once per distinct argument tuple; the entries find
+    their tuple by searchsorted on an integer code of (J_f, J_i, x_f, x_i).
     """
-    s1, sq1 = three_j_exact(final.J, 1, initial.J, final.M, -sigma, -initial.M)
-    if s1 == 0:
-        return 0.0
-    s2, sq2 = three_j_exact(final.J, 1, initial.J, final.K, -sigma_prime, -initial.K)
-    if s2 == 0:
-        return 0.0
-    phase = (-1) ** (-initial.K + initial.M + sigma_prime - sigma)
-    square = Fraction((2 * final.J + 1) * (2 * initial.J + 1)) * sq1 * sq2
-    return phase * s1 * s2 * math.sqrt(square.numerator / square.denominator)
+    r = 2 * int(max(j_f.max(), j_i.max())) + 3
+    codes = ((j_f * r + j_i) * r + x_f + r // 2) * r + x_i + r // 2
+    keys = np.sort(codes, kind="stable")  # distinct codes; np.unique would import numpy.ma
+    keys = keys[np.append(True, keys[1:] != keys[:-1])]
+    rows = zip((keys // r**3).tolist(), (keys // r**2 % r).tolist(),
+               (keys // r % r - r // 2).tolist(), (keys % r - r // 2).tolist())
+    table = [three_j_exact(jf, 1, ji, xf, xi - xf, -xi) for jf, ji, xf, xi in rows]
+    num = [square.numerator for _, square in table]
+    den = [square.denominator for _, square in table]
+    if max(num + den) >= EXACT_LIMIT:
+        raise ValueError("3j square exceeds the exact float64 integer range (J too large)")
+    sign, num, den = (np.array(a, dtype=np.int64) for a in ([s for s, _ in table], num, den))
+    at = np.searchsorted(keys, codes)
+    return sign[at], num[at], den[at]
+
+
+def rot_integrals(final: np.ndarray, initial: np.ndarray) -> np.ndarray:
+    """Orientation factors <J_f K_f M_f| D^1*_{sigma sigma'} |J_i K_i M_i> of many pairs.
+
+    `final` and `initial` are (J, K, M) integer arrays of shape (3, pairs)
+    with |M_f - M_i| <= 1 and |K_f - K_i| <= 1; each pair takes
+    sigma = M_f - M_i and sigma' = K_f - K_i, the only helicities for which
+    the integral can be nonzero.  Zero 3j symbols give +0.0.
+    """
+    j_f, k_f, m_f = (np.asarray(a, dtype=np.int64) for a in final)
+    j_i, k_i, m_i = (np.asarray(a, dtype=np.int64) for a in initial)
+    if len(j_f) == 0:
+        return np.zeros(0)
+    # the M and K symbols share one table
+    sign, num, den = _three_j_table(np.concatenate([j_f, j_f]), np.concatenate([j_i, j_i]),
+                                    np.concatenate([m_f, k_f]), np.concatenate([m_i, k_i]))
+    p = len(j_f)
+    sigma, sigma_p = m_f - m_i, k_f - k_i
+    phase = 1 - 2 * ((-k_i + m_i + sigma_p - sigma) % 2)
+    square_num = _exact_product(_exact_product((2 * j_f + 1) * (2 * j_i + 1), num[:p]), num[p:])
+    square_den = _exact_product(den[:p], den[p:])
+    return phase * sign[:p] * sign[p:] * np.sqrt(square_num / square_den)

@@ -22,7 +22,9 @@ from chiralsep.propagate import (Ensemble, _block_midpoint, _midpoint_schedule,
 from chiralsep.rotbasis import D2S2, BasisTruncation, RotState, enumerate_basis
 from chiralsep.scenarios import builtin_config, loop_census, run_scenario, _assemble
 from chiralsep.units import HARTREE_GHZ, OMEGA12_MAX_GHZ
-from chiralsep.wigner import rot_integral, three_j_exact
+from chiralsep.wigner import rot_integrals, three_j_exact
+
+import oracle
 
 
 def xxz_lasers():
@@ -64,21 +66,22 @@ def test_three_j_matches_independent_exact_oracle():
 def test_rot_integral_selection_rules_are_exact():
     t0 = time.time()
     basis = enumerate_basis(BasisTruncation(3))
-    for f in basis:
-        for i in basis:
-            for s in (-1, 0, 1):
-                for sp in (-1, 0, 1):
-                    val = rot_integral(f, i, s, sp)
-                    rule = (
-                        abs(f.J - i.J) <= 1
-                        and not (f.J == 0 and i.J == 0)
-                        and f.M == i.M + s
-                        and f.K == i.K + sp
-                        # zero-lower-row symbols vanish when J_f = J_i
-                        and not (f.J == i.J and s == 0 and f.M == 0 and i.M == 0)
-                        and not (f.J == i.J and sp == 0 and f.K == 0 and i.K == 0)
-                    )
-                    assert (val != 0) == rule, (f, i, s, sp, val)
+    # every pair a dipole helicity (sigma, sigma') in {-1, 0, 1}^2 can reach
+    pairs = [(f, i) for f in basis for i in basis
+             if abs(f.M - i.M) <= 1 and abs(f.K - i.K) <= 1]
+    vals = rot_integrals(np.array([(f.J, f.K, f.M) for f, _ in pairs]).T,
+                         np.array([(i.J, i.K, i.M) for _, i in pairs]).T)
+    for (f, i), val in zip(pairs, vals.tolist()):
+        s, sp = f.M - i.M, f.K - i.K
+        rule = (
+            abs(f.J - i.J) <= 1
+            and not (f.J == 0 and i.J == 0)
+            # zero-lower-row symbols vanish when J_f = J_i
+            and not (f.J == i.J and s == 0 and f.M == 0 and i.M == 0)
+            and not (f.J == i.J and sp == 0 and f.K == 0 and i.K == 0)
+        )
+        assert (val != 0) == rule, (f, i, s, sp, val)
+        assert val == oracle.rot_integral(f, i, s, sp), (f, i)
     elapsed = time.time() - t0
     assert elapsed < 5.0
     print(f"\norientation-integral selection rules exhaustive to Jmax=3 "
@@ -175,7 +178,7 @@ def test_restricted_loop_recovers_scaled_dressed_eigenvalues():
             flat = max(flat, float(np.max(np.abs(tr.values - tr.values[0]))))
     assert flat < 1e-8
     # equal to the rotationless dressed eigenvalues times the orientation factor
-    orient = rot_integral(RotState(1, 1, 1), RotState(1, 1, 1), 0, 0)
+    (orient,) = rot_integrals(np.array([[1, 1, 1]]).T, np.array([[1, 1, 1]]).T)
     assert orient == 0.5
     with pytest.warns(UserWarning):
         rotless, _ = dress((1.0, 1.0, 1.0))

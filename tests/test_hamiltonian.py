@@ -11,7 +11,6 @@ from chiralsep.coupling import (
     DipoleTransition,
     Enantiomer,
     LaserSpec,
-    rabi_frequency,
 )
 from chiralsep.hamiltonian import (
     BasisNotClosedError,
@@ -24,6 +23,7 @@ from chiralsep.hamiltonian import (
     product_basis,
 )
 from chiralsep.rotbasis import D2S2, BasisTruncation, RotState, enumerate_basis, rot_energy
+from oracle import rabi_frequency
 
 
 def lasers(p12, p23, p13, offsets=(0.0, 0.0, 0.0)):
@@ -196,3 +196,37 @@ def test_assemble_matches_brute_force_pair_enumeration(data):
     assert h.ini.tolist() == list(ini)
     assert h.omega.tolist() == list(omega)
     assert h.delta.tolist() == list(delta)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_enantiomers_share_edges_and_differ_by_the_flagged_signs(data):
+    # the edge-level fact that lets R follow from L: same edges, same
+    # detunings, and omega_R = -omega_L exactly on flagged lasers' edges
+    trunc = BasisTruncation(data.draw(st.integers(1, 2), label="jmax"))
+    pols = data.draw(st.tuples(POLARIZATION, POLARIZATION, POLARIZATION), label="pols")
+    flags = data.draw(st.tuples(*[st.booleans()] * 3), label="flip")
+    pairs = ((1, 2), (2, 3), (1, 3))
+    dipole = DipoleModel({pair: DipoleTransition(mu=mu, chiral_sign_flip=flip)
+                          for pair, mu, flip in zip(
+                              pairs, data.draw(st.tuples(DIPOLE, DIPOLE, DIPOLE), label="mu"),
+                              flags)})
+    x = data.draw(st.sampled_from([0.0, 0.4]), label="x")
+    try:
+        hl = assemble(lasers(*pols), dipole, Enantiomer.L, D2S2, trunc, x=x)
+    except EmptyCouplingError:
+        with pytest.raises(EmptyCouplingError):
+            assemble(lasers(*pols), dipole, Enantiomer.R, D2S2, trunc, x=x)
+        return
+    hr = assemble(lasers(*pols), dipole, Enantiomer.R, D2S2, trunc, x=x)
+    assert hl.fin.tobytes() == hr.fin.tobytes()
+    assert hl.ini.tobytes() == hr.ini.tobytes()
+    assert hl.delta.tobytes() == hr.delta.tobytes()
+    vib = np.array([lvl.vib for lvl in hl.basis])
+    flagged = np.zeros(len(hl.fin), dtype=bool)
+    for pair, flip in zip(pairs, flags):
+        flagged |= flip & (vib[hl.ini] == pair[0]) & (vib[hl.fin] == pair[1])
+    assert hr.omega[~flagged].tobytes() == hl.omega[~flagged].tobytes()
+    # exact, and bitwise except where a zero real or imaginary part may
+    # carry either sign
+    assert np.array_equal(hr.omega[flagged], -hl.omega[flagged])

@@ -17,6 +17,7 @@ from chiralsep.propagate import (
     Ensemble,
     MismatchedGridError,
     PotentialTrace,
+    TIE_RTOL,
     StepTooLargeError,
     components,
     default_dt,
@@ -506,15 +507,44 @@ def test_adiabatic_members_are_block_eigenvectors(pols, offsets, peaks, temperat
     _check_adiabatic_members(h, thermal_rot_state(temperature, D2S2, trunc, cutoff_mass=1.0))
 
 
+def test_adiabatic_overlap_tie_takes_the_lowest_eigenvalue_on_fig7():
+    # at jmax 5 the ground state's block has a +-0.0496 GHz pair whose
+    # bare-state overlaps agree to rounding; argmax alone split L from R
+    config = replace(builtin_config("fig7-1mK-xxz", jmax=5), preparation="adiabatic")
+    thermal = thermal_rot_state(config.temperature, config.constants, config.trunc,
+                                cutoff_mass=config.truncation_mass)
+    ground = [rot for rot, w in thermal.items() if w > 0].index(RotState(0, 0, 0))
+    energies = {}
+    for who in (Enantiomer.L, Enantiomer.R):
+        h = _assemble(config, who)
+        with pytest.warns(DegenerateEigenstateWarning) as record:
+            ens = prepare_initial("adiabatic", h, thermal)
+        assert any("|0 0 0>: bare-state overlaps tie for eigenvalues -0.0496" in str(w.message)
+                   and ", 0.0496" in str(w.message) for w in record)
+        h0 = h.evaluate(0.0)
+        energies[who] = []
+        for k in range(len(ens.weights)):
+            psi = np.zeros(h.n, dtype=complex)
+            psi[ens.level[ens.member == k]] = ens.amp[ens.member == k]
+            energies[who].append(np.vdot(psi, h0 @ psi).real)
+    assert energies[Enantiomer.L][ground] < 0  # |0 0 0> takes -0.0496 GHz
+    assert np.sign(energies[Enantiomer.L]).tolist() == np.sign(energies[Enantiomer.R]).tolist()
+
+
 def test_adiabatic_blocks_match_dense_preparation_on_fig7():
-    # the dense H(0) rule: each bare state's maximum-overlap eigenvector
+    # the dense H(0) rule: each bare state's maximum-overlap eigenvector, an
+    # overlap tie (within TIE_RTOL) going to the lowest eigenvalue
     config = replace(builtin_config("fig7-1mK-xxz"), preparation="adiabatic")
     thermal = thermal_rot_state(config.temperature, config.constants, config.trunc,
                                 cutoff_mass=config.truncation_mass)
+
+    def pick(overlap):
+        return np.flatnonzero(overlap >= (1.0 - TIE_RTOL) * np.max(overlap))[0]
+
     for who in (Enantiomer.L, Enantiomer.R):
         h = _assemble(config, who)
         vals, vecs = np.linalg.eigh(h.evaluate(0.0))
-        members = [(w, vecs[:, np.argmax(np.abs(vecs[h.index(LevelIndex(1, rot))]))])
+        members = [(w, vecs[:, pick(np.abs(vecs[h.index(LevelIndex(1, rot))]))])
                    for rot, w in thermal.items() if w > 0]
         dense = from_members(h.n, members)
         with warnings.catch_warnings():

@@ -3,10 +3,12 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+import oracle
 from chiralsep.rotbasis import RotState
-from chiralsep.wigner import rot_integral, three_j_exact
+from chiralsep.wigner import rot_integrals, three_j_exact
 
 
 def three_j(*args):
@@ -78,18 +80,47 @@ ROT_CASES = [
 ]
 
 
+def rot_integral(final, initial):
+    """rot_integrals of the single pair final <- initial, as (J, K, M) tuples."""
+    (val,) = rot_integrals(np.array([final]).T, np.array([initial]).T)
+    return float(val)
+
+
 @pytest.mark.parametrize("args,expected", ROT_CASES)
 def test_rot_integral_reference_values(args, expected):
     f, i, s, sp = args
-    val = rot_integral(RotState(*f), RotState(*i), s, sp)
+    assert (s, sp) == (f[2] - i[2], f[1] - i[1])  # the helicities the pair implies
+    val = rot_integral(f, i)
     assert val == pytest.approx(expected, abs=1e-15)
+    assert val == oracle.rot_integral(RotState(*f), RotState(*i), s, sp)
 
 
 def test_rot_integral_selection_rules():
-    f, i = RotState(2, 1, 1), RotState(1, 1, 1)
-    # wrong Delta M for sigma
-    assert rot_integral(f, i, 1, 0) == 0.0
-    # wrong Delta K for sigma'
-    assert rot_integral(f, i, 0, 1) == 0.0
     # Delta J = 2
-    assert rot_integral(RotState(3, 1, 1), i, 0, 0) == 0.0
+    assert rot_integral((3, 1, 1), (1, 1, 1)) == 0.0
+    # Delta J = 0 with a zero lower row in the M symbol, then in the K symbol
+    assert rot_integral((2, 1, 0), (2, 1, 0)) == 0.0
+    assert rot_integral((2, 0, 1), (2, 0, 1)) == 0.0
+    # J = 0 to J = 0
+    assert rot_integral((0, 0, 0), (0, 0, 0)) == 0.0
+
+
+def test_rot_integrals_match_the_per_pair_oracle_at_large_j():
+    pairs = [((j + dj, k + dk, j - 1 + dm), (j, k, j - 1))
+             for j in (40, 200) for k in (0, j // 2, j)
+             for dj in (-1, 0, 1) for dk in (-1, 0, 1) for dm in (-1, 0, 1)
+             if max(abs(k + dk), abs(j - 1 + dm)) <= j + dj]
+    vals = rot_integrals(np.array([f for f, _ in pairs]).T, np.array([i for _, i in pairs]).T)
+    for (f, i), val in zip(pairs, vals.tolist()):
+        ref = oracle.rot_integral(RotState(*f), RotState(*i), f[2] - i[2], f[1] - i[1])
+        assert val == ref, (f, i)
+
+
+def test_rot_integrals_refuse_squares_beyond_exact_float_integers():
+    # at J = 10^4 the product of the two 3j denominators passes 2**53
+    final = np.array([[10_001], [0], [0]])
+    initial = np.array([[10_000], [0], [0]])
+    with pytest.raises(ValueError, match="exact float64"):
+        rot_integrals(final, initial)
+    assert rot_integral((1001, 0, 0), (1000, 0, 0)) == oracle.rot_integral(
+        RotState(1001, 0, 0), RotState(1000, 0, 0), 0, 0)
