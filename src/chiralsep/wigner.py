@@ -89,7 +89,8 @@ def _three_j_table(j_f, j_i, x_f, x_i):
     """
     r = 2 * int(max(j_f.max(), j_i.max())) + 3
     codes = ((j_f * r + j_i) * r + x_f + r // 2) * r + x_i + r // 2
-    keys = np.sort(codes, kind="stable")  # distinct codes; np.unique would import numpy.ma
+    # distinct codes; plain np.unique takes a hash path that imports numpy.ma (~1 MB)
+    keys = np.sort(codes, kind="stable")
     keys = keys[np.append(True, keys[1:] != keys[:-1])]
     rows = zip((keys // r**3).tolist(), (keys // r**2 % r).tolist(),
                (keys // r % r - r // 2).tolist(), (keys % r - r // 2).tolist())
