@@ -13,7 +13,7 @@ Delta_fi = E_rot(f) - E_rot(i) - rot_offset for an absorption f <- i.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -49,10 +49,50 @@ class LevelIndex:
         return self.name
 
 
-def product_basis(trunc: BasisTruncation, vibs=(1, 2, 3)) -> list[LevelIndex]:
-    """Ordered product basis, vibrational level major, rotational order minor."""
+@lru_cache(maxsize=8)
+def product_basis(trunc: BasisTruncation, vibs=(1, 2, 3)) -> tuple[LevelIndex, ...]:
+    """Ordered product basis, vibrational level major, rotational order minor.
+
+    Built once per (trunc, vibs) and shared: a run asks for it per enantiomer.
+    """
     rots = enumerate_basis(trunc)
-    return [LevelIndex(v, r) for v in vibs for r in rots]
+    return tuple(LevelIndex(v, r) for v in vibs for r in rots)
+
+
+def basis_lookup(basis):
+    """(qn, find): the basis's quantum numbers and a search over them.
+
+    qn is the (vib, J, K, M) of every level as int64 rows, shape (4, n).
+    find(vib, J, K, M) takes integer arrays (broadcast together) and gives
+    the last basis position holding those quantum numbers, as a dict over
+    the basis would keep, or -1 where the basis has none.  It works on
+    integer codes and `searchsorted`, with no per-level object.
+    """
+    n = len(basis)
+    qn = np.array([(lvl.vib, lvl.rot.J, lvl.rot.K, lvl.rot.M) for lvl in basis],
+                  dtype=np.int64).reshape(n, 4).T
+    lo = qn.min(axis=1, initial=0)
+    size = qn.max(axis=1, initial=0) - lo + 1
+
+    def code(q):  # mixed radix over the basis's range: one code per level
+        c = 0
+        for x, low, span in zip(q, lo, size):
+            c = c * span + (x - low)
+        return c
+
+    codes = code(qn)
+    order = np.argsort(codes, kind="stable")
+    codes = codes[order]
+
+    def find(*q):
+        q = np.broadcast_arrays(*(np.asarray(x, dtype=np.int64) for x in q))
+        inside = np.logical_and.reduce([(x >= low) & (x - low < span)
+                                        for x, low, span in zip(q, lo, size)])
+        want = np.where(inside, code(q), -1)
+        at = np.searchsorted(codes, want, side="right") - 1
+        return np.where(inside & (codes[at] == want), order[at], -1)
+
+    return qn, find
 
 
 @dataclass(frozen=True)
@@ -103,25 +143,12 @@ def assemble(
     transitions are ordered by (final, initial) basis position, evaluated
     in one `coupling.rabi_frequency` call, and exact zeros are dropped.
     """
-    if basis is None:
-        basis = product_basis(trunc)
-    basis = tuple(basis)
+    basis = product_basis(trunc) if basis is None else tuple(basis)
     n = len(basis)
-    qn = np.array([(lvl.vib, lvl.rot.J, lvl.rot.K, lvl.rot.M) for lvl in basis],
-                  dtype=np.int64).reshape(n, 4).T
+    qn, find = basis_lookup(basis)
     vib, j, k, m = qn
     # rot_energy of every level, in its operation order
     energy = constants.c * j * (j + 1) + (constants.a - constants.c) * k**2
-    # integer (vib, J, K, M) codes; the radix also covers the candidates'
-    # J = -1 and |K|, |M| = Jmax + 1
-    r = 2 * int(j.max(initial=0)) + 4
-
-    def code(v, jj, kk, mm):
-        return ((v * r + jj + r // 2) * r + kk + r // 2) * r + mm + r // 2
-
-    codes = code(vib, j, k, m)
-    order = np.argsort(codes, kind="stable")
-    codes = codes[order]
     fin, ini, omega, delta = [], [], [], []
     for laser in lasers:
         vi, vf = laser.drives
@@ -129,13 +156,11 @@ def assemble(
         sps = [sp for sp, mu in zip((-1, 0, 1), dipole.get((vi, vf)).mu) if mu != 0]
         # candidates (vf, J + dj, K + sigma', M + sigma), axes (lower, dj, sigma, sigma')
         lower, dj, s, sp = np.ix_(np.flatnonzero(vib == vi), (-1, 0, 1), sigmas, sps)
-        want = code(vf, j[lower] + dj, k[lower] + sp, m[lower] + s)
-        lower = np.broadcast_to(lower, want.shape).ravel()
-        want = want.ravel()
-        # the last basis position holding each code, as a dict would keep
-        at = np.searchsorted(codes, want, side="right") - 1
-        hit = codes[at] == want
-        pairs = np.sort(order[at[hit]] * n + lower[hit], kind="stable")
+        upper = find(vf, j[lower] + dj, k[lower] + sp, m[lower] + s)
+        lower = np.broadcast_to(lower, upper.shape).ravel()
+        upper = upper.ravel()
+        hit = upper >= 0
+        pairs = np.sort(upper[hit] * n + lower[hit], kind="stable")
         f, i = pairs // n, pairs % n
         w = coupling.rabi_frequency(qn[:, f], qn[:, i], laser, dipole, who, x)
         keep = w != 0
@@ -181,21 +206,13 @@ def chirality_permutation(polarizations, basis) -> tuple[np.ndarray, np.ndarray]
     M-reversing T needs a level the basis lacks.
     """
     kind = _classify_setup(polarizations)
-    n = len(basis)
-    perm = np.arange(n)
-    sign = np.empty(n)
-    pos = {lvl: k for k, lvl in enumerate(basis)}
-    for k, lvl in enumerate(basis):
-        r = lvl.rot
-        if kind == "diag-m":
-            sign[k] = (-1.0) ** r.M
-        else:
-            img = LevelIndex(lvl.vib, RotState(r.J, r.K, -r.M))
-            if img not in pos:
-                raise BasisNotClosedError("basis is not closed under M reversal")
-            perm[k] = pos[img]
-            sign[k] = (-1.0) ** (r.J if kind == "mrev-j" else r.J + r.M)
-    return perm, sign
+    (vib, j, k, m), find = basis_lookup(basis)
+    if kind == "diag-m":
+        return np.arange(len(basis)), (-1.0) ** m
+    perm = find(vib, j, k, -m)
+    if np.any(perm < 0):
+        raise BasisNotClosedError("basis is not closed under M reversal")
+    return perm, (-1.0) ** (j if kind == "mrev-j" else j + m)
 
 
 def chirality_transform(polarizations, basis) -> np.ndarray:

@@ -17,11 +17,12 @@ Thermal mixtures are weighted ensembles of pure states stored as (member,
 level, amplitude) triplets, so no length-n member vector is formed; an
 adiabatic member is an eigenvector of its bare state's block H(0), so it
 lives inside that block.  The ensemble trace takes every branch of one
-enantiomer in one call and loops once over the blocks, with no n x n matrix
-and no per-member state.  A branch's block density matrix
-rho = sum_k w_k |psi_k><psi_k| comes from one matrix product, and one of
-two kernels evolves the stacked rho of all branches on the output grid
-np.linspace(0, t_end, n), which the trace builds itself:
+enantiomer (of both, when `scenarios.run_scenario` maps R onto H_L) in one
+call and loops once over the blocks, with no n x n matrix and no per-member
+state.  A branch's block density matrix rho = sum_k w_k |psi_k><psi_k|
+comes from one matrix product; branches whose block rho are equal by value
+share one column, and one of two kernels evolves the stacked distinct rho
+on the output grid np.linspace(0, t_end, n), which the trace builds itself:
 
 - static frame: from the block's H0 - diag(f) = V diag(eps) V^dag and
   p_n(t) = exp(-i 2 pi eps_n t) = c_n - i s_n, with the Hermitian
@@ -45,7 +46,8 @@ np.linspace(0, t_end, n), which the trace builds itself:
 
 A trace predicts its size before it builds any array and raises
 TraceTooLargeError above a fixed ceiling: MAX_TRACE_BYTES for the static
-kernel's largest array, MAX_MIDPOINT_STEPS for the midpoint schedule.
+kernel's largest array, counted with one column per branch (shared columns
+make the real array smaller), MAX_MIDPOINT_STEPS for the midpoint schedule.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonian import CouplingMatrix, LevelIndex
+from .hamiltonian import CouplingMatrix, LevelIndex, basis_lookup
 
 #: largest change, in GHz, that screening may make to any block's <H(t)>
 SCREEN_BUDGET = 1e-14
@@ -303,7 +305,9 @@ def ensemble_potential_trace(
     Mathematically identical to propagating each pure member and averaging,
     but evolves one density matrix per block and branch: in the static frame
     when a node potential exists, else with the steps of
-    `propagate(method="midpoint")`.
+    `propagate(method="midpoint")`.  Branches whose block rho are equal by
+    value (-0.0 counts as 0.0) are evolved once, as one column, and get
+    bitwise-equal values from that block.
     """
     if n < 1:
         raise ValueError(f"a trace needs n >= 1 output times, got {n}")
@@ -314,7 +318,9 @@ def ensemble_potential_trace(
     blocks, label, local, edges = _blocks(h)
     # the ceilings are checked before any array of n values is built
     if f is not None:
-        size = 16 * n * len(ensembles) * max(len(idx) for idx in blocks)  # [c; s] @ [X_1 | ...]
+        # [c; s] @ [X_1 | ...] with a column per branch: an upper bound, as
+        # branches with equal block rho share one
+        size = 16 * n * len(ensembles) * max(len(idx) for idx in blocks)
         if size > MAX_TRACE_BYTES:
             raise TraceTooLargeError(f"the static trace needs a {size / 2**30:.3g} GiB array, "
                                      f"more than {MAX_TRACE_BYTES / 2**30:.3g} GiB", by_grid=True)
@@ -334,7 +340,10 @@ def ensemble_potential_trace(
     for c, idx in enumerate(blocks):
         if len(idx) == 1:
             continue  # uncoupled level: zero-diagonal H contributes nothing
-        rhos = {}
+        # branches whose block rho are equal by value share one column:
+        # distinct holds the column rho, col maps each branch that touches
+        # the block to its column
+        distinct, col = [], {}
         for k, ens in enumerate(ensembles.values()):
             sel = np.flatnonzero(triplet_block[k] == c)
             if len(sel) == 0:
@@ -342,10 +351,17 @@ def ensemble_potential_trace(
             touch, row = np.unique(ens.member[sel], return_inverse=True)
             sub = np.zeros((len(touch), len(idx)), dtype=complex)
             sub[row, local[ens.level[sel]]] = ens.amp[sel]
-            rhos[k] = (sub.T * ens.weights[touch]) @ sub.conj()
-        if not rhos:
+            rho = (sub.T * ens.weights[touch]) @ sub.conj()
+            for j, r in enumerate(distinct):
+                if np.array_equal(r, rho):  # by value, so -0.0 == 0.0
+                    break
+            else:
+                j = len(distinct)
+                distinct.append(rho)
+            col[k] = j
+        if not col:
             continue
-        rho = np.array(list(rhos.values()))
+        rho = np.array(distinct)
         if f is None:
             vals = _block_midpoint(edges(c), rho, times, dt, steps)
             if not np.max(np.abs(vals.imag)) <= 1e-10 * max(1.0, np.max(np.abs(vals.real))):
@@ -355,7 +371,7 @@ def ensemble_potential_trace(
             vals = _block_expectations(_block_matrix(*edges(c), 0.0), f[idx], rho, times, budget)
         if not np.all(np.isfinite(vals)):
             raise ValueError("non-finite ensemble expectation")
-        totals[:, list(rhos)] += vals
+        totals[:, list(col)] += vals[:, list(col.values())]
     return {branch: PotentialTrace.from_values(times, totals[:, k] / omega_ref)
             for k, branch in enumerate(ensembles)}
 
@@ -534,25 +550,34 @@ def prepare_initial(
     `vib_amplitudes` (a rotationless dressed state) tensored with each
     thermal rotational basis state.
     """
-    pos = {lvl: k for k, lvl in enumerate(h.basis)}
     weights = [(rot, w) for rot, w in thermal.items() if w > 0]
     ws = [w for _, w in weights]
+    jkm = np.array([(rot.J, rot.K, rot.M) for rot, _ in weights], dtype=np.int64).reshape(-1, 3)
+    find = basis_lookup(h.basis)[1]
+
+    def levels(vibs):
+        """Basis positions of |vib>|rot>, shape (members, vibs)."""
+        pos = find(np.array(vibs)[None, :], *jkm.T[:, :, None])
+        missing = np.argwhere(pos < 0)
+        if len(missing):
+            k, v = missing[0]
+            raise KeyError(LevelIndex(vibs[v], weights[k][0]))
+        return pos
+
     if mode == "diabatic":
-        level = [pos[LevelIndex(1, rot)] for rot, _ in weights]
+        level = levels((1,)).ravel()
         return Ensemble.from_triplets(h.n, ws, np.arange(len(level)), level,
                                       np.ones(len(level)))
     if mode == "partially-dressed":
         if vib_amplitudes is None:
             raise ValueError("partially-dressed preparation needs vib_amplitudes")
         amps = np.asarray(vib_amplitudes, dtype=complex)
-        level = [pos[LevelIndex(m + 1, rot)] for rot, _ in weights for m in range(3)]
         return Ensemble.from_triplets(h.n, ws, np.repeat(np.arange(len(weights)), 3),
-                                      level, np.tile(amps, len(weights)))
+                                      levels((1, 2, 3)).ravel(), np.tile(amps, len(weights)))
     if mode == "adiabatic":
         blocks, label, local, edges = _blocks(h)
         eig, member, level, amp = {}, [], [], []
-        for k, (rot, _) in enumerate(weights):
-            bare = pos[LevelIndex(1, rot)]
+        for k, ((rot, _), bare) in enumerate(zip(weights, levels((1,))[:, 0].tolist())):
             c = label[bare]
             if c not in eig:
                 eig[c] = np.linalg.eigh(_block_matrix(*edges(c), 0.0))

@@ -436,39 +436,49 @@ def _branch_members(config, who, h, thermal):
 
 
 def run_scenario(config: ScenarioConfig, enantiomers=("L", "R")) -> ScenarioResult:
-    """Propagate every branch for the requested enantiomers."""
+    """Propagate every branch for the requested enantiomers.
+
+    Each enantiomer's Hamiltonian is assembled.  When the chirality
+    permutation T exists and maps H_L onto the independently assembled H_R
+    exactly (edge residual 0.0), R's ensembles are moved onto H_L as
+    T rho_R T^dag, and every branch of both enantiomers goes through one
+    `ensemble_potential_trace` call on H_L, where branches with equal block
+    rho share their kernel work.  Otherwise (a single enantiomer, a
+    restricted basis, an uncatalogued polarization mix or a nonzero
+    residual) each enantiomer is traced on its own Hamiltonian.
+    """
     thermal = thermal_rot_state(config.temperature, config.constants, config.trunc,
                                 cutoff_mass=config.truncation_mass)
-    omega_ref = config.omega12_max
-    couplings = {}
+    couplings = {tag: _assemble(config, Enantiomer(tag)) for tag in enantiomers}
+    href = couplings[enantiomers[0]]
+    transform = _transform_or_none(config, href) if set(enantiomers) == {"L", "R"} else None
+    residual = None if transform is None else max(
+        transform_residual(couplings["L"], couplings["R"], *transform, t)
+        for t in (0.0, 0.37, 1.9))
+    # the loop list is built before the trace: memory the trace frees stays
+    # resident, so a list built after it would add to the process peak
+    loops = loop_census(href)
+    ensembles = {(branch, tag): ens for tag in enantiomers for branch, ens in
+                 _branch_members(config, Enantiomer(tag), couplings[tag], thermal).items()}
+    if residual == 0.0:
+        perm, sign = transform
+        calls = [(couplings["L"], {
+            (branch, tag): ens if tag == "L" else
+            replace(ens, level=perm[ens.level], amp=ens.amp * sign[ens.level])
+            for (branch, tag), ens in ensembles.items()})]
+    else:
+        calls = [(couplings[tag], {key: ens for key, ens in ensembles.items() if key[1] == tag})
+                 for tag in enantiomers]
     traces: dict = {}
-    for tag in enantiomers:
-        who = Enantiomer(tag)
-        h = _assemble(config, who)
-        couplings[tag] = h
-        ensembles = _branch_members(config, who, h, thermal)
+    for h, group in calls:
         try:
-            per = ensemble_potential_trace(h, ensembles, config.t_end, config.n_times,
-                                           omega_ref=omega_ref)
+            per = ensemble_potential_trace(h, group, config.t_end, config.n_times,
+                                           omega_ref=config.omega12_max)
         except TraceTooLargeError as exc:
             key = "n_times" if exc.by_grid else config.t_end_key
             raise ConfigError(f"scenario.{key}: {exc}") from None
-        for branch, tr in per.items():
+        for (branch, tag), tr in per.items():
             traces.setdefault(branch, {})[tag] = tr
-
-    href = couplings[enantiomers[0]]
-    loops = loop_census(href)
-
-    residual = None
-    if set(enantiomers) == {"L", "R"}:
-        try:
-            transform = _transform_or_none(config, href)
-            residual = max(
-                transform_residual(couplings["L"], couplings["R"], *transform, t)
-                for t in (0.0, 0.37, 1.9)
-            ) if transform is not None else None
-        except UnsupportedSetupError:
-            residual = None
 
     return ScenarioResult(
         config=config,
@@ -482,10 +492,13 @@ def run_scenario(config: ScenarioConfig, enantiomers=("L", "R")) -> ScenarioResu
 
 
 def _transform_or_none(config, h):
+    """(perm, sign) of the chirality transformation over h's basis, or None
+    for an uncatalogued polarization mix or a basis that is not closed under
+    M reversal (a restricted basis need not be)."""
     try:
         return chirality_permutation(config.polarizations, h.basis)
-    except BasisNotClosedError:
-        return None  # restricted bases need not support the M-reversing T
+    except (UnsupportedSetupError, BasisNotClosedError):
+        return None
 
 
 def loop_census(h: CouplingMatrix, max_len: int = 3) -> list[list[LevelIndex]]:

@@ -1,15 +1,21 @@
-"""Per-pair reference for the orientation integral and the Rabi frequency.
+"""Per-pair and per-level references for array code in the package.
 
-The package evaluates both over whole arrays of pairs (`wigner.rot_integrals`,
-`coupling.rabi_frequency`).  This is the single-pair form in exact
-`Fraction` arithmetic, one 3j product and one square root per call, kept as
-the oracle the array code must match bit for bit.
+The package evaluates the orientation integral and the Rabi frequency over
+whole arrays of pairs (`wigner.rot_integrals`, `coupling.rabi_frequency`).
+This is the single-pair form in exact `Fraction` arithmetic, one 3j product
+and one square root per call, kept as the oracle the array code must match
+bit for bit.  Likewise `chirality_permutation` here looks each M-reversed
+level up in a dict over the basis, the reference of the integer-coded
+`hamiltonian.chirality_permutation`.
 """
 
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from chiralsep.coupling import DipoleModel, Enantiomer, LaserSpec, UnknownTransitionError
+from chiralsep.hamiltonian import BasisNotClosedError, LevelIndex, _classify_setup
 from chiralsep.rotbasis import RotState
 from chiralsep.wigner import three_j_exact
 
@@ -54,3 +60,23 @@ def rabi_frequency(final, initial, laser: LaserSpec, dipole: DipoleModel,
         total += mu * orient
     sign = -1.0 if (who is Enantiomer.R and trans.chiral_sign_flip) else 1.0
     return sign * laser.peak_rabi * laser.beam(x) * total
+
+
+def chirality_permutation(polarizations, basis):
+    """(perm, sign) of the chirality transformation, one level at a time."""
+    kind = _classify_setup(polarizations)
+    n = len(basis)
+    perm = np.arange(n)
+    sign = np.empty(n)
+    pos = {lvl: k for k, lvl in enumerate(basis)}
+    for k, lvl in enumerate(basis):
+        r = lvl.rot
+        if kind == "diag-m":
+            sign[k] = (-1.0) ** r.M
+        else:
+            img = LevelIndex(lvl.vib, RotState(r.J, r.K, -r.M))
+            if img not in pos:
+                raise BasisNotClosedError("basis is not closed under M reversal")
+            perm[k] = pos[img]
+            sign[k] = (-1.0) ** (r.J if kind == "mrev-j" else r.J + r.M)
+    return perm, sign

@@ -23,6 +23,7 @@ from chiralsep.hamiltonian import (
     product_basis,
 )
 from chiralsep.rotbasis import D2S2, BasisTruncation, RotState, enumerate_basis, rot_energy
+import oracle
 from oracle import rabi_frequency
 
 
@@ -123,6 +124,24 @@ def test_m_closure_error_is_typed():
     # the diagonal transform needs no M-reversed partners
     perm, sign = chirality_permutation(("x", "x", "x"), basis)
     assert list(perm) == [0, 1, 2] and list(sign) == [-1.0, -1.0, -1.0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(pols=st.tuples(*[st.sampled_from(["x", "y", "z", "sigma+"])] * 3), data=st.data())
+def test_chirality_permutation_matches_per_level_lookup(pols, data):
+    # subsets, shuffles and repeated levels of a jmax <= 2 basis
+    full = product_basis(BasisTruncation(data.draw(st.integers(0, 2), label="jmax")))
+    basis = data.draw(st.lists(st.sampled_from(full), max_size=60)
+                      | st.permutations(full), label="basis")
+    try:
+        expected = oracle.chirality_permutation(pols, basis)
+    except (UnsupportedSetupError, BasisNotClosedError) as exc:
+        with pytest.raises(type(exc)):
+            chirality_permutation(pols, basis)
+        return
+    perm, sign = chirality_permutation(pols, basis)
+    assert perm.tobytes() == expected[0].tobytes()
+    assert sign.tobytes() == expected[1].tobytes()
 
 
 def test_assemble_restricted_basis():

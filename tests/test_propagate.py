@@ -317,6 +317,26 @@ def test_non_hermitian_block_rho_raises():
         propagate_module._block_expectations(h0, f, rho, np.linspace(0.0, 1.0, 3))
 
 
+def test_branches_with_equal_block_rho_share_one_column(monkeypatch):
+    h = triangle([0.5, 0.3, 0.2], [0.0, 0.0, 0.0])
+    ens = Ensemble.from_triplets(3, [0.25, 0.75], [0, 1], [0, 1], [1.0, 1.0])
+    # the second member negated: the same rho, but with -0.0 where ens's rho has 0.0
+    twin = Ensemble.from_triplets(3, [0.25, 0.75], [0, 1], [0, 1], [1.0, complex(-1.0, -0.0)])
+    stacked = []
+    kernel = propagate_module._block_expectations
+
+    def spy(h0, f, rhos, *args):
+        stacked.append(len(rhos))
+        return kernel(h0, f, rhos, *args)
+
+    monkeypatch.setattr(propagate_module, "_block_expectations", spy)
+    out = ensemble_potential_trace(h, {"a": ens, "copy": ens, "twin": twin}, 1.0, 5)
+    assert stacked == [1]
+    assert out["a"].values.tobytes() == out["copy"].values.tobytes() \
+        == out["twin"].values.tobytes()
+    assert np.any(out["a"].values != 0)
+
+
 def test_trace_needs_an_output_time():
     h = triangle([0.5, 0.3, 0.2], [0.4, -0.1, 0.3])
     ens = Ensemble.from_triplets(h.n, [1.0], [0], [0], [1.0])

@@ -1,18 +1,26 @@
 """Config parsing, builtin scenarios and deterministic output."""
 
+import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
+from chiralsep import scenarios
 from chiralsep.coupling import Enantiomer, GaussianBeam
 from chiralsep.hamiltonian import chirality_permutation, chirality_transform, transform_residual
-from chiralsep.rotbasis import RotState
+from chiralsep.propagate import DegenerateEigenstateWarning, ensemble_potential_trace
+from chiralsep.rotbasis import BasisTruncation, RotState, thermal_rot_state
 from chiralsep.scenarios import (
     CONFIG_HEADER,
+    PREPARATIONS,
     ConfigError,
     ScenarioConfig,
     _assemble,
+    _branch_members,
     builtin_config,
     builtin_names,
     couplings_csv,
@@ -24,6 +32,8 @@ from chiralsep.scenarios import (
     timescale_report,
     trace_csv,
 )
+
+MISMATCH_CONFIG = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "mismatch-j1.cfg"
 
 MINIMAL = f"""\
 {CONFIG_HEADER}
@@ -208,3 +218,73 @@ def test_edge_isospectrality_residual_matches_dense():
             assert edge == pytest.approx(dense, rel=1e-12, abs=1e-15)
         assert transform_residual(hl, hr, perm, sign, t) == 0.0
         assert transform_residual(hl, bumped, perm, sign, t) > 1e-6
+
+
+def _mismatch_config():
+    return parse_config(MISMATCH_CONFIG.read_text().replace("{rot_offset_13}", "0.01"))
+
+
+@pytest.mark.parametrize("config, enantiomers, calls", [
+    (lambda: builtin_config("fig7-1mK-xxz"), ("L", "R"), 1),
+    (_mismatch_config, ("L", "R"), 1),
+    (lambda: builtin_config("restricted-loop"), ("L", "R"), 2),  # no M-reversed partners
+    (lambda: builtin_config("fig7-1mK-xxz"), ("R",), 1),
+])
+def test_r_is_traced_on_h_l_when_t_maps_h_l_onto_h_r(monkeypatch, config, enantiomers, calls):
+    traced = []
+    trace = scenarios.ensemble_potential_trace
+
+    def spy(h, *args, **kwargs):
+        traced.append(h)
+        return trace(h, *args, **kwargs)
+
+    monkeypatch.setattr(scenarios, "ensemble_potential_trace", spy)
+    res = run_scenario(config(), enantiomers)
+    assert len(traced) == calls
+    assert all(h is res.couplings[tag] for h, tag in zip(traced, enantiomers))
+    assert (res.isospectrality_residual == 0.0) == (calls == 1 and len(enantiomers) == 2)
+
+
+def test_enantiomer_order_sets_the_column_order():
+    cfg = builtin_config("fig7-1mK-xxz")
+    lr, rl = run_scenario(cfg), run_scenario(cfg, ("R", "L"))
+    assert list(rl.traces) == list(lr.traces)
+    for branch, per in rl.traces.items():
+        assert list(per) == ["R", "L"]
+        for tag in "LR":
+            assert np.max(np.abs(per[tag].values - lr.traces[branch][tag].values)) <= 1e-14
+    header = next(trace_csv(rl, 1))
+    assert header == "time_ns,time_in_inverse_Omega12,value_R,value_L\n"
+
+
+CATALOGUED = st.one_of(st.tuples(*[st.sampled_from(["x", "y", "sigma+", "sigma-"])] * 3),
+                       st.tuples(*[st.sampled_from(["z", "y"])] * 3),
+                       st.tuples(*[st.sampled_from(["z", "x"])] * 3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(pols=CATALOGUED, preparation=st.sampled_from(PREPARATIONS),
+       temperature=st.sampled_from([0.0, 0.05, 0.5]), jmax=st.integers(1, 2),
+       peaks=st.tuples(*[st.floats(0.1, 2.0)] * 3), offsets=st.tuples(*[st.floats(-3, 3)] * 2))
+def test_r_traced_on_h_l_matches_r_traced_on_h_r(pols, preparation, temperature, jmax, peaks,
+                                                offsets):
+    cfg = parse_config(MINIMAL)
+    # the 1-3 offset closes the loop
+    rot_offsets = (offsets[0], offsets[1], offsets[0] + offsets[1])
+    lasers = tuple(replace(laser, polarization=p, peak_rabi=laser.peak_rabi * w, rot_offset=o)
+                   for laser, p, w, o in zip(cfg.lasers, pols, peaks, rot_offsets))
+    cfg = replace(cfg, lasers=lasers, preparation=preparation, temperature=temperature,
+                  trunc=BasisTruncation(jmax), truncation_mass=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateEigenstateWarning)
+        res = run_scenario(cfg)
+        h_r = _assemble(cfg, Enantiomer.R)
+        thermal = thermal_rot_state(temperature, cfg.constants, cfg.trunc, cutoff_mass=1.0)
+        direct = ensemble_potential_trace(h_r, _branch_members(cfg, Enantiomer.R, h_r, thermal),
+                                          cfg.t_end, cfg.n_times, omega_ref=cfg.omega12_max)
+    event("R traced on H_L" if res.isospectrality_residual == 0.0 else "R traced on H_R")
+    # 1e-12 of the trace's scale: the two eigendecompositions' rounding grows
+    # with the values, which reach several Omega12 at the larger peaks
+    for branch, tr in direct.items():
+        scale = max(1.0, np.max(np.abs(tr.values)))
+        assert np.max(np.abs(res.traces[branch]["R"].values - tr.values)) <= 1e-12 * scale
