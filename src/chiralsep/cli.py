@@ -104,7 +104,7 @@ def _cmd_dressed_potentials(args):
     ]
     for tag in ("L", "R"):
         fieldcfg = dressedmod.FieldConfiguration.from_lasers(
-            lasers, grid, who=Enantiomer(tag))
+            lasers, grid, who=Enantiomer(tag), dipole=cfg.dipole)
         frame = dressedmod.dress_field(fieldcfg)
         omega12 = cfg.omega12_max
         rows = ["x,V_1,V_2,V_3,A_1,A_2,A_3"]

@@ -136,6 +136,11 @@ class DipoleModel:
         except KeyError:
             raise UnknownTransitionError(f"no dipole declared for pair {pair}") from None
 
+    def sign(self, pair, who: Enantiomer) -> float:
+        """The enantiomer's sign on the pair's couplings: -1 for R on a
+        pair flagged `chiral_sign_flip`, else +1."""
+        return -1.0 if who is Enantiomer.R and self.get(pair).chiral_sign_flip else 1.0
+
 
 def _times(c: complex, z: np.ndarray) -> np.ndarray:
     """c * z per entry with Python's complex product, one rounding per real operation.
@@ -181,5 +186,4 @@ def rabi_frequency(final: np.ndarray, initial: np.ndarray, laser: LaserSpec,
                 continue
             part += _times(amp, np.where((sigma == s) & (sigma_p == sp), orient, 0.0))
         total += _times(mu, part)
-    sign = -1.0 if (who is Enantiomer.R and trans.chiral_sign_flip) else 1.0
-    return _times(sign * laser.peak_rabi * laser.beam(x), total)
+    return _times(dipole.sign(pair, who) * laser.peak_rabi * laser.beam(x), total)

@@ -15,7 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import Enantiomer, LaserSpec
+from .coupling import DipoleModel, Enantiomer, LaserSpec
+
+#: relative eigenvalue gap below which `dress` warns of a degenerate frame
+GAP_WARN = 1e-9
+#: smallest adjacent-point eigenvector overlap `vector_potential` accepts
+MIN_OVERLAP = 0.9
 
 
 class DegenerateFrameWarning(UserWarning):
@@ -38,17 +43,18 @@ def loop_matrix(omega12: complex, omega23: complex, omega13: complex) -> np.ndar
     )
 
 
-def dress(omegas, gap_warn: float = 1e-9):
+def dress(omegas):
     """Diagonalize the local 3-level loop Hamiltonian.
 
     `omegas` = (omega12, omega23, omega13).  Returns (eigenvalues ascending,
     eigenvectors as columns), gauge-fixed so the largest-magnitude component
-    of each vector is real positive.  Warns on near-degeneracy.
+    of each vector is real positive.  Warns on a gap below GAP_WARN times the
+    largest |omega|.
     """
     h = loop_matrix(omegas[0], omegas[1], omegas[2])
     vals, vecs = np.linalg.eigh(h)
     scale = np.max(np.abs(omegas))
-    if scale == 0 or np.min(np.diff(vals)) < gap_warn * scale:
+    if scale == 0 or np.min(np.diff(vals)) < GAP_WARN * scale:
         warnings.warn("near-degenerate dressed levels; gauge fixing unreliable",
                       DegenerateFrameWarning, stacklevel=2)
     for n in range(3):
@@ -68,16 +74,19 @@ class FieldConfiguration:
     @classmethod
     def from_lasers(cls, lasers: list[LaserSpec], grid,
                     who: Enantiomer = Enantiomer.L,
-                    phase_profiles=None) -> "FieldConfiguration":
+                    phase_profiles=None,
+                    dipole: DipoleModel | None = None) -> "FieldConfiguration":
         """Evaluate three Gaussian beams on a grid.
 
         The rotationless reference uses the bare peak Rabi values (no
-        orientation factor).  The enantiomer enters as a global sign on all
-        three couplings.  `phase_profiles`, when given, is a list of three
-        callables x -> phase (rad) multiplied onto each beam; nonconstant
-        phases generate nonzero Berry connections.
+        orientation factor).  The enantiomer enters as `dipole.sign` on each
+        pair's coupling; without a dipole, every pair flips, as for
+        `DipoleModel.z_aligned()`.  `phase_profiles`, when given, is a list
+        of three callables x -> phase (rad) multiplied onto each beam;
+        nonconstant phases generate nonzero Berry connections.
         """
         grid = np.asarray(grid, dtype=float)
+        dipole = DipoleModel.z_aligned() if dipole is None else dipole
         by_pair = {tuple(l.drives): l for l in lasers}
         cols = []
         for k, pair in enumerate([(1, 2), (2, 3), (1, 3)]):
@@ -85,11 +94,8 @@ class FieldConfiguration:
             env = np.array([laser.peak_rabi * laser.beam(x) for x in grid], dtype=complex)
             if phase_profiles is not None:
                 env = env * np.exp(1j * np.array([phase_profiles[k](x) for x in grid]))
-            cols.append(env)
-        om = np.stack(cols, axis=1)
-        if who is Enantiomer.R:
-            om = -om
-        return cls(grid=grid, omegas=om)
+            cols.append(-env if dipole.sign(pair, who) < 0 else env)
+        return cls(grid=grid, omegas=np.stack(cols, axis=1))
 
 
 @dataclass(frozen=True)
@@ -99,10 +105,6 @@ class DressedFrame:
     grid: np.ndarray              # (nx,)
     eigenvalues: np.ndarray       # (nx, 3), ascending per point
     eigenvectors: np.ndarray      # (nx, 3, 3), columns are branches
-
-    @property
-    def spacing(self):
-        return float(self.grid[1] - self.grid[0])
 
 
 def dress_field(config: FieldConfiguration) -> DressedFrame:
@@ -144,23 +146,20 @@ def scalar_potential(frame: DressedFrame, n: int, trap=None) -> np.ndarray:
     return v
 
 
-def _check_continuity(frame: DressedFrame, n: int, min_overlap: float):
-    vecs = frame.eigenvectors[:, :, n]
-    ov = np.abs(np.sum(np.conj(vecs[:-1]) * vecs[1:], axis=1))
-    if np.min(ov) < min_overlap:
-        raise DiscontinuousFrameError(
-            f"branch {n}: adjacent eigenvector overlap {np.min(ov):.3f} < {min_overlap}"
-        )
-
-
-def vector_potential(frame: DressedFrame, n: int, min_overlap: float = 0.9) -> np.ndarray:
+def vector_potential(frame: DressedFrame, n: int) -> np.ndarray:
     """Berry connection A_n(x) = i <chi_n | d/dx chi_n>, hbar = 1.
 
     Central differences in the interior, one-sided at the ends.  Real by
-    construction for a normalized smooth frame.
+    construction for a normalized smooth frame.  Raises
+    DiscontinuousFrameError when adjacent points overlap less than
+    MIN_OVERLAP.
     """
-    _check_continuity(frame, n, min_overlap)
     vecs = frame.eigenvectors[:, :, n]
+    ov = np.abs(np.sum(np.conj(vecs[:-1]) * vecs[1:], axis=1))
+    if np.min(ov) < MIN_OVERLAP:
+        raise DiscontinuousFrameError(
+            f"branch {n}: adjacent eigenvector overlap {np.min(ov):.3f} < {MIN_OVERLAP}"
+        )
     dv = np.gradient(vecs, frame.grid, axis=0)
     conn = 1j * np.sum(np.conj(vecs) * dv, axis=1)
     return np.real(conn)

@@ -15,6 +15,8 @@ import numpy as np
 
 SPECTRUM_CHANGED = "spectrum-changed"
 SPECTRUM_UNCHANGED = "spectrum-unchanged"
+#: smallest eigenvalue gap of a `random_loop_hamiltonian` draw
+MIN_GAP = 1e-6
 
 
 class FlipIndeterminateError(RuntimeError):
@@ -95,17 +97,20 @@ def flip_sensitivity(
 
     Raises FlipIndeterminateError when the sorted spectra agree within tol
     although the loop-phase product of some cycle changed sign (a degenerate
-    coincidence; the caller should retry with perturbed couplings).
+    coincidence; the caller should retry with perturbed couplings).  A flip
+    negates each product exactly, so a cycle's phase after the flips is
+    -(its phase) when an odd number of its edges flip and unchanged
+    otherwise: the cycles are enumerated once, on h.
     """
     flipped = h.with_flips(pattern.flips)
     dist = float(np.max(np.abs(spectrum(h) - spectrum(flipped))))
     if dist > tol:
         return SPECTRUM_CHANGED
     before = loop_phases(h)
-    after = loop_phases(flipped)
     scale = max((abs(v) for v in before.values()), default=0.0)
     for key, val in before.items():
-        if abs(val - after[key]) > tol * max(1.0, scale):
+        flips = sum(_edge_key(a, b) in pattern.flips for a, b in zip(key, key[1:] + key[:1]))
+        if flips % 2 and 2 * abs(val) > tol * max(1.0, scale):  # |val - (-val)|
             raise FlipIndeterminateError(
                 f"loop phase of {key} changed but spectrum moved only {dist:.2e}"
             )
@@ -149,12 +154,10 @@ def find_loops(edges, max_len: int = 8) -> list[list]:
     return loops
 
 
-def random_loop_hamiltonian(
-    n: int, rng: np.random.Generator, min_gap: float = 1e-6
-) -> LoopHamiltonian:
+def random_loop_hamiltonian(n: int, rng: np.random.Generator) -> LoopHamiltonian:
     """Generic n-cycle Hamiltonian: |omega| in [0.5, 1.5], uniform phases.
 
-    Draws are repeated until the spectrum is non-degenerate (gap > min_gap),
+    Draws are repeated until the spectrum is non-degenerate (gap > MIN_GAP),
     since accidental degeneracies defeat the flip-parity classification.
     """
     ring = [(i, (i + 1) % n) for i in range(n)]
@@ -165,5 +168,5 @@ def random_loop_hamiltonian(
         }
         h = LoopHamiltonian.from_upper(n, omegas)
         eig = spectrum(h)
-        if np.min(np.diff(eig)) > min_gap:
+        if np.min(np.diff(eig)) > MIN_GAP:
             return h

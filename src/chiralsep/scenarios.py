@@ -31,8 +31,11 @@ with configparser).  The first non-blank line must be the header comment
     rot_offset_GHz = 0.0
 
 All three lasers are required; they drive the 1-2, 2-3 and 1-3 vibrational
-pairs, forming the closed loop.  Scenario runs are deterministic: identical
-configs produce bit-identical CSV output.
+pairs, forming the closed loop.  Keys are case-insensitive.  A section or key
+not listed above (a ``[DEFAULT]`` entry counts as a key of every section) is
+rejected, never ignored.  Values are taken literally (no interpolation).
+Scenario runs are deterministic: identical configs produce bit-identical CSV
+output.
 """
 
 from __future__ import annotations
@@ -160,6 +163,15 @@ def _parse_scalar(section, key, raw, conv=_finite, what="a finite number"):
         raise ConfigError(f"{section}.{key}: cannot parse {raw!r} as {what}") from None
 
 
+def _checked(prefix, build, *args, **kwargs):
+    """build(*args, **kwargs), a ValueError it raises reported as a ConfigError
+    whose message is prefix + the error's own."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{prefix}{exc}") from None
+
+
 def _parse_bool(section, key, raw):
     low = raw.strip().lower()
     if low in ("true", "yes", "1", "on"):
@@ -169,121 +181,125 @@ def _parse_bool(section, key, raw):
     raise ConfigError(f"{section}.{key}: expected a boolean, got {raw!r}")
 
 
-def parse_config(text: str) -> ScenarioConfig:
-    """Parse and validate a scenario config; raises ConfigError on failure."""
+#: every section and key a config may hold, with the text an absent key
+#: takes; None marks a key with no default: the rotational constants are
+#: required, the others stand in for a neighbouring key when given
+CONFIG_KEYS = {
+    "scenario": {"name": "unnamed", "temperature_K": "0",
+                 "preparation": "partially-dressed", "jmax": "3", "t_end_ns": None,
+                 "t_end_over_omega12": "40", "n_times": "2000", "evaluation_x": "0.0",
+                 "restricted_loop": "false", "loop_rot_state": None,
+                 "truncation_mass": "1e-6"},
+    "molecule": {"A_GHz": None, "B_GHz": None, "C_GHz": None, "dipole_axis": "z",
+                 "mu": None, "chiral_sign_flip": "true"},
+    **dict.fromkeys(LASER_SECTIONS, {
+        "polarization": "z", "peak_rabi_GHz": None, "peak_rabi_over_omega12": "1.0",
+        "waist": "1.0", "center_x": "0.0", "rot_offset_GHz": "0.0"}),
+}
+
+
+def _read_sections(text: str) -> configparser.ConfigParser:
+    """The config's sections, checked against CONFIG_KEYS."""
     lines = [l for l in text.splitlines() if l.strip()]
     if not lines or lines[0].strip() != CONFIG_HEADER:
         raise ConfigError(f"first line must be the header {CONFIG_HEADER!r}")
-    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
     try:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"config syntax: {exc}") from None
-
-    for sec in ("scenario", "molecule", *LASER_SECTIONS):
+    for sec in cp.sections():
+        known = {key.lower() for key in CONFIG_KEYS.get(sec, ())}
+        for key in cp[sec]:  # holds the [DEFAULT] entries too
+            if key not in known:
+                raise ConfigError(f"{sec}.{key}: unknown key")
+        if sec not in CONFIG_KEYS:
+            raise ConfigError(f"{sec}: unknown section")
+    for sec in CONFIG_KEYS:
         if sec not in cp:
             raise ConfigError(f"missing section [{sec}]")
+    return cp
 
-    mol = cp["molecule"]
-    for key in ("A_GHz", "B_GHz", "C_GHz"):
-        if key not in mol:
-            raise ConfigError(f"molecule.{key}: required")
-    try:
-        constants = RotorConstants(
-            a=_parse_scalar("molecule", "A_GHz", mol["A_GHz"]),
-            b=_parse_scalar("molecule", "B_GHz", mol["B_GHz"]),
-            c=_parse_scalar("molecule", "C_GHz", mol["C_GHz"]),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"molecule: {exc}") from None
 
-    flip = _parse_bool("molecule", "chiral_sign_flip", mol.get("chiral_sign_flip", "true"))
-    if "mu" in mol:
-        parts = [p.split(",") for p in mol["mu"].split()]
+def parse_config(text: str) -> ScenarioConfig:
+    """Parse and validate a scenario config; raises ConfigError on failure."""
+    cp = _read_sections(text)
+
+    def raw(sec, key):
+        value = cp[sec].get(key, CONFIG_KEYS[sec][key])
+        if value is None:
+            raise ConfigError(f"{sec}.{key}: required")
+        return value
+
+    def num(sec, key, conv=_finite, what="a finite number"):
+        return _parse_scalar(sec, key, raw(sec, key), conv, what)
+
+    def chosen(sec, key, fallback):  # key when the config gives it, else fallback
+        return key if key in cp[sec] else fallback
+
+    abc = [num("molecule", key) for key in ("A_GHz", "B_GHz", "C_GHz")]
+    constants = _checked("molecule: ", RotorConstants, *abc)
+
+    flip = _parse_bool("molecule", "chiral_sign_flip", raw("molecule", "chiral_sign_flip"))
+    if "mu" in cp["molecule"]:
+        parts = [p.split(",") for p in raw("molecule", "mu").split()]
         if len(parts) != 3 or any(len(p) > 2 for p in parts):
             raise ConfigError("molecule.mu: expected three components 're,im re,im re,im'")
         mu = tuple(complex(*(_parse_scalar("molecule", "mu", c) for c in p)) for p in parts)
-    elif mol.get("dipole_axis", "z").strip() == "z":
+    elif raw("molecule", "dipole_axis").strip() == "z":
         mu = (0.0, 1.0, 0.0)
     else:
         raise ConfigError("molecule.dipole_axis: only 'z' is supported (or give mu)")
-    try:
-        dipole = DipoleModel({
-            pair: DipoleTransition(mu=mu, chiral_sign_flip=flip)
-            for pair in LASER_SECTIONS.values()
-        })
-    except ValueError as exc:
-        raise ConfigError(f"molecule.mu: {exc}") from None
+    transition = _checked("molecule.mu: ", DipoleTransition, mu=mu, chiral_sign_flip=flip)
+    dipole = DipoleModel(dict.fromkeys(LASER_SECTIONS.values(), transition))
 
-    sc = cp["scenario"]
     lasers = []
-    for sec_name, pair in LASER_SECTIONS.items():
-        sec = cp[sec_name]
-        pol = sec.get("polarization", "z").strip()
-        peak_key = "peak_rabi_GHz" if "peak_rabi_GHz" in sec else "peak_rabi_over_omega12"
-        peak = _parse_scalar(sec_name, peak_key, sec.get(peak_key, "1.0"))
-        if sec_name == "laser12" and not peak > 0:  # the reference scale of all outputs
-            raise ConfigError(f"{sec_name}.{peak_key}: must be positive, got {peak!r}")
+    for sec, pair in LASER_SECTIONS.items():
+        peak_key = chosen(sec, "peak_rabi_GHz", "peak_rabi_over_omega12")
+        peak = num(sec, peak_key)
+        if sec == "laser12" and not peak > 0:  # the reference scale of all outputs
+            raise ConfigError(f"{sec}.{peak_key}: must be positive, got {peak!r}")
         if peak_key == "peak_rabi_over_omega12":
             peak *= OMEGA12_MAX_GHZ
         if peak == 0:  # a dark laser couples nothing; also a ratio that underflows
-            raise ConfigError(f"{sec_name}.{peak_key}: must be nonzero")
-        waist = _parse_scalar(sec_name, "waist", sec.get("waist", "1.0"))
-        center = _parse_scalar(sec_name, "center_x", sec.get("center_x", "0.0"))
-        try:
-            beam = GaussianBeam(waist=waist, center=center)
-        except ValueError as exc:
-            raise ConfigError(f"{sec_name}.{exc}") from None  # exc starts "waist: "
-        offset = _parse_scalar(
-            sec_name, "rot_offset_GHz", sec.get("rot_offset_GHz", "0.0"))
-        try:
-            lasers.append(LaserSpec(drives=pair, polarization=pol, peak_rabi=peak,
-                                    beam=beam, rot_offset=offset))
-        except ValueError as exc:
-            raise ConfigError(f"{sec_name}: {exc}") from None
+            raise ConfigError(f"{sec}.{peak_key}: must be nonzero")
+        # GaussianBeam's errors start "waist: "
+        beam = _checked(f"{sec}.", GaussianBeam, num(sec, "waist"), num(sec, "center_x"))
+        lasers.append(_checked(f"{sec}: ", LaserSpec, pair, raw(sec, "polarization").strip(),
+                               peak, beam, num(sec, "rot_offset_GHz")))
 
-    t_end_key = "t_end_ns" if "t_end_ns" in sc else "t_end_over_omega12"
-    raw = sc.get(t_end_key, "40")
-    t_end = _parse_scalar("scenario", t_end_key, raw)
+    t_end_key = chosen("scenario", "t_end_ns", "t_end_over_omega12")
+    t_end = num("scenario", t_end_key)
     if t_end_key == "t_end_over_omega12":
         t_end = t_end / lasers[0].peak_rabi
         if not math.isfinite(t_end):  # a denormal laser12 peak overflows the division
-            raise ConfigError(f"scenario.{t_end_key}: {raw.strip()} / Omega12 is not finite")
+            raise ConfigError(f"scenario.{t_end_key}: {raw('scenario', t_end_key).strip()}"
+                              " / Omega12 is not finite")
 
     loop_rot = None
-    if "loop_rot_state" in sc:
-        parts = sc["loop_rot_state"].split()
+    if "loop_rot_state" in cp["scenario"]:
+        parts = raw("scenario", "loop_rot_state").split()
         if len(parts) != 3:
             raise ConfigError("scenario.loop_rot_state: expected 'J K M'")
-        try:
-            loop_rot = RotState(*(int(p) for p in parts))
-        except ValueError as exc:
-            raise ConfigError(f"scenario.loop_rot_state: {exc}") from None
-
-    jmax = _parse_scalar("scenario", "jmax", sc.get("jmax", "3"), int, "an integer")
-    try:
-        trunc = BasisTruncation(jmax)
-    except ValueError as exc:
-        raise ConfigError(f"scenario.jmax: {exc}") from None
+        loop_rot = _checked("scenario.loop_rot_state: ",
+                            lambda: RotState(*(int(p) for p in parts)))
+    trunc = _checked("scenario.jmax: ", BasisTruncation, num("scenario", "jmax", int, "an integer"))
 
     return ScenarioConfig(
-        name=sc.get("name", "unnamed"),
+        name=raw("scenario", "name"),
         constants=constants,
         lasers=tuple(lasers),
         dipole=dipole,
-        temperature=_parse_scalar("scenario", "temperature_K",
-                                  sc.get("temperature_K", "0")),
-        preparation=sc.get("preparation", "partially-dressed").strip(),
+        temperature=num("scenario", "temperature_K"),
+        preparation=raw("scenario", "preparation").strip(),
         trunc=trunc,
         t_end=t_end,
-        n_times=_parse_scalar("scenario", "n_times", sc.get("n_times", "2000"), int, "an integer"),
-        evaluation_x=_parse_scalar("scenario", "evaluation_x",
-                                   sc.get("evaluation_x", "0.0")),
+        n_times=num("scenario", "n_times", int, "an integer"),
+        evaluation_x=num("scenario", "evaluation_x"),
         restricted_loop=_parse_bool("scenario", "restricted_loop",
-                                    sc.get("restricted_loop", "false")),
+                                    raw("scenario", "restricted_loop")),
         loop_rot=loop_rot,
-        truncation_mass=_parse_scalar("scenario", "truncation_mass",
-                                      sc.get("truncation_mass", "1e-6")),
+        truncation_mass=num("scenario", "truncation_mass"),
         t_end_key=t_end_key,
     )
 
@@ -293,8 +309,7 @@ def load_config(path) -> ScenarioConfig:
         return parse_config(fh.read())
 
 
-_BUILTIN_TEXT = {
-    "fig5-T0.5K-xxz-groundres": f"""\
+_FIG5_TEXT = f"""\
 {CONFIG_HEADER}
 [scenario]
 name = fig5-T0.5K-xxz-groundres
@@ -318,78 +333,38 @@ polarization = x
 
 [laser13]
 polarization = z
-""",
-    "fig7-1mK-xxz": f"""\
-{CONFIG_HEADER}
-[scenario]
-name = fig7-1mK-xxz
-temperature_K = 0.001
-preparation = partially-dressed
-jmax = 3
-t_end_over_omega12 = 40
-n_times = 2000
+"""
 
-[molecule]
-A_GHz = 76.15
-B_GHz = 6.401
-C_GHz = 6.399
-dipole_axis = z
 
-[laser12]
-polarization = x
+def _retuned(cfg):
+    """Fig 5 (lower panel): lasers retuned so the 1-2 and 2-3 transitions are
+    resonant for |1>|J K M> <-> |2>|J+1 K M> <-> |3>|J K M> with (J, K) = (1, 1)."""
+    d = rot_energy(RotState(2, 1, 1), D2S2) - rot_energy(RotState(1, 1, 1), D2S2)
+    l12, l23, l13 = cfg.lasers
+    return replace(cfg, lasers=(replace(l12, rot_offset=d), replace(l23, rot_offset=-d), l13))
 
-[laser23]
-polarization = x
 
-[laser13]
-polarization = z
-""",
-    "restricted-loop": f"""\
-{CONFIG_HEADER}
-[scenario]
-name = restricted-loop
-temperature_K = 0
-preparation = adiabatic
-jmax = 1
-t_end_over_omega12 = 40
-n_times = 2000
-restricted_loop = true
-loop_rot_state = 1 1 1
-
-[molecule]
-A_GHz = 76.15
-B_GHz = 6.401
-C_GHz = 6.399
-dipole_axis = z
-
-[laser12]
-polarization = z
-
-[laser23]
-polarization = z
-
-[laser13]
-polarization = z
-""",
+#: every builtin scenario as its changes to the fig5 config; the paper's
+#: comparisons share one molecule and, but for the restricted loop, one laser setup
+_BUILTINS = {
+    "fig5-T0.5K-xxz-groundres": lambda cfg: cfg,
+    "fig5-T0.5K-xxz-retuned": _retuned,
+    "fig7-1mK-xxz": lambda cfg: replace(cfg, temperature=0.001, trunc=BasisTruncation(3)),
+    "restricted-loop": lambda cfg: replace(
+        cfg, temperature=0.0, preparation="adiabatic", trunc=BasisTruncation(1),
+        restricted_loop=True, loop_rot=RotState(1, 1, 1),
+        lasers=tuple(replace(l, polarization="z") for l in cfg.lasers)),
 }
 
+
 def builtin_names():
-    return sorted(list(_BUILTIN_TEXT) + ["fig5-T0.5K-xxz-retuned"])
+    return sorted(_BUILTINS)
 
 
 def builtin_config(name: str, jmax: int | None = None) -> ScenarioConfig:
-    if name == "fig5-T0.5K-xxz-retuned":
-        # Fig 5 (lower panel): lasers retuned so the 1-2 and 2-3 transitions are
-        # resonant for |1>|J K M> <-> |2>|J+1 K M> <-> |3>|J K M> with (J, K) = (1, 1).
-        cfg = parse_config(_BUILTIN_TEXT["fig5-T0.5K-xxz-groundres"])
-        d = rot_energy(RotState(2, 1, 1), D2S2) - rot_energy(RotState(1, 1, 1), D2S2)
-        l12, l23, l13 = cfg.lasers
-        cfg = replace(cfg, name=name, lasers=(replace(l12, rot_offset=d),
-                                              replace(l23, rot_offset=-d), l13))
-    elif name in _BUILTIN_TEXT:
-        cfg = parse_config(_BUILTIN_TEXT[name])
-    else:
+    if name not in _BUILTINS:
         raise ConfigError(f"unknown builtin scenario {name!r}; known: {builtin_names()}")
+    cfg = replace(_BUILTINS[name](parse_config(_FIG5_TEXT)), name=name)
     return with_jmax(cfg, jmax)
 
 
@@ -421,12 +396,12 @@ def _branch_members(config, who, h, thermal):
         return {n + 1: Ensemble.from_triplets(h.n, [1.0], np.zeros(len(idx), dtype=int), idx, vec)
                 for n, (_, idx, vec) in enumerate(states)}
     if config.preparation == "partially-dressed":
-        sgn = -1.0 if who is Enantiomer.R else 1.0
-        peaks = [l.peak_rabi * l.beam(config.evaluation_x) for l in config.lasers]
+        peaks = [config.dipole.sign(l.drives, who) * (l.peak_rabi * l.beam(config.evaluation_x))
+                 for l in config.lasers]
         with warnings.catch_warnings():
             # equal-amplitude beams have a degenerate dressed pair by design
             warnings.simplefilter("ignore", dressedmod.DegenerateFrameWarning)
-            _, vecs = dressedmod.dress((sgn * peaks[0], sgn * peaks[1], sgn * peaks[2]))
+            _, vecs = dressedmod.dress(peaks)
         return {
             n + 1: prepare_initial("partially-dressed", h, thermal,
                                    vib_amplitudes=vecs[:, n])
@@ -492,9 +467,18 @@ def run_scenario(config: ScenarioConfig, enantiomers=("L", "R")) -> ScenarioResu
 
 
 def _transform_or_none(config, h):
-    """(perm, sign) of the chirality transformation over h's basis, or None
-    for an uncatalogued polarization mix or a basis that is not closed under
-    M reversal (a restricted basis need not be)."""
+    """(perm, sign) of the chirality transformation over h's basis, or None.
+
+    With no laser pair flagged `chiral_sign_flip`, H_R is H_L and T is the
+    identity.  None when only some pairs are flagged, for an uncatalogued
+    polarization mix, or for a basis that is not closed under M reversal (a
+    restricted basis need not be).
+    """
+    signs = {config.dipole.sign(l.drives, Enantiomer.R) for l in config.lasers}
+    if signs == {1.0}:
+        return np.arange(h.n), np.ones(h.n)
+    if signs != {-1.0}:
+        return None
     try:
         return chirality_permutation(config.polarizations, h.basis)
     except (UnsupportedSetupError, BasisNotClosedError):

@@ -1,15 +1,18 @@
 """Flip parity of loop spectra and cycle enumeration."""
 
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chiralsep.cli import main
 from chiralsep.looptopology import (
     SPECTRUM_CHANGED,
     SPECTRUM_UNCHANGED,
+    FlipIndeterminateError,
     LoopHamiltonian,
     SignPattern,
     find_loops,
@@ -134,3 +137,50 @@ def test_random_loop_hamiltonian_properties():
     mags = np.abs([h.matrix[b, a] for a, b in h.edges()])
     assert np.all((mags >= 0.5) & (mags <= 1.5))
     assert np.min(np.diff(spectrum(h))) > 1e-6
+
+
+def flip_sensitivity_two_censuses(h, pattern, tol=1e-9):
+    """flip_sensitivity with the cycles enumerated again on the flipped h."""
+    flipped = h.with_flips(pattern.flips)
+    dist = float(np.max(np.abs(spectrum(h) - spectrum(flipped))))
+    if dist > tol:
+        return SPECTRUM_CHANGED
+    before, after = loop_phases(h), loop_phases(flipped)
+    scale = max((abs(v) for v in before.values()), default=0.0)
+    for key, val in before.items():
+        if abs(val - after[key]) > tol * max(1.0, scale):
+            raise FlipIndeterminateError(
+                f"loop phase of {key} changed but spectrum moved only {dist:.2e}")
+    return SPECTRUM_UNCHANGED
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except FlipIndeterminateError as exc:
+        return str(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(3, 6), data=st.data(), tol=st.sampled_from([1e-9, 0.5, 1.0, 1.9, 5.0]))
+def test_flip_sensitivity_matches_the_flipped_census(n, data, tol):
+    # a ring with random chords, so a pattern meets several cycles
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    chords = data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=4))
+    ring_edges = {(min(i, (i + 1) % n), max(i, (i + 1) % n)) for i in range(n)}
+    weight = st.builds(lambda r, p: r * np.exp(2j * np.pi * p),
+                       st.floats(0.2, 2.0), st.floats(0.0, 1.0))
+    h = LoopHamiltonian.from_upper(n, {e: data.draw(weight) for e in sorted(ring_edges | set(chords))})
+    flips = data.draw(st.lists(st.sampled_from(h.edges()), unique=True, min_size=1))
+    pattern = SignPattern.of(*flips)
+    assert outcome(flip_sensitivity, h, pattern, tol) == \
+        outcome(flip_sensitivity_two_censuses, h, pattern, tol)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_flip_sensitivity_csv_is_unchanged(seed, capsys):
+    # the CSV the two-census classification wrote for these arguments
+    assert main(["flip-sensitivity", "--sizes", "3,4,5,6", "--draws", "50",
+                 "--seed", str(seed)]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "445fd5f4bf6b16774b22007b264f20e1f0b11f6383a8d6ef2e18da0c22dd83ac"

@@ -10,7 +10,8 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from chiralsep import scenarios
-from chiralsep.coupling import Enantiomer, GaussianBeam
+from chiralsep.cli import main
+from chiralsep.coupling import DipoleModel, DipoleTransition, Enantiomer, GaussianBeam
 from chiralsep.hamiltonian import chirality_permutation, chirality_transform, transform_residual
 from chiralsep.propagate import DegenerateEigenstateWarning, ensemble_potential_trace
 from chiralsep.rotbasis import BasisTruncation, RotState, thermal_rot_state
@@ -288,3 +289,31 @@ def test_r_traced_on_h_l_matches_r_traced_on_h_r(pols, preparation, temperature,
     for branch, tr in direct.items():
         scale = max(1.0, np.max(np.abs(tr.values)))
         assert np.max(np.abs(res.traces[branch]["R"].values - tr.values)) <= 1e-12 * scale
+
+
+def test_dipole_sign_flips_only_r_on_flagged_pairs():
+    dipole = DipoleModel({(1, 2): DipoleTransition(chiral_sign_flip=False),
+                          (2, 3): DipoleTransition(), (1, 3): DipoleTransition()})
+    assert [dipole.sign(p, Enantiomer.L) for p in ((1, 2), (2, 3))] == [1.0, 1.0]
+    assert [dipole.sign(p, Enantiomer.R) for p in ((1, 2), (2, 3))] == [1.0, -1.0]
+    # only some pairs flip: no chirality transformation, R is traced on H_R
+    cfg = replace(parse_config(MINIMAL), dipole=dipole)
+    assert scenarios._transform_or_none(cfg, _assemble(cfg, Enantiomer.L)) is None
+    assert run_scenario(cfg).isospectrality_residual is None
+
+
+def test_no_chiral_sign_flip_makes_l_and_r_identical(tmp_path):
+    # no pair flips: H_R is H_L, T is the identity, and the dressed
+    # preparation and the rotationless potentials take L's signs for R too
+    flat = DipoleModel.z_aligned(chiral_sign_flip=False)
+    res = run_scenario(replace(builtin_config("fig7-1mK-xxz"), dipole=flat))
+    assert res.isospectrality_residual == 0.0
+    for per in res.traces.values():
+        assert np.array_equal(per["L"].values, per["R"].values)
+    assert "max_LR_difference_branch1 = 0.0\n" in summary_text(res)
+    path = tmp_path / "flat.cfg"
+    path.write_text(scenarios._FIG5_TEXT.replace("dipole_axis = z",
+                                                 "dipole_axis = z\nchiral_sign_flip = false"))
+    out = tmp_path / "o"
+    assert main(["dressed-potentials", "--config", str(path), "--jmax", "3", "--out", str(out)]) == 0
+    assert (out / "dressed_R.csv").read_bytes() == (out / "dressed_L.csv").read_bytes()
