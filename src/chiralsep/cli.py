@@ -23,7 +23,6 @@ from .looptopology import (
     flip_sensitivity,
     random_loop_hamiltonian,
 )
-from .rotbasis import TruncationError
 from .scenarios import (
     ConfigError,
     builtin_config,
@@ -196,7 +195,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except (ConfigError, TruncationError, OSError, ValueError,
+    except (ConfigError, OSError, ValueError,
             dressedmod.DiscontinuousFrameError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

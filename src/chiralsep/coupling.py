@@ -62,11 +62,17 @@ class GaussianBeam:
     center: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.waist) and self.waist > 0):
-            raise ValueError(f"waist: must be finite and positive, got {self.waist!r}")
+        # a waist whose square underflows to 0 would divide by zero in __call__
+        if not (math.isfinite(self.waist) and self.waist > 0 and self.waist * self.waist > 0):
+            raise ValueError(f"waist: must be finite and positive, with a nonzero square, "
+                             f"got {self.waist!r}")
 
     def __call__(self, x: float) -> float:
-        return math.exp(-((x - self.center) ** 2) / self.waist**2)
+        try:
+            return math.exp(-((x - self.center) ** 2) / self.waist**2)
+        except OverflowError:  # a square past the float range: square the ratio
+            r = (x - self.center) / self.waist
+            return math.exp(-r * r)
 
 
 @dataclass(frozen=True)

@@ -114,6 +114,14 @@ class CouplingMatrix:
     def n(self):
         return len(self.basis)
 
+    @cached_property
+    def lookup(self):
+        """`basis_lookup(self.basis)`, built once per matrix."""
+        return basis_lookup(self.basis)
+
+    def __getstate__(self):  # the lookup's search is a closure: rebuilt after unpickling
+        return {key: value for key, value in self.__dict__.items() if key != "lookup"}
+
     def index(self, level: LevelIndex) -> int:
         return self.basis.index(level)
 
@@ -173,13 +181,15 @@ def assemble(
         ini.append(i)
         omega.append(w[keep])
         delta.append(energy[f] - energy[i] - laser.rot_offset)
-    return CouplingMatrix(
+    h = CouplingMatrix(
         basis=basis,
         fin=np.concatenate([np.empty(0, dtype=int)] + fin),
         ini=np.concatenate([np.empty(0, dtype=int)] + ini),
         omega=np.concatenate([np.empty(0, dtype=complex)] + omega),
         delta=np.concatenate([np.empty(0)] + delta),
     )
+    h.__dict__["lookup"] = qn, find  # the table searched above, as `lookup` would build it
+    return h
 
 
 def _classify_setup(polarizations) -> str:
@@ -197,16 +207,17 @@ def _classify_setup(polarizations) -> str:
     )
 
 
-def chirality_permutation(polarizations, basis) -> tuple[np.ndarray, np.ndarray]:
+def chirality_permutation(polarizations, basis, lookup=None) -> tuple[np.ndarray, np.ndarray]:
     """The chirality transformation T as a signed permutation (perm, sign).
 
     T[perm[k], k] = sign[k] and every other entry is zero; see
-    `chirality_transform` for the catalogued setups.  Raises
+    `chirality_transform` for the catalogued setups.  `lookup` is
+    `basis_lookup(basis)` when the caller holds it.  Raises
     UnsupportedSetupError for other mixes and BasisNotClosedError when an
     M-reversing T needs a level the basis lacks.
     """
     kind = _classify_setup(polarizations)
-    (vib, j, k, m), find = basis_lookup(basis)
+    (vib, j, k, m), find = basis_lookup(basis) if lookup is None else lookup
     if kind == "diag-m":
         return np.arange(len(basis)), (-1.0) ** m
     perm = find(vib, j, k, -m)

@@ -120,14 +120,20 @@ def flip_sensitivity(
 def find_loops(edges, max_len: int = 8) -> list[list]:
     """Deterministically enumerate simple cycles of length 3..max_len.
 
-    `edges` is an iterable of node pairs (undirected simple graph) with
-    mutually comparable nodes.  Each cycle is rotated/reflected to a
-    canonical node order; the list is sorted.
+    `edges` is an iterable of node pairs with mutually comparable nodes, or
+    an integer array of shape (edges, 2); self-loops and repeated edges are
+    ignored.  Each cycle is rotated/reflected to a canonical node order; the
+    list is sorted.
 
-    Depth-first search from each start node s through nodes > s only, so a
-    cycle is found from its smallest node; of its two orientations only the
-    one with path[1] < path[-1] is kept, which is the canonical one.
+    Triangles alone (max_len 3) are listed by `_triangles`.  Otherwise a
+    depth-first search runs from each start node s through nodes > s only,
+    so a cycle is found from its smallest node; of its two orientations only
+    the one with path[1] < path[-1] is kept, which is the canonical one.
     """
+    if max_len == 3:
+        return _triangles(edges)
+    if isinstance(edges, np.ndarray):
+        edges = edges.tolist()
     adj: dict = {}
     for a, b in edges:
         if a != b:
@@ -152,6 +158,46 @@ def find_loops(edges, max_len: int = 8) -> list[list]:
         extend([s])
     loops.sort(key=lambda c: (len(c), c))
     return loops
+
+
+def _triangles(edges) -> list[list]:
+    """The canonical 3-cycles [p, q, r], p < q < r, in sorted order.
+
+    A join over sorted edge codes: with the nodes ranked 0..n-1, edge p-q
+    (p < q) has the code p n + q.  Each edge p-q, in code order, is paired
+    with every higher neighbour r of q by `np.repeat`, and the closing edge
+    p-r is looked up by `searchsorted`, so the triangles come out sorted.
+    """
+    if isinstance(edges, np.ndarray):
+        # distinct nodes by sort and neighbour compare: np.unique's hash
+        # path imports numpy.ma
+        nodes = np.sort(edges, axis=None)
+        nodes = nodes[np.diff(nodes, prepend=nodes[:1] - 1) != 0]
+        ends = np.searchsorted(nodes, edges.reshape(-1, 2))
+    else:
+        pairs = [(a, b) for a, b in edges]
+        names = sorted({v for pair in pairs for v in pair})
+        rank = {v: k for k, v in enumerate(names)}
+        ends = np.array([(rank[a], rank[b]) for a, b in pairs], dtype=np.int64).reshape(-1, 2)
+        nodes = np.arange(len(names))
+    n = len(nodes)
+    lo, hi = np.sort(ends[ends[:, 0] != ends[:, 1]], axis=1).T
+    codes = np.sort(lo * n + hi)
+    codes = codes[np.diff(codes, prepend=-1) != 0]  # every code is >= 0
+    p, q = np.divmod(codes, n)
+    higher = np.bincount(p, minlength=n)  # each node's edges to higher nodes,
+    start = np.cumsum(higher) - higher    # which begin at codes[start[node]]
+    reps = higher[q]
+    first = np.cumsum(reps) - reps
+    r = q[np.repeat(start[q] - first, reps) + np.arange(int(np.sum(reps)))]
+    p = np.repeat(p, reps)
+    closing = p * n + r
+    at = np.minimum(np.searchsorted(codes, closing), len(codes) - 1)
+    hit = codes[at] == closing
+    loops = nodes[np.stack((p, np.repeat(q, reps), r), axis=1)[hit]].tolist()
+    if isinstance(edges, np.ndarray):
+        return loops
+    return [[names[a], names[b], names[c]] for a, b, c in loops]
 
 
 def random_loop_hamiltonian(n: int, rng: np.random.Generator) -> LoopHamiltonian:

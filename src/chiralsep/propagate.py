@@ -34,15 +34,20 @@ on the output grid np.linspace(0, t_end, n), which the trace builds itself:
   components that carry thermal weight enter it: with w = diag(V^dag rho V)
   a Schwarz bound, 2 sum_{n in D} sqrt(w_n) (|G|^T sqrt(w))_n, limits what
   leaving out a set D moves any value, and each branch leaves out the
-  largest D whose bound stays below SCREEN_BUDGET (1e-14 GHz).  The
-  phase matrix of the kept components on the n output times is built from
-  ~2 sqrt(n) rows of exponentials.  On the builtin scenarios the traces
-  stay within 1e-12 Omega12 of the direct complex contraction
+  largest D whose bound stays below half of SCREEN_BUDGET (1e-14 GHz).
+  The phase matrix of the kept components on the n output times is built
+  from ~2 sqrt(n) rows of exponentials.  On the builtin scenarios the
+  traces stay within 1e-12 Omega12 of the direct complex contraction
   sum(p @ C * conj(p)) over all components (largest difference 5.3e-13,
   fig7);
 - midpoint (no node potential): the generic stepper's schedule, one
   eigendecomposition per block and step, rho <- U rho U^dag, and
   <H(t)> = tr(rho H(t)) at the output times.
+
+Before either kernel, a branch leaves out every block whose whole
+contribution, tr(rho_c) ||H_c||, is below the other half of SCREEN_BUDGET;
+a block no branch keeps gets no rho, no eigendecomposition and no kernel
+(fig5 at jmax 8 keeps 10 of its 34 blocks).
 
 A trace predicts its size before it builds any array and raises
 TraceTooLargeError above a fixed ceiling: MAX_TRACE_BYTES for the static
@@ -58,7 +63,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonian import CouplingMatrix, LevelIndex, basis_lookup
+from .hamiltonian import CouplingMatrix, LevelIndex
 
 #: largest change, in GHz, that screening may make to any block's <H(t)>
 SCREEN_BUDGET = 1e-14
@@ -308,6 +313,12 @@ def ensemble_potential_trace(
     `propagate(method="midpoint")`.  Branches whose block rho are equal by
     value (-0.0 counts as 0.0) are evolved once, as one column, and get
     bitwise-equal values from that block.
+
+    Screening moves each value by at most SCREEN_BUDGET (GHz), split in two
+    fixed halves.  The block screen serves both kernels: a branch leaves out
+    block c when tr(rho_c) ||H_c|| (`_block_bounds`) is below half the
+    budget.  The component screen of `_block_expectations` gets the other
+    half.  A negative weight sets the budget to 0, which leaves out nothing.
     """
     if n < 1:
         raise ValueError(f"a trace needs n >= 1 output times, got {n}")
@@ -333,19 +344,24 @@ def ensemble_potential_trace(
         if steps * (n - 1) > MAX_MIDPOINT_STEPS:
             raise TraceTooLargeError(f"the midpoint stepper needs {steps * (n - 1)} steps, "
                                      f"more than {MAX_MIDPOINT_STEPS}", by_grid=False)
-    # a negative weight leaves rho indefinite, where the screening bound fails
+    # a negative weight leaves rho indefinite, where both screening bounds fail
     budget = SCREEN_BUDGET if all(np.all(e.weights >= 0) for e in ensembles.values()) else 0.0
+    # the block screen spends half the budget, the kernel's component screen the rest
+    kept = np.ones((len(ensembles), len(blocks)), dtype=bool)
+    if budget:
+        kept = ~(_block_bounds(h, ensembles, label, len(blocks)) < budget / 2)  # keeps a NaN
     triplet_block = [label[ens.level] for ens in ensembles.values()]
     totals = np.zeros((n, len(ensembles)))
-    for c, idx in enumerate(blocks):
+    for c in np.flatnonzero(np.any(kept, axis=0)).tolist():
+        idx = blocks[c]
         if len(idx) == 1:
             continue  # uncoupled level: zero-diagonal H contributes nothing
         # branches whose block rho are equal by value share one column:
-        # distinct holds the column rho, col maps each branch that touches
+        # distinct holds the column rho, col maps each branch that keeps
         # the block to its column
         distinct, col = [], {}
         for k, ens in enumerate(ensembles.values()):
-            sel = np.flatnonzero(triplet_block[k] == c)
+            sel = np.flatnonzero(triplet_block[k] == c) if kept[k, c] else []
             if len(sel) == 0:
                 continue
             touch, row = np.unique(ens.member[sel], return_inverse=True)
@@ -368,12 +384,30 @@ def ensemble_potential_trace(
                 raise ValueError("non-real ensemble expectation of a Hermitian operator")
             vals = vals.real
         else:
-            vals = _block_expectations(_block_matrix(*edges(c), 0.0), f[idx], rho, times, budget)
+            vals = _block_expectations(_block_matrix(*edges(c), 0.0), f[idx], rho, times,
+                                       budget / 2)
         if not np.all(np.isfinite(vals)):
             raise ValueError("non-finite ensemble expectation")
         totals[:, list(col)] += vals[:, list(col.values())]
     return {branch: PotentialTrace.from_values(times, totals[:, k] / omega_ref)
             for k, branch in enumerate(ensembles)}
+
+
+def _block_bounds(h: CouplingMatrix, ensembles: dict, label, count) -> np.ndarray:
+    """tr(rho_c) ||H_c||, the most block c can add to a branch's <H(t)>.
+
+    Shape (branches, blocks).  tr(rho_c) = sum_m w_m ||psi_{m,c}||^2 is one
+    bincount per branch; ||H_c(t)|| is at most the block's largest row sum of
+    |omega|, at every t.  |tr(rho_c H_c)| <= tr(rho_c) ||H_c|| holds for a
+    positive semidefinite rho_c.
+    """
+    size = np.abs(h.omega)
+    rows = np.bincount(h.fin, size, minlength=h.n) + np.bincount(h.ini, size, minlength=h.n)
+    norm = np.zeros(count)
+    np.maximum.at(norm, label, rows)
+    mass = [np.bincount(label[ens.level], ens.weights[ens.member] * np.abs(ens.amp) ** 2,
+                        minlength=count) for ens in ensembles.values()]
+    return np.array(mass).reshape(-1, count) * norm
 
 
 def _blocks(h: CouplingMatrix):
@@ -437,8 +471,10 @@ def _block_expectations(h0, f, rhos, times, budget=SCREEN_BUDGET) -> np.ndarray:
     some rho keeps, with each rho's own D zeroed, so a value does not
     depend on the rhos stacked with it.  A block that keeps nothing adds 0.
     The bound needs every rho to be positive semidefinite: pass budget 0,
-    which drops nothing, for any other.  On the builtin scenarios the
-    traces stay within 1e-12 Omega12 of the unscreened complex contraction.
+    which drops nothing, for any other.  `ensemble_potential_trace` passes
+    half of SCREEN_BUDGET: its block screen spends the other half.  On the
+    builtin scenarios the traces stay within 1e-12 Omega12 of the unscreened
+    complex contraction.
     The phases come from `_phases`, so the grid must be linspace(0, t_end, n).
     """
     eps, g, rot = _eigenframe(h0, f, rhos)
@@ -553,7 +589,7 @@ def prepare_initial(
     weights = [(rot, w) for rot, w in thermal.items() if w > 0]
     ws = [w for _, w in weights]
     jkm = np.array([(rot.J, rot.K, rot.M) for rot, _ in weights], dtype=np.int64).reshape(-1, 3)
-    find = basis_lookup(h.basis)[1]
+    find = h.lookup[1]
 
     def levels(vibs):
         """Basis positions of |vib>|rot>, shape (members, vibs)."""

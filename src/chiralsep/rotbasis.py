@@ -107,7 +107,7 @@ def thermal_rot_state(
     edge_mass = sum(p for s, p in probs.items() if s.J == trunc.jmax)
     if edge_mass > cutoff_mass:
         raise TruncationError(
-            f"population {edge_mass:.3e} at J = {trunc.jmax} exceeds {cutoff_mass:.1e};"
-            " increase jmax"
+            f"population {edge_mass:.3e} at J = {trunc.jmax} exceeds the cutoff mass "
+            f"{cutoff_mass:.1e}"
         )
     return probs

@@ -71,8 +71,8 @@ from .propagate import (
     ensemble_potential_trace,
     prepare_initial,
 )
-from .rotbasis import (D2S2, BasisTruncation, RotorConstants, RotState, rot_energy,
-                       thermal_rot_state)
+from .rotbasis import (D2S2, BasisTruncation, RotorConstants, RotState, TruncationError,
+                       rot_energy, thermal_rot_state)
 from .units import OMEGA12_MAX_GHZ
 
 CONFIG_HEADER = "# chiralsep config v1"
@@ -253,6 +253,7 @@ def parse_config(text: str) -> ScenarioConfig:
     transition = _checked("molecule.mu: ", DipoleTransition, mu=mu, chiral_sign_flip=flip)
     dipole = DipoleModel(dict.fromkeys(LASER_SECTIONS.values(), transition))
 
+    evaluation_x = num("scenario", "evaluation_x")
     lasers = []
     for sec, pair in LASER_SECTIONS.items():
         peak_key = chosen(sec, "peak_rabi_GHz", "peak_rabi_over_omega12")
@@ -267,6 +268,9 @@ def parse_config(text: str) -> ScenarioConfig:
         beam = _checked(f"{sec}.", GaussianBeam, num(sec, "waist"), num(sec, "center_x"))
         lasers.append(_checked(f"{sec}: ", LaserSpec, pair, raw(sec, "polarization").strip(),
                                peak, beam, num(sec, "rot_offset_GHz")))
+        if peak * beam(evaluation_x) == 0:  # the laser would couple nothing
+            raise ConfigError(f"{sec}.center_x: the beam's Rabi frequency at evaluation_x = "
+                              f"{evaluation_x!r} underflows to 0")
 
     t_end_key = chosen("scenario", "t_end_ns", "t_end_over_omega12")
     t_end = num("scenario", t_end_key)
@@ -295,7 +299,7 @@ def parse_config(text: str) -> ScenarioConfig:
         trunc=trunc,
         t_end=t_end,
         n_times=num("scenario", "n_times", int, "an integer"),
-        evaluation_x=num("scenario", "evaluation_x"),
+        evaluation_x=evaluation_x,
         restricted_loop=_parse_bool("scenario", "restricted_loop",
                                     raw("scenario", "restricted_loop")),
         loop_rot=loop_rot,
@@ -422,8 +426,12 @@ def run_scenario(config: ScenarioConfig, enantiomers=("L", "R")) -> ScenarioResu
     restricted basis, an uncatalogued polarization mix or a nonzero
     residual) each enantiomer is traced on its own Hamiltonian.
     """
-    thermal = thermal_rot_state(config.temperature, config.constants, config.trunc,
-                                cutoff_mass=config.truncation_mass)
+    try:
+        thermal = thermal_rot_state(config.temperature, config.constants, config.trunc,
+                                    cutoff_mass=config.truncation_mass)
+    except TruncationError as exc:
+        raise ConfigError(f"scenario.jmax: {exc}; increase jmax, or raise "
+                          "scenario.truncation_mass") from None
     couplings = {tag: _assemble(config, Enantiomer(tag)) for tag in enantiomers}
     href = couplings[enantiomers[0]]
     transform = _transform_or_none(config, href) if set(enantiomers) == {"L", "R"} else None
@@ -480,15 +488,16 @@ def _transform_or_none(config, h):
     if signs != {-1.0}:
         return None
     try:
-        return chirality_permutation(config.polarizations, h.basis)
+        return chirality_permutation(config.polarizations, h.basis, h.lookup)
     except (UnsupportedSetupError, BasisNotClosedError):
         return None
 
 
 def loop_census(h: CouplingMatrix, max_len: int = 3) -> list[list[LevelIndex]]:
     """Simple cycles (default: 3-cycles) of the coupling graph."""
-    edges = [(int(a), int(b)) for a, b in zip(h.fin, h.ini)]
-    return [[h.basis[k] for k in cyc] for cyc in find_loops(edges, max_len=max_len)]
+    basis = h.basis
+    return [[basis[k] for k in cyc]
+            for cyc in find_loops(np.stack((h.fin, h.ini), axis=1), max_len=max_len)]
 
 
 def timescale_report(config: ScenarioConfig, h: CouplingMatrix | None = None) -> dict:
@@ -526,24 +535,29 @@ def _fmt(x) -> str:
     return str(x)
 
 
+#: trace CSV rows formatted per chunk: the float objects of whole columns
+#: would take ~32 bytes a value
+TRACE_CHUNK_ROWS = 4096
+
+
 def trace_csv(result: ScenarioResult, branch):
-    """Lines of the CSV with columns time_ns, time_in_inverse_Omega12,
-    value_L, value_R, yielded one at a time."""
-    omega12 = result.config.omega12_max
+    """The CSV with columns time_ns, time_in_inverse_Omega12, value_L,
+    value_R: the header line, then the rows in chunks of TRACE_CHUNK_ROWS."""
     per = result.traces[branch]
     yield ",".join(["time_ns", "time_in_inverse_Omega12"] + [f"value_{t}" for t in per]) + "\n"
-    for k, t in enumerate(result.times):
-        row = [repr(float(t)), repr(float(t * omega12))]
-        row += [repr(float(per[tag].values[k])) for tag in per]
-        yield ",".join(row) + "\n"
+    columns = [result.times, result.times * result.config.omega12_max]
+    columns += [tr.values for tr in per.values()]
+    for start in range(0, len(result.times), TRACE_CHUNK_ROWS):
+        rows = zip(*(col[start:start + TRACE_CHUNK_ROWS].tolist() for col in columns))
+        yield "".join([",".join(map(repr, row)) + "\n" for row in rows])
 
 
 def couplings_csv(h: CouplingMatrix) -> str:
-    buf = io.StringIO()
-    buf.write("final,initial,omega_re_GHz,omega_im_GHz,delta_GHz\n")
-    for f, i, w, d in zip(h.fin.tolist(), h.ini.tolist(), h.omega.tolist(), h.delta.tolist()):
-        buf.write(f"{h.basis[f]},{h.basis[i]},{w.real!r},{w.imag!r},{d!r}\n")
-    return buf.getvalue()
+    names = [level.name for level in h.basis]
+    columns = ([names[f] for f in h.fin.tolist()], [names[i] for i in h.ini.tolist()],
+               h.omega.real.tolist(), h.omega.imag.tolist(), h.delta.tolist())
+    return "final,initial,omega_re_GHz,omega_im_GHz,delta_GHz\n" + "".join(
+        [f"{f},{i},{re!r},{im!r},{d!r}\n" for f, i, re, im, d in zip(*columns)])
 
 
 def loops_csv(loops) -> str:

@@ -6,7 +6,9 @@ This is the single-pair form in exact `Fraction` arithmetic, one 3j product
 and one square root per call, kept as the oracle the array code must match
 bit for bit.  Likewise `chirality_permutation` here looks each M-reversed
 level up in a dict over the basis, the reference of the integer-coded
-`hamiltonian.chirality_permutation`.
+`hamiltonian.chirality_permutation`, and `trace_csv` and `couplings_csv`
+format one row at a time, element by element, the reference of the
+column-wise `scenarios` writers.
 """
 
 import math
@@ -80,3 +82,24 @@ def chirality_permutation(polarizations, basis):
             perm[k] = pos[img]
             sign[k] = (-1.0) ** (r.J if kind == "mrev-j" else r.J + r.M)
     return perm, sign
+
+
+def trace_csv(result, branch) -> str:
+    """The trace CSV of `scenarios.trace_csv`, one repr per element."""
+    omega12 = result.config.omega12_max
+    per = result.traces[branch]
+    lines = [",".join(["time_ns", "time_in_inverse_Omega12"] + [f"value_{t}" for t in per])]
+    for k, t in enumerate(result.times):
+        row = [repr(float(t)), repr(float(t * omega12))]
+        row += [repr(float(per[tag].values[k])) for tag in per]
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def couplings_csv(h) -> str:
+    """The coupling table of `scenarios.couplings_csv`, one edge at a time."""
+    lines = ["final,initial,omega_re_GHz,omega_im_GHz,delta_GHz"]
+    for f, i, w, d in zip(h.fin, h.ini, h.omega, h.delta):
+        w = complex(w)
+        lines.append(f"{h.basis[f]},{h.basis[i]},{w.real!r},{w.imag!r},{float(d)!r}")
+    return "\n".join(lines) + "\n"

@@ -171,6 +171,27 @@ def test_static_ceiling_exits_before_the_output_grid(tmp_path, capsys):
     assert peak < 50 * 2**20
 
 
+@pytest.mark.parametrize("old, new, key", [
+    # 0.5 K puts ~47 % of the population at J = 1
+    ("temperature_K = 0", "temperature_K = 0.5", "scenario.jmax"),
+    # exp(-100**2) underflows to 0, so laser13 would couple nothing
+    ("[laser13]\n", "[laser13]\ncenter_x = 100\n", "laser13.center_x"),
+    ("[laser23]\n", "[laser23]\ncenter_x = 1e200\n", "laser23.center_x"),
+    # 1e-320 squared underflows, and the beam would divide by it
+    ("[laser12]\n", "[laser12]\nwaist = 1e-320\n", "laser12.waist"),
+])
+def test_unsatisfiable_input_names_its_key(tmp_path, capsys, old, new, key):
+    path = tmp_path / "bad.cfg"
+    path.write_text(TINY.replace(old, new))
+    out = tmp_path / "o"
+    rc = main(["run", "--config", str(path), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key}: ")
+    assert key != "scenario.jmax" or "scenario.truncation_mass" in err
+    assert not out.exists()
+
+
 def test_unknown_builtin_exits_2(capsys):
     rc = main(["timescales", "--scenario", "nope"])
     assert rc == 2

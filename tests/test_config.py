@@ -168,6 +168,7 @@ def assert_valid(cfg: ScenarioConfig):
     for laser in cfg.lasers:
         assert math.isfinite(laser.peak_rabi) and laser.peak_rabi != 0
         assert math.isfinite(laser.rot_offset) and laser.beam.waist > 0
+        assert laser.peak_rabi * laser.beam(cfg.evaluation_x) != 0
         laser.helicity_triple()
     assert not cfg.restricted_loop or cfg.loop_rot is not None
 

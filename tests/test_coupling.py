@@ -56,6 +56,15 @@ def test_gaussian_beam_envelope():
     assert beam(3.0) == pytest.approx(math.exp(-1.0), rel=1e-15)
 
 
+def test_gaussian_beam_past_the_float_range():
+    # squares beyond the float range: the ratio is squared instead
+    assert GaussianBeam(waist=1e200)(0.0) == 1.0
+    assert GaussianBeam(waist=1.0, center=1e200)(0.0) == 0.0
+    assert GaussianBeam(waist=1e200, center=1e200)(0.0) == pytest.approx(math.exp(-1.0))
+    with pytest.raises(ValueError, match="waist"):
+        GaussianBeam(waist=1e-320)  # its square is 0
+
+
 def test_dipole_model_lookup():
     dm = DipoleModel.z_aligned()
     assert dm.get((1, 2)).mu == (0.0, 1.0, 0.0)

@@ -126,6 +126,30 @@ def test_find_loops_matches_brute_force(edges, max_len):
     assert loops == sorted(loops, key=lambda c: (len(c), c))
 
 
+@st.composite
+def graphs(draw):
+    """Edge lists on up to 40 nodes, dense enough for triangles, with
+    self-loops and repeated edges (either way round)."""
+    node = st.integers(0, draw(st.integers(0, 39)))
+    edges = draw(st.lists(st.tuples(node, node), max_size=120))
+    repeats = draw(st.lists(st.sampled_from(edges), max_size=10)) if edges else []
+    return edges + [(b, a) if k % 2 else (a, b) for k, (a, b) in enumerate(repeats)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(edges=graphs())
+def test_triangle_join_matches_the_search(edges):
+    triangles = find_loops(edges, max_len=3)
+    assert triangles == [c for c in find_loops(edges, max_len=4) if len(c) == 3]
+    assert find_loops(np.array(edges, dtype=int).reshape(-1, 2), max_len=3) == triangles
+
+
+def test_triangle_join_keeps_the_nodes():
+    edges = [("b", "a"), ("c", "a"), ("b", "c"), ("c", "b"), ("c", "c"), ("c", "d")]
+    assert find_loops(edges, max_len=3) == [["a", "b", "c"]]
+    assert find_loops(np.array([[5, -3], [-3, 7], [7, 5]]), max_len=3) == [[-3, 5, 7]]
+
+
 def test_find_loops_ignores_trees():
     assert find_loops([(0, 1), (1, 2), (2, 3)]) == []
 

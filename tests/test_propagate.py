@@ -256,6 +256,54 @@ def test_screening_bound_covers_dropped_part(monkeypatch, name, jmax):
     assert dropped_somewhere
 
 
+@pytest.mark.parametrize("name, jmax", [("fig7-1mK-xxz", None),
+                                        ("fig5-T0.5K-xxz-groundres", 4)])
+def test_block_and_component_bounds_cover_the_screened_part(monkeypatch, name, jmax):
+    # each block traced on its own, for each branch, screened and with budget 0
+    config = replace(builtin_config(name, jmax=jmax), truncation_mass=1e-4)
+    thermal = thermal_rot_state(config.temperature, config.constants, config.trunc,
+                                cutoff_mass=config.truncation_mass)
+    half = propagate_module.SCREEN_BUDGET / 2
+    component_bounds = []
+    screen = propagate_module._screen
+
+    def spy(rot, g, budget):
+        dropped, bound = screen(rot, g, budget)
+        component_bounds.extend(bound.tolist())
+        return dropped, bound
+
+    def trace(block, branch, ens, budget):
+        with monkeypatch.context() as m:
+            m.setattr(propagate_module, "SCREEN_BUDGET", budget)
+            m.setattr(propagate_module, "_screen", spy)
+            return ensemble_potential_trace(block, {branch: ens}, config.t_end,
+                                            config.n_times)[branch].values
+
+    skipped = kept = 0
+    for who in (Enantiomer.L, Enantiomer.R):
+        h = _assemble(config, who)
+        blocks, label, _, _ = propagate_module._blocks(h)
+        members = _branch_members(config, who, h, thermal)
+        bounds = propagate_module._block_bounds(h, members, label, len(blocks))
+        for c in range(len(blocks)):
+            e = np.flatnonzero(label[h.fin] == c)
+            block = replace(h, fin=h.fin[e], ini=h.ini[e], omega=h.omega[e], delta=h.delta[e])
+            for k, (branch, ens) in enumerate(members.items()):
+                component_bounds.clear()
+                screened = trace(block, branch, ens, 2 * half)
+                bound = sum(component_bounds)
+                if bounds[k, c] < half:
+                    bound += bounds[k, c]
+                    skipped += 1
+                else:
+                    kept += 1
+                full = trace(block, branch, ens, 0.0)
+                # plus rounding: the two contract arrays of different shapes
+                rounding = 1e-13 * np.max(np.abs(full))
+                assert np.max(np.abs(screened - full)) <= bound + rounding
+    assert skipped and kept
+
+
 def test_ensemble_trace_midpoint_fallback():
     # loop detunings that close no node potential force the generic stepper
     h = triangle([0.5, 0.3, 0.2], [0.4, -0.1, 0.7])

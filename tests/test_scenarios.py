@@ -1,5 +1,9 @@
 """Config parsing, builtin scenarios and deterministic output."""
 
+import os
+import pickle
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -9,7 +13,8 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from chiralsep import scenarios
+import oracle
+from chiralsep import hamiltonian, scenarios
 from chiralsep.cli import main
 from chiralsep.coupling import DipoleModel, DipoleTransition, Enantiomer, GaussianBeam
 from chiralsep.hamiltonian import chirality_permutation, chirality_transform, transform_residual
@@ -149,6 +154,47 @@ def test_trace_csv_header():
     lines = "".join(trace_csv(res, "thermal")).splitlines()
     assert lines[0] == "time_ns,time_in_inverse_Omega12,value_L,value_R"
     assert len(lines) == 42
+
+
+@pytest.mark.parametrize("enantiomers", [("L", "R"), ("L",), ("R",)])
+def test_csv_columns_match_the_per_row_formatter(monkeypatch, enantiomers):
+    res = run_scenario(builtin_config("fig7-1mK-xxz"), enantiomers=enantiomers)
+    for branch in res.traces:
+        assert "".join(trace_csv(res, branch)) == oracle.trace_csv(res, branch)
+        with monkeypatch.context() as m:
+            m.setattr(scenarios, "TRACE_CHUNK_ROWS", 7)  # 2000 rows: the last chunk is partial
+            assert "".join(trace_csv(res, branch)) == oracle.trace_csv(res, branch)
+    for h in res.couplings.values():
+        assert couplings_csv(h) == oracle.couplings_csv(h)
+
+
+def test_a_run_builds_one_code_table_per_coupling_matrix(monkeypatch):
+    calls = []
+    build = hamiltonian.basis_lookup
+    monkeypatch.setattr(hamiltonian, "basis_lookup", lambda basis: calls.append(1) or build(basis))
+    run_scenario(builtin_config("fig7-1mK-xxz"))
+    assert len(calls) == 2  # in `assemble`, for L and for R
+
+
+def test_a_run_result_pickles():
+    res = run_scenario(builtin_config("fig7-1mK-xxz"))
+    copy = pickle.loads(pickle.dumps(res))
+    assert summary_text(copy) == summary_text(res)
+    h = copy.couplings["L"]
+    assert np.array_equal(h.lookup[0], res.couplings["L"].lookup[0])
+
+
+def test_a_fig5_run_does_not_import_numpy_ma(tmp_path):
+    # np.unique's hash path imports numpy.ma (~17 ms cold, ~1 MB); the run's
+    # distinct-value steps sort and compare neighbours instead
+    code = ("import sys; from chiralsep.scenarios import builtin_config, run_scenario, "
+            "write_outputs; write_outputs(run_scenario(builtin_config("
+            "'fig5-T0.5K-xxz-groundres')), sys.argv[1]); print('numpy.ma' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_restricted_loop_branches():
