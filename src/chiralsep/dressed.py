@@ -163,26 +163,3 @@ def vector_potential(frame: DressedFrame, n: int) -> np.ndarray:
     dv = np.gradient(vecs, frame.grid, axis=0)
     conn = 1j * np.sum(np.conj(vecs) * dv, axis=1)
     return np.real(conn)
-
-
-def offdiagonal_check(frame: DressedFrame, v_typ: float = 1.0,
-                      gap_floor: float = 1e-9) -> float:
-    """Max |v_typ <chi_n|d/dx chi_m>| / |eps_n - eps_m| over grid and n != m.
-
-    Points with gaps below `gap_floor` (relative to the local eigenvalue
-    scale) are masked out of the maximum.
-    """
-    vecs = frame.eigenvectors
-    dv = np.gradient(vecs, frame.grid, axis=0)
-    worst = 0.0
-    for n in range(3):
-        for m in range(3):
-            if n == m:
-                continue
-            conn = np.abs(np.sum(np.conj(vecs[:, :, n]) * dv[:, :, m], axis=1))
-            gap = np.abs(frame.eigenvalues[:, n] - frame.eigenvalues[:, m])
-            scale = np.maximum(np.max(np.abs(frame.eigenvalues), axis=1), 1e-300)
-            ok = gap > gap_floor * scale
-            if np.any(ok):
-                worst = max(worst, float(np.max(v_typ * conn[ok] / gap[ok])))
-    return worst

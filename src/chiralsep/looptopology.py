@@ -10,6 +10,7 @@ tree-like parts are pure gauge.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,7 +30,11 @@ def _edge_key(a, b):
 
 @dataclass(frozen=True)
 class LoopHamiltonian:
-    """n-level Hamiltonian with zero diagonal, stored as a dense matrix."""
+    """n-level Hamiltonian with zero diagonal, stored as a dense matrix.
+
+    The matrix is not changed after construction: its edges, spectrum and
+    loop phases are each computed once, on first use.
+    """
 
     matrix: np.ndarray
 
@@ -49,8 +54,22 @@ class LoopHamiltonian:
         return self.matrix.shape[0]
 
     def edges(self):
+        return list(self._edges)
+
+    @cached_property
+    def _edges(self) -> tuple:
         i, j = np.nonzero(np.triu(self.matrix, 1))
-        return [(int(a), int(b)) for a, b in zip(i, j)]
+        return tuple(zip(i.tolist(), j.tolist()))
+
+    @cached_property
+    def _spectrum(self) -> np.ndarray:
+        vals = np.linalg.eigvalsh(self.matrix)
+        vals.flags.writeable = False
+        return vals
+
+    @cached_property
+    def _loop_phases(self) -> dict:
+        return loop_phases(self)
 
     def with_flips(self, flips) -> "LoopHamiltonian":
         h = self.matrix.copy()
@@ -74,8 +93,8 @@ class SignPattern:
 
 
 def spectrum(h: LoopHamiltonian) -> np.ndarray:
-    """Real eigenvalues, ascending."""
-    return np.linalg.eigvalsh(h.matrix)
+    """Real eigenvalues, ascending; computed once per h and read-only."""
+    return h._spectrum
 
 
 def loop_phases(h: LoopHamiltonian, max_len: int = 8) -> dict[tuple, float]:
@@ -100,13 +119,14 @@ def flip_sensitivity(
     coincidence; the caller should retry with perturbed couplings).  A flip
     negates each product exactly, so a cycle's phase after the flips is
     -(its phase) when an odd number of its edges flip and unchanged
-    otherwise: the cycles are enumerated once, on h.
+    otherwise: the cycles are enumerated once per h, and h's spectrum is
+    computed once, for all the patterns it is given.
     """
     flipped = h.with_flips(pattern.flips)
     dist = float(np.max(np.abs(spectrum(h) - spectrum(flipped))))
     if dist > tol:
         return SPECTRUM_CHANGED
-    before = loop_phases(h)
+    before = h._loop_phases
     scale = max((abs(v) for v in before.values()), default=0.0)
     for key, val in before.items():
         flips = sum(_edge_key(a, b) in pattern.flips for a, b in zip(key, key[1:] + key[:1]))

@@ -13,6 +13,10 @@ to a static frame and propagated exactly in one eigendecomposition:
 The run works block by block: `_blocks` splits the coupling graph into its
 connected components once, with each level's block and block position and
 each block's edges, and the preparation and the trace both work from that.
+The same pass solves f, in array rounds over all edges: `components` names
+each block by its smallest level (min-label propagation with pointer
+jumping, Shiloach & Vishkin, J. Algorithms 3, 57 (1982)), and f grows from
+0 there in breadth-first layers.
 Thermal mixtures are weighted ensembles of pure states stored as (member,
 level, amplitude) triplets, so no length-n member vector is formed; an
 adiabatic member is an eigenvector of its bare state's block H(0), so it
@@ -129,57 +133,35 @@ def default_dt(h: CouplingMatrix) -> float:
 def node_potential(h: CouplingMatrix, tol: float = 1e-10):
     """Per-level potential f with Delta = f_fin - f_ini, or None.
 
-    Solved by spanning-tree assignment over each connected component and
-    verified on every edge; returns None when some loop of laser detunings
-    does not close.
+    The potential of `_blocks`: f = 0 at each block's smallest level, grown
+    outward one edge per layer and verified on every edge; None when some
+    loop of laser detunings does not close within tol.
     """
-    n = h.n
-    f = [0.0] * n
-    seen = [False] * n
-    adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for a, b, d in zip(h.fin.tolist(), h.ini.tolist(), h.delta.tolist()):
-        adj[a].append((b, -d))
-        adj[b].append((a, d))
-    for root in range(n):
-        if seen[root]:
-            continue
-        seen[root] = True
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            for v, step in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    f[v] = f[u] + step
-                    stack.append(v)
-    f = np.array(f)
-    resid = np.max(np.abs(f[h.fin] - f[h.ini] - h.delta), initial=0.0)
-    return f if resid <= tol else None
+    return _blocks(h, tol)[4]
 
 
 def components(h: CouplingMatrix) -> list[np.ndarray]:
     """Index sets of the connected components of the coupling graph.
 
     Components are ordered by their smallest level, each one ascending.
+    Every level starts labelled by itself; each round lowers the label at
+    both ends of every edge to the smaller of the two (`np.minimum.at`),
+    then jumps each label to its label's label.  A label is always a level
+    of its own component and never above the least label within k edges
+    after round k, so the labels reach each component's smallest level
+    within its diameter, and the loop ends within n rounds.
     """
-    parent = list(range(h.n))
-
-    def root(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for a, b in zip(h.fin.tolist(), h.ini.tolist()):
-        ra, rb = root(a), root(b)
-        # the root is the smallest member (comparisons, not max/min: a hot loop)
-        if ra < rb:
-            parent[rb] = ra
-        else:
-            parent[ra] = rb
-    labels = np.array([root(a) for a in range(h.n)], dtype=int)
-    order = np.argsort(labels, kind="stable")
-    return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
+    label = np.arange(h.n)
+    while True:
+        prev = label
+        label = label.copy()
+        np.minimum.at(label, h.fin, label[h.ini])
+        np.minimum.at(label, h.ini, label[h.fin])
+        label = label[label]
+        if np.array_equal(label, prev):
+            break
+    order = np.argsort(label, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
 
 
 def propagate(
@@ -288,12 +270,6 @@ class Ensemble:
                    member=np.asarray(member, dtype=int)[keep],
                    level=np.asarray(level, dtype=int)[keep], amp=amp[keep])
 
-    def members(self) -> list[tuple[float, np.ndarray]]:
-        """Dense (weight, state vector) pairs, one per member."""
-        states = np.zeros((len(self.weights), self.n), dtype=complex)
-        states[self.member, self.level] = self.amp
-        return list(zip(self.weights.tolist(), states))
-
 
 def ensemble_potential_trace(
     h: CouplingMatrix,
@@ -325,8 +301,7 @@ def ensemble_potential_trace(
     for branch, ens in ensembles.items():
         if len(ens.weights) == 0:
             raise ValueError(f"branch {branch}: empty ensemble")
-    f = node_potential(h)
-    blocks, label, local, edges = _blocks(h)
+    blocks, label, local, edges, f = _blocks(h)
     # the ceilings are checked before any array of n values is built
     if f is not None:
         # [c; s] @ [X_1 | ...] with a column per branch: an upper bound, as
@@ -410,28 +385,52 @@ def _block_bounds(h: CouplingMatrix, ensembles: dict, label, count) -> np.ndarra
     return np.array(mass).reshape(-1, count) * norm
 
 
-def _blocks(h: CouplingMatrix):
-    """(blocks, label, local, edges): the coupling graph by blocks.
+def _blocks(h: CouplingMatrix, tol: float = 1e-10):
+    """(blocks, label, local, edges, f): the coupling graph by blocks.
 
     `blocks` are the index sets of `components`; level i sits at position
     local[i] of block label[i]; edges(c) = (size, a, b, omega, delta) holds
     block c's couplings in block-local positions, the leading arguments of
     `_block_matrix`.  edges(c) is built on demand, for the blocks a caller
     visits only.
+
+    f is the node potential (Delta = f_fin - f_ini on every edge), or None
+    when some edge misses it by more than tol.  It is 0 at each block's
+    smallest level and grows in breadth-first layers: each layer sets every
+    unset level one edge from a set one, along the first such edge in edge
+    order (edge k, fin -> ini, is step k; ini -> fin is step E + k).  The
+    layers stop when no unset level has a set neighbour; each one sets at
+    least one level, so there are at most n.
     """
     blocks = components(h)
+    sizes = [len(idx) for idx in blocks]
+    start = np.cumsum(sizes) - sizes
+    order = np.concatenate(blocks)
     label = np.empty(h.n, dtype=int)
     local = np.empty(h.n, dtype=int)
-    for c, idx in enumerate(blocks):
-        label[idx] = c
-        local[idx] = np.arange(len(idx))
+    label[order] = np.repeat(np.arange(len(blocks)), sizes)
+    local[order] = np.arange(h.n) - np.repeat(start, sizes)
     edge_block = label[h.fin]
 
     def edges(c):
         e = np.flatnonzero(edge_block == c)
         return len(blocks[c]), local[h.fin[e]], local[h.ini[e]], h.omega[e], h.delta[e]
 
-    return blocks, label, local, edges
+    src = np.concatenate((h.fin, h.ini))
+    dst = np.concatenate((h.ini, h.fin))
+    step = np.concatenate((-h.delta, h.delta))
+    f = np.zeros(h.n)
+    known = local == 0  # each block's smallest level, at its position 0
+    pending = np.flatnonzero(~known[dst])  # steps into unset levels, in order
+    while len(e := pending[known[src[pending]]]):
+        # the first step into each level: a stable sort by target
+        e = e[np.argsort(dst[e], kind="stable")]
+        e = e[np.diff(dst[e], prepend=-1) != 0]
+        f[dst[e]] = f[src[e]] + step[e]
+        known[dst[e]] = True
+        pending = pending[~known[dst[pending]]]
+    resid = np.max(np.abs(f[h.fin] - f[h.ini] - h.delta), initial=0.0)
+    return blocks, label, local, edges, (f if resid <= tol else None)
 
 
 def _block_matrix(size, a, b, omega, delta, t) -> np.ndarray:
@@ -611,7 +610,7 @@ def prepare_initial(
         return Ensemble.from_triplets(h.n, ws, np.repeat(np.arange(len(weights)), 3),
                                       levels((1, 2, 3)).ravel(), np.tile(amps, len(weights)))
     if mode == "adiabatic":
-        blocks, label, local, edges = _blocks(h)
+        blocks, label, local, edges, _ = _blocks(h)
         eig, member, level, amp = {}, [], [], []
         for k, ((rot, _), bare) in enumerate(zip(weights, levels((1,))[:, 0].tolist())):
             c = label[bare]

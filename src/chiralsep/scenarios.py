@@ -392,7 +392,7 @@ def _branch_members(config, who, h, thermal):
     if config.restricted_loop:
         # eigenstates of the static restricted loop, one branch each, in
         # ascending order of their eigenvalues over all blocks
-        blocks, _, _, edges = _blocks(h)
+        blocks, _, _, edges, _ = _blocks(h)
         eig = [np.linalg.eigh(_block_matrix(*edges(c), 0.0)) for c in range(len(blocks))]
         states = [(val, idx, vec) for idx, (vals, vecs) in zip(blocks, eig)
                   for val, vec in zip(vals, vecs.T)]

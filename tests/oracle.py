@@ -8,7 +8,11 @@ bit for bit.  Likewise `chirality_permutation` here looks each M-reversed
 level up in a dict over the basis, the reference of the integer-coded
 `hamiltonian.chirality_permutation`, and `trace_csv` and `couplings_csv`
 format one row at a time, element by element, the reference of the
-column-wise `scenarios` writers.
+column-wise `scenarios` writers.  `components` (a union-find) and
+`node_potential` (a depth-first search) walk the coupling graph one edge at
+a time, the references of the vectorised labelling and layered potential
+of `propagate`, and `members` expands an `Ensemble` into dense state
+vectors for the per-member propagation the block trace must match.
 """
 
 import math
@@ -103,3 +107,59 @@ def couplings_csv(h) -> str:
         w = complex(w)
         lines.append(f"{h.basis[f]},{h.basis[i]},{w.real!r},{w.imag!r},{float(d)!r}")
     return "\n".join(lines) + "\n"
+
+
+def components(h) -> list[np.ndarray]:
+    """The blocks of `propagate.components`, by a union-find over the edges."""
+    parent = list(range(h.n))
+
+    def root(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for a, b in zip(h.fin.tolist(), h.ini.tolist()):
+        ra, rb = root(a), root(b)
+        # the root is the smallest member
+        if ra < rb:
+            parent[rb] = ra
+        else:
+            parent[ra] = rb
+    labels = np.array([root(a) for a in range(h.n)], dtype=int)
+    order = np.argsort(labels, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
+
+
+def node_potential(h, tol: float = 1e-10):
+    """The f of `propagate.node_potential`, by a depth-first search from
+    each component's smallest level, or None when some edge misses it."""
+    n = h.n
+    f = [0.0] * n
+    seen = [False] * n
+    adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+    for a, b, d in zip(h.fin.tolist(), h.ini.tolist(), h.delta.tolist()):
+        adj[a].append((b, -d))
+        adj[b].append((a, d))
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        stack = [start]
+        while stack:
+            u = stack.pop()
+            for v, step in adj[u]:
+                if not seen[v]:
+                    seen[v] = True
+                    f[v] = f[u] + step
+                    stack.append(v)
+    f = np.array(f)
+    resid = np.max(np.abs(f[h.fin] - f[h.ini] - h.delta), initial=0.0)
+    return f if resid <= tol else None
+
+
+def members(ens) -> list[tuple[float, np.ndarray]]:
+    """Dense (weight, state vector) pairs of an Ensemble, one per member."""
+    states = np.zeros((len(ens.weights), ens.n), dtype=complex)
+    states[ens.member, ens.level] = ens.amp
+    return list(zip(ens.weights.tolist(), states))

@@ -13,7 +13,6 @@ from chiralsep.dressed import (
     dress,
     dress_field,
     loop_matrix,
-    offdiagonal_check,
     scalar_potential,
     vector_potential,
 )
@@ -107,10 +106,3 @@ def test_vector_potential_rejects_coarse_grids():
     frame = dress_field(FieldConfiguration.from_lasers(three_beams(), grid))
     with pytest.raises(DiscontinuousFrameError):
         vector_potential(frame, 0)
-
-
-def test_offdiagonal_check_small_for_gentle_fields():
-    grid = np.linspace(-1, 1, 201)
-    frame = dress_field(FieldConfiguration.from_lasers(three_beams(), grid))
-    # slow spatial variation against an O(1) gap: adiabatic parameter << 1
-    assert offdiagonal_check(frame, v_typ=1e-3) < 0.05

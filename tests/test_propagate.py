@@ -9,7 +9,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import oracle
 from chiralsep import propagate as propagate_module
+from chiralsep import scenarios as scenarios_module
 from chiralsep.coupling import DipoleModel, Enantiomer, LaserSpec
 from chiralsep.hamiltonian import CouplingMatrix, EmptyCouplingError, LevelIndex, assemble
 from chiralsep.propagate import (
@@ -134,6 +136,60 @@ def test_components_partition():
     assert sorted(len(c) for c in comps) == [1, 2]
 
 
+@st.composite
+def coupling_graphs(draw, cycle=False):
+    """(levels, edges): chains and cycles over up to 40 levels, which may
+    repeat edges; a level no path visits stays isolated.  With cycle=True
+    the first edges close a cycle of at least three levels."""
+    n = draw(st.integers(3 if cycle else 1, 40))
+    path = st.lists(st.integers(0, n - 1), min_size=min(2, n), max_size=min(8, n), unique=True)
+    paths = draw(st.lists(st.tuples(path, st.booleans()), max_size=8))
+    if cycle:
+        paths.insert(0, (draw(path.filter(lambda p: len(p) >= 3)), True))
+    edges = []
+    for levels, closed in paths:
+        edges += list(zip(levels, levels[1:]))
+        if closed and len(levels) >= 3:
+            edges.append((levels[-1], levels[0]))
+    return n, edges
+
+
+def graph_matrix(n, edges, delta):
+    basis = tuple(LevelIndex(1, RotState(j, 0, 0)) for j in range(n))
+    fin, ini = np.array(edges, dtype=int).reshape(-1, 2).T
+    return CouplingMatrix(basis=basis, fin=fin, ini=ini, omega=np.ones(len(edges), dtype=complex),
+                          delta=np.asarray(delta, dtype=float).reshape(-1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph=coupling_graphs(), data=st.data())
+def test_components_and_potential_match_the_edge_walks(graph, data):
+    n, edges = graph
+    potential = np.array(data.draw(st.lists(st.floats(-5, 5), min_size=n, max_size=n)))
+    h = graph_matrix(n, edges, [potential[a] - potential[b] for a, b in edges])
+    blocks, ref = components(h), oracle.components(h)
+    assert len(blocks) == len(ref)
+    assert all(np.array_equal(idx, want) for idx, want in zip(blocks, ref))
+    f, want = node_potential(h), oracle.node_potential(h)
+    assert f is not None and want is not None
+    assert np.max(np.abs(f[h.fin] - f[h.ini] - h.delta), initial=0.0) <= 1e-10
+    assert all(f[idx[0]] == 0.0 for idx in blocks)
+    assert np.max(np.abs(f - want)) <= 1e-9
+
+
+@settings(max_examples=100, deadline=None)
+@given(graph=coupling_graphs(cycle=True), data=st.data())
+def test_an_open_cycle_has_no_potential_in_either_walk(graph, data):
+    n, edges = graph
+    potential = np.array(data.draw(st.lists(st.floats(-5, 5), min_size=n, max_size=n)))
+    delta = np.array([potential[a] - potential[b] for a, b in edges])
+    # the first edge lies on a cycle; this detuning misses it
+    delta[0] += data.draw(st.floats(1e-6, 1.0) | st.floats(-1.0, -1e-6))
+    h = graph_matrix(n, edges, delta)
+    assert node_potential(h) is None
+    assert oracle.node_potential(h) is None
+
+
 def test_potential_trace_matches_direct_expectation():
     h = triangle([0.5, 0.3, 0.2j], [0.4, -0.1, 0.3])
     psi0 = np.array([1.0, 1.0, 0.0], dtype=complex) / np.sqrt(2)
@@ -182,7 +238,7 @@ def _fig7_block_trace_against_per_member_static(n_times, stride, negative_weight
     for branch, ens in ensembles.items():
         fast = batched[branch]
         slow = []
-        for w, psi0 in ens.members():
+        for w, psi0 in oracle.members(ens):
             _, traj = propagate(h, psi0, times[-1], n_out=len(times), method="static")
             slow.append((w, potential_trace(h, times[::stride], traj[::stride], omega_ref)))
         ref = ensemble_average(slow)
@@ -282,7 +338,7 @@ def test_block_and_component_bounds_cover_the_screened_part(monkeypatch, name, j
     skipped = kept = 0
     for who in (Enantiomer.L, Enantiomer.R):
         h = _assemble(config, who)
-        blocks, label, _, _ = propagate_module._blocks(h)
+        blocks, label, _, _, _ = propagate_module._blocks(h)
         members = _branch_members(config, who, h, thermal)
         bounds = propagate_module._block_bounds(h, members, label, len(blocks))
         for c in range(len(blocks)):
@@ -317,12 +373,12 @@ def test_ensemble_trace_midpoint_fallback():
 def test_prepare_initial_modes():
     h = triangle([0.5, 0.3, 0.2], [0.0, 0.0, 0.0])
     thermal = {RotState(0, 0, 0): 1.0}
-    diab = prepare_initial("diabatic", h, thermal).members()
+    diab = oracle.members(prepare_initial("diabatic", h, thermal))
     assert len(diab) == 1 and diab[0][1][0] == 1.0
     amps = np.array([1.0, 1.0, 0.0]) / np.sqrt(2)
-    part = prepare_initial("partially-dressed", h, thermal, vib_amplitudes=amps).members()
+    part = oracle.members(prepare_initial("partially-dressed", h, thermal, vib_amplitudes=amps))
     assert np.allclose(part[0][1], [amps[0], amps[1], 0.0])
-    adia = prepare_initial("adiabatic", h, thermal).members()
+    adia = oracle.members(prepare_initial("adiabatic", h, thermal))
     vals, vecs = np.linalg.eigh(h.evaluate(0.0))
     overlaps = np.abs(vecs.conj().T @ adia[0][1])
     assert np.max(overlaps) == pytest.approx(1.0, abs=1e-12)
@@ -441,7 +497,7 @@ def test_batched_trace_matches_per_member_and_single_branch(pols, offsets, peaks
     batched = ensemble_potential_trace(h, ensembles, 2.0, 21, omega_ref=0.7)
     for k, ens in ensembles.items():
         slow = []
-        for w, psi0 in ens.members():
+        for w, psi0 in oracle.members(ens):
             _, traj = propagate(h, psi0, times[-1], n_out=len(times), method="static")
             slow.append((w, potential_trace(h, times, traj, 0.7)))
         assert np.max(np.abs(batched[k].values - ensemble_average(slow).values)) < 1e-12
@@ -482,7 +538,7 @@ def test_midpoint_block_trace_matches_per_member_midpoint(pols, offsets, mismatc
     batched = ensemble_potential_trace(h, ensembles, 0.02, 6, omega_ref=0.7)
     for k, ens in ensembles.items():
         slow = []
-        for w, psi0 in ens.members():
+        for w, psi0 in oracle.members(ens):
             _, traj = propagate(h, psi0, times[-1], n_out=len(times), method="midpoint")
             slow.append((w, potential_trace(h, times, traj, 0.7)))
         assert np.max(np.abs(batched[k].values - ensemble_average(slow).values)) < 1e-12
@@ -497,12 +553,28 @@ def _run_without_dense_or_per_member_path(monkeypatch, config):
             raise AssertionError(f"{name} called")
         return record
 
-    for name in ("propagate", "potential_trace", "ensemble_average"):
+    for name in ("propagate", "potential_trace", "ensemble_average", "node_potential"):
         monkeypatch.setattr(propagate_module, name, spy(name))
     monkeypatch.setattr(CouplingMatrix, "evaluate", spy("CouplingMatrix.evaluate"))
-    monkeypatch.setattr(Ensemble, "members", spy("Ensemble.members"))
+    # the labelling runs once per trace call, which takes f from the same pass
+    labelled, per_trace = [], []
+    components, trace = propagate_module.components, scenarios_module.ensemble_potential_trace
+
+    def count_components(h):
+        labelled.append(h)
+        return components(h)
+
+    def count_per_trace(*args, **kwargs):
+        before = len(labelled)
+        out = trace(*args, **kwargs)
+        per_trace.append(len(labelled) - before)
+        return out
+
+    monkeypatch.setattr(propagate_module, "components", count_components)
+    monkeypatch.setattr(scenarios_module, "ensemble_potential_trace", count_per_trace)
     result = run_scenario(config)
     assert calls == []
+    assert per_trace and per_trace == [1] * len(per_trace)
     assert all(np.all(np.isfinite(tr.values))
                for per in result.traces.values() for tr in per.values())
 

@@ -4,6 +4,7 @@ import os
 import pickle
 import subprocess
 import sys
+import tempfile
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -335,6 +336,26 @@ def test_r_traced_on_h_l_matches_r_traced_on_h_r(pols, preparation, temperature,
     for branch, tr in direct.items():
         scale = max(1.0, np.max(np.abs(tr.values)))
         assert np.max(np.abs(res.traces[branch]["R"].values - tr.values)) <= 1e-12 * scale
+
+
+@settings(max_examples=10, deadline=None)
+@given(pols=CATALOGUED, preparation=st.sampled_from(PREPARATIONS),
+       temperature=st.sampled_from([0.0, 0.05, 0.5]), jmax=st.integers(1, 2),
+       peaks=st.tuples(*[st.floats(0.1, 2.0)] * 3), offsets=st.tuples(*[st.floats(-3, 3)] * 2))
+def test_a_rerun_writes_the_same_bytes(pols, preparation, temperature, jmax, peaks, offsets):
+    cfg = parse_config(MINIMAL)
+    rot_offsets = (offsets[0], offsets[1], offsets[0] + offsets[1])
+    lasers = tuple(replace(laser, polarization=p, peak_rabi=laser.peak_rabi * w, rot_offset=o)
+                   for laser, p, w, o in zip(cfg.lasers, pols, peaks, rot_offsets))
+    cfg = replace(cfg, lasers=lasers, preparation=preparation, temperature=temperature,
+                  trunc=BasisTruncation(jmax), truncation_mass=1.0)
+    written = []
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateEigenstateWarning)
+        for run in ("first", "second"):
+            paths = scenarios.write_outputs(run_scenario(cfg), os.path.join(tmp, run))
+            written.append({os.path.basename(p): Path(p).read_bytes() for p in paths})
+    assert written[0] == written[1]
 
 
 def test_dipole_sign_flips_only_r_on_flagged_pairs():
