@@ -1,16 +1,16 @@
 """Command-line interface.
 
 Subcommands: run, loops, flip-sensitivity, dressed-potentials, timescales,
-dump-couplings.  All outputs are CSV or flat key = value text; exit code 0
-on success, 2 with a machine-readable ``error: ...`` line on validation
-failure.
+dump-couplings.  All outputs are CSV or flat key = value text, formatted by
+`scenarios.csv_lines` and `scenarios.keyvalue_lines` and written to stdout,
+or with ``--out`` to a file through `scenarios.write_text`; exit code 0 on
+success, 2 with a machine-readable ``error: ...`` line on validation failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import itertools
-import os
 import sys
 from dataclasses import replace
 
@@ -28,6 +28,8 @@ from .scenarios import (
     builtin_config,
     builtin_names,
     couplings_csv,
+    csv_lines,
+    keyvalue_lines,
     load_config,
     loops_csv,
     run_scenario,
@@ -35,8 +37,8 @@ from .scenarios import (
     timescale_report,
     with_jmax,
     write_outputs,
+    write_text,
     _assemble,
-    _fmt,
 )
 
 
@@ -60,32 +62,30 @@ def _cmd_run(args):
     cfg = _load(args)
     tags = ("L", "R") if args.enantiomer == "both" else (args.enantiomer,)
     result = run_scenario(cfg, enantiomers=tags)
-    paths = write_outputs(result, args.out)
-    for p in paths:
-        print(p)
+    print(*write_outputs(result, args.out), sep="\n")
 
 
 def _cmd_loops(args):
     cfg = _load(args)
     h = _assemble(cfg, Enantiomer.L)
-    text = loops_csv(loop_census(h, max_len=args.max_len))
-    _emit(text, args.out, "loops.csv")
+    _emit(loops_csv(loop_census(h, max_len=args.max_len)), args.out, "loops.csv")
 
 
 def _cmd_flip_sensitivity(args):
-    sizes = [int(s) for s in args.sizes.split(",")]
-    lines = ["n,draw,flips,classification"]
-    for n in sizes:
+    columns = ([], [], [], [])  # n, draw, flips, classification
+    for n in map(int, args.sizes.split(",")):
         rng = np.random.default_rng(args.seed + n)
         for draw in range(args.draws):
             h = random_loop_hamiltonian(n, rng)
             edges = h.edges()
             for r in range(1, len(edges) + 1):
                 for pat in itertools.combinations(edges, r):
-                    cls = flip_sensitivity(h, SignPattern.of(*pat))
-                    flips = ";".join(f"{a}-{b}" for a, b in pat)
-                    lines.append(f"{n},{draw},{flips},{cls}")
-    _emit("\n".join(lines) + "\n", args.out, "flip_sensitivity.csv")
+                    flips = ";".join("-".join(map(str, e)) for e in pat)
+                    for col, value in zip(columns, (n, draw, flips,
+                                                    flip_sensitivity(h, SignPattern.of(*pat)))):
+                        col.append(value)
+    _emit(csv_lines(["n", "draw", "flips", "classification"], columns),
+          args.out, "flip_sensitivity.csv")
 
 
 def _cmd_dressed_potentials(args):
@@ -102,25 +102,16 @@ def _cmd_dressed_potentials(args):
         for l, off in zip(cfg.lasers, offsets)
     ]
     for tag in ("L", "R"):
-        fieldcfg = dressedmod.FieldConfiguration.from_lasers(
-            lasers, grid, who=Enantiomer(tag), dipole=cfg.dipole)
-        frame = dressedmod.dress_field(fieldcfg)
-        omega12 = cfg.omega12_max
-        rows = ["x,V_1,V_2,V_3,A_1,A_2,A_3"]
-        vs = [dressedmod.scalar_potential(frame, n) / omega12 for n in range(3)]
+        frame = dressedmod.dress_field(dressedmod.FieldConfiguration.from_lasers(
+            lasers, grid, who=Enantiomer(tag), dipole=cfg.dipole))
+        vs = [dressedmod.scalar_potential(frame, n) / cfg.omega12_max for n in range(3)]
         avs = [dressedmod.vector_potential(frame, n) for n in range(3)]
-        for k, x in enumerate(grid):
-            row = [repr(float(x))]
-            row += [repr(float(v[k])) for v in vs]
-            row += [repr(float(a[k])) for a in avs]
-            rows.append(",".join(row))
-        _emit("\n".join(rows) + "\n", args.out, f"dressed_{tag}.csv")
+        _emit(csv_lines(["x", "V_1", "V_2", "V_3", "A_1", "A_2", "A_3"], [grid, *vs, *avs]),
+              args.out, f"dressed_{tag}.csv")
 
 
 def _cmd_timescales(args):
-    cfg = _load(args)
-    for key, val in timescale_report(cfg).items():
-        print(f"{key} = {_fmt(val)}")
+    sys.stdout.writelines(keyvalue_lines(timescale_report(_load(args)).items()))
 
 
 def _cmd_dump_couplings(args):
@@ -129,15 +120,12 @@ def _cmd_dump_couplings(args):
     _emit(couplings_csv(h), args.out, f"couplings_{args.enantiomer}.csv")
 
 
-def _emit(text, out_dir, name):
+def _emit(chunks, out_dir, name):
+    """The text chunks to stdout, or to out_dir/name with its path on stdout."""
     if out_dir is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
-        os.makedirs(out_dir, exist_ok=True)
-        path = os.path.join(out_dir, name)
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        print(path)
+        print(write_text(out_dir, name, chunks))
 
 
 def build_parser():

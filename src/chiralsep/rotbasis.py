@@ -50,6 +50,11 @@ class RotorConstants:
 D2S2 = RotorConstants(a=76.15, b=6.401, c=6.399)
 
 
+#: the largest jmax a basis may take: 296,310 levels over three vibrational
+#: states, at ~0.84 kB a level in assembly (the size grows as jmax**3)
+JMAX_CEILING = 41
+
+
 @dataclass(frozen=True)
 class BasisTruncation:
     """Keep all |J K M> with J <= jmax."""
@@ -59,6 +64,8 @@ class BasisTruncation:
     def __post_init__(self):
         if self.jmax < 0:
             raise ValueError("jmax must be non-negative")
+        if self.jmax > JMAX_CEILING:
+            raise ValueError(f"jmax must be at most {JMAX_CEILING}, got {self.jmax}")
 
     @property
     def size(self):

@@ -1,4 +1,4 @@
-"""Named experiments, config-file parsing and CSV output.
+"""Named experiments, config-file parsing and output.
 
 Config format (versioned, line-oriented key = value with sections; parsed
 with configparser).  The first non-blank line must be the header comment
@@ -35,13 +35,13 @@ pairs, forming the closed loop.  Keys are case-insensitive.  A section or key
 not listed above (a ``[DEFAULT]`` entry counts as a key of every section) is
 rejected, never ignored.  Values are taken literally (no interpolation).
 Scenario runs are deterministic: identical configs produce bit-identical CSV
-output.
+output.  Tables are formatted by `csv_lines`, ``key = value`` text by
+`keyvalue_lines`, and every file is written by `write_text`.
 """
 
 from __future__ import annotations
 
 import configparser
-import io
 import math
 import os
 import warnings
@@ -113,17 +113,18 @@ class ScenarioConfig:
         if pairs != [(1, 2), (2, 3), (1, 3)]:
             raise ConfigError("exactly three lasers driving the 1-2, 2-3, 1-3 loop required")
         if self.restricted_loop and self.loop_rot is None:
-            raise ConfigError("scenario.loop_rot_state required when restricted_loop = true")
-        if self.t_end <= 0 or self.n_times < 2:
-            raise ConfigError("scenario: t_end must be positive, n_times >= 2")
-        for key, value in (("temperature_K", self.temperature), ("t_end_ns", self.t_end),
+            raise ConfigError("scenario.loop_rot_state: required when restricted_loop = true")
+        if self.t_end <= 0:
+            raise ConfigError(f"scenario.{self.t_end_key}: must be positive")
+        if self.n_times < 2:
+            raise ConfigError(f"scenario.n_times: must be at least 2, got {self.n_times!r}")
+        for key, value in (("temperature_K", self.temperature), (self.t_end_key, self.t_end),
                            ("evaluation_x", self.evaluation_x),
                            ("truncation_mass", self.truncation_mass)):
             if not math.isfinite(value):
                 raise ConfigError(f"scenario.{key}: must be finite, got {value!r}")
-        if self.temperature < 0:
-            raise ConfigError(
-                f"scenario.temperature_K: must be non-negative, got {self.temperature!r}")
+            if value < 0 and key in ("temperature_K", "truncation_mass"):
+                raise ConfigError(f"scenario.{key}: must be non-negative, got {value!r}")
         if not self.omega12_max > 0:
             raise ConfigError(f"laser12.peak_rabi: must be positive, got {self.omega12_max!r}")
 
@@ -530,78 +531,80 @@ def timescale_report(config: ScenarioConfig, h: CouplingMatrix | None = None) ->
 def _fmt(x) -> str:
     if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
-    if isinstance(x, float):
-        return repr(x)
     return str(x)
 
 
-#: trace CSV rows formatted per chunk: the float objects of whole columns
-#: would take ~32 bytes a value
-TRACE_CHUNK_ROWS = 4096
+#: CSV rows formatted per chunk: the Python objects of whole columns would
+#: take ~32 bytes a value, and a chunk's row strings ~100 bytes a row
+CSV_CHUNK_ROWS = 1024
+
+
+def csv_lines(header, columns):
+    """The header line, then the rows in chunks of CSV_CHUNK_ROWS.  A column
+    is an array or a sequence; a value prints as its str, the repr of a float."""
+    yield ",".join(header) + "\n"
+    for start in range(0, len(columns[0]), CSV_CHUNK_ROWS):
+        chunk = [col[start:start + CSV_CHUNK_ROWS] for col in columns]
+        cells = [map(str, c.tolist() if isinstance(c, np.ndarray) else c) for c in chunk]
+        # a row tuple joined at once is reused by zip: no tuple per row for the GC
+        yield "\n".join(map(",".join, zip(*cells))) + "\n"
+
+
+def keyvalue_lines(items):
+    """One `key = value` line per (key, value) pair."""
+    return (f"{key} = {_fmt(val)}\n" for key, val in items)
+
+
+def write_text(out_dir, name, chunks) -> str:
+    """Write the text chunks to out_dir/name, creating out_dir; returns the path."""
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, name)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(chunks)
+    return path
 
 
 def trace_csv(result: ScenarioResult, branch):
-    """The CSV with columns time_ns, time_in_inverse_Omega12, value_L,
-    value_R: the header line, then the rows in chunks of TRACE_CHUNK_ROWS."""
+    """One row per time: time_ns, time_in_inverse_Omega12, value_<tag>..."""
     per = result.traces[branch]
-    yield ",".join(["time_ns", "time_in_inverse_Omega12"] + [f"value_{t}" for t in per]) + "\n"
-    columns = [result.times, result.times * result.config.omega12_max]
-    columns += [tr.values for tr in per.values()]
-    for start in range(0, len(result.times), TRACE_CHUNK_ROWS):
-        rows = zip(*(col[start:start + TRACE_CHUNK_ROWS].tolist() for col in columns))
-        yield "".join([",".join(map(repr, row)) + "\n" for row in rows])
+    return csv_lines(["time_ns", "time_in_inverse_Omega12"] + [f"value_{t}" for t in per],
+                     [result.times, result.times * result.config.omega12_max]
+                     + [tr.values for tr in per.values()])
 
 
-def couplings_csv(h: CouplingMatrix) -> str:
-    names = [level.name for level in h.basis]
-    columns = ([names[f] for f in h.fin.tolist()], [names[i] for i in h.ini.tolist()],
-               h.omega.real.tolist(), h.omega.imag.tolist(), h.delta.tolist())
-    return "final,initial,omega_re_GHz,omega_im_GHz,delta_GHz\n" + "".join(
-        [f"{f},{i},{re!r},{im!r},{d!r}\n" for f, i, re, im, d in zip(*columns)])
+def couplings_csv(h: CouplingMatrix):
+    """One row per coupling: the final and initial level, Omega and Delta."""
+    names = np.array([level.name for level in h.basis], dtype=object)
+    return csv_lines(["final", "initial", "omega_re_GHz", "omega_im_GHz", "delta_GHz"],
+                     [names[h.fin], names[h.ini], h.omega.real, h.omega.imag, h.delta])
 
 
-def loops_csv(loops) -> str:
-    buf = io.StringIO()
-    buf.write("length,states,same_rotational_label\n")
-    for cyc in loops:
-        same = len({lvl.rot for lvl in cyc}) == 1
-        states = " -> ".join(str(lvl) for lvl in cyc)
-        buf.write(f"{len(cyc)},{states},{_fmt(same)}\n")
-    return buf.getvalue()
+def loops_csv(loops):
+    """One row per loop: its length, its levels, whether they share one |J K M>."""
+    return csv_lines(["length", "states", "same_rotational_label"],
+                     [[len(cyc) for cyc in loops],
+                      [" -> ".join(map(str, cyc)) for cyc in loops],
+                      [_fmt(len({lvl.rot for lvl in cyc}) == 1) for cyc in loops]])
 
 
 def summary_text(result: ScenarioResult) -> str:
     """Flat key = value summary (time averages, residuals, timescales)."""
-    lines = [f"scenario = {result.config.name}"]
+    items = [("scenario", result.config.name)]
     for branch, per in result.traces.items():
-        for tag, tr in per.items():
-            lines.append(f"time_average_branch{branch}_{tag} = {tr.time_average!r}")
+        items += [(f"time_average_branch{branch}_{tag}", tr.time_average)
+                  for tag, tr in per.items()]
         if {"L", "R"} <= set(per):
-            diff = float(np.max(np.abs(per["L"].values - per["R"].values)))
-            lines.append(f"max_LR_difference_branch{branch} = {diff!r}")
-    lines.append(f"loop_count = {len(result.loops)}")
+            items.append((f"max_LR_difference_branch{branch}",
+                          float(np.max(np.abs(per["L"].values - per["R"].values)))))
+    items.append(("loop_count", len(result.loops)))
     if result.isospectrality_residual is not None:
-        lines.append(f"isospectrality_residual = {result.isospectrality_residual!r}")
-    for key, val in result.timescales.items():
-        lines.append(f"{key} = {_fmt(val)}")
-    return "\n".join(lines) + "\n"
+        items.append(("isospectrality_residual", result.isospectrality_residual))
+    return "".join(keyvalue_lines(items + list(result.timescales.items())))
 
 
 def write_outputs(result: ScenarioResult, out_dir) -> list[str]:
     """Write all CSVs and the summary into out_dir; returns the paths."""
-    os.makedirs(out_dir, exist_ok=True)
-    written = []
-
-    def put(name, lines):
-        path = os.path.join(out_dir, name)
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(lines)
-        written.append(path)
-
-    for branch in result.traces:
-        put(f"trace_branch{branch}.csv", trace_csv(result, branch))
-    for tag, h in result.couplings.items():
-        put(f"couplings_{tag}.csv", [couplings_csv(h)])
-    put("loops.csv", [loops_csv(result.loops)])
-    put("summary.txt", [summary_text(result)])
-    return written
+    files = [(f"trace_branch{b}.csv", trace_csv(result, b)) for b in result.traces]
+    files += [(f"couplings_{tag}.csv", couplings_csv(h)) for tag, h in result.couplings.items()]
+    files += [("loops.csv", loops_csv(result.loops)), ("summary.txt", [summary_text(result)])]
+    return [write_text(out_dir, name, chunks) for name, chunks in files]

@@ -6,9 +6,10 @@ This is the single-pair form in exact `Fraction` arithmetic, one 3j product
 and one square root per call, kept as the oracle the array code must match
 bit for bit.  Likewise `chirality_permutation` here looks each M-reversed
 level up in a dict over the basis, the reference of the integer-coded
-`hamiltonian.chirality_permutation`, and `trace_csv` and `couplings_csv`
-format one row at a time, element by element, the reference of the
-column-wise `scenarios` writers.  `components` (a union-find) and
+`hamiltonian.chirality_permutation`, and `trace_csv`, `couplings_csv`,
+`loops_csv`, `dressed_csv` and `summary_text` format one row or line at a
+time, element by element, the references of the column-wise
+`scenarios.csv_lines` and `scenarios.keyvalue_lines`.  `components` (a union-find) and
 `node_potential` (a depth-first search) walk the coupling graph one edge at
 a time, the references of the vectorised labelling and layered potential
 of `propagate`, and `members` expands an `Ensemble` into dense state
@@ -20,6 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from chiralsep import dressed
 from chiralsep.coupling import DipoleModel, Enantiomer, LaserSpec, UnknownTransitionError
 from chiralsep.hamiltonian import BasisNotClosedError, LevelIndex, _classify_setup
 from chiralsep.rotbasis import RotState
@@ -107,6 +109,60 @@ def couplings_csv(h) -> str:
         w = complex(w)
         lines.append(f"{h.basis[f]},{h.basis[i]},{w.real!r},{w.imag!r},{float(d)!r}")
     return "\n".join(lines) + "\n"
+
+
+def loops_csv(loops) -> str:
+    """The loop table of `scenarios.loops_csv`, one loop at a time."""
+    lines = ["length,states,same_rotational_label"]
+    for cyc in loops:
+        same = "true" if len({lvl.rot for lvl in cyc}) == 1 else "false"
+        states = " -> ".join(str(lvl) for lvl in cyc)
+        lines.append(f"{len(cyc)},{states},{same}")
+    return "\n".join(lines) + "\n"
+
+
+def dressed_csv(frame, grid, omega12) -> str:
+    """The `dressed-potentials` table of one dressed frame, one x at a time."""
+    vs = [dressed.scalar_potential(frame, n) / omega12 for n in range(3)]
+    avs = [dressed.vector_potential(frame, n) for n in range(3)]
+    rows = ["x,V_1,V_2,V_3,A_1,A_2,A_3"]
+    for k, x in enumerate(grid):
+        row = [repr(float(x))]
+        row += [repr(float(v[k])) for v in vs]
+        row += [repr(float(a[k])) for a in avs]
+        rows.append(",".join(row))
+    return "\n".join(rows) + "\n"
+
+
+def keyvalue(val) -> str:
+    """The value of a key = value line, as the `timescales` report printed it."""
+    if isinstance(val, (bool, np.bool_)):
+        return "true" if val else "false"
+    if isinstance(val, float):
+        return repr(val)
+    return str(val)
+
+
+def summary_text(result) -> str:
+    """The summary of `scenarios.summary_text`, one line at a time."""
+    lines = [f"scenario = {result.config.name}"]
+    for branch, per in result.traces.items():
+        for tag, tr in per.items():
+            lines.append(f"time_average_branch{branch}_{tag} = {tr.time_average!r}")
+        if {"L", "R"} <= set(per):
+            diff = float(np.max(np.abs(per["L"].values - per["R"].values)))
+            lines.append(f"max_LR_difference_branch{branch} = {diff!r}")
+    lines.append(f"loop_count = {len(result.loops)}")
+    if result.isospectrality_residual is not None:
+        lines.append(f"isospectrality_residual = {result.isospectrality_residual!r}")
+    for key, val in result.timescales.items():
+        lines.append(f"{key} = {keyvalue(val)}")
+    return "\n".join(lines) + "\n"
+
+
+def timescales_text(report) -> str:
+    """The `timescales` report, one print per key."""
+    return "".join(f"{key} = {keyvalue(val)}\n" for key, val in report.items())
 
 
 def components(h) -> list[np.ndarray]:

@@ -215,6 +215,11 @@ def test_unknown_builtin_exits_2(capsys):
     # the static trace's [c; s] @ [X_1 | ...] would be 1.8 GiB: 5e6 times x a 24-level block
     ("jmax = 1\nt_end_over_omega12 = 2\nn_times = 21",
      "jmax = 3\nt_end_over_omega12 = 2\nn_times = 5000000", "scenario.n_times"),
+    ("t_end_over_omega12 = 2", "t_end_over_omega12 = -1", "scenario.t_end_over_omega12"),
+    ("t_end_over_omega12 = 2", "t_end_ns = 0", "scenario.t_end_ns"),
+    ("n_times = 21", "n_times = 1", "scenario.n_times"),
+    ("jmax = 1", "jmax = 1\ntruncation_mass = -1", "scenario.truncation_mass"),
+    ("jmax = 1", "jmax = 1\nrestricted_loop = true", "scenario.loop_rot_state"),
 ])
 def test_non_finite_or_unparsable_input_names_its_field(tmp_path, capsys, old, new, key):
     path = tmp_path / "bad.cfg"
@@ -224,3 +229,24 @@ def test_non_finite_or_unparsable_input_names_its_field(tmp_path, capsys, old, n
     assert rc == 2
     assert capsys.readouterr().err.startswith(f"error: {key}: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, key", [("run", "scenario.jmax"), ("timescales", "--jmax")])
+def test_an_absurd_jmax_exits_before_any_basis_is_built(tmp_path, capsys, command, key):
+    # jmax 10**5 would list 4e15 levels; the ceiling refuses it before the first
+    path = tmp_path / "big.cfg"
+    if command == "run":
+        path.write_text(TINY.replace("jmax = 1", "jmax = 100000"))
+        argv = ["run", "--config", str(path), "--out", str(tmp_path / "o")]
+    else:
+        path.write_text(TINY)
+        argv = ["timescales", "--config", str(path), "--jmax", "100000"]
+    tracemalloc.start()
+    try:
+        rc = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {key}: ")
+    assert peak < 50e6

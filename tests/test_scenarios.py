@@ -15,6 +15,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import oracle
+from chiralsep import dressed as dressedmod
 from chiralsep import hamiltonian, scenarios
 from chiralsep.cli import main
 from chiralsep.coupling import DipoleModel, DipoleTransition, Enantiomer, GaussianBeam
@@ -31,6 +32,7 @@ from chiralsep.scenarios import (
     builtin_config,
     builtin_names,
     couplings_csv,
+    csv_lines,
     loop_census,
     loops_csv,
     parse_config,
@@ -134,7 +136,7 @@ def test_run_scenario_deterministic_output():
     for branch in r1.traces:
         assert "".join(trace_csv(r1, branch)) == "".join(trace_csv(r2, branch))
     assert summary_text(r1) == summary_text(r2)
-    assert couplings_csv(r1.couplings["L"]) == couplings_csv(r2.couplings["L"])
+    assert "".join(couplings_csv(r1.couplings["L"])) == "".join(couplings_csv(r2.couplings["L"]))
 
 
 def test_run_scenario_trace_units_and_shape():
@@ -163,10 +165,63 @@ def test_csv_columns_match_the_per_row_formatter(monkeypatch, enantiomers):
     for branch in res.traces:
         assert "".join(trace_csv(res, branch)) == oracle.trace_csv(res, branch)
         with monkeypatch.context() as m:
-            m.setattr(scenarios, "TRACE_CHUNK_ROWS", 7)  # 2000 rows: the last chunk is partial
+            m.setattr(scenarios, "CSV_CHUNK_ROWS", 7)  # 2000 rows: the last chunk is partial
             assert "".join(trace_csv(res, branch)) == oracle.trace_csv(res, branch)
     for h in res.couplings.values():
-        assert couplings_csv(h) == oracle.couplings_csv(h)
+        assert "".join(couplings_csv(h)) == oracle.couplings_csv(h)
+    assert summary_text(res) == oracle.summary_text(res)
+
+
+def _loops_table(name, max_len):
+    loops = loop_census(_assemble(builtin_config(name), Enantiomer.L), max_len=max_len)
+    return [("".join(loops_csv(loops)), oracle.loops_csv(loops))]
+
+
+def _dressed_tables(capsys):
+    cfg = builtin_config("fig7-1mK-xxz")
+    assert main(["dressed-potentials", "--scenario", "fig7-1mK-xxz", "--points", "51"]) == 0
+    out = capsys.readouterr().out
+    grid = np.linspace(-2.0, 2.0, 51)
+    lasers = [replace(l, beam=GaussianBeam(waist=l.beam.waist, center=off))
+              for l, off in zip(cfg.lasers, (-0.5, 0.5, 0.0))]
+    expected = "".join(
+        oracle.dressed_csv(dressedmod.dress_field(dressedmod.FieldConfiguration.from_lasers(
+            lasers, grid, who=Enantiomer(tag), dipole=cfg.dipole)), grid, cfg.omega12_max)
+        for tag in "LR")
+    return [(out, expected)]
+
+
+def _empty_tables(capsys):
+    assert main(["flip-sensitivity", "--draws", "0"]) == 0
+    return [("".join(loops_csv([])), oracle.loops_csv([])),
+            (capsys.readouterr().out, "n,draw,flips,classification\n"),
+            ("".join(csv_lines(["a", "b"], [[], np.empty(0)])), "a,b\n")]
+
+
+def _timescales_lines(capsys):
+    assert main(["timescales", "--scenario", "fig7-1mK-xxz"]) == 0
+    report = timescale_report(builtin_config("fig7-1mK-xxz"))
+    return [(capsys.readouterr().out, oracle.timescales_text(report))]
+
+
+#: each case: (text written, text of the per-row or per-key oracle) pairs
+TABLES = {
+    "fig7-loops-6": lambda capsys: _loops_table("fig7-1mK-xxz", 6),
+    "restricted-loop": lambda capsys: _loops_table("restricted-loop", 3),
+    "dressed-L-R": _dressed_tables,
+    "empty": _empty_tables,
+    "timescales": _timescales_lines,
+}
+
+
+@pytest.mark.parametrize("table", TABLES)
+def test_table_columns_match_the_per_row_formatter(monkeypatch, capsys, table):
+    for got, expected in TABLES[table](capsys):
+        assert got == expected
+    with monkeypatch.context() as m:
+        m.setattr(scenarios, "CSV_CHUNK_ROWS", 7)
+        for got, expected in TABLES[table](capsys):
+            assert got == expected
 
 
 def test_a_run_builds_one_code_table_per_coupling_matrix(monkeypatch):
@@ -217,7 +272,7 @@ def test_loop_census_contains_vibrational_triangle():
     assert len(loops) == 1
     assert {lvl.vib for lvl in loops[0]} == {1, 2, 3}
     assert {lvl.rot for lvl in loops[0]} == {RotState(1, 1, 1)}
-    text = loops_csv(loops)
+    text = "".join(loops_csv(loops))
     assert text.splitlines()[1].endswith("true")  # same rotational label
 
 
@@ -336,6 +391,24 @@ def test_r_traced_on_h_l_matches_r_traced_on_h_r(pols, preparation, temperature,
     for branch, tr in direct.items():
         scale = max(1.0, np.max(np.abs(tr.values)))
         assert np.max(np.abs(res.traces[branch]["R"].values - tr.values)) <= 1e-12 * scale
+
+
+@settings(max_examples=100, deadline=None)
+@given(pols=CATALOGUED, mu=st.tuples(*[st.complex_numbers(max_magnitude=2.0)] * 3).filter(any),
+       jmax=st.integers(1, 2), peaks=st.tuples(*[st.floats(0.1, 2.0)] * 3),
+       offsets=st.tuples(*[st.floats(-3, 3)] * 2), x=st.floats(-1.5, 1.5))
+def test_isospectrality_residual_is_exactly_zero_on_catalogued_setups(pols, mu, jmax, peaks,
+                                                                      offsets, x):
+    cfg = parse_config(MINIMAL)
+    rot_offsets = (offsets[0], offsets[1], offsets[0] + offsets[1])
+    lasers = tuple(replace(laser, polarization=p, peak_rabi=laser.peak_rabi * w, rot_offset=o)
+                   for laser, p, w, o in zip(cfg.lasers, pols, peaks, rot_offsets))
+    flipped = DipoleTransition(mu=mu, chiral_sign_flip=True)
+    dipole = DipoleModel(dict.fromkeys(scenarios.LASER_SECTIONS.values(), flipped))
+    cfg = replace(cfg, lasers=lasers, dipole=dipole, trunc=BasisTruncation(jmax),
+                  evaluation_x=x, n_times=5)
+    res = run_scenario(cfg)
+    assert res.isospectrality_residual == 0.0
 
 
 @settings(max_examples=10, deadline=None)
