@@ -28,7 +28,7 @@ def main():
         for r in range(1, n + 1):
             # one representative pattern per flip count
             pat = tuple(itertools.islice(itertools.combinations(h.edges(), r), 1))[0]
-            cls = flip_sensitivity(h, SignPattern.of(*pat))
+            [cls] = flip_sensitivity(h, [SignPattern.of(*pat)])
             move = np.max(np.abs(spectrum(h.with_flips(pat)) - base))
             print(f"{n:>3} {r:>6} {cls:>20} {move:>15.3e}")
     print("\nodd flip counts change the spectrum, even ones are pure gauge")

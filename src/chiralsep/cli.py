@@ -52,8 +52,10 @@ def _add_config_args(p):
 
 def _load(args):
     cfg = load_config(args.config) if args.config else builtin_config(args.scenario)
+    if args.jmax is None:
+        return cfg
     try:
-        return with_jmax(cfg, args.jmax)
+        return replace(with_jmax(cfg, args.jmax), jmax_key="--jmax")
     except ValueError as exc:
         raise ConfigError(f"--jmax: {exc}") from None
 
@@ -71,19 +73,47 @@ def _cmd_loops(args):
     _emit(loops_csv(loop_census(h, max_len=args.max_len)), args.out, "loops.csv")
 
 
+#: most sign patterns (2^n - 1 for an n-ring) one flip-sensitivity draw may
+#: classify: n = 16 takes seconds a draw, and each edge more doubles it
+MAX_FLIP_PATTERNS = 2**16 - 1
+
+
+def _flip_sizes(text):
+    """The ring sizes of --sizes, each checked."""
+    try:
+        sizes = [int(s) for s in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"--sizes: expected comma-separated integers, got {text!r}") from None
+    for n in sizes:
+        if n < 3:
+            raise ConfigError(f"--sizes: a ring needs at least 3 levels to close a loop, got {n}")
+        if n >= (MAX_FLIP_PATTERNS + 1).bit_length():  # 2^n - 1 > MAX_FLIP_PATTERNS
+            raise ConfigError(f"--sizes: {n} gives 2^{n} - 1 sign patterns a draw, more than "
+                              f"{MAX_FLIP_PATTERNS}")
+    return sizes
+
+
 def _cmd_flip_sensitivity(args):
+    sizes = _flip_sizes(args.sizes)
+    if args.draws < 0:
+        raise ConfigError(f"--draws: must be non-negative, got {args.draws}")
     columns = ([], [], [], [])  # n, draw, flips, classification
-    for n in map(int, args.sizes.split(",")):
+    for n in sizes:
         rng = np.random.default_rng(args.seed + n)
         for draw in range(args.draws):
             h = random_loop_hamiltonian(n, rng)
-            edges = h.edges()
-            for r in range(1, len(edges) + 1):
-                for pat in itertools.combinations(edges, r):
-                    flips = ";".join("-".join(map(str, e)) for e in pat)
-                    for col, value in zip(columns, (n, draw, flips,
-                                                    flip_sensitivity(h, SignPattern.of(*pat)))):
-                        col.append(value)
+            if draw == 0:  # every ring of n levels has the same edges
+                edges = h.edges()
+                subsets = [pat for r in range(1, len(edges) + 1)
+                           for pat in itertools.combinations(edges, r)]
+                # h.edges() lists (i, j) with i < j, as SignPattern.of would
+                # key them: the patterns share those tuples
+                patterns = [SignPattern(frozenset(pat)) for pat in subsets]
+                labels = [";".join("-".join(map(str, e)) for e in pat) for pat in subsets]
+            columns[0].extend([n] * len(patterns))
+            columns[1].extend([draw] * len(patterns))
+            columns[2].extend(labels)
+            columns[3].extend(flip_sensitivity(h, patterns))
     _emit(csv_lines(["n", "draw", "flips", "classification"], columns),
           args.out, "flip_sensitivity.csv")
 

@@ -5,7 +5,9 @@ internal Hamiltonian at a transverse position x is the 3x3 zero-diagonal
 matrix of local Rabi values.  Diagonalizing it on a grid yields dressed
 branches; the scalar potential of branch n is its eigenvalue (plus a trap
 expectation) and the vector potential is the Berry connection
-i <chi_n | d/dx chi_n>, evaluated by central finite differences.
+i <chi_n | d/dx chi_n>, evaluated by central finite differences.  The grid
+is diagonalized as one stack of 3x3 matrices, and the gauge is fixed with
+array operations over it.
 """
 
 from __future__ import annotations
@@ -31,37 +33,42 @@ class DiscontinuousFrameError(RuntimeError):
     """Adjacent-point eigenvector overlap too small for finite differences."""
 
 
-def loop_matrix(omega12: complex, omega23: complex, omega13: complex) -> np.ndarray:
-    """Resonant 3-level loop Hamiltonian with the given Rabi entries."""
-    return np.array(
-        [
-            [0, np.conj(omega12), np.conj(omega13)],
-            [omega12, 0, np.conj(omega23)],
-            [omega13, omega23, 0],
-        ],
-        dtype=complex,
-    )
+def loop_matrix(omega12, omega23, omega13) -> np.ndarray:
+    """Resonant 3-level loop Hamiltonian with the given Rabi entries; arrays
+    of entries (broadcast together) give a stack of shape (..., 3, 3)."""
+    o12, o23, o13 = np.broadcast_arrays(*(np.asarray(w, dtype=complex)
+                                          for w in (omega12, omega23, omega13)))
+    h = np.zeros(o12.shape + (3, 3), dtype=complex)
+    h[..., 1, 0], h[..., 2, 1], h[..., 2, 0] = o12, o23, o13
+    h[..., 0, 1], h[..., 1, 2], h[..., 0, 2] = o12.conj(), o23.conj(), o13.conj()
+    return h
 
 
 def dress(omegas):
-    """Diagonalize the local 3-level loop Hamiltonian.
+    """Diagonalize the local 3-level loop Hamiltonian at one or many points.
 
-    `omegas` = (omega12, omega23, omega13).  Returns (eigenvalues ascending,
-    eigenvectors as columns), gauge-fixed so the largest-magnitude component
-    of each vector is real positive.  Warns on a gap below GAP_WARN times the
+    `omegas` has shape (..., 3): (omega12, omega23, omega13) per point.
+    Returns (eigenvalues ascending, shape (..., 3); eigenvectors as
+    columns, shape (..., 3, 3)) from one stacked `eigh`, gauge-fixed so the
+    largest-magnitude component of each vector (the first on ties) is real
+    positive.  Warns when some point's gap is below GAP_WARN times its
     largest |omega|.
     """
-    h = loop_matrix(omegas[0], omegas[1], omegas[2])
-    vals, vecs = np.linalg.eigh(h)
-    scale = np.max(np.abs(omegas))
-    if scale == 0 or np.min(np.diff(vals)) < GAP_WARN * scale:
+    omegas = np.asarray(omegas)
+    vals, vecs = np.linalg.eigh(loop_matrix(omegas[..., 0], omegas[..., 1], omegas[..., 2]))
+    scale = np.max(np.abs(omegas), axis=-1)
+    if np.any((scale == 0) | (np.min(np.diff(vals), axis=-1) < GAP_WARN * scale)):
         warnings.warn("near-degenerate dressed levels; gauge fixing unreliable",
                       DegenerateFrameWarning, stacklevel=2)
-    for n in range(3):
-        k = np.argmax(np.abs(vecs[:, n]))
-        phase = vecs[k, n] / abs(vecs[k, n]) if vecs[k, n] != 0 else 1.0
-        vecs[:, n] = vecs[:, n] / phase
-    return vals, vecs
+    top = np.take_along_axis(vecs, np.argmax(np.abs(vecs), axis=-2)[..., None, :], axis=-2)
+    phase = np.divide(top, _modulus(top), out=np.ones_like(top), where=top != 0)
+    return vals, vecs / phase
+
+
+def _modulus(z):
+    """|z| of a complex array as `abs` gives it for one value; np.abs of a
+    complex array can differ from it in the last bit."""
+    return np.hypot(z.real, z.imag)
 
 
 @dataclass(frozen=True)
@@ -117,24 +124,19 @@ def dress_field(config: FieldConfiguration) -> DressedFrame:
     construction.  Points where the anchor component vanishes fall back to
     phase alignment with the previous grid point.
     """
-    vals = np.empty((len(config.grid), 3))
-    vecs = np.empty((len(config.grid), 3, 3), dtype=complex)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateFrameWarning)
-        for k, om in enumerate(config.omegas):
-            vals[k], vecs[k] = dress(om)
-    mid = len(config.grid) // 2
-    anchors = [int(np.argmax(np.abs(vecs[mid][:, n]))) for n in range(3)]
-    for n in range(3):
-        a = anchors[n]
-        for k in range(len(config.grid)):
-            c = vecs[k][a, n]
-            if abs(c) > 1e-12:
-                vecs[k][:, n] *= np.conj(c) / abs(c)
-            elif k > 0:
-                ov = np.vdot(vecs[k - 1][:, n], vecs[k][:, n])
-                if ov != 0:
-                    vecs[k][:, n] *= np.conj(ov) / abs(ov)
+        vals, vecs = dress(config.omegas)
+    anchor = vecs[:, np.argmax(np.abs(vecs[len(config.grid) // 2]), axis=0), np.arange(3)]
+    size = _modulus(anchor)
+    held = size > 1e-12
+    k, n = np.nonzero(held)
+    vecs[k, :, n] *= (np.conj(anchor[k, n]) / size[k, n])[:, None]
+    for k, n in zip(*np.nonzero(~held)):  # in grid order: k - 1 is already fixed
+        if k > 0:
+            ov = np.vdot(vecs[k - 1, :, n], vecs[k, :, n])
+            if ov != 0:
+                vecs[k, :, n] *= np.conj(ov) / abs(ov)
     return DressedFrame(grid=config.grid, eigenvalues=vals, eigenvectors=vecs)
 
 

@@ -4,7 +4,9 @@ A zero-diagonal Hermitian matrix of complex Rabi frequencies is viewed as a
 weighted adjacency matrix.  Its spectrum changes under negation of a subset
 of edges exactly when the subset flips the gauge-invariant phase of some
 cycle, i.e. when an odd number of loop edges is negated; sign patterns on
-tree-like parts are pure gauge.
+tree-like parts are pure gauge.  `flip_sensitivity` classifies a whole list
+of patterns of one Hamiltonian with stacked eigensolves, FLIP_BATCH
+patterns at a time.
 """
 
 from __future__ import annotations
@@ -18,6 +20,9 @@ SPECTRUM_CHANGED = "spectrum-changed"
 SPECTRUM_UNCHANGED = "spectrum-unchanged"
 #: smallest eigenvalue gap of a `random_loop_hamiltonian` draw
 MIN_GAP = 1e-6
+#: most sign patterns `flip_sensitivity` stacks into one `eigvalsh` call
+#: (1024 flipped 20-level matrices are 6.6 MB)
+FLIP_BATCH = 1024
 
 
 class FlipIndeterminateError(RuntimeError):
@@ -81,7 +86,7 @@ class LoopHamiltonian:
         return LoopHamiltonian(h)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # a flip-sensitivity draw holds up to 65,535
 class SignPattern:
     """Subset of (undirected) edges whose Rabi frequencies are negated."""
 
@@ -109,32 +114,68 @@ def loop_phases(h: LoopHamiltonian, max_len: int = 8) -> dict[tuple, float]:
     return out
 
 
-def flip_sensitivity(
-    h: LoopHamiltonian, pattern: SignPattern, tol: float = 1e-9
-) -> str:
-    """Classify a sign pattern as spectrum-changed or spectrum-unchanged.
+def flip_sensitivity(h: LoopHamiltonian, patterns, tol: float = 1e-9) -> list[str]:
+    """Classify each sign pattern as spectrum-changed or spectrum-unchanged.
 
-    Raises FlipIndeterminateError when the sorted spectra agree within tol
-    although the loop-phase product of some cycle changed sign (a degenerate
-    coincidence; the caller should retry with perturbed couplings).  A flip
-    negates each product exactly, so a cycle's phase after the flips is
-    -(its phase) when an odd number of its edges flip and unchanged
-    otherwise: the cycles are enumerated once per h, and h's spectrum is
-    computed once, for all the patterns it is given.
+    Returns one classification per pattern, in order.  Raises
+    FlipIndeterminateError when a pattern's sorted spectrum agrees with h's
+    within tol although the loop-phase product of some cycle changed sign (a
+    degenerate coincidence; the caller should retry with perturbed
+    couplings), and ValueError for a flipped edge with zero coupling; either
+    error is that of the first failing pattern, as a loop over the patterns
+    would raise it.  The patterns are taken FLIP_BATCH at a time: their
+    flipped matrices go to one stacked `eigvalsh`.  A flip negates each
+    cycle product exactly, so a cycle's phase after the flips is -(its
+    phase) when an odd number of its edges flip and unchanged otherwise: the
+    parities of all (pattern, cycle) pairs are one product of the patterns x
+    edges flip mask with the cycle-edge incidence matrix.
     """
-    flipped = h.with_flips(pattern.flips)
-    dist = float(np.max(np.abs(spectrum(h) - spectrum(flipped))))
-    if dist > tol:
-        return SPECTRUM_CHANGED
-    before = h._loop_phases
-    scale = max((abs(v) for v in before.values()), default=0.0)
-    for key, val in before.items():
-        flips = sum(_edge_key(a, b) in pattern.flips for a, b in zip(key, key[1:] + key[:1]))
-        if flips % 2 and 2 * abs(val) > tol * max(1.0, scale):  # |val - (-val)|
+    column = {}  # an edge, either way round -> its column in the mask
+    for k, (a, b) in enumerate(h._edges):
+        column[a, b] = column[b, a] = k
+    out = []
+    for start in range(0, len(patterns), FLIP_BATCH):
+        out += _classify(h, column, patterns[start:start + FLIP_BATCH], tol)
+    return out
+
+
+def _classify(h: LoopHamiltonian, column: dict, patterns, tol: float) -> list[str]:
+    """`flip_sensitivity` of one stack of patterns."""
+    n_edges = len(h._edges)
+    flips = [edge for pattern in patterns for edge in pattern.flips]
+    cols = np.array([column.get(edge, -1) for edge in flips], dtype=np.intp)
+    rows = np.repeat(np.arange(len(patterns)), [len(pattern.flips) for pattern in patterns])
+    count, bad_edge = len(patterns), None
+    if np.any(cols < 0):  # the patterns before the first bad one are classified first
+        at = int(np.argmax(cols < 0))
+        count = rows[at]
+        bad_edge = ValueError(f"edge ({flips[at][0]}, {flips[at][1]}) has zero coupling")
+    keep = rows < count
+    # an edge named both ways round flips back
+    mask = np.bincount(rows[keep] * n_edges + cols[keep],
+                       minlength=count * n_edges).reshape(count, n_edges) % 2 == 1
+    i, j = np.array(h._edges, dtype=np.intp).reshape(-1, 2).T
+    stack = np.repeat(h.matrix[None], count, axis=0)
+    for a, b in ((i, j), (j, i)):
+        stack[:, a, b] = np.where(mask, -h.matrix[a, b], h.matrix[a, b])
+    dist = np.max(np.abs(spectrum(h) - np.linalg.eigvalsh(stack)), axis=1)
+    changed = dist > tol
+    if not changed.all():
+        phases = h._loop_phases
+        keys, values = list(phases), np.array(list(phases.values()))
+        scale = float(np.max(np.abs(values), initial=0.0))
+        incidence = np.zeros((len(keys), n_edges), dtype=np.int64)
+        for c, key in enumerate(keys):
+            incidence[c, [column[a, b] for a, b in zip(key, key[1:] + key[:1])]] = 1
+        odd = (mask @ incidence.T) % 2 == 1
+        hit = odd & ~changed[:, None] & (2 * np.abs(values) > tol * max(1.0, scale))
+        if hit.any():
+            p, c = np.argwhere(hit)[0]
             raise FlipIndeterminateError(
-                f"loop phase of {key} changed but spectrum moved only {dist:.2e}"
-            )
-    return SPECTRUM_UNCHANGED
+                f"loop phase of {keys[c]} changed but spectrum moved only {dist[p]:.2e}")
+    if bad_edge is not None:
+        raise bad_edge
+    return [SPECTRUM_CHANGED if x else SPECTRUM_UNCHANGED for x in changed]
 
 
 def find_loops(edges, max_len: int = 8) -> list[list]:

@@ -35,14 +35,18 @@ pairs, forming the closed loop.  Keys are case-insensitive.  A section or key
 not listed above (a ``[DEFAULT]`` entry counts as a key of every section) is
 rejected, never ignored.  Values are taken literally (no interpolation).
 Scenario runs are deterministic: identical configs produce bit-identical CSV
-output.  Tables are formatted by `csv_lines`, ``key = value`` text by
-`keyvalue_lines`, and every file is written by `write_text`.
+output.  Tables are formatted by `csv_lines`, which formats each distinct
+float of a chunk once, ``key = value`` text by `keyvalue_lines`, and every
+file is written by `write_text`.  A full basis at jmax 0 couples nothing
+(no laser couples J = 0 to J = 0): building it is reported against
+``scenario.jmax``, or against the flag a command-line override names.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
+import operator
 import os
 import warnings
 from dataclasses import dataclass, replace
@@ -54,6 +58,7 @@ from .coupling import DipoleModel, DipoleTransition, Enantiomer, GaussianBeam, L
 from .hamiltonian import (
     BasisNotClosedError,
     CouplingMatrix,
+    EmptyCouplingError,
     LevelIndex,
     UnsupportedSetupError,
     assemble,
@@ -105,6 +110,7 @@ class ScenarioConfig:
     loop_rot: RotState | None = None
     truncation_mass: float = 1e-6
     t_end_key: str = "t_end_ns"      # the config key t_end came from, for errors
+    jmax_key: str = "scenario.jmax"  # the key or flag jmax came from, for errors
 
     def __post_init__(self):
         if self.preparation not in PREPARATIONS:
@@ -384,8 +390,14 @@ def _restricted_basis(config: ScenarioConfig):
 
 def _assemble(config: ScenarioConfig, who: Enantiomer) -> CouplingMatrix:
     basis = _restricted_basis(config) if config.restricted_loop else None
-    return assemble(config.lasers, config.dipole, who, config.constants,
-                    config.trunc, x=config.evaluation_x, basis=basis)
+    try:
+        return assemble(config.lasers, config.dipole, who, config.constants,
+                        config.trunc, x=config.evaluation_x, basis=basis)
+    except EmptyCouplingError as exc:
+        if config.restricted_loop:
+            raise
+        # J = 0 couples only to J = 1, so a full basis fails at jmax 0 alone
+        raise ConfigError(f"{config.jmax_key}: {exc}; increase jmax") from None
 
 
 def _branch_members(config, who, h, thermal):
@@ -431,7 +443,7 @@ def run_scenario(config: ScenarioConfig, enantiomers=("L", "R")) -> ScenarioResu
         thermal = thermal_rot_state(config.temperature, config.constants, config.trunc,
                                     cutoff_mass=config.truncation_mass)
     except TruncationError as exc:
-        raise ConfigError(f"scenario.jmax: {exc}; increase jmax, or raise "
+        raise ConfigError(f"{config.jmax_key}: {exc}; increase jmax, or raise "
                           "scenario.truncation_mass") from None
     couplings = {tag: _assemble(config, Enantiomer(tag)) for tag in enantiomers}
     href = couplings[enantiomers[0]]
@@ -545,9 +557,24 @@ def csv_lines(header, columns):
     yield ",".join(header) + "\n"
     for start in range(0, len(columns[0]), CSV_CHUNK_ROWS):
         chunk = [col[start:start + CSV_CHUNK_ROWS] for col in columns]
-        cells = [map(str, c.tolist() if isinstance(c, np.ndarray) else c) for c in chunk]
+        cells = [_float_strs(c) if isinstance(c, np.ndarray) and c.dtype == np.float64
+                 else map(str, c.tolist() if isinstance(c, np.ndarray) else c) for c in chunk]
         # a row tuple joined at once is reused by zip: no tuple per row for the GC
         yield "\n".join(map(",".join, zip(*cells))) + "\n"
+
+
+def _float_strs(values: np.ndarray) -> list[str]:
+    """str of each float, formatted once per distinct bit pattern (so 0.0
+    and -0.0, and NaNs of different payloads, are told apart)."""
+    bits = values.view(np.int64)
+    order = np.argsort(bits)
+    ranked = bits[order]
+    new = np.ones(len(bits), dtype=bool)  # the first of each run of equal bits
+    new[1:] = ranked[1:] != ranked[:-1]
+    strs = np.array([str(x) for x in values[order[new]].tolist()], dtype=object)
+    group = np.empty(len(values), dtype=np.intp)
+    group[order] = np.cumsum(new) - 1
+    return strs[group].tolist()
 
 
 def keyvalue_lines(items):
@@ -581,10 +608,13 @@ def couplings_csv(h: CouplingMatrix):
 
 def loops_csv(loops):
     """One row per loop: its length, its levels, whether they share one |J K M>."""
+    name = operator.attrgetter("name")
     return csv_lines(["length", "states", "same_rotational_label"],
                      [[len(cyc) for cyc in loops],
-                      [" -> ".join(map(str, cyc)) for cyc in loops],
-                      [_fmt(len({lvl.rot for lvl in cyc}) == 1) for cyc in loops]])
+                      [" -> ".join(map(name, cyc)) for cyc in loops],
+                      # list equality tries `is` first: the basis shares its RotStates
+                      [_fmt(rots[1:] == rots[:-1])
+                       for rots in ([lvl.rot for lvl in cyc] for cyc in loops)]])
 
 
 def summary_text(result: ScenarioResult) -> str:

@@ -14,6 +14,10 @@ time, element by element, the references of the column-wise
 a time, the references of the vectorised labelling and layered potential
 of `propagate`, and `members` expands an `Ensemble` into dense state
 vectors for the per-member propagation the block trace must match.
+`flip_sensitivity` classifies one sign pattern with one `eigvalsh`, the
+reference of the stacked `looptopology.flip_sensitivity`, and `dress` and
+`dress_field` diagonalize and gauge-fix one grid point at a time, the
+references of the stacked `dressed.dress` and `dressed.dress_field`.
 """
 
 import math
@@ -21,9 +25,13 @@ from fractions import Fraction
 
 import numpy as np
 
+import warnings
+
 from chiralsep import dressed
 from chiralsep.coupling import DipoleModel, Enantiomer, LaserSpec, UnknownTransitionError
 from chiralsep.hamiltonian import BasisNotClosedError, LevelIndex, _classify_setup
+from chiralsep.looptopology import (SPECTRUM_CHANGED, SPECTRUM_UNCHANGED, FlipIndeterminateError,
+                                    _edge_key, spectrum)
 from chiralsep.rotbasis import RotState
 from chiralsep.wigner import three_j_exact
 
@@ -219,3 +227,61 @@ def members(ens) -> list[tuple[float, np.ndarray]]:
     states = np.zeros((len(ens.weights), ens.n), dtype=complex)
     states[ens.member, ens.level] = ens.amp
     return list(zip(ens.weights.tolist(), states))
+
+
+def flip_sensitivity(h, pattern, tol: float = 1e-9) -> str:
+    """One pattern's classification, from the spectrum of h with its flips."""
+    flipped = h.with_flips(pattern.flips)
+    dist = float(np.max(np.abs(spectrum(h) - spectrum(flipped))))
+    if dist > tol:
+        return SPECTRUM_CHANGED
+    before = h._loop_phases
+    scale = max((abs(v) for v in before.values()), default=0.0)
+    for key, val in before.items():
+        flips = sum(_edge_key(a, b) in pattern.flips for a, b in zip(key, key[1:] + key[:1]))
+        if flips % 2 and 2 * abs(val) > tol * max(1.0, scale):  # |val - (-val)|
+            raise FlipIndeterminateError(
+                f"loop phase of {key} changed but spectrum moved only {dist:.2e}"
+            )
+    return SPECTRUM_UNCHANGED
+
+
+def dress(omegas):
+    """`dressed.dress` of one point: each eigenvector column divided by the
+    phase of its largest-magnitude component."""
+    o12, o23, o13 = omegas
+    h = np.array([[0, np.conj(o12), np.conj(o13)], [o12, 0, np.conj(o23)], [o13, o23, 0]],
+                 dtype=complex)
+    vals, vecs = np.linalg.eigh(h)
+    scale = np.max(np.abs(omegas))
+    if scale == 0 or np.min(np.diff(vals)) < dressed.GAP_WARN * scale:
+        warnings.warn("near-degenerate dressed levels; gauge fixing unreliable",
+                      dressed.DegenerateFrameWarning, stacklevel=2)
+    for n in range(3):
+        k = np.argmax(np.abs(vecs[:, n]))
+        phase = vecs[k, n] / abs(vecs[k, n]) if vecs[k, n] != 0 else 1.0
+        vecs[:, n] = vecs[:, n] / phase
+    return vals, vecs
+
+
+def dress_field(config):
+    """(eigenvalues, eigenvectors) of `dressed.dress_field`, one point at a time."""
+    vals = np.empty((len(config.grid), 3))
+    vecs = np.empty((len(config.grid), 3, 3), dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", dressed.DegenerateFrameWarning)
+        for k, om in enumerate(config.omegas):
+            vals[k], vecs[k] = dress(om)
+    mid = len(config.grid) // 2
+    anchors = [int(np.argmax(np.abs(vecs[mid][:, n]))) for n in range(3)]
+    for n in range(3):
+        a = anchors[n]
+        for k in range(len(config.grid)):
+            c = vecs[k][a, n]
+            if abs(c) > 1e-12:
+                vecs[k][:, n] *= np.conj(c) / abs(c)
+            elif k > 0:
+                ov = np.vdot(vecs[k - 1][:, n], vecs[k][:, n])
+                if ov != 0:
+                    vecs[k][:, n] *= np.conj(ov) / abs(ov)
+    return vals, vecs

@@ -250,3 +250,71 @@ def test_an_absurd_jmax_exits_before_any_basis_is_built(tmp_path, capsys, comman
     assert rc == 2
     assert capsys.readouterr().err.startswith(f"error: {key}: ")
     assert peak < 50e6
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["--sizes", "0"], "--sizes"),
+    (["--sizes", "1"], "--sizes"),
+    (["--sizes", "x"], "--sizes"),
+    (["--sizes", "-1"], "--sizes"),
+    (["--sizes", "3,,4"], "--sizes"),
+    (["--sizes", "2"], "--sizes"),     # one edge: no loop to flip
+    (["--sizes", "3,40"], "--sizes"),  # 2^40 - 1 patterns a draw
+    (["--draws", "-1"], "--draws"),
+])
+def test_flip_sensitivity_argument_errors_name_their_flag(capsys, args, flag):
+    assert main(["flip-sensitivity", *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {flag}: ")
+    assert captured.out == ""
+
+
+def test_flip_sensitivity_largest_size_is_accepted(capsys):
+    from chiralsep.cli import MAX_FLIP_PATTERNS
+
+    n = MAX_FLIP_PATTERNS.bit_length()
+    assert 2**n - 1 == MAX_FLIP_PATTERNS
+    assert main(["flip-sensitivity", "--sizes", str(n), "--draws", "0"]) == 0
+    assert capsys.readouterr().out == "n,draw,flips,classification\n"
+    assert main(["flip-sensitivity", "--sizes", str(n + 1), "--draws", "0"]) == 2
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["loops", "--scenario", "fig5-T0.5K-xxz-groundres", "--jmax", "0"], "--jmax"),
+    (["timescales", "--scenario", "fig7-1mK-xxz", "--jmax", "0"], "--jmax"),
+    (["dump-couplings", "--config", "{cfg}"], "scenario.jmax"),
+    (["timescales", "--config", "{cfg}"], "scenario.jmax"),
+])
+def test_jmax_zero_names_its_key(tmp_path, capsys, argv, key):
+    # at jmax 0 every level has J = 0, and no laser couples J = 0 to J = 0
+    path = tmp_path / "j0.cfg"
+    path.write_text(TINY.replace("jmax = 1", "jmax = 0"))
+    assert main([a.format(cfg=path) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key}: laser driving (1, 2) couples nothing")
+
+
+def test_a_truncated_thermal_state_names_the_jmax_flag(tmp_path, capsys):
+    # 0.5 K puts ~47 % of the population at J = 1
+    path = tmp_path / "warm.cfg"
+    path.write_text(TINY.replace("temperature_K = 0", "temperature_K = 0.5").replace(
+        "jmax = 1", "jmax = 8"))
+    assert main(["run", "--config", str(path), "--jmax", "1", "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --jmax: population ") and "scenario.truncation_mass" in err
+
+
+def test_a_restricted_loop_that_couples_nothing_is_not_blamed_on_jmax(tmp_path, capsys):
+    # x light changes M by one, so it couples nothing within |1 1 1>
+    path = tmp_path / "restricted.cfg"
+    path.write_text(TINY.replace("jmax = 1", "jmax = 1\nrestricted_loop = true\n"
+                                 "loop_rot_state = 1 1 1"))
+    assert main(["timescales", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == \
+        "error: laser driving (1, 2) couples nothing in the truncated basis\n"
+
+
+def test_jmax_zero_keeps_the_restricted_loop(capsys):
+    # the restricted loop's basis is its own three levels, whatever jmax is
+    assert main(["timescales", "--scenario", "restricted-loop", "--jmax", "0"]) == 0
+    assert "basis_size = 3" in capsys.readouterr().out

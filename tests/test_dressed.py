@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+import oracle
 from chiralsep.coupling import Enantiomer, GaussianBeam, LaserSpec
 from chiralsep.dressed import (
     DegenerateFrameWarning,
@@ -106,3 +107,57 @@ def test_vector_potential_rejects_coarse_grids():
     frame = dress_field(FieldConfiguration.from_lasers(three_beams(), grid))
     with pytest.raises(DiscontinuousFrameError):
         vector_potential(frame, 0)
+
+
+def bits(a):
+    return np.asarray(a).view(np.int64)
+
+
+def test_stacked_dress_is_the_per_point_dress_bit_for_bit():
+    rng = np.random.default_rng(3)
+    omegas = rng.normal(size=(2, 60, 3)) + 1j * rng.normal(size=(2, 60, 3))
+    omegas[0, ::5] = omegas[0, ::5].real          # real couplings
+    omegas[1, 7] = 0                              # no field: H = 0
+    omegas[1, 9] = (0.7, 0.7, 0.7)                # a degenerate pair
+    omegas[1, 11] = (0.0, 0.4j, 0.0)              # a decoupled level
+    with pytest.warns(DegenerateFrameWarning):
+        vals, vecs = dress(omegas)
+    assert vals.shape == (2, 60, 3) and vecs.shape == (2, 60, 3, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateFrameWarning)
+        for k in np.ndindex(omegas.shape[:2]):
+            ref_vals, ref_vecs = oracle.dress(omegas[k])
+            assert np.array_equal(bits(vals[k]), bits(ref_vals)), k
+            assert np.array_equal(bits(vecs[k]), bits(ref_vecs)), k
+            one_vals, one_vecs = dress(omegas[k])
+            assert np.array_equal(bits(one_vals), bits(ref_vals)), k
+            assert np.array_equal(bits(one_vecs), bits(ref_vecs)), k
+
+
+@pytest.mark.parametrize("profiles", [None, [lambda x: 0.3 * np.sin(1.7 * x),
+                                             lambda x: 0.0, lambda x: -0.2 * x]])
+def test_dress_field_is_the_per_point_gauge_bit_for_bit(profiles):
+    cfg = FieldConfiguration.from_lasers(three_beams(), np.linspace(-2, 2, 401),
+                                         phase_profiles=profiles)
+    frame = dress_field(cfg)
+    vals, vecs = oracle.dress_field(cfg)
+    assert np.array_equal(bits(frame.eigenvalues), bits(vals))
+    assert np.array_equal(bits(frame.eigenvectors), bits(vecs))
+
+
+def test_dress_field_aligns_a_zero_anchor_with_the_previous_point():
+    # the midpoint couples all three levels; the last point couples only
+    # 1-2, so branches 0 and 2 there have no component 3, the anchor of
+    # some branch at the midpoint
+    omegas = np.array([(0.3, 0.5, 0.7), (0.35, 0.45, 0.7j), (0.3, 0.5, 0.7),
+                       (0.5, 0.1, 0.05), (1j, 0.0, 0.0)])
+    cfg = FieldConfiguration(grid=np.linspace(0, 1, 5), omegas=omegas)
+    frame = dress_field(cfg)
+    vals, vecs = oracle.dress_field(cfg)
+    assert np.array_equal(bits(frame.eigenvectors), bits(vecs))
+    anchors = np.argmax(np.abs(vecs[2]), axis=0)
+    zero = [n for n in range(3) if vecs[4, anchors[n], n] == 0]
+    assert zero  # the fallback ran
+    for n in zero:  # and aligned the branch with the previous point
+        ov = np.vdot(vecs[3, :, n], vecs[4, :, n])
+        assert abs(ov.imag) < 1e-15 and ov.real > 0

@@ -5,9 +5,11 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+import oracle
+from chiralsep import looptopology
 from chiralsep.cli import main
 from chiralsep.looptopology import (
     SPECTRUM_CHANGED,
@@ -69,12 +71,12 @@ def test_loop_phase_is_gauge_invariant():
 
 def test_single_flip_changes_triangle_spectrum():
     h = ring(3)
-    assert flip_sensitivity(h, SignPattern.of((0, 1))) == SPECTRUM_CHANGED
+    assert flip_sensitivity(h, [SignPattern.of((0, 1))]) == [SPECTRUM_CHANGED]
 
 
 def test_double_flip_is_gauge_on_triangle():
     h = ring(3)
-    assert flip_sensitivity(h, SignPattern.of((0, 1), (1, 2))) == SPECTRUM_UNCHANGED
+    assert flip_sensitivity(h, [SignPattern.of((0, 1), (1, 2))]) == [SPECTRUM_UNCHANGED]
 
 
 def test_flip_parity_on_random_rings():
@@ -86,7 +88,7 @@ def test_flip_parity_on_random_rings():
         edges = h.edges()
         for r in range(1, len(edges) + 1):
             for pat in itertools.combinations(edges, r):
-                cls = flip_sensitivity(h, SignPattern.of(*pat))
+                [cls] = flip_sensitivity(h, [SignPattern.of(*pat)])
                 expected = SPECTRUM_CHANGED if r % 2 else SPECTRUM_UNCHANGED
                 assert cls == expected, (n, pat)
 
@@ -185,20 +187,58 @@ def outcome(fn, *args):
         return str(exc)
 
 
-@settings(max_examples=80, deadline=None)
-@given(n=st.integers(3, 6), data=st.data(), tol=st.sampled_from([1e-9, 0.5, 1.0, 1.9, 5.0]))
-def test_flip_sensitivity_matches_the_flipped_census(n, data, tol):
-    # a ring with random chords, so a pattern meets several cycles
+def ring_with_chords(n, data):
+    """A random n-ring with random chords, so a pattern meets several cycles."""
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
     chords = data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=4))
     ring_edges = {(min(i, (i + 1) % n), max(i, (i + 1) % n)) for i in range(n)}
     weight = st.builds(lambda r, p: r * np.exp(2j * np.pi * p),
                        st.floats(0.2, 2.0), st.floats(0.0, 1.0))
-    h = LoopHamiltonian.from_upper(n, {e: data.draw(weight) for e in sorted(ring_edges | set(chords))})
+    return LoopHamiltonian.from_upper(
+        n, {e: data.draw(weight) for e in sorted(ring_edges | set(chords))})
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(3, 6), data=st.data(), tol=st.sampled_from([1e-9, 0.5, 1.0, 1.9, 5.0]))
+def test_flip_sensitivity_matches_the_flipped_census(n, data, tol):
+    h = ring_with_chords(n, data)
     flips = data.draw(st.lists(st.sampled_from(h.edges()), unique=True, min_size=1))
     pattern = SignPattern.of(*flips)
-    assert outcome(flip_sensitivity, h, pattern, tol) == \
+    assert outcome(lambda: flip_sensitivity(h, [pattern], tol)[0]) == \
         outcome(flip_sensitivity_two_censuses, h, pattern, tol)
+
+
+def per_pattern(h, patterns, tol):
+    """The oracle's classifications, or the first error's type and text."""
+    try:
+        return [oracle.flip_sensitivity(h, p, tol) for p in patterns]
+    except (FlipIndeterminateError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=120, deadline=None)
+@given(n=st.integers(3, 6), data=st.data(), tol=st.sampled_from([1e-9, 0.5, 1.0, 1.9, 5.0]),
+       batch=st.sampled_from([1, 2, 3, 1024]))
+def test_stacked_flip_sensitivity_matches_the_per_pattern_oracle(n, data, tol, batch):
+    h = ring_with_chords(n, data)
+    # edges of h, plus pairs with zero coupling and self-loops, either way round
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edge = st.one_of(st.sampled_from(h.edges()), st.sampled_from(h.edges()).map(lambda e: e[::-1]),
+                     pair) if data.draw(st.booleans()) else st.sampled_from(h.edges())
+    patterns = data.draw(st.lists(st.builds(lambda es: SignPattern.of(*es),
+                                            st.lists(edge, min_size=1, max_size=5)),
+                                  max_size=12))
+    expected = per_pattern(h, patterns, tol)
+    old = looptopology.FLIP_BATCH
+    looptopology.FLIP_BATCH = batch
+    try:
+        got = flip_sensitivity(h, patterns, tol)
+    except (FlipIndeterminateError, ValueError) as exc:
+        got = type(exc), str(exc)
+    finally:
+        looptopology.FLIP_BATCH = old
+    event(expected[0].__name__ if isinstance(expected, tuple) else "classified")
+    assert got == expected
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -208,3 +248,17 @@ def test_flip_sensitivity_csv_is_unchanged(seed, capsys):
                  "--seed", str(seed)]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == "445fd5f4bf6b16774b22007b264f20e1f0b11f6383a8d6ef2e18da0c22dd83ac"
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+def test_flip_sensitivity_raises_the_first_failing_patterns_error(order):
+    # a weak edge: one flip moves the spectrum by ~0.2 but the loop product,
+    # 0.4, by 0.8, so at tol 0.5 it is indeterminate; (0, 0) is no edge
+    h = ring(3, {(0, 1): 2.0, (1, 2): 2.0, (0, 2): 0.1})
+    patterns = [[SignPattern.of((0, 1))], [SignPattern.of((0, 0))]]
+    patterns = patterns[order[0]] + patterns[order[1]]
+    error = FlipIndeterminateError if order == (0, 1) else ValueError
+    with pytest.raises(error):
+        flip_sensitivity(h, patterns, tol=0.5)
+    with pytest.raises(error):
+        [oracle.flip_sensitivity(h, p, tol=0.5) for p in patterns]

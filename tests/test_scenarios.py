@@ -19,7 +19,8 @@ from chiralsep import dressed as dressedmod
 from chiralsep import hamiltonian, scenarios
 from chiralsep.cli import main
 from chiralsep.coupling import DipoleModel, DipoleTransition, Enantiomer, GaussianBeam
-from chiralsep.hamiltonian import chirality_permutation, chirality_transform, transform_residual
+from chiralsep.hamiltonian import (LevelIndex, chirality_permutation, chirality_transform,
+                                   transform_residual)
 from chiralsep.propagate import DegenerateEigenstateWarning, ensemble_potential_trace
 from chiralsep.rotbasis import BasisTruncation, RotState, thermal_rot_state
 from chiralsep.scenarios import (
@@ -204,8 +205,17 @@ def _timescales_lines(capsys):
     return [(capsys.readouterr().out, oracle.timescales_text(report))]
 
 
+def _equal_labels_table(capsys):
+    # equal |J K M> labels held by distinct RotState objects, and one that differs
+    loops = [[LevelIndex(v, RotState(1, 1, 1)) for v in (1, 2, 3)],
+             [LevelIndex(1, RotState(1, 1, 1)), LevelIndex(2, RotState(1, 1, 0)),
+              LevelIndex(3, RotState(1, 1, 1))]]
+    return [("".join(loops_csv(loops)), oracle.loops_csv(loops))]
+
+
 #: each case: (text written, text of the per-row or per-key oracle) pairs
 TABLES = {
+    "equal-labels": _equal_labels_table,
     "fig7-loops-6": lambda capsys: _loops_table("fig7-1mK-xxz", 6),
     "restricted-loop": lambda capsys: _loops_table("restricted-loop", 3),
     "dressed-L-R": _dressed_tables,
@@ -222,6 +232,36 @@ def test_table_columns_match_the_per_row_formatter(monkeypatch, capsys, table):
         m.setattr(scenarios, "CSV_CHUNK_ROWS", 7)
         for got, expected in TABLES[table](capsys):
             assert got == expected
+
+
+def _float_bits(bits):
+    return float(np.array([bits], dtype=np.uint64).view(np.float64)[0])
+
+
+#: floats whose str must not be shared with a neighbour of equal value or
+#: equal str: signed zeros, infinities, NaNs of several payloads and signs,
+#: subnormals and the smallest normal
+SPECIAL_FLOATS = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.225073858507201e-308,
+                  2.2250738585072014e-308, _float_bits(0x7FF8000000000001),
+                  _float_bits(0xFFF8000000000000), _float_bits(0x7FF0000000000001)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=st.lists(st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats()), max_size=40),
+       repeat=st.integers(1, 3), chunk=st.integers(1, 9))
+def test_csv_lines_prints_each_float_as_its_str(values, repeat, chunk):
+    column = np.array(values * repeat, dtype=np.float64)  # repeats across chunk boundaries
+    strided = np.zeros(len(column), dtype=complex)
+    strided.imag = column  # a float column that is a view with a stride, as omega.imag
+    expected = "a,b,c\n" + "".join(f"{v!r},{k},{v!r}\n" for k, v in enumerate(column.tolist()))
+    old = scenarios.CSV_CHUNK_ROWS
+    scenarios.CSV_CHUNK_ROWS = chunk
+    try:
+        got = "".join(csv_lines(["a", "b", "c"], [column, list(range(len(column))),
+                                                   strided.imag]))
+    finally:
+        scenarios.CSV_CHUNK_ROWS = old
+    assert got == expected
 
 
 def test_a_run_builds_one_code_table_per_coupling_matrix(monkeypatch):
