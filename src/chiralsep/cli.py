@@ -68,9 +68,14 @@ def _cmd_run(args):
 
 
 def _cmd_loops(args):
-    cfg = _load(args)
-    h = _assemble(cfg, Enantiomer.L)
-    _emit(loops_csv(loop_census(h, max_len=args.max_len)), args.out, "loops.csv")
+    if args.max_len < 3:
+        raise ConfigError(f"--max-len: a loop has 3 or more levels, got {args.max_len}")
+    h = _assemble(_load(args), Enantiomer.L)
+    try:
+        loops = loop_census(h, max_len=args.max_len)
+    except ValueError as exc:  # more than MAX_LOOPS loops
+        raise ConfigError(f"--max-len: {exc}") from None
+    _emit(loops_csv(loops), args.out, "loops.csv")
 
 
 #: most sign patterns (2^n - 1 for an n-ring) one flip-sensitivity draw may
@@ -119,6 +124,10 @@ def _cmd_flip_sensitivity(args):
 
 
 def _cmd_dressed_potentials(args):
+    if args.points < 3:
+        raise ConfigError(f"--points: central differences need 3 or more, got {args.points}")
+    if not 0 < 2 * args.span < np.inf:
+        raise ConfigError(f"--span: 2 * span must be positive and finite, got {args.span}")
     cfg = _load(args)
     grid = np.linspace(-args.span, args.span, args.points)
     try:

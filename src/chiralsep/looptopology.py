@@ -23,6 +23,12 @@ MIN_GAP = 1e-6
 #: most sign patterns `flip_sensitivity` stacks into one `eigvalsh` call
 #: (1024 flipped 20-level matrices are 6.6 MB)
 FLIP_BATCH = 1024
+#: most open paths `find_loops` extends at once (4096 five-node paths with
+#: 12 neighbours each grow to 2.4 MB of six-node rows)
+LOOP_ROWS = 4096
+#: most cycles `find_loops` lists: fig5 at jmax 8 has 973,627 of up to 6
+#: levels; the `run` census of the builtin lasers at jmax 41 has 1,256,404
+MAX_LOOPS = 2_000_000
 
 
 class FlipIndeterminateError(RuntimeError):
@@ -184,81 +190,60 @@ def find_loops(edges, max_len: int = 8) -> list[list]:
     `edges` is an iterable of node pairs with mutually comparable nodes, or
     an integer array of shape (edges, 2); self-loops and repeated edges are
     ignored.  Each cycle is rotated/reflected to a canonical node order; the
-    list is sorted.
+    list is sorted by length, then node by node.
 
-    Triangles alone (max_len 3) are listed by `_triangles`.  Otherwise a
-    depth-first search runs from each start node s through nodes > s only,
-    so a cycle is found from its smallest node; of its two orientations only
-    the one with path[1] < path[-1] is kept, which is the canonical one.
-    """
-    if max_len == 3:
-        return _triangles(edges)
-    if isinstance(edges, np.ndarray):
-        edges = edges.tolist()
-    adj: dict = {}
-    for a, b in edges:
-        if a != b:
-            adj.setdefault(a, set()).add(b)
-            adj.setdefault(b, set()).add(a)
-    nbrs = {u: sorted(vs) for u, vs in adj.items()}
-    loops = []
-
-    def extend(path):
-        start, last = path[0], path[-1]
-        if len(path) >= 3 and path[1] < last and start in adj[last]:
-            loops.append(list(path))
-        if len(path) >= max_len:
-            return
-        for v in nbrs[last]:
-            if v > start and v not in path:
-                path.append(v)
-                extend(path)
-                path.pop()
-
-    for s in nbrs:
-        extend([s])
-    loops.sort(key=lambda c: (len(c), c))
-    return loops
-
-
-def _triangles(edges) -> list[list]:
-    """The canonical 3-cycles [p, q, r], p < q < r, in sorted order.
-
-    A join over sorted edge codes: with the nodes ranked 0..n-1, edge p-q
-    (p < q) has the code p n + q.  Each edge p-q, in code order, is paired
-    with every higher neighbour r of q by `np.repeat`, and the closing edge
-    p-r is looked up by `searchsorted`, so the triangles come out sorted.
+    One array path expansion lists every length.  Over ranked nodes and the
+    sorted directed edge codes u n + v, open paths are int rows, starting
+    from the edges p-q, p < q.  A path grows by each neighbour of its last
+    node above a floor and not on it: the floor is the start, so a cycle is
+    found from its smallest node, and on the closing step (to max_len nodes)
+    path[1], so only the canonical orientation path[1] < path[-1] closes.  A
+    path closes when `searchsorted` finds its start-last code.  LOOP_ROWS
+    paths at most grow at a time, depth first and in order, so each length
+    comes out sorted.  More than MAX_LOOPS cycles raise ValueError.
     """
     if isinstance(edges, np.ndarray):
-        # distinct nodes by sort and neighbour compare: np.unique's hash
-        # path imports numpy.ma
-        nodes = np.sort(edges, axis=None)
-        nodes = nodes[np.diff(nodes, prepend=nodes[:1] - 1) != 0]
-        ends = np.searchsorted(nodes, edges.reshape(-1, 2))
+        # distinct nodes by sort and compare (np.unique's hash path imports numpy.ma)
+        names = np.sort(edges, axis=None)
+        names = names[np.diff(names, prepend=names[:1] - 1) != 0]
+        ends = np.searchsorted(names, edges.reshape(-1, 2))
+        names = names.tolist()
     else:
         pairs = [(a, b) for a, b in edges]
         names = sorted({v for pair in pairs for v in pair})
         rank = {v: k for k, v in enumerate(names)}
         ends = np.array([(rank[a], rank[b]) for a, b in pairs], dtype=np.int64).reshape(-1, 2)
-        nodes = np.arange(len(names))
+    nodes = np.fromiter(names, dtype=object, count=len(names))  # cycles share these objects
     n = len(nodes)
-    lo, hi = np.sort(ends[ends[:, 0] != ends[:, 1]], axis=1).T
-    codes = np.sort(lo * n + hi)
+    u, v = ends[ends[:, 0] != ends[:, 1]].T
+    codes = np.sort(np.concatenate((u * n + v, v * n + u)))
     codes = codes[np.diff(codes, prepend=-1) != 0]  # every code is >= 0
-    p, q = np.divmod(codes, n)
-    higher = np.bincount(p, minlength=n)  # each node's edges to higher nodes,
-    start = np.cumsum(higher) - higher    # which begin at codes[start[node]]
-    reps = higher[q]
-    first = np.cumsum(reps) - reps
-    r = q[np.repeat(start[q] - first, reps) + np.arange(int(np.sum(reps)))]
-    p = np.repeat(p, reps)
-    closing = p * n + r
-    at = np.minimum(np.searchsorted(codes, closing), len(codes) - 1)
-    hit = codes[at] == closing
-    loops = nodes[np.stack((p, np.repeat(q, reps), r), axis=1)[hit]].tolist()
-    if isinstance(edges, np.ndarray):
-        return loops
-    return [[names[a], names[b], names[c]] for a, b, c in loops]
+    stop = np.searchsorted(codes, np.arange(1, n + 1) * n)  # u's codes end at stop[u]
+    up = codes[codes // n < codes % n]
+    stack = [np.stack(np.divmod(up, n), axis=1)] if max_len >= 3 else []
+    found = [[] for _ in range(max_len + 1)]  # the cycles of each length, by piece
+    count = 0
+    while stack:
+        paths = stack.pop()
+        if len(paths) > LOOP_ROWS:
+            stack += [paths[k:k + LOOP_ROWS] for k in reversed(range(0, len(paths), LOOP_ROWS))]
+            continue
+        width = paths.shape[1] + 1
+        last = paths[:, -1]
+        lo = codes.searchsorted(last * n + paths[:, 1 if width == max_len else 0], "right")
+        reps = stop[last] - lo
+        at = (lo - reps.cumsum() + reps).repeat(reps) + np.arange(reps.sum())
+        grown = np.concatenate((paths.repeat(reps, axis=0), codes[at, None] % n), axis=1)
+        grown = grown[np.logical_and.reduce([col != grown[:, -1] for col in grown.T[1:-1]])]
+        closing = grown[:, 0] * n + grown[:, -1]
+        hit = codes[np.minimum(codes.searchsorted(closing), len(codes) - 1)] == closing
+        found[width].append(grown[hit & (grown[:, 1] < grown[:, -1])])
+        count += len(found[width][-1])
+        if count > MAX_LOOPS:
+            raise ValueError(f"more than {MAX_LOOPS} loops of up to {max_len} nodes")
+        if width < min(max_len, n) and len(grown):  # a path of n nodes is a dead end
+            stack.append(grown)
+    return [c for per in found for part in per for c in nodes[part].tolist()]
 
 
 def random_loop_hamiltonian(n: int, rng: np.random.Generator) -> LoopHamiltonian:

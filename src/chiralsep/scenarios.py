@@ -508,9 +508,10 @@ def _transform_or_none(config, h):
 
 def loop_census(h: CouplingMatrix, max_len: int = 3) -> list[list[LevelIndex]]:
     """Simple cycles (default: 3-cycles) of the coupling graph."""
-    basis = h.basis
-    return [[basis[k] for k in cyc]
-            for cyc in find_loops(np.stack((h.fin, h.ini), axis=1), max_len=max_len)]
+    basis, loops = h.basis, find_loops(np.stack((h.fin, h.ini), axis=1), max_len=max_len)
+    for k, cyc in enumerate(loops):  # each list of ints is freed as its levels replace it
+        loops[k] = [basis[i] for i in cyc]
+    return loops
 
 
 def timescale_report(config: ScenarioConfig, h: CouplingMatrix | None = None) -> dict:
@@ -552,9 +553,10 @@ CSV_CHUNK_ROWS = 1024
 
 
 def csv_lines(header, columns):
-    """The header line, then the rows in chunks of CSV_CHUNK_ROWS.  A column
-    is an array or a sequence; a value prints as its str, the repr of a float."""
-    yield ",".join(header) + "\n"
+    """The header line (none for None), then the rows in chunks of CSV_CHUNK_ROWS.
+    A column is an array or a sequence; a value prints as its str, the repr of a float."""
+    if header is not None:
+        yield ",".join(header) + "\n"
     for start in range(0, len(columns[0]), CSV_CHUNK_ROWS):
         chunk = [col[start:start + CSV_CHUNK_ROWS] for col in columns]
         cells = [_float_strs(c) if isinstance(c, np.ndarray) and c.dtype == np.float64
@@ -607,14 +609,17 @@ def couplings_csv(h: CouplingMatrix):
 
 
 def loops_csv(loops):
-    """One row per loop: its length, its levels, whether they share one |J K M>."""
+    """One row per loop: its length, its levels, whether they share one |J K M>.
+    The cells are built CSV_CHUNK_ROWS loops at a time, not for all loops at once."""
     name = operator.attrgetter("name")
-    return csv_lines(["length", "states", "same_rotational_label"],
-                     [[len(cyc) for cyc in loops],
-                      [" -> ".join(map(name, cyc)) for cyc in loops],
-                      # list equality tries `is` first: the basis shares its RotStates
-                      [_fmt(rots[1:] == rots[:-1])
-                       for rots in ([lvl.rot for lvl in cyc] for cyc in loops)]])
+    yield "length,states,same_rotational_label\n"
+    for start in range(0, len(loops), CSV_CHUNK_ROWS):
+        part = loops[start:start + CSV_CHUNK_ROWS]
+        yield from csv_lines(None, [[len(cyc) for cyc in part],
+                                    [" -> ".join(map(name, cyc)) for cyc in part],
+                                    # list equality tries `is` first: the basis shares its RotStates
+                                    [_fmt(rots[1:] == rots[:-1])
+                                     for rots in ([lvl.rot for lvl in cyc] for cyc in part)]])
 
 
 def summary_text(result: ScenarioResult) -> str:

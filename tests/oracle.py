@@ -18,6 +18,8 @@ vectors for the per-member propagation the block trace must match.
 reference of the stacked `looptopology.flip_sensitivity`, and `dress` and
 `dress_field` diagonalize and gauge-fix one grid point at a time, the
 references of the stacked `dressed.dress` and `dressed.dress_field`.
+`find_loops` lists cycles by a recursive depth-first search, the reference
+of the array path expansion of `looptopology.find_loops`.
 """
 
 import math
@@ -285,3 +287,36 @@ def dress_field(config):
                 if ov != 0:
                     vecs[k][:, n] *= np.conj(ov) / abs(ov)
     return vals, vecs
+
+
+def find_loops(edges, max_len: int = 8) -> list[list]:
+    """The cycles of `looptopology.find_loops`, by a depth-first search from
+    each start node s through nodes > s only, so a cycle is found from its
+    smallest node; of its two orientations only the one with
+    path[1] < path[-1] is kept, which is the canonical one."""
+    if isinstance(edges, np.ndarray):
+        edges = edges.tolist()
+    adj: dict = {}
+    for a, b in edges:
+        if a != b:
+            adj.setdefault(a, set()).add(b)
+            adj.setdefault(b, set()).add(a)
+    nbrs = {u: sorted(vs) for u, vs in adj.items()}
+    loops = []
+
+    def extend(path):
+        start, last = path[0], path[-1]
+        if len(path) >= 3 and path[1] < last and start in adj[last]:
+            loops.append(list(path))
+        if len(path) >= max_len:
+            return
+        for v in nbrs[last]:
+            if v > start and v not in path:
+                path.append(v)
+                extend(path)
+                path.pop()
+
+    for s in nbrs:
+        extend([s])
+    loops.sort(key=lambda c: (len(c), c))
+    return loops

@@ -269,6 +269,39 @@ def test_flip_sensitivity_argument_errors_name_their_flag(capsys, args, flag):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("args, flag", [
+    (["loops", "--max-len", "2"], "--max-len"),
+    (["loops", "--max-len", "0"], "--max-len"),
+    (["loops", "--max-len", "-1"], "--max-len"),
+    (["dressed-potentials", "--points", "0"], "--points"),
+    (["dressed-potentials", "--points", "1"], "--points"),
+    (["dressed-potentials", "--points", "2"], "--points"),
+    (["dressed-potentials", "--span", "nan"], "--span"),
+    (["dressed-potentials", "--span", "-1"], "--span"),
+    (["dressed-potentials", "--span", "0"], "--span"),
+    (["dressed-potentials", "--span", "inf"], "--span"),
+    (["dressed-potentials", "--span", "1e308"], "--span"),  # 2 span overflows
+])
+def test_grid_and_loop_length_errors_name_their_flag(capsys, args, flag):
+    assert main([*args, "--scenario", "fig7-1mK-xxz"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {flag}: ")
+    assert captured.out == ""
+
+
+def test_a_loop_count_over_the_ceiling_names_the_max_len_flag(monkeypatch, capsys):
+    from chiralsep import looptopology
+
+    monkeypatch.setattr(looptopology, "MAX_LOOPS", 351)  # fig7 has 352 triangles
+    assert main(["loops", "--scenario", "fig7-1mK-xxz"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --max-len: more than 351 loops of up to 3 nodes\n"
+    assert captured.out == ""
+    monkeypatch.setattr(looptopology, "MAX_LOOPS", 352)
+    assert main(["loops", "--scenario", "fig7-1mK-xxz"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 352
+
+
 def test_flip_sensitivity_largest_size_is_accepted(capsys):
     from chiralsep.cli import MAX_FLIP_PATTERNS
 

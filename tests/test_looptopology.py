@@ -5,7 +5,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -139,11 +139,43 @@ def graphs(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(edges=graphs())
-def test_triangle_join_matches_the_search(edges):
-    triangles = find_loops(edges, max_len=3)
-    assert triangles == [c for c in find_loops(edges, max_len=4) if len(c) == 3]
-    assert find_loops(np.array(edges, dtype=int).reshape(-1, 2), max_len=3) == triangles
+@given(edges=graphs(), max_len=st.integers(3, 6))
+def test_triangle_join_matches_the_search(edges, max_len):
+    # the path expansion against the oracle's recursive search, list for list
+    expected = oracle.find_loops(edges, max_len=max_len)
+    assert find_loops(edges, max_len=max_len) == expected
+    got = find_loops(np.array(edges, dtype=int).reshape(-1, 2), max_len=max_len)
+    assert got == expected
+    assert all(type(v) is int for cyc in got for v in cyc)  # not numpy scalars
+    # as strings "10" sorts before "9": the names are ranked, not the numbers
+    named = [(str(a), str(b)) for a, b in edges]
+    assert find_loops(named, max_len=max_len) == oracle.find_loops(named, max_len=max_len)
+
+
+@settings(max_examples=100, deadline=None)
+@given(edges=graphs(), max_len=st.integers(3, 6), rows=st.integers(1, 5))
+@example(edges=list(itertools.combinations(range(6), 2)), max_len=5, rows=2)  # K6
+def test_find_loops_in_pieces_of_a_few_rows(edges, max_len, rows):
+    expected = find_loops(edges, max_len=max_len)
+    old = looptopology.LOOP_ROWS
+    looptopology.LOOP_ROWS = rows
+    try:
+        assert find_loops(edges, max_len=max_len) == expected
+    finally:
+        looptopology.LOOP_ROWS = old
+
+
+def test_find_loops_refuses_more_than_the_ceiling(monkeypatch):
+    # K5 has 10 triangles, 15 four-cycles and 12 five-cycles
+    k5 = list(itertools.combinations(range(5), 2))
+    monkeypatch.setattr(looptopology, "MAX_LOOPS", 37)
+    assert len(find_loops(k5, max_len=5)) == 37
+    monkeypatch.setattr(looptopology, "MAX_LOOPS", 36)
+    with pytest.raises(ValueError, match="more than 36 loops of up to 5 nodes"):
+        find_loops(k5, max_len=5)
+    monkeypatch.setattr(looptopology, "LOOP_ROWS", 1)
+    with pytest.raises(ValueError, match="more than 36 loops"):
+        find_loops(k5, max_len=5)
 
 
 def test_triangle_join_keeps_the_nodes():
