@@ -28,7 +28,8 @@ def main():
         print(f"  {h.basis[i]} -> {h.basis[f]}   (polarization {laser.polarization})")
 
     h = assemble(cfg.lasers, cfg.dipole, Enantiomer.L, cfg.constants, cfg.trunc)
-    tri = [cyc for cyc in loop_census(h, max_len=3) if ground in cyc]
+    tri = [cyc for cyc in loop_census(h, max_len=3)
+           if ground in [h.basis[i] for i in cyc]]
     print(f"\n3-loops through the rotational ground state (x-x-z): {len(tri)}")
 
     from dataclasses import replace
@@ -36,8 +37,8 @@ def main():
     allz = [replace(l, polarization="z") for l in cfg.lasers]
     h = assemble(allz, cfg.dipole, Enantiomer.L, cfg.constants, cfg.trunc)
     start = LevelIndex(1, RotState(1, 1, 1))
-    tri = [cyc for cyc in loop_census(h, max_len=3)
-           if start in cyc and len({lvl.rot for lvl in cyc}) == 1]
+    levels = [[h.basis[i] for i in cyc] for cyc in loop_census(h, max_len=3)]
+    tri = [cyc for cyc in levels if start in cyc and len({lvl.rot for lvl in cyc}) == 1]
     print(f"same-label 3-loops through |1>|1 1 1> (all z): {len(tri)}")
     for cyc in tri:
         print("  " + " -> ".join(str(lvl) for lvl in cyc))

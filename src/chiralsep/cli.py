@@ -75,7 +75,7 @@ def _cmd_loops(args):
         loops = loop_census(h, max_len=args.max_len)
     except ValueError as exc:  # more than MAX_LOOPS loops
         raise ConfigError(f"--max-len: {exc}") from None
-    _emit(loops_csv(loops), args.out, "loops.csv")
+    _emit(loops_csv(h, loops), args.out, "loops.csv")
 
 
 #: most sign patterns (2^n - 1 for an n-ring) one flip-sensitivity draw may
@@ -144,7 +144,11 @@ def _cmd_dressed_potentials(args):
         frame = dressedmod.dress_field(dressedmod.FieldConfiguration.from_lasers(
             lasers, grid, who=Enantiomer(tag), dipole=cfg.dipole))
         vs = [dressedmod.scalar_potential(frame, n) / cfg.omega12_max for n in range(3)]
-        avs = [dressedmod.vector_potential(frame, n) for n in range(3)]
+        try:
+            avs = [dressedmod.vector_potential(frame, n) for n in range(3)]
+        except dressedmod.DiscontinuousFrameError as exc:
+            raise ConfigError(f"--points: {exc}; the grid is too coarse for the beams: "
+                              "raise --points or lower --span") from None
         _emit(csv_lines(["x", "V_1", "V_2", "V_3", "A_1", "A_2", "A_3"], [grid, *vs, *avs]),
               args.out, f"dressed_{tag}.csv")
 
@@ -222,8 +226,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except (ConfigError, OSError, ValueError,
-            dressedmod.DiscontinuousFrameError) as exc:
+    except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -12,7 +12,7 @@ patterns at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -78,10 +78,6 @@ class LoopHamiltonian:
         vals.flags.writeable = False
         return vals
 
-    @cached_property
-    def _loop_phases(self) -> dict:
-        return loop_phases(self)
-
     def with_flips(self, flips) -> "LoopHamiltonian":
         h = self.matrix.copy()
         for a, b in flips:
@@ -108,16 +104,22 @@ def spectrum(h: LoopHamiltonian) -> np.ndarray:
     return h._spectrum
 
 
-def loop_phases(h: LoopHamiltonian, max_len: int = 8) -> dict[tuple, float]:
-    """Gauge-invariant Re[product of couplings] around each simple cycle."""
-    cycles = find_loops(h.edges(), max_len=max_len)
-    out = {}
-    for cyc in cycles:
-        prod = 1.0 + 0j
-        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-            prod *= h.matrix[b, a]
-        out[tuple(cyc)] = float(np.real(prod))
-    return out
+def loop_phases(h: LoopHamiltonian, max_len: int = 8):
+    """(cycles, phases): the simple cycles of h as `find_loops` rows and the
+    gauge-invariant Re[product of couplings] around each."""
+    cycles, ends = _cycles(h._edges, max_len)
+    return cycles, np.prod(np.where(cycles >= 0, h.matrix[ends, cycles], 1.0), axis=1).real
+
+
+@lru_cache(maxsize=64)
+def _cycles(edges: tuple, max_len: int):
+    """(cycles, ends), read-only: the `find_loops` rows of the edges, listed
+    once per edge set (a flip-sensitivity run draws many rings on the same
+    edges), and the node ends[c, k] the edge leaving cycles[c, k] goes to."""
+    cycles = find_loops(np.array(edges, dtype=np.intp).reshape(-1, 2), max_len=max_len)
+    ends = np.where(np.roll(cycles >= 0, -1, axis=1), np.roll(cycles, -1, axis=1), cycles[:, :1])
+    cycles.flags.writeable = ends.flags.writeable = False
+    return cycles, ends
 
 
 def flip_sensitivity(h: LoopHamiltonian, patterns, tol: float = 1e-9) -> list[str]:
@@ -133,89 +135,74 @@ def flip_sensitivity(h: LoopHamiltonian, patterns, tol: float = 1e-9) -> list[st
     flipped matrices go to one stacked `eigvalsh`.  A flip negates each
     cycle product exactly, so a cycle's phase after the flips is -(its
     phase) when an odd number of its edges flip and unchanged otherwise: the
-    parities of all (pattern, cycle) pairs are one product of the patterns x
-    edges flip mask with the cycle-edge incidence matrix.
+    parities of all (pattern, cycle) pairs are one XOR over each cycle's
+    edges of the patterns' flipped entries.
     """
-    column = {}  # an edge, either way round -> its column in the mask
-    for k, (a, b) in enumerate(h._edges):
-        column[a, b] = column[b, a] = k
-    out = []
-    for start in range(0, len(patterns), FLIP_BATCH):
-        out += _classify(h, column, patterns[start:start + FLIP_BATCH], tol)
-    return out
+    return [label for start in range(0, len(patterns), FLIP_BATCH)
+            for label in _classify(h, patterns[start:start + FLIP_BATCH], tol)]
 
 
-def _classify(h: LoopHamiltonian, column: dict, patterns, tol: float) -> list[str]:
+def _classify(h: LoopHamiltonian, patterns, tol: float) -> list[str]:
     """`flip_sensitivity` of one stack of patterns."""
-    n_edges = len(h._edges)
-    flips = [edge for pattern in patterns for edge in pattern.flips]
-    cols = np.array([column.get(edge, -1) for edge in flips], dtype=np.intp)
+    flips = np.array([edge for pattern in patterns for edge in pattern.flips],
+                     dtype=np.intp).reshape(-1, 2)
     rows = np.repeat(np.arange(len(patterns)), [len(pattern.flips) for pattern in patterns])
+    # h padded by a zero row and column, which a node outside 0..n-1 reads
+    a, b = np.where((flips >= 0) & (flips < h.n), flips, h.n).T
+    bad = (a == b) | (np.pad(h.matrix, (0, 1))[a, b] == 0)
     count, bad_edge = len(patterns), None
-    if np.any(cols < 0):  # the patterns before the first bad one are classified first
-        at = int(np.argmax(cols < 0))
+    if bad.any():  # the patterns before the first bad one are classified first
+        at = int(np.argmax(bad))
         count = rows[at]
-        bad_edge = ValueError(f"edge ({flips[at][0]}, {flips[at][1]}) has zero coupling")
+        bad_edge = ValueError("edge ({}, {}) has zero coupling".format(*flips[at].tolist()))
     keep = rows < count
-    # an edge named both ways round flips back
-    mask = np.bincount(rows[keep] * n_edges + cols[keep],
-                       minlength=count * n_edges).reshape(count, n_edges) % 2 == 1
-    i, j = np.array(h._edges, dtype=np.intp).reshape(-1, 2).T
-    stack = np.repeat(h.matrix[None], count, axis=0)
-    for a, b in ((i, j), (j, i)):
-        stack[:, a, b] = np.where(mask, -h.matrix[a, b], h.matrix[a, b])
+    flipped = np.zeros((count, h.n + 1, h.n + 1), dtype=bool)  # per pattern and entry
+    for r, c in ((a, b), (b, a)):  # an edge named both ways round flips back
+        np.bitwise_xor.at(flipped, (rows[keep], r[keep], c[keep]), True)
+    stack = np.where(flipped[:, :-1, :-1], -h.matrix, h.matrix)
     dist = np.max(np.abs(spectrum(h) - np.linalg.eigvalsh(stack)), axis=1)
     changed = dist > tol
     if not changed.all():
-        phases = h._loop_phases
-        keys, values = list(phases), np.array(list(phases.values()))
+        cycles, values = loop_phases(h)
+        ends = _cycles(h._edges, cycles.shape[1])[1]  # a cache hit: loop_phases listed them
         scale = float(np.max(np.abs(values), initial=0.0))
-        incidence = np.zeros((len(keys), n_edges), dtype=np.int64)
-        for c, key in enumerate(keys):
-            incidence[c, [column[a, b] for a, b in zip(key, key[1:] + key[:1])]] = 1
-        odd = (mask @ incidence.T) % 2 == 1
+        # past a cycle's end, the padding -1 reads the last row: never flipped
+        odd = np.logical_xor.reduce(flipped[:, cycles, ends], axis=2)
         hit = odd & ~changed[:, None] & (2 * np.abs(values) > tol * max(1.0, scale))
         if hit.any():
             p, c = np.argwhere(hit)[0]
+            loop = tuple(cycles[c][cycles[c] >= 0].tolist())
             raise FlipIndeterminateError(
-                f"loop phase of {keys[c]} changed but spectrum moved only {dist[p]:.2e}")
+                f"loop phase of {loop} changed but spectrum moved only {dist[p]:.2e}")
     if bad_edge is not None:
         raise bad_edge
     return [SPECTRUM_CHANGED if x else SPECTRUM_UNCHANGED for x in changed]
 
 
-def find_loops(edges, max_len: int = 8) -> list[list]:
+def find_loops(edges: np.ndarray, max_len: int = 8) -> np.ndarray:
     """Deterministically enumerate simple cycles of length 3..max_len.
 
-    `edges` is an iterable of node pairs with mutually comparable nodes, or
-    an integer array of shape (edges, 2); self-loops and repeated edges are
-    ignored.  Each cycle is rotated/reflected to a canonical node order; the
-    list is sorted by length, then node by node.
+    `edges` is an integer array of shape (edges, 2) of non-negative node
+    numbers; self-loops and repeated edges are ignored.  The cycles come back
+    as the rows of an int array of shape (cycles, max_len), each rotated and
+    reflected to a canonical node order and padded with -1 after its last
+    node; the rows are sorted by length, then node by node.
 
-    One array path expansion lists every length.  Over ranked nodes and the
-    sorted directed edge codes u n + v, open paths are int rows, starting
-    from the edges p-q, p < q.  A path grows by each neighbour of its last
-    node above a floor and not on it: the floor is the start, so a cycle is
-    found from its smallest node, and on the closing step (to max_len nodes)
-    path[1], so only the canonical orientation path[1] < path[-1] closes.  A
-    path closes when `searchsorted` finds its start-last code.  LOOP_ROWS
-    paths at most grow at a time, depth first and in order, so each length
-    comes out sorted.  More than MAX_LOOPS cycles raise ValueError.
+    One array path expansion lists every length.  Over the sorted directed
+    edge codes u n + v, open paths are int rows, starting from the edges
+    p-q, p < q.  A path grows by each neighbour of its last node above a
+    floor and not on it: the floor is the start, so a cycle is found from its
+    smallest node, and on the closing step (to max_len nodes) path[1], so
+    only the canonical orientation path[1] < path[-1] closes.  A path closes
+    when `searchsorted` finds its start-last code.  LOOP_ROWS paths at most
+    grow at a time, depth first and in order, so each length comes out
+    sorted.  More than MAX_LOOPS cycles raise ValueError.
     """
-    if isinstance(edges, np.ndarray):
-        # distinct nodes by sort and compare (np.unique's hash path imports numpy.ma)
-        names = np.sort(edges, axis=None)
-        names = names[np.diff(names, prepend=names[:1] - 1) != 0]
-        ends = np.searchsorted(names, edges.reshape(-1, 2))
-        names = names.tolist()
-    else:
-        pairs = [(a, b) for a, b in edges]
-        names = sorted({v for pair in pairs for v in pair})
-        rank = {v: k for k, v in enumerate(names)}
-        ends = np.array([(rank[a], rank[b]) for a, b in pairs], dtype=np.int64).reshape(-1, 2)
-    nodes = np.fromiter(names, dtype=object, count=len(names))  # cycles share these objects
-    n = len(nodes)
-    u, v = ends[ends[:, 0] != ends[:, 1]].T
+    ends = np.asarray(edges).reshape(-1, 2)
+    if ends.dtype.kind not in "iu" or np.any(ends < 0):
+        raise ValueError("find_loops: edges are pairs of non-negative ints")
+    n = int(ends.max(initial=0)) + 1
+    u, v = ends[ends[:, 0] != ends[:, 1]].astype(np.intp).T
     codes = np.sort(np.concatenate((u * n + v, v * n + u)))
     codes = codes[np.diff(codes, prepend=-1) != 0]  # every code is >= 0
     stop = np.searchsorted(codes, np.arange(1, n + 1) * n)  # u's codes end at stop[u]
@@ -237,13 +224,14 @@ def find_loops(edges, max_len: int = 8) -> list[list]:
         grown = grown[np.logical_and.reduce([col != grown[:, -1] for col in grown.T[1:-1]])]
         closing = grown[:, 0] * n + grown[:, -1]
         hit = codes[np.minimum(codes.searchsorted(closing), len(codes) - 1)] == closing
-        found[width].append(grown[hit & (grown[:, 1] < grown[:, -1])])
-        count += len(found[width][-1])
+        closed = grown[hit & (grown[:, 1] < grown[:, -1])]
+        found[width].append(np.pad(closed, ((0, 0), (0, max_len - width)), constant_values=-1))
+        count += len(closed)
         if count > MAX_LOOPS:
             raise ValueError(f"more than {MAX_LOOPS} loops of up to {max_len} nodes")
         if width < min(max_len, n) and len(grown):  # a path of n nodes is a dead end
             stack.append(grown)
-    return [c for per in found for part in per for c in nodes[part].tolist()]
+    return np.concatenate([np.full((0, max_len), -1), *(part for per in found for part in per)])
 
 
 def random_loop_hamiltonian(n: int, rng: np.random.Generator) -> LoopHamiltonian:

@@ -504,15 +504,43 @@ def _eigenframe(h0, f, rhos):
     """(eps, G, rho~) with H0 - diag(f) = V diag(eps) V^dag, G = V^dag H0 V
     and rho~ = V^dag rho V for each stacked rho.
 
-    V and G are real when h0 is, and rho~ when the rhos are too.
+    V and G are real when h0 is, and rho~ when the rhos are too.  V and eps
+    are eigh's, refined by `_refine`.
     """
     if not np.any(h0.imag):
         h0 = h0.real  # real eigh: real V and G
     if not np.any(rhos.imag):
         rhos = rhos.real
-    eps, v = np.linalg.eigh(h0 - np.diag(f))
+    eps, v = _refine(h0, f, np.linalg.eigh(h0 - np.diag(f))[1])
     vh = v.conj().T
     return eps, vh @ h0 @ v, vh @ rhos @ v
+
+
+def _refine(h0, f, v) -> tuple[np.ndarray, np.ndarray]:
+    """(eps, V): eigh's eigenvectors v of H0 - diag(f), re-solved per cluster.
+
+    eigh errs by several ulp of max|f| in the eigenvalues, and in the
+    eigenvectors by that over the gap; 2 pi eps t carries both into the
+    phases, the second through pairs whose small gap mixes them.  Where the
+    spread of f dwarfs the couplings, each column lies mostly on levels of
+    one f: columns whose largest entry's f values sit within ||H0|| (its
+    largest row sum) of each other form a cluster S, and with that f_S,
+
+        V_S^dag (H0 - diag(f)) V_S = M - f_S,  M = V_S^dag (H0 + diag(f_S - f)) V_S,
+
+    where M is small and formed without rounding at the size of f.  Its
+    eigh M = U diag(mu) U^dag gives eps_S = mu - f_S and V_S U.
+    """
+    lead = f[np.argmax(np.abs(v), axis=0)]
+    order = np.argsort(lead, kind="stable")
+    cut = np.flatnonzero(np.diff(lead[order]) > np.max(np.sum(np.abs(h0), axis=1))) + 1
+    eps, out = np.empty(len(f)), np.empty_like(v)
+    for s in np.split(order, cut):
+        shift, vs = lead[s[0]], v[:, s]
+        mu, u = np.linalg.eigh(vs.conj().T @ (h0 @ vs + (shift - f)[:, None] * vs))
+        eps[s] = mu - shift
+        out[:, s] = vs @ u
+    return eps, out
 
 
 def _screen(rot, g, budget) -> tuple[np.ndarray, np.ndarray]:

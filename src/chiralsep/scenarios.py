@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import configparser
 import math
-import operator
 import os
 import warnings
 from dataclasses import dataclass, replace
@@ -151,7 +150,7 @@ class ScenarioResult:
     #: traces[branch][enantiomer "L"/"R"] -> PotentialTrace (units of omega12_max)
     traces: dict
     couplings: dict                  # enantiomer -> CouplingMatrix
-    loops: list                      # canonical 3+ cycles as LevelIndex lists
+    loops: np.ndarray                # canonical 3-cycles: rows of basis positions
     isospectrality_residual: float | None
     timescales: dict
 
@@ -451,9 +450,12 @@ def run_scenario(config: ScenarioConfig, enantiomers=("L", "R")) -> ScenarioResu
     residual = None if transform is None else max(
         transform_residual(couplings["L"], couplings["R"], *transform, t)
         for t in (0.0, 0.37, 1.9))
-    # the loop list is built before the trace: memory the trace frees stays
-    # resident, so a list built after it would add to the process peak
-    loops = loop_census(href)
+    # the loop census is built before the trace: memory the trace frees stays
+    # resident, so a census built after it would add to the process peak
+    try:
+        loops = loop_census(href)
+    except ValueError as exc:  # more than MAX_LOOPS loops
+        raise ConfigError(f"{config.jmax_key}: {exc}; lower jmax") from None
     ensembles = {(branch, tag): ens for tag in enantiomers for branch, ens in
                  _branch_members(config, Enantiomer(tag), couplings[tag], thermal).items()}
     if residual == 0.0:
@@ -506,12 +508,10 @@ def _transform_or_none(config, h):
         return None
 
 
-def loop_census(h: CouplingMatrix, max_len: int = 3) -> list[list[LevelIndex]]:
-    """Simple cycles (default: 3-cycles) of the coupling graph."""
-    basis, loops = h.basis, find_loops(np.stack((h.fin, h.ini), axis=1), max_len=max_len)
-    for k, cyc in enumerate(loops):  # each list of ints is freed as its levels replace it
-        loops[k] = [basis[i] for i in cyc]
-    return loops
+def loop_census(h: CouplingMatrix, max_len: int = 3) -> np.ndarray:
+    """Simple cycles (default: 3-cycles) of the coupling graph, as the
+    `find_loops` rows of basis positions."""
+    return find_loops(np.stack((h.fin, h.ini), axis=1), max_len=max_len)
 
 
 def timescale_report(config: ScenarioConfig, h: CouplingMatrix | None = None) -> dict:
@@ -608,18 +608,23 @@ def couplings_csv(h: CouplingMatrix):
                      [names[h.fin], names[h.ini], h.omega.real, h.omega.imag, h.delta])
 
 
-def loops_csv(loops):
-    """One row per loop: its length, its levels, whether they share one |J K M>.
-    The cells are built CSV_CHUNK_ROWS loops at a time, not for all loops at once."""
-    name = operator.attrgetter("name")
+def loops_csv(h: CouplingMatrix, loops: np.ndarray):
+    """One row per loop of `loop_census(h)`: its length, its levels, whether
+    they share one |J K M>.  The cells are built column by column,
+    CSV_CHUNK_ROWS loops at a time, not for all loops at once."""
+    # the padding -1 picks the trailing "": a loop's levels end at its first -1
+    names = np.array([level.name for level in h.basis] + [""], dtype=object)
+    arrows = np.array([" -> " + name for name in names[:-1]] + [""], dtype=object)
+    jkm = h.lookup[0][1:]
     yield "length,states,same_rotational_label\n"
     for start in range(0, len(loops), CSV_CHUNK_ROWS):
         part = loops[start:start + CSV_CHUNK_ROWS]
-        yield from csv_lines(None, [[len(cyc) for cyc in part],
-                                    [" -> ".join(map(name, cyc)) for cyc in part],
-                                    # list equality tries `is` first: the basis shares its RotStates
-                                    [_fmt(rots[1:] == rots[:-1])
-                                     for rots in ([lvl.rot for lvl in cyc] for cyc in part)]])
+        states = names[part[:, 0]]
+        for col in part.T[1:]:
+            states = states + arrows[col]
+        same = np.all((jkm[:, part] == jkm[:, part[:, :1]]) | (part < 0), axis=(0, 2))
+        yield from csv_lines(None, [(part >= 0).sum(axis=1), states,
+                                    np.where(same, "true", "false")])
 
 
 def summary_text(result: ScenarioResult) -> str:
@@ -641,5 +646,6 @@ def write_outputs(result: ScenarioResult, out_dir) -> list[str]:
     """Write all CSVs and the summary into out_dir; returns the paths."""
     files = [(f"trace_branch{b}.csv", trace_csv(result, b)) for b in result.traces]
     files += [(f"couplings_{tag}.csv", couplings_csv(h)) for tag, h in result.couplings.items()]
-    files += [("loops.csv", loops_csv(result.loops)), ("summary.txt", [summary_text(result)])]
+    h = next(iter(result.couplings.values()))  # the census's: L and R share one basis
+    files += [("loops.csv", loops_csv(h, result.loops)), ("summary.txt", [summary_text(result)])]
     return [write_text(out_dir, name, chunks) for name, chunks in files]

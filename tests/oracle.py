@@ -19,7 +19,8 @@ reference of the stacked `looptopology.flip_sensitivity`, and `dress` and
 `dress_field` diagonalize and gauge-fix one grid point at a time, the
 references of the stacked `dressed.dress` and `dressed.dress_field`.
 `find_loops` lists cycles by a recursive depth-first search, the reference
-of the array path expansion of `looptopology.find_loops`.
+of the array path expansion of `looptopology.find_loops`, and `loop_phases`
+multiplies the couplings around each of them one edge at a time.
 """
 
 import math
@@ -33,7 +34,7 @@ from chiralsep import dressed
 from chiralsep.coupling import DipoleModel, Enantiomer, LaserSpec, UnknownTransitionError
 from chiralsep.hamiltonian import BasisNotClosedError, LevelIndex, _classify_setup
 from chiralsep.looptopology import (SPECTRUM_CHANGED, SPECTRUM_UNCHANGED, FlipIndeterminateError,
-                                    _edge_key, spectrum)
+                                    spectrum)
 from chiralsep.rotbasis import RotState
 from chiralsep.wigner import three_j_exact
 
@@ -237,15 +238,29 @@ def flip_sensitivity(h, pattern, tol: float = 1e-9) -> str:
     dist = float(np.max(np.abs(spectrum(h) - spectrum(flipped))))
     if dist > tol:
         return SPECTRUM_CHANGED
-    before = h._loop_phases
+    before = loop_phases(h)
     scale = max((abs(v) for v in before.values()), default=0.0)
     for key, val in before.items():
-        flips = sum(_edge_key(a, b) in pattern.flips for a, b in zip(key, key[1:] + key[:1]))
+        # with_flips negates an edge once per naming, either way round
+        flips = sum(((a, b) in pattern.flips) + ((b, a) in pattern.flips)
+                    for a, b in zip(key, key[1:] + key[:1]))
         if flips % 2 and 2 * abs(val) > tol * max(1.0, scale):  # |val - (-val)|
             raise FlipIndeterminateError(
                 f"loop phase of {key} changed but spectrum moved only {dist:.2e}"
             )
     return SPECTRUM_UNCHANGED
+
+
+def loop_phases(h, max_len: int = 8) -> dict[tuple, float]:
+    """Re[product of couplings] around each cycle of `find_loops` below,
+    keyed by the cycle's node tuple, one loop and one edge at a time."""
+    out = {}
+    for cyc in find_loops(h.edges(), max_len=max_len):
+        prod = 1.0 + 0j
+        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+            prod *= h.matrix[b, a]
+        out[tuple(cyc)] = float(np.real(prod))
+    return out
 
 
 def dress(omegas):

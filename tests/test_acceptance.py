@@ -294,7 +294,8 @@ def test_ground_state_has_no_triangle_but_generic_states_do():
         lasers = [replace(l, polarization=p)
                   for l, p in zip(cfg.lasers, combo)]
         h = assemble(lasers, cfg.dipole, Enantiomer.L, cfg.constants, cfg.trunc)
-        tri = [cyc for cyc in loop_census(h, max_len=3) if ground in cyc]
+        tri = [cyc for cyc in loop_census(h, max_len=3)
+               if ground in [h.basis[i] for i in cyc]]
         assert tri == [], (combo, tri)
 
     # all-z: a generic start |J K M> with K, M != 0 sits on a triangle whose
@@ -302,8 +303,8 @@ def test_ground_state_has_no_triangle_but_generic_states_do():
     allz = [replace(l, polarization="z") for l in cfg.lasers]
     h = assemble(allz, cfg.dipole, Enantiomer.L, cfg.constants, cfg.trunc)
     start = LevelIndex(1, RotState(1, 1, 1))
-    tri = [cyc for cyc in loop_census(h, max_len=3)
-           if start in cyc and len({lvl.rot for lvl in cyc}) == 1]
+    levels = [[h.basis[i] for i in cyc] for cyc in loop_census(h, max_len=3)]
+    tri = [cyc for cyc in levels if start in cyc and len({lvl.rot for lvl in cyc}) == 1]
     assert tri, "no same-label triangle through a generic start"
     print(f"\nloop census: no triangle through the rotational ground state "
           f"(125 polarization combos), same-label triangle for generic "

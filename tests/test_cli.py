@@ -281,6 +281,7 @@ def test_flip_sensitivity_argument_errors_name_their_flag(capsys, args, flag):
     (["dressed-potentials", "--span", "0"], "--span"),
     (["dressed-potentials", "--span", "inf"], "--span"),
     (["dressed-potentials", "--span", "1e308"], "--span"),  # 2 span overflows
+    (["dressed-potentials", "--points", "3"], "--points"),  # too coarse for the beams
 ])
 def test_grid_and_loop_length_errors_name_their_flag(capsys, args, flag):
     assert main([*args, "--scenario", "fig7-1mK-xxz"]) == 2
@@ -300,6 +301,19 @@ def test_a_loop_count_over_the_ceiling_names_the_max_len_flag(monkeypatch, capsy
     monkeypatch.setattr(looptopology, "MAX_LOOPS", 352)
     assert main(["loops", "--scenario", "fig7-1mK-xxz"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 1 + 352
+
+
+@pytest.mark.parametrize("jmax, key", [([], "scenario.jmax"), (["--jmax", "4"], "--jmax")])
+def test_a_run_census_over_the_ceiling_names_the_jmax_key(monkeypatch, tmp_path, capsys,
+                                                           jmax, key):
+    from chiralsep import looptopology
+
+    monkeypatch.setattr(looptopology, "MAX_LOOPS", 100)
+    assert main(["run", "--scenario", "fig7-1mK-xxz", *jmax, "--out", str(tmp_path / "o")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {key}: more than 100 loops of up to 3 nodes; lower jmax\n"
+    assert captured.out == ""
+    assert not (tmp_path / "o").exists()
 
 
 def test_flip_sensitivity_largest_size_is_accepted(capsys):

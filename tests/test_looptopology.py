@@ -59,13 +59,16 @@ def test_with_flips_negates_both_triangle_entries():
 def test_loop_phase_is_gauge_invariant():
     rng = np.random.default_rng(7)
     h = random_loop_hamiltonian(4, rng)
-    before = loop_phases(h)
+    cycles, before = loop_phases(h)
+    assert cycles.tolist() == [[0, 1, 2, 3, -1, -1, -1, -1]]
+    assert before[0] == pytest.approx(np.real(h.matrix[1, 0] * h.matrix[2, 1]
+                                              * h.matrix[3, 2] * h.matrix[0, 3]), abs=1e-12)
     # local phase rotation on node 2: a pure gauge transformation
     u = np.diag([1.0, 1.0, np.exp(0.9j), 1.0])
     g = LoopHamiltonian(u.conj().T @ h.matrix @ u)
-    after = loop_phases(g)
-    for key, val in before.items():
-        assert after[key] == pytest.approx(val, abs=1e-12)
+    same, after = loop_phases(g)
+    assert np.array_equal(same, cycles)
+    assert after == pytest.approx(before, abs=1e-12)
     assert np.allclose(spectrum(g), spectrum(h), atol=1e-12)
 
 
@@ -77,6 +80,21 @@ def test_single_flip_changes_triangle_spectrum():
 def test_double_flip_is_gauge_on_triangle():
     h = ring(3)
     assert flip_sensitivity(h, [SignPattern.of((0, 1), (1, 2))]) == [SPECTRUM_UNCHANGED]
+
+
+def test_flips_at_one_node_are_gauge_on_every_cycle():
+    # the edges at a node flip each cycle through it twice: a gauge
+    # transformation, also on the cycles the chord 1-3 adds
+    h = ring(4, {(0, 1): 1.0, (1, 2): 0.7j, (2, 3): 1.3, (0, 3): 0.9, (1, 3): 0.5 - 0.2j})
+    for v in range(4):
+        pattern = SignPattern.of(*[e for e in h.edges() if v in e])
+        assert flip_sensitivity(h, [pattern]) == [SPECTRUM_UNCHANGED]
+
+
+@pytest.mark.parametrize("edge", [(0, 5), (-2, 0), (-1, 1), (3, 3), (1, 1)])
+def test_a_flip_off_the_graph_has_zero_coupling(edge):
+    with pytest.raises(ValueError, match=r"edge \(-?\d, \d\) has zero coupling"):
+        flip_sensitivity(ring(3), [SignPattern.of(edge)])
 
 
 def test_flip_parity_on_random_rings():
@@ -93,15 +111,20 @@ def test_flip_parity_on_random_rings():
                 assert cls == expected, (n, pat)
 
 
+def cycle_lists(loops):
+    """The cycles of a `find_loops` array as lists, the -1 padding dropped."""
+    assert loops.ndim == 2
+    return [row[row >= 0].tolist() for row in loops]
+
+
 def test_find_loops_canonical_and_sorted():
     # triangle plus a pendant edge and a 4-cycle
-    edges = [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (5, 2)]
+    edges = np.array([(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (5, 2)])
     loops = find_loops(edges, max_len=6)
-    assert [0, 1, 2] in loops
-    assert [2, 3, 4, 5] in loops
-    assert loops == sorted(loops, key=lambda c: (len(c), c))
+    assert loops.tolist() == [[0, 1, 2, -1, -1, -1], [2, 3, 4, 5, -1, -1]]
+    assert cycle_lists(loops) == sorted(cycle_lists(loops), key=lambda c: (len(c), c))
     # deterministic under edge reordering
-    assert find_loops(list(reversed(edges)), max_len=6) == loops
+    assert np.array_equal(find_loops(edges[::-1], max_len=6), loops)
 
 
 def brute_force_cycles(edges, max_len):
@@ -121,7 +144,11 @@ def brute_force_cycles(edges, max_len):
 @given(edges=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=21),
        max_len=st.integers(3, 6))
 def test_find_loops_matches_brute_force(edges, max_len):
-    loops = find_loops(edges, max_len=max_len)
+    loops = find_loops(np.array(edges, dtype=int).reshape(-1, 2), max_len=max_len)
+    assert loops.shape == (len(loops), max_len)
+    # the padding trails: a cycle's nodes come first, then -1 to the end
+    assert np.all(np.diff(loops < 0, axis=1) >= 0)
+    loops = cycle_lists(loops)
     assert {tuple(c) for c in loops} == brute_force_cycles(edges, max_len)
     assert len({tuple(c) for c in loops}) == len(loops)
     assert all(c[0] == min(c) and c[1] < c[-1] for c in loops)
@@ -141,33 +168,29 @@ def graphs(draw):
 @settings(max_examples=200, deadline=None)
 @given(edges=graphs(), max_len=st.integers(3, 6))
 def test_triangle_join_matches_the_search(edges, max_len):
-    # the path expansion against the oracle's recursive search, list for list
-    expected = oracle.find_loops(edges, max_len=max_len)
-    assert find_loops(edges, max_len=max_len) == expected
+    # the path expansion against the oracle's recursive search, cycle for cycle
     got = find_loops(np.array(edges, dtype=int).reshape(-1, 2), max_len=max_len)
-    assert got == expected
-    assert all(type(v) is int for cyc in got for v in cyc)  # not numpy scalars
-    # as strings "10" sorts before "9": the names are ranked, not the numbers
-    named = [(str(a), str(b)) for a, b in edges]
-    assert find_loops(named, max_len=max_len) == oracle.find_loops(named, max_len=max_len)
+    assert cycle_lists(got) == oracle.find_loops(edges, max_len=max_len)
+    assert got.shape[1] == max_len
 
 
 @settings(max_examples=100, deadline=None)
 @given(edges=graphs(), max_len=st.integers(3, 6), rows=st.integers(1, 5))
 @example(edges=list(itertools.combinations(range(6), 2)), max_len=5, rows=2)  # K6
 def test_find_loops_in_pieces_of_a_few_rows(edges, max_len, rows):
+    edges = np.array(edges, dtype=int).reshape(-1, 2)
     expected = find_loops(edges, max_len=max_len)
     old = looptopology.LOOP_ROWS
     looptopology.LOOP_ROWS = rows
     try:
-        assert find_loops(edges, max_len=max_len) == expected
+        assert np.array_equal(find_loops(edges, max_len=max_len), expected)
     finally:
         looptopology.LOOP_ROWS = old
 
 
 def test_find_loops_refuses_more_than_the_ceiling(monkeypatch):
     # K5 has 10 triangles, 15 four-cycles and 12 five-cycles
-    k5 = list(itertools.combinations(range(5), 2))
+    k5 = np.array(list(itertools.combinations(range(5), 2)))
     monkeypatch.setattr(looptopology, "MAX_LOOPS", 37)
     assert len(find_loops(k5, max_len=5)) == 37
     monkeypatch.setattr(looptopology, "MAX_LOOPS", 36)
@@ -179,13 +202,18 @@ def test_find_loops_refuses_more_than_the_ceiling(monkeypatch):
 
 
 def test_triangle_join_keeps_the_nodes():
-    edges = [("b", "a"), ("c", "a"), ("b", "c"), ("c", "b"), ("c", "c"), ("c", "d")]
-    assert find_loops(edges, max_len=3) == [["a", "b", "c"]]
-    assert find_loops(np.array([[5, -3], [-3, 7], [7, 5]]), max_len=3) == [[-3, 5, 7]]
+    # node numbers come back as given, gaps and all, not ranked
+    edges = np.array([(300, 5), (7, 5), (300, 7), (7, 300), (7, 7), (7, 9)], dtype=np.uint16)
+    assert find_loops(edges, max_len=3).tolist() == [[5, 7, 300]]
+    for bad in (np.array([[5, -3], [-3, 7], [7, 5]]), np.array([["a", "b"]]),
+                np.array([[0.0, 1.0]])):
+        with pytest.raises(ValueError, match="pairs of non-negative ints"):
+            find_loops(bad, max_len=3)
 
 
 def test_find_loops_ignores_trees():
-    assert find_loops([(0, 1), (1, 2), (2, 3)]) == []
+    assert find_loops(np.array([(0, 1), (1, 2), (2, 3)])).shape == (0, 8)
+    assert find_loops(np.empty((0, 2), dtype=int), max_len=3).shape == (0, 3)
 
 
 def test_random_loop_hamiltonian_properties():
@@ -203,12 +231,13 @@ def flip_sensitivity_two_censuses(h, pattern, tol=1e-9):
     dist = float(np.max(np.abs(spectrum(h) - spectrum(flipped))))
     if dist > tol:
         return SPECTRUM_CHANGED
-    before, after = loop_phases(h), loop_phases(flipped)
-    scale = max((abs(v) for v in before.values()), default=0.0)
-    for key, val in before.items():
-        if abs(val - after[key]) > tol * max(1.0, scale):
+    (cycles, before), (same, after) = loop_phases(h), loop_phases(flipped)
+    assert np.array_equal(cycles, same)
+    scale = max(np.abs(before), default=0.0)
+    for cyc, val, new in zip(cycle_lists(cycles), before, after):
+        if abs(val - new) > tol * max(1.0, scale):
             raise FlipIndeterminateError(
-                f"loop phase of {key} changed but spectrum moved only {dist:.2e}")
+                f"loop phase of {tuple(cyc)} changed but spectrum moved only {dist:.2e}")
     return SPECTRUM_UNCHANGED
 
 
@@ -257,9 +286,11 @@ def test_stacked_flip_sensitivity_matches_the_per_pattern_oracle(n, data, tol, b
     pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
     edge = st.one_of(st.sampled_from(h.edges()), st.sampled_from(h.edges()).map(lambda e: e[::-1]),
                      pair) if data.draw(st.booleans()) else st.sampled_from(h.edges())
-    patterns = data.draw(st.lists(st.builds(lambda es: SignPattern.of(*es),
-                                            st.lists(edge, min_size=1, max_size=5)),
-                                  max_size=12))
+    # a pattern built from its edges as named may name one both ways round
+    pattern = st.builds(lambda es, as_named: SignPattern(frozenset(es)) if as_named
+                        else SignPattern.of(*es), st.lists(edge, min_size=1, max_size=5),
+                        st.booleans())
+    patterns = data.draw(st.lists(pattern, max_size=12))
     expected = per_pattern(h, patterns, tol)
     old = looptopology.FLIP_BATCH
     looptopology.FLIP_BATCH = batch
@@ -280,6 +311,20 @@ def test_flip_sensitivity_csv_is_unchanged(seed, capsys):
                  "--seed", str(seed)]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == "445fd5f4bf6b16774b22007b264f20e1f0b11f6383a8d6ef2e18da0c22dd83ac"
+
+
+def test_flip_sensitivity_lists_each_rings_cycles_once(monkeypatch, capsys):
+    # all draws of one size share the ring's edges: one enumeration a size
+    calls = []
+
+    def counted(edges, max_len=8):
+        calls.append(len(edges))
+        return find_loops(edges, max_len=max_len)
+
+    looptopology._cycles.cache_clear()
+    monkeypatch.setattr(looptopology, "find_loops", counted)
+    assert main(["flip-sensitivity", "--sizes", "3,4,5,6", "--draws", "50"]) == 0
+    assert calls == [3, 4, 5, 6]
 
 
 @pytest.mark.parametrize("order", [(0, 1), (1, 0)])

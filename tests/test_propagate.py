@@ -448,6 +448,33 @@ def test_trace_needs_an_output_time():
         ensemble_potential_trace(h, {0: ens}, 1.0, 0)
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_static_kernel_does_not_depend_on_the_level_order(seed):
+    # levels in three detuning clusters far apart next to weak couplings, as
+    # in the blocks of a closed loop; the kernel sees them in two orders, as
+    # it does an enantiomer traced on its own Hamiltonian and mapped onto
+    # the other's
+    rng = np.random.default_rng(seed)
+    n = 14
+    f = np.resize([0.0, 12.798, 38.394], n)
+    h0 = np.triu(rng.uniform(-0.1, 0.1, (n, n)) * (rng.random((n, n)) < 0.4), 1)
+    h0 = (h0 + h0.T).astype(complex)
+    a = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
+    rho = a @ a.conj().T / np.trace(a @ a.conj().T).real
+    perm = rng.permutation(n)
+    times = np.linspace(0.0, 27.0, 41)
+    ulp = np.spacing(np.max(f))
+    frames = [propagate_module._eigenframe(h0, f, rho[None]),
+              propagate_module._eigenframe(h0[np.ix_(perm, perm)], f[perm],
+                                           rho[np.ix_(perm, perm)][None])]
+    assert np.max(np.abs(np.sort(frames[0][0]) - np.sort(frames[1][0]))) <= ulp
+    values = [propagate_module._block_expectations(h0, f, rho[None], times, budget=0.0),
+              propagate_module._block_expectations(h0[np.ix_(perm, perm)], f[perm],
+                                                   rho[np.ix_(perm, perm)][None], times,
+                                                   budget=0.0)]
+    assert np.max(np.abs(values[0] - values[1])) <= 4 * ulp
+
+
 @pytest.mark.parametrize("n", [1, 2, 97, 100, 101])  # prime, 10**2, 10**2 + 1
 def test_factorised_phases_match_direct_exponential(n):
     # fig5's scale: t_end = 40 / Omega12 and block eigenvalues up to ~500 GHz

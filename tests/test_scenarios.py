@@ -1,5 +1,6 @@
 """Config parsing, builtin scenarios and deterministic output."""
 
+import itertools
 import os
 import pickle
 import subprocess
@@ -11,14 +12,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import oracle
 from chiralsep import dressed as dressedmod
 from chiralsep import hamiltonian, scenarios
 from chiralsep.cli import main
-from chiralsep.coupling import DipoleModel, DipoleTransition, Enantiomer, GaussianBeam
+from chiralsep.coupling import (POLARIZATION_TRIPLES, DipoleModel, DipoleTransition, Enantiomer,
+                                GaussianBeam)
 from chiralsep.hamiltonian import (LevelIndex, chirality_permutation, chirality_transform,
                                    transform_residual)
 from chiralsep.propagate import DegenerateEigenstateWarning, ensemble_potential_trace
@@ -173,9 +175,15 @@ def test_csv_columns_match_the_per_row_formatter(monkeypatch, enantiomers):
     assert summary_text(res) == oracle.summary_text(res)
 
 
+def _levels(h, loops):
+    """The loops of a `loop_census` array as lists of h's levels."""
+    return [[h.basis[i] for i in row if i >= 0] for row in loops.tolist()]
+
+
 def _loops_table(name, max_len):
-    loops = loop_census(_assemble(builtin_config(name), Enantiomer.L), max_len=max_len)
-    return [("".join(loops_csv(loops)), oracle.loops_csv(loops))]
+    h = _assemble(builtin_config(name), Enantiomer.L)
+    loops = loop_census(h, max_len=max_len)
+    return [("".join(loops_csv(h, loops)), oracle.loops_csv(_levels(h, loops)))]
 
 
 def _dressed_tables(capsys):
@@ -194,7 +202,8 @@ def _dressed_tables(capsys):
 
 def _empty_tables(capsys):
     assert main(["flip-sensitivity", "--draws", "0"]) == 0
-    return [("".join(loops_csv([])), oracle.loops_csv([])),
+    h = _assemble(builtin_config("restricted-loop"), Enantiomer.L)
+    return [("".join(loops_csv(h, np.empty((0, 3), dtype=int))), oracle.loops_csv([])),
             (capsys.readouterr().out, "n,draw,flips,classification\n"),
             ("".join(csv_lines(["a", "b"], [[], np.empty(0)])), "a,b\n")]
 
@@ -206,11 +215,14 @@ def _timescales_lines(capsys):
 
 
 def _equal_labels_table(capsys):
-    # equal |J K M> labels held by distinct RotState objects, and one that differs
-    loops = [[LevelIndex(v, RotState(1, 1, 1)) for v in (1, 2, 3)],
-             [LevelIndex(1, RotState(1, 1, 1)), LevelIndex(2, RotState(1, 1, 0)),
-              LevelIndex(3, RotState(1, 1, 1))]]
-    return [("".join(loops_csv(loops)), oracle.loops_csv(loops))]
+    # equal |J K M> labels held by distinct RotState objects, and one that
+    # differs, in loops of 3 and 4 levels
+    basis = (*[LevelIndex(v, RotState(1, 1, 1)) for v in (1, 2, 3)],
+             LevelIndex(2, RotState(1, 1, 0)))
+    none = np.empty(0, dtype=int)
+    h = hamiltonian.CouplingMatrix(basis, none, none, none.astype(complex), none.astype(float))
+    loops = np.array([[0, 1, 2, -1], [0, 3, 2, -1], [0, 1, 2, 3], [2, 1, 0, -1]])
+    return [("".join(loops_csv(h, loops)), oracle.loops_csv(_levels(h, loops)))]
 
 
 #: each case: (text written, text of the per-row or per-key oracle) pairs
@@ -232,6 +244,34 @@ def test_table_columns_match_the_per_row_formatter(monkeypatch, capsys, table):
         m.setattr(scenarios, "CSV_CHUNK_ROWS", 7)
         for got, expected in TABLES[table](capsys):
             assert got == expected
+
+
+#: dipole components of a laser's transition, not all zero
+MU = st.sampled_from([mu for mu in itertools.product([0.0, 1.0, -0.5j], repeat=3) if any(mu)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(jmax=st.integers(1, 2),
+       pols=st.tuples(*[st.sampled_from(sorted(POLARIZATION_TRIPLES))] * 3),
+       mus=st.tuples(MU, MU, MU), max_len=st.integers(3, 6), chunk=st.integers(1, 9))
+def test_loop_table_matches_the_per_loop_formatter(jmax, pols, mus, max_len, chunk):
+    cfg = builtin_config("fig7-1mK-xxz", jmax=jmax)
+    lasers = [replace(l, polarization=p) for l, p in zip(cfg.lasers, pols)]
+    dipole = DipoleModel({l.drives: DipoleTransition(mu=mu) for l, mu in zip(lasers, mus)})
+    try:
+        h = hamiltonian.assemble(lasers, dipole, Enantiomer.L, cfg.constants, cfg.trunc)
+    except hamiltonian.EmptyCouplingError:
+        event("no coupling")
+        return
+    loops = loop_census(h, max_len=max_len)
+    event("loops" if len(loops) else "no loop")
+    expected = oracle.loops_csv(_levels(h, loops))
+    old = scenarios.CSV_CHUNK_ROWS
+    scenarios.CSV_CHUNK_ROWS = chunk
+    try:
+        assert "".join(loops_csv(h, loops)) == expected
+    finally:
+        scenarios.CSV_CHUNK_ROWS = old
 
 
 def _float_bits(bits):
@@ -310,9 +350,9 @@ def test_loop_census_contains_vibrational_triangle():
     h = _assemble(cfg, Enantiomer.L)
     loops = loop_census(h)
     assert len(loops) == 1
-    assert {lvl.vib for lvl in loops[0]} == {1, 2, 3}
-    assert {lvl.rot for lvl in loops[0]} == {RotState(1, 1, 1)}
-    text = "".join(loops_csv(loops))
+    assert {h.basis[i].vib for i in loops[0]} == {1, 2, 3}
+    assert {h.basis[i].rot for i in loops[0]} == {RotState(1, 1, 1)}
+    text = "".join(loops_csv(h, loops))
     assert text.splitlines()[1].endswith("true")  # same rotational label
 
 
@@ -409,6 +449,12 @@ CATALOGUED = st.one_of(st.tuples(*[st.sampled_from(["x", "y", "sigma+", "sigma-"
 @given(pols=CATALOGUED, preparation=st.sampled_from(PREPARATIONS),
        temperature=st.sampled_from([0.0, 0.05, 0.5]), jmax=st.integers(1, 2),
        peaks=st.tuples(*[st.floats(0.1, 2.0)] * 3), offsets=st.tuples(*[st.floats(-3, 3)] * 2))
+# two inputs where eigh's rounding at the size of the detunings, carried
+# forward in time, once put the two paths more than 1e-12 apart
+@example(pols=("x", "sigma+", "x"), preparation="adiabatic", temperature=0.5, jmax=2,
+         peaks=(0.4441598765280741, 0.440738463228601, 0.99999), offsets=(0.0, 0.0))
+@example(pols=("z", "y", "y"), preparation="adiabatic", temperature=0.0, jmax=2,
+         peaks=(0.1, 0.2731019073663254, 0.6875), offsets=(0.0, 1.953125))
 def test_r_traced_on_h_l_matches_r_traced_on_h_r(pols, preparation, temperature, jmax, peaks,
                                                 offsets):
     cfg = parse_config(MINIMAL)
