@@ -4,9 +4,10 @@ A zero-diagonal Hermitian matrix of complex Rabi frequencies is viewed as a
 weighted adjacency matrix.  Its spectrum changes under negation of a subset
 of edges exactly when the subset flips the gauge-invariant phase of some
 cycle, i.e. when an odd number of loop edges is negated; sign patterns on
-tree-like parts are pure gauge.  `flip_sensitivity` classifies a whole list
-of patterns of one Hamiltonian with stacked eigensolves, FLIP_BATCH
-patterns at a time.
+tree-like parts are pure gauge.  A sign pattern is a row of a bool mask
+over the edges of h, column k for h.edges()[k]; `flip_sensitivity`
+classifies every row of one such mask with stacked eigensolves, FLIP_BATCH
+rows at a time.
 """
 
 from __future__ import annotations
@@ -33,10 +34,6 @@ MAX_LOOPS = 2_000_000
 
 class FlipIndeterminateError(RuntimeError):
     """Spectral change below tolerance although a loop phase changed."""
-
-
-def _edge_key(a, b):
-    return (a, b) if a <= b else (b, a)
 
 
 @dataclass(frozen=True)
@@ -88,17 +85,6 @@ class LoopHamiltonian:
         return LoopHamiltonian(h)
 
 
-@dataclass(frozen=True, slots=True)  # a flip-sensitivity draw holds up to 65,535
-class SignPattern:
-    """Subset of (undirected) edges whose Rabi frequencies are negated."""
-
-    flips: frozenset
-
-    @classmethod
-    def of(cls, *edges):
-        return cls(frozenset(_edge_key(a, b) for a, b in edges))
-
-
 def spectrum(h: LoopHamiltonian) -> np.ndarray:
     """Real eigenvalues, ascending; computed once per h and read-only."""
     return h._spectrum
@@ -122,43 +108,36 @@ def _cycles(edges: tuple, max_len: int):
     return cycles, ends
 
 
-def flip_sensitivity(h: LoopHamiltonian, patterns, tol: float = 1e-9) -> list[str]:
+def flip_sensitivity(h: LoopHamiltonian, flips, tol: float = 1e-9) -> list[str]:
     """Classify each sign pattern as spectrum-changed or spectrum-unchanged.
 
-    Returns one classification per pattern, in order.  Raises
-    FlipIndeterminateError when a pattern's sorted spectrum agrees with h's
-    within tol although the loop-phase product of some cycle changed sign (a
-    degenerate coincidence; the caller should retry with perturbed
-    couplings), and ValueError for a flipped edge with zero coupling; either
-    error is that of the first failing pattern, as a loop over the patterns
-    would raise it.  The patterns are taken FLIP_BATCH at a time: their
-    flipped matrices go to one stacked `eigvalsh`.  A flip negates each
-    cycle product exactly, so a cycle's phase after the flips is -(its
-    phase) when an odd number of its edges flip and unchanged otherwise: the
-    parities of all (pattern, cycle) pairs are one XOR over each cycle's
-    edges of the patterns' flipped entries.
+    `flips` is a bool array of shape (patterns, edges): row p negates the
+    couplings of the edges h.edges()[k] with flips[p, k]; any other shape
+    raises ValueError.  Returns one classification per row, in order.
+    Raises FlipIndeterminateError when a pattern's sorted spectrum agrees
+    with h's within tol although the loop-phase product of some cycle
+    changed sign (a degenerate coincidence; the caller should retry with
+    perturbed couplings); the error is that of the first such pattern, as a
+    loop over the patterns would raise it.  The rows are taken FLIP_BATCH at
+    a time: their flipped matrices go to one stacked `eigvalsh`.  A flip
+    negates each cycle product exactly, so a cycle's phase after the flips
+    is -(its phase) when an odd number of its edges flip and unchanged
+    otherwise: the parities of all (pattern, cycle) pairs are one XOR over
+    each cycle's edges of the rows.
     """
-    return [label for start in range(0, len(patterns), FLIP_BATCH)
-            for label in _classify(h, patterns[start:start + FLIP_BATCH], tol)]
+    flips = np.asarray(flips)
+    if flips.dtype != bool or flips.ndim != 2 or flips.shape[1] != len(h._edges):
+        raise ValueError(f"flips: expected a bool array of shape (patterns, {len(h._edges)}), "
+                         f"got {flips.dtype} {flips.shape}")
+    return [label for start in range(0, len(flips), FLIP_BATCH)
+            for label in _classify(h, flips[start:start + FLIP_BATCH], tol)]
 
 
-def _classify(h: LoopHamiltonian, patterns, tol: float) -> list[str]:
-    """`flip_sensitivity` of one stack of patterns."""
-    flips = np.array([edge for pattern in patterns for edge in pattern.flips],
-                     dtype=np.intp).reshape(-1, 2)
-    rows = np.repeat(np.arange(len(patterns)), [len(pattern.flips) for pattern in patterns])
-    # h padded by a zero row and column, which a node outside 0..n-1 reads
-    a, b = np.where((flips >= 0) & (flips < h.n), flips, h.n).T
-    bad = (a == b) | (np.pad(h.matrix, (0, 1))[a, b] == 0)
-    count, bad_edge = len(patterns), None
-    if bad.any():  # the patterns before the first bad one are classified first
-        at = int(np.argmax(bad))
-        count = rows[at]
-        bad_edge = ValueError("edge ({}, {}) has zero coupling".format(*flips[at].tolist()))
-    keep = rows < count
-    flipped = np.zeros((count, h.n + 1, h.n + 1), dtype=bool)  # per pattern and entry
-    for r, c in ((a, b), (b, a)):  # an edge named both ways round flips back
-        np.bitwise_xor.at(flipped, (rows[keep], r[keep], c[keep]), True)
+def _classify(h: LoopHamiltonian, flips: np.ndarray, tol: float) -> list[str]:
+    """`flip_sensitivity` of one stack of mask rows."""
+    i, j = np.array(h._edges, dtype=np.intp).reshape(-1, 2).T
+    flipped = np.zeros((len(flips), h.n + 1, h.n + 1), dtype=bool)  # per pattern and entry
+    flipped[:, i, j] = flipped[:, j, i] = flips
     stack = np.where(flipped[:, :-1, :-1], -h.matrix, h.matrix)
     dist = np.max(np.abs(spectrum(h) - np.linalg.eigvalsh(stack)), axis=1)
     changed = dist > tol
@@ -174,8 +153,6 @@ def _classify(h: LoopHamiltonian, patterns, tol: float) -> list[str]:
             loop = tuple(cycles[c][cycles[c] >= 0].tolist())
             raise FlipIndeterminateError(
                 f"loop phase of {loop} changed but spectrum moved only {dist[p]:.2e}")
-    if bad_edge is not None:
-        raise bad_edge
     return [SPECTRUM_CHANGED if x else SPECTRUM_UNCHANGED for x in changed]
 
 
@@ -243,7 +220,7 @@ def random_loop_hamiltonian(n: int, rng: np.random.Generator) -> LoopHamiltonian
     ring = [(i, (i + 1) % n) for i in range(n)]
     while True:
         omegas = {
-            _edge_key(a, b): rng.uniform(0.5, 1.5) * np.exp(2j * np.pi * rng.uniform())
+            (min(a, b), max(a, b)): rng.uniform(0.5, 1.5) * np.exp(2j * np.pi * rng.uniform())
             for a, b in ring
         }
         h = LoopHamiltonian.from_upper(n, omegas)

@@ -55,8 +55,10 @@ a block no branch keeps gets no rho, no eigendecomposition and no kernel
 
 A trace predicts its size before it builds any array and raises
 TraceTooLargeError above a fixed ceiling: MAX_TRACE_BYTES for the static
-kernel's largest array, counted with one column per branch (shared columns
-make the real array smaller), MAX_MIDPOINT_STEPS for the midpoint schedule.
+kernel's largest array, MAX_MIDPOINT_STEPS for the midpoint schedule.  The
+static array has one column per distinct rho of a block, so before the grid
+is built only one column of the largest block is checked; each block's
+distinct columns are counted after the equal-rho pass, before its kernel.
 """
 
 from __future__ import annotations
@@ -282,13 +284,15 @@ def ensemble_potential_trace(
 
     `ensembles` maps a branch label to its Ensemble; returns the mapping
     branch -> PotentialTrace in the same order, all on one grid of n >= 1
-    times, which is built only after the size ceilings are checked.
-    Mathematically identical to propagating each pure member and averaging,
-    but evolves one density matrix per block and branch: in the static frame
-    when a node potential exists, else with the steps of
-    `propagate(method="midpoint")`.  Branches whose block rho are equal by
-    value (-0.0 counts as 0.0) are evolved once, as one column, and get
-    bitwise-equal values from that block.
+    times, which is built only after the size ceilings are checked (the
+    static one for a single column; each block's distinct columns are
+    checked before its kernel runs).  Mathematically identical to
+    propagating each pure member and averaging, but evolves one density
+    matrix per block and branch: in the static frame when a node potential
+    exists, else with the steps of `propagate(method="midpoint")`.
+    Branches whose block rho are equal by value (-0.0 counts as 0.0) are
+    evolved once, as one column, and get bitwise-equal values from that
+    block.
 
     Screening moves each value by at most SCREEN_BUDGET (GHz), split in two
     fixed halves.  The block screen serves both kernels: a branch leaves out
@@ -303,13 +307,8 @@ def ensemble_potential_trace(
             raise ValueError(f"branch {branch}: empty ensemble")
     blocks, label, local, edges, f = _blocks(h)
     # the ceilings are checked before any array of n values is built
-    if f is not None:
-        # [c; s] @ [X_1 | ...] with a column per branch: an upper bound, as
-        # branches with equal block rho share one
-        size = 16 * n * len(ensembles) * max(len(idx) for idx in blocks)
-        if size > MAX_TRACE_BYTES:
-            raise TraceTooLargeError(f"the static trace needs a {size / 2**30:.3g} GiB array, "
-                                     f"more than {MAX_TRACE_BYTES / 2**30:.3g} GiB", by_grid=True)
+    if f is not None:  # one column; the block loop counts the distinct ones
+        _static_ceiling(n, 1, max(len(idx) for idx in blocks))
     elif n - 1 > MAX_MIDPOINT_STEPS:  # at least one step per output interval
         raise TraceTooLargeError(f"the midpoint stepper needs at least {n - 1} steps, "
                                  f"more than {MAX_MIDPOINT_STEPS}", by_grid=True)
@@ -359,6 +358,7 @@ def ensemble_potential_trace(
                 raise ValueError("non-real ensemble expectation of a Hermitian operator")
             vals = vals.real
         else:
+            _static_ceiling(n, len(distinct), len(idx))
             vals = _block_expectations(_block_matrix(*edges(c), 0.0), f[idx], rho, times,
                                        budget / 2)
         if not np.all(np.isfinite(vals)):
@@ -366,6 +366,16 @@ def ensemble_potential_trace(
         totals[:, list(col)] += vals[:, list(col.values())]
     return {branch: PotentialTrace.from_values(times, totals[:, k] / omega_ref)
             for k, branch in enumerate(ensembles)}
+
+
+def _static_ceiling(n, columns, size):
+    """TraceTooLargeError when [c; s] @ [X_1 | ...] of `_block_expectations`,
+    on n times for `columns` stacked rho of a block of `size` levels, would
+    exceed MAX_TRACE_BYTES."""
+    need = 16 * n * columns * size
+    if need > MAX_TRACE_BYTES:
+        raise TraceTooLargeError(f"the static trace needs a {need / 2**30:.3g} GiB array, "
+                                 f"more than {MAX_TRACE_BYTES / 2**30:.3g} GiB", by_grid=True)
 
 
 def _block_bounds(h: CouplingMatrix, ensembles: dict, label, count) -> np.ndarray:

@@ -14,10 +14,11 @@ time, element by element, the references of the column-wise
 a time, the references of the vectorised labelling and layered potential
 of `propagate`, and `members` expands an `Ensemble` into dense state
 vectors for the per-member propagation the block trace must match.
-`flip_sensitivity` classifies one sign pattern with one `eigvalsh`, the
-reference of the stacked `looptopology.flip_sensitivity`, and `dress` and
-`dress_field` diagonalize and gauge-fix one grid point at a time, the
-references of the stacked `dressed.dress` and `dressed.dress_field`.
+`flip_sensitivity` classifies one row of a sign-pattern mask with one
+`eigvalsh`, the reference of the stacked `looptopology.flip_sensitivity`,
+and `dress` and `dress_field` diagonalize and gauge-fix one grid point at
+a time, the references of the stacked `dressed.dress` and
+`dressed.dress_field`.
 `find_loops` lists cycles by a recursive depth-first search, the reference
 of the array path expansion of `looptopology.find_loops`, and `loop_phases`
 multiplies the couplings around each of them one edge at a time.
@@ -232,18 +233,17 @@ def members(ens) -> list[tuple[float, np.ndarray]]:
     return list(zip(ens.weights.tolist(), states))
 
 
-def flip_sensitivity(h, pattern, tol: float = 1e-9) -> str:
-    """One pattern's classification, from the spectrum of h with its flips."""
-    flipped = h.with_flips(pattern.flips)
-    dist = float(np.max(np.abs(spectrum(h) - spectrum(flipped))))
+def flip_sensitivity(h, row, tol: float = 1e-9) -> str:
+    """One mask row's classification, from the spectrum of h with the
+    edges h.edges()[k] of its true entries flipped."""
+    pattern = {edge for edge, flip in zip(h.edges(), row, strict=True) if flip}
+    dist = float(np.max(np.abs(spectrum(h) - spectrum(h.with_flips(pattern)))))
     if dist > tol:
         return SPECTRUM_CHANGED
     before = loop_phases(h)
     scale = max((abs(v) for v in before.values()), default=0.0)
     for key, val in before.items():
-        # with_flips negates an edge once per naming, either way round
-        flips = sum(((a, b) in pattern.flips) + ((b, a) in pattern.flips)
-                    for a, b in zip(key, key[1:] + key[:1]))
+        flips = sum((min(a, b), max(a, b)) in pattern for a, b in zip(key, key[1:] + key[:1]))
         if flips % 2 and 2 * abs(val) > tol * max(1.0, scale):  # |val - (-val)|
             raise FlipIndeterminateError(
                 f"loop phase of {key} changed but spectrum moved only {dist:.2e}"

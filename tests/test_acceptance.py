@@ -16,7 +16,7 @@ import pytest
 from chiralsep.coupling import DipoleModel, Enantiomer, GaussianBeam, LaserSpec
 from chiralsep.dressed import FieldConfiguration, dress, dress_field, scalar_potential, vector_potential
 from chiralsep.hamiltonian import CouplingMatrix, LevelIndex, assemble, chirality_transform
-from chiralsep.looptopology import SignPattern, loop_phases, random_loop_hamiltonian, spectrum
+from chiralsep.looptopology import loop_phases, random_loop_hamiltonian, spectrum
 from chiralsep.propagate import (Ensemble, _block_midpoint, _midpoint_schedule,
                                  ensemble_potential_trace, potential_trace, propagate)
 from chiralsep.rotbasis import D2S2, BasisTruncation, RotState, enumerate_basis

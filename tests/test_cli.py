@@ -171,6 +171,23 @@ def test_static_ceiling_exits_before_the_output_grid(tmp_path, capsys):
     assert peak < 50 * 2**20
 
 
+@pytest.mark.parametrize("columns, rc", [(4, 0), (3, 0), (2, 2)])
+def test_static_ceiling_counts_the_distinct_columns(monkeypatch, tmp_path, capsys, columns, rc):
+    # fig7 traces R on H_L: six branches, but each of its two kept blocks of
+    # 24 levels evolves 3 distinct rho, so 3 columns' worth is enough
+    from chiralsep import propagate
+
+    monkeypatch.setattr(propagate, "MAX_TRACE_BYTES", 16 * 2000 * columns * 24)
+    assert main(["run", "--scenario", "fig7-1mK-xxz", "--out", str(tmp_path / "o")]) == rc
+    err = capsys.readouterr().err
+    if rc:
+        assert err == ("error: scenario.n_times: the static trace needs a 0.00215 GiB array, "
+                       "more than 0.00143 GiB\n")
+        assert not (tmp_path / "o").exists()
+    else:
+        assert err == ""
+
+
 @pytest.mark.parametrize("old, new, key", [
     # 0.5 K puts ~47 % of the population at J = 1
     ("temperature_K = 0", "temperature_K = 0.5", "scenario.jmax"),
@@ -261,6 +278,8 @@ def test_an_absurd_jmax_exits_before_any_basis_is_built(tmp_path, capsys, comman
     (["--sizes", "2"], "--sizes"),     # one edge: no loop to flip
     (["--sizes", "3,40"], "--sizes"),  # 2^40 - 1 patterns a draw
     (["--draws", "-1"], "--draws"),
+    (["--sizes", "16", "--draws", "17"], "--draws"),  # 17 x 65,535 rows
+    (["--draws", "9040"], "--draws"),                 # 9,040 x 116 rows
 ])
 def test_flip_sensitivity_argument_errors_name_their_flag(capsys, args, flag):
     assert main(["flip-sensitivity", *args]) == 2
@@ -324,6 +343,32 @@ def test_flip_sensitivity_largest_size_is_accepted(capsys):
     assert main(["flip-sensitivity", "--sizes", str(n), "--draws", "0"]) == 0
     assert capsys.readouterr().out == "n,draw,flips,classification\n"
     assert main(["flip-sensitivity", "--sizes", str(n + 1), "--draws", "0"]) == 2
+
+
+def test_flip_sensitivity_row_ceiling_is_checked_before_any_draw(monkeypatch, capsys):
+    from chiralsep import cli
+
+    # the default sizes 3, 4, 5 and 6 give 7 + 15 + 31 + 63 = 116 rows a draw
+    monkeypatch.setattr(cli, "MAX_FLIP_ROWS", 2 * 116)
+    assert main(["flip-sensitivity", "--draws", "2"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 2 * 116
+    monkeypatch.setattr(cli, "random_loop_hamiltonian", None)  # no draw is made
+    assert main(["flip-sensitivity", "--draws", "3"]) == 2
+    assert capsys.readouterr().err == ("error: --draws: 3 draws of sizes 3,4,5,6 give 348 "
+                                       "table rows, more than 232\n")
+
+
+def test_flip_sensitivity_holds_no_object_per_sign_pattern(capsys):
+    # the 16,383 sign patterns of a 14-ring as rows of one bool mask: a
+    # frozenset of edge tuples per pattern took the peak to ~21 MB
+    tracemalloc.start()
+    try:
+        assert main(["flip-sensitivity", "--sizes", "14", "--draws", "1"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 2**14 - 1
+    assert peak < 12e6
 
 
 @pytest.mark.parametrize("argv, key", [

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import event, example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -24,7 +24,7 @@ from chiralsep.coupling import (POLARIZATION_TRIPLES, DipoleModel, DipoleTransit
 from chiralsep.hamiltonian import (LevelIndex, chirality_permutation, chirality_transform,
                                    transform_residual)
 from chiralsep.propagate import DegenerateEigenstateWarning, ensemble_potential_trace
-from chiralsep.rotbasis import BasisTruncation, RotState, thermal_rot_state
+from chiralsep.rotbasis import BasisTruncation, RotState, TruncationError, thermal_rot_state
 from chiralsep.scenarios import (
     CONFIG_HEADER,
     PREPARATIONS,
@@ -440,6 +440,20 @@ def test_enantiomer_order_sets_the_column_order():
     assert header == "time_ns,time_in_inverse_Omega12,value_R,value_L\n"
 
 
+def _random_config(pols, peaks, offsets, **fields):
+    """MINIMAL with the lasers' polarizations, peaks scaled by `peaks` and
+    rotational offsets (o12, o23, o12 + o23), which close the loop, and the
+    other fields replaced."""
+    cfg = parse_config(MINIMAL)
+    rot_offsets = (offsets[0], offsets[1], offsets[0] + offsets[1])
+    lasers = tuple(replace(laser, polarization=p, peak_rabi=laser.peak_rabi * w, rot_offset=o)
+                   for laser, p, w, o in zip(cfg.lasers, pols, peaks, rot_offsets))
+    return replace(cfg, lasers=lasers, **fields)
+
+
+ANY_POLARIZATIONS = st.tuples(*[st.sampled_from(sorted(POLARIZATION_TRIPLES))] * 3)
+#: truncation at the default mass keeps jmax 1 to ~0.04 K and jmax 2 to ~0.11 K
+LOW_TEMPERATURES = st.one_of(st.just(0.0), st.floats(0.0, 0.2))
 CATALOGUED = st.one_of(st.tuples(*[st.sampled_from(["x", "y", "sigma+", "sigma-"])] * 3),
                        st.tuples(*[st.sampled_from(["z", "y"])] * 3),
                        st.tuples(*[st.sampled_from(["z", "x"])] * 3))
@@ -457,13 +471,8 @@ CATALOGUED = st.one_of(st.tuples(*[st.sampled_from(["x", "y", "sigma+", "sigma-"
          peaks=(0.1, 0.2731019073663254, 0.6875), offsets=(0.0, 1.953125))
 def test_r_traced_on_h_l_matches_r_traced_on_h_r(pols, preparation, temperature, jmax, peaks,
                                                 offsets):
-    cfg = parse_config(MINIMAL)
-    # the 1-3 offset closes the loop
-    rot_offsets = (offsets[0], offsets[1], offsets[0] + offsets[1])
-    lasers = tuple(replace(laser, polarization=p, peak_rabi=laser.peak_rabi * w, rot_offset=o)
-                   for laser, p, w, o in zip(cfg.lasers, pols, peaks, rot_offsets))
-    cfg = replace(cfg, lasers=lasers, preparation=preparation, temperature=temperature,
-                  trunc=BasisTruncation(jmax), truncation_mass=1.0)
+    cfg = _random_config(pols, peaks, offsets, preparation=preparation, temperature=temperature,
+                         trunc=BasisTruncation(jmax), truncation_mass=1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateEigenstateWarning)
         res = run_scenario(cfg)
@@ -479,20 +488,63 @@ def test_r_traced_on_h_l_matches_r_traced_on_h_r(pols, preparation, temperature,
         assert np.max(np.abs(res.traces[branch]["R"].values - tr.values)) <= 1e-12 * scale
 
 
+def _thermal_or_none(cfg):
+    """The config's thermal state, or None when truncation refuses it."""
+    try:
+        return thermal_rot_state(cfg.temperature, cfg.constants, cfg.trunc,
+                                 cutoff_mass=cfg.truncation_mass)
+    except TruncationError:
+        return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(pols=ANY_POLARIZATIONS, preparation=st.sampled_from(PREPARATIONS),
+       temperature=LOW_TEMPERATURES, jmax=st.integers(1, 2),
+       peaks=st.tuples(*[st.floats(0.1, 2.0)] * 3), offsets=st.tuples(*[st.floats(-3, 3)] * 2))
+def test_every_ensemble_is_normalised_and_every_trace_finite(pols, preparation, temperature,
+                                                             jmax, peaks, offsets):
+    cfg = _random_config(pols, peaks, offsets, preparation=preparation, temperature=temperature,
+                         trunc=BasisTruncation(jmax))
+    thermal = _thermal_or_none(cfg)
+    assume(thermal is not None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateEigenstateWarning)
+        for who in Enantiomer:
+            h = _assemble(cfg, who)
+            for branch, ens in _branch_members(cfg, who, h, thermal).items():
+                # tr rho = sum_m w_m ||psi_m||^2
+                norm = np.sum(ens.weights[ens.member] * np.abs(ens.amp) ** 2)
+                assert abs(norm - 1.0) <= 1e-12, (who, branch, norm)
+        res = run_scenario(cfg)
+    for per in res.traces.values():
+        for tr in per.values():
+            assert np.all(np.isfinite(tr.values))
+
+
+@settings(max_examples=40, deadline=None)
+@given(pols=ANY_POLARIZATIONS, temperature=LOW_TEMPERATURES, jmax=st.integers(1, 2),
+       peaks=st.tuples(*[st.floats(0.1, 2.0)] * 3), offsets=st.tuples(*[st.floats(-3, 3)] * 2))
+def test_a_diabatic_preparation_is_chirality_blind(pols, temperature, jmax, peaks, offsets):
+    # L and R each traced on its own Hamiltonian, so no mapping by T is used
+    cfg = _random_config(pols, peaks, offsets, preparation="diabatic", temperature=temperature,
+                         trunc=BasisTruncation(jmax))
+    assume(_thermal_or_none(cfg) is not None)
+    left = run_scenario(cfg, enantiomers=("L",)).traces["thermal"]["L"].values
+    right = run_scenario(cfg, enantiomers=("R",)).traces["thermal"]["R"].values
+    scale = max(1.0, np.max(np.abs(left)))
+    assert np.max(np.abs(left - right)) <= 1e-12 * scale
+
+
 @settings(max_examples=100, deadline=None)
 @given(pols=CATALOGUED, mu=st.tuples(*[st.complex_numbers(max_magnitude=2.0)] * 3).filter(any),
        jmax=st.integers(1, 2), peaks=st.tuples(*[st.floats(0.1, 2.0)] * 3),
        offsets=st.tuples(*[st.floats(-3, 3)] * 2), x=st.floats(-1.5, 1.5))
 def test_isospectrality_residual_is_exactly_zero_on_catalogued_setups(pols, mu, jmax, peaks,
                                                                       offsets, x):
-    cfg = parse_config(MINIMAL)
-    rot_offsets = (offsets[0], offsets[1], offsets[0] + offsets[1])
-    lasers = tuple(replace(laser, polarization=p, peak_rabi=laser.peak_rabi * w, rot_offset=o)
-                   for laser, p, w, o in zip(cfg.lasers, pols, peaks, rot_offsets))
     flipped = DipoleTransition(mu=mu, chiral_sign_flip=True)
     dipole = DipoleModel(dict.fromkeys(scenarios.LASER_SECTIONS.values(), flipped))
-    cfg = replace(cfg, lasers=lasers, dipole=dipole, trunc=BasisTruncation(jmax),
-                  evaluation_x=x, n_times=5)
+    cfg = _random_config(pols, peaks, offsets, dipole=dipole, trunc=BasisTruncation(jmax),
+                         evaluation_x=x, n_times=5)
     res = run_scenario(cfg)
     assert res.isospectrality_residual == 0.0
 
@@ -502,12 +554,8 @@ def test_isospectrality_residual_is_exactly_zero_on_catalogued_setups(pols, mu, 
        temperature=st.sampled_from([0.0, 0.05, 0.5]), jmax=st.integers(1, 2),
        peaks=st.tuples(*[st.floats(0.1, 2.0)] * 3), offsets=st.tuples(*[st.floats(-3, 3)] * 2))
 def test_a_rerun_writes_the_same_bytes(pols, preparation, temperature, jmax, peaks, offsets):
-    cfg = parse_config(MINIMAL)
-    rot_offsets = (offsets[0], offsets[1], offsets[0] + offsets[1])
-    lasers = tuple(replace(laser, polarization=p, peak_rabi=laser.peak_rabi * w, rot_offset=o)
-                   for laser, p, w, o in zip(cfg.lasers, pols, peaks, rot_offsets))
-    cfg = replace(cfg, lasers=lasers, preparation=preparation, temperature=temperature,
-                  trunc=BasisTruncation(jmax), truncation_mass=1.0)
+    cfg = _random_config(pols, peaks, offsets, preparation=preparation, temperature=temperature,
+                         trunc=BasisTruncation(jmax), truncation_mass=1.0)
     written = []
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateEigenstateWarning)
