@@ -9,7 +9,7 @@ classifies every sign pattern on random rings and tabulates the result.
 
 import numpy as np
 
-from chiralsep.looptopology import flip_sensitivity, random_loop_hamiltonian, spectrum
+from chiralsep.looptopology import edges, flip_sensitivity, random_loop_hamiltonian, spectrum
 
 
 def main():
@@ -18,12 +18,15 @@ def main():
     for n in (3, 4, 5):
         h = random_loop_hamiltonian(n, rng)
         base = spectrum(h)
-        edges = h.edges()
+        i, j = np.array(edges(h)).T
         # one representative pattern per flip count r: the first r edges,
         # row r - 1 of a lower-triangular mask
-        classes = flip_sensitivity(h, np.tri(len(edges), dtype=bool))
+        classes = flip_sensitivity(h, np.tri(len(i), dtype=bool))
         for r, cls in enumerate(classes, start=1):
-            move = np.max(np.abs(spectrum(h.with_flips(edges[:r])) - base))
+            flipped = h.copy()
+            flipped[i[:r], j[:r]] *= -1
+            flipped[j[:r], i[:r]] *= -1
+            move = np.max(np.abs(spectrum(flipped) - base))
             print(f"{n:>3} {r:>6} {cls:>20} {move:>15.3e}")
     print("\nodd flip counts change the spectrum, even ones are pure gauge")
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import dressed as dressedmod
 from .coupling import Enantiomer, GaussianBeam
-from .looptopology import flip_sensitivity, random_loop_hamiltonian
+from .looptopology import edges, flip_sensitivity, random_loop_hamiltonian
 from .scenarios import (
     ConfigError,
     builtin_config,
@@ -78,9 +78,12 @@ def _cmd_loops(args):
 #: classify: n = 16 takes seconds a draw, and each edge more doubles it
 MAX_FLIP_PATTERNS = 2**16 - 1
 #: most table rows (draws x the sum of 2^n - 1) one flip-sensitivity run
-#: holds until it writes them: --sizes 16 --draws 16, 1,048,560 rows, peaks
-#: at 106 MB resident and takes 31 s (one run, one BLAS thread)
+#: writes; it bounds run time and file size, not memory, as each draw's rows
+#: are written once classified: --sizes 16 --draws 16, 1,048,560 rows, took
+#: 31 s (one run, one BLAS thread)
 MAX_FLIP_ROWS = 2**20
+#: most dressed-potentials grid points: 10^6 points took 16 s and 836 MB
+MAX_POINTS = 10**6
 
 
 def _flip_sizes(text):
@@ -102,44 +105,51 @@ def _cmd_flip_sensitivity(args):
     sizes = _flip_sizes(args.sizes)
     if args.draws < 0:
         raise ConfigError(f"--draws: must be non-negative, got {args.draws}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed: must be non-negative, got {args.seed}")
     rows = args.draws * sum(2**n - 1 for n in sizes)
     if rows > MAX_FLIP_ROWS:
         raise ConfigError(f"--draws: {args.draws} draws of sizes {args.sizes} give {rows} "
                           f"table rows, more than {MAX_FLIP_ROWS}")
-    columns = ([], [], [], [])  # n, draw, flips, classification
+    _emit(_flip_table(sizes, args.draws, args.seed), args.out, "flip_sensitivity.csv")
+
+
+def _flip_table(sizes, draws, seed):
+    """The flip-sensitivity CSV chunks: the header, then each draw's rows
+    as soon as they are classified."""
+    yield "n,draw,flips,classification\n"
     for n in sizes:
-        rng = np.random.default_rng(args.seed + n)
-        for draw in range(args.draws):
+        rng = np.random.default_rng(seed + n)
+        for draw in range(draws):
             h = random_loop_hamiltonian(n, rng)
             if draw == 0:  # every ring of n levels has the same edges
-                names = ["-".join(map(str, e)) for e in h.edges()]
+                names = ["-".join(map(str, e)) for e in edges(h)]
                 subsets = [np.array(list(itertools.combinations(range(len(names)), r)))
                            for r in range(1, len(names) + 1)]
                 # row p of flips marks the edges of the p-th subset
                 flips = np.concatenate([np.eye(len(names), dtype=bool)[s].any(axis=1)
                                         for s in subsets])
                 labels = [";".join(names[k] for k in pat) for s in subsets for pat in s.tolist()]
-            columns[0].extend([n] * len(flips))
-            columns[1].extend([draw] * len(flips))
-            columns[2].extend(labels)
-            columns[3].extend(flip_sensitivity(h, flips))
-    _emit(csv_lines(["n", "draw", "flips", "classification"], columns),
-          args.out, "flip_sensitivity.csv")
+            yield from csv_lines(None, [[n] * len(flips), [draw] * len(flips), labels,
+                                        flip_sensitivity(h, flips)])
 
 
 def _cmd_dressed_potentials(args):
     if args.points < 3:
         raise ConfigError(f"--points: central differences need 3 or more, got {args.points}")
+    if args.points > MAX_POINTS:
+        raise ConfigError(f"--points: {args.points} grid points, more than {MAX_POINTS}")
     if not 0 < 2 * args.span < np.inf:
         raise ConfigError(f"--span: 2 * span must be positive and finite, got {args.span}")
-    cfg = _load(args)
-    grid = np.linspace(-args.span, args.span, args.points)
     try:
         offsets = [float(s) for s in args.offsets.split(",")]
-        if len(offsets) != 3:
+        if len(offsets) != 3 or not np.all(np.isfinite(offsets)):
             raise ValueError
     except ValueError:
-        raise ConfigError("--offsets expects three comma-separated numbers") from None
+        raise ConfigError("--offsets: expected three finite comma-separated numbers, "
+                          f"got {args.offsets!r}") from None
+    cfg = _load(args)
+    grid = np.linspace(-args.span, args.span, args.points)
     lasers = [
         replace(l, beam=GaussianBeam(waist=l.beam.waist, center=off))
         for l, off in zip(cfg.lasers, offsets)

@@ -4,16 +4,15 @@ A zero-diagonal Hermitian matrix of complex Rabi frequencies is viewed as a
 weighted adjacency matrix.  Its spectrum changes under negation of a subset
 of edges exactly when the subset flips the gauge-invariant phase of some
 cycle, i.e. when an odd number of loop edges is negated; sign patterns on
-tree-like parts are pure gauge.  A sign pattern is a row of a bool mask
-over the edges of h, column k for h.edges()[k]; `flip_sensitivity`
-classifies every row of one such mask with stacked eigensolves, FLIP_BATCH
-rows at a time.
+tree-like parts are pure gauge.  A Hamiltonian is its complex (n, n)
+matrix.  A sign pattern is a row of a bool mask over the edges of h, column
+k for edges(h)[k]; `flip_sensitivity` classifies every row of one such mask
+with stacked eigensolves, FLIP_BATCH rows at a time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -27,6 +26,9 @@ FLIP_BATCH = 1024
 #: most open paths `find_loops` extends at once (4096 five-node paths with
 #: 12 neighbours each grow to 2.4 MB of six-node rows)
 LOOP_ROWS = 4096
+#: longest cycle `find_loops` lists: every path is padded to max_len
+#: columns, so max_len 100 took 1.6 GB on fig7 before the MAX_LOOPS refusal
+MAX_LOOP_LEN = 12
 #: most cycles `find_loops` lists: fig5 at jmax 8 has 973,627 of up to 6
 #: levels; the `run` census of the builtin lasers at jmax 41 has 1,256,404
 MAX_LOOPS = 2_000_000
@@ -36,83 +38,41 @@ class FlipIndeterminateError(RuntimeError):
     """Spectral change below tolerance although a loop phase changed."""
 
 
-@dataclass(frozen=True)
-class LoopHamiltonian:
-    """n-level Hamiltonian with zero diagonal, stored as a dense matrix.
-
-    The matrix is not changed after construction: its edges, spectrum and
-    loop phases are each computed once, on first use.
-    """
-
-    matrix: np.ndarray
-
-    @classmethod
-    def from_upper(cls, n: int, omegas: dict) -> "LoopHamiltonian":
-        """Build from {(i, j): omega} with 0 <= i < j < n."""
-        h = np.zeros((n, n), dtype=complex)
-        for (i, j), w in omegas.items():
-            if not 0 <= i < j < n:
-                raise ValueError(f"edge ({i}, {j}) out of range for n = {n}")
-            h[i, j] = np.conj(w)
-            h[j, i] = w
-        return cls(h)
-
-    @property
-    def n(self):
-        return self.matrix.shape[0]
-
-    def edges(self):
-        return list(self._edges)
-
-    @cached_property
-    def _edges(self) -> tuple:
-        i, j = np.nonzero(np.triu(self.matrix, 1))
-        return tuple(zip(i.tolist(), j.tolist()))
-
-    @cached_property
-    def _spectrum(self) -> np.ndarray:
-        vals = np.linalg.eigvalsh(self.matrix)
-        vals.flags.writeable = False
-        return vals
-
-    def with_flips(self, flips) -> "LoopHamiltonian":
-        h = self.matrix.copy()
-        for a, b in flips:
-            if h[a, b] == 0:
-                raise ValueError(f"edge ({a}, {b}) has zero coupling")
-            h[a, b] = -h[a, b]
-            h[b, a] = -h[b, a]
-        return LoopHamiltonian(h)
+def edges(h: np.ndarray) -> tuple:
+    """The (i, j), i < j, of h's nonzero couplings, in row order."""
+    i, j = np.nonzero(h)
+    upper = i < j
+    return tuple(zip(i[upper].tolist(), j[upper].tolist()))
 
 
-def spectrum(h: LoopHamiltonian) -> np.ndarray:
-    """Real eigenvalues, ascending; computed once per h and read-only."""
-    return h._spectrum
+def spectrum(h: np.ndarray) -> np.ndarray:
+    """Real eigenvalues, ascending (of each matrix of a stack)."""
+    return np.linalg.eigvalsh(h)
 
 
-def loop_phases(h: LoopHamiltonian, max_len: int = 8):
+def loop_phases(h: np.ndarray, max_len: int = 8):
     """(cycles, phases): the simple cycles of h as `find_loops` rows and the
     gauge-invariant Re[product of couplings] around each."""
-    cycles, ends = _cycles(h._edges, max_len)
-    return cycles, np.prod(np.where(cycles >= 0, h.matrix[ends, cycles], 1.0), axis=1).real
+    cycles, ends = _cycles(edges(h), max_len)
+    return cycles, np.prod(np.where(cycles >= 0, h[ends, cycles], 1.0), axis=1).real
 
 
 @lru_cache(maxsize=64)
-def _cycles(edges: tuple, max_len: int):
-    """(cycles, ends), read-only: the `find_loops` rows of the edges, listed
-    once per edge set (a flip-sensitivity run draws many rings on the same
-    edges), and the node ends[c, k] the edge leaving cycles[c, k] goes to."""
-    cycles = find_loops(np.array(edges, dtype=np.intp).reshape(-1, 2), max_len=max_len)
+def _cycles(pairs: tuple, max_len: int):
+    """(cycles, ends), read-only: the `find_loops` rows of the edge pairs,
+    listed once per edge set (a flip-sensitivity run draws many rings on the
+    same edges), and the node ends[c, k] the edge leaving cycles[c, k] goes to."""
+    cycles = find_loops(np.array(pairs, dtype=np.intp).reshape(-1, 2), max_len=max_len)
     ends = np.where(np.roll(cycles >= 0, -1, axis=1), np.roll(cycles, -1, axis=1), cycles[:, :1])
     cycles.flags.writeable = ends.flags.writeable = False
     return cycles, ends
 
 
-def flip_sensitivity(h: LoopHamiltonian, flips, tol: float = 1e-9) -> list[str]:
+def flip_sensitivity(h: np.ndarray, flips, tol: float = 1e-9) -> list[str]:
     """Classify each sign pattern as spectrum-changed or spectrum-unchanged.
 
     `flips` is a bool array of shape (patterns, edges): row p negates the
-    couplings of the edges h.edges()[k] with flips[p, k]; any other shape
+    couplings of the edges edges(h)[k] with flips[p, k]; any other shape
     raises ValueError.  Returns one classification per row, in order.
     Raises FlipIndeterminateError when a pattern's sorted spectrum agrees
     with h's within tol although the loop-phase product of some cycle
@@ -125,28 +85,31 @@ def flip_sensitivity(h: LoopHamiltonian, flips, tol: float = 1e-9) -> list[str]:
     otherwise: the parities of all (pattern, cycle) pairs are one XOR over
     each cycle's edges of the rows.
     """
-    flips = np.asarray(flips)
-    if flips.dtype != bool or flips.ndim != 2 or flips.shape[1] != len(h._edges):
-        raise ValueError(f"flips: expected a bool array of shape (patterns, {len(h._edges)}), "
+    flips, width = np.asarray(flips), len(edges(h))
+    if flips.dtype != bool or flips.ndim != 2 or flips.shape[1] != width:
+        raise ValueError(f"flips: expected a bool array of shape (patterns, {width}), "
                          f"got {flips.dtype} {flips.shape}")
     return [label for start in range(0, len(flips), FLIP_BATCH)
             for label in _classify(h, flips[start:start + FLIP_BATCH], tol)]
 
 
-def _classify(h: LoopHamiltonian, flips: np.ndarray, tol: float) -> list[str]:
+def _classify(h: np.ndarray, flips: np.ndarray, tol: float) -> list[str]:
     """`flip_sensitivity` of one stack of mask rows."""
-    i, j = np.array(h._edges, dtype=np.intp).reshape(-1, 2).T
-    flipped = np.zeros((len(flips), h.n + 1, h.n + 1), dtype=bool)  # per pattern and entry
-    flipped[:, i, j] = flipped[:, j, i] = flips
-    stack = np.where(flipped[:, :-1, :-1], -h.matrix, h.matrix)
-    dist = np.max(np.abs(spectrum(h) - np.linalg.eigvalsh(stack)), axis=1)
+    pairs = edges(h)
+    i, j = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    n = len(h)
+    # whether each entry flips: row 0 for h itself, then one row per pattern
+    flipped = np.zeros((len(flips) + 1, n + 1, n + 1), dtype=bool)
+    flipped[1:, i, j] = flipped[1:, j, i] = flips
+    vals = spectrum(np.where(flipped[:, :-1, :-1], -h, h))
+    dist = np.max(np.abs(vals[0] - vals[1:]), axis=1)
     changed = dist > tol
     if not changed.all():
         cycles, values = loop_phases(h)
-        ends = _cycles(h._edges, cycles.shape[1])[1]  # a cache hit: loop_phases listed them
+        ends = _cycles(pairs, cycles.shape[1])[1]  # a cache hit: loop_phases listed them
         scale = float(np.max(np.abs(values), initial=0.0))
         # past a cycle's end, the padding -1 reads the last row: never flipped
-        odd = np.logical_xor.reduce(flipped[:, cycles, ends], axis=2)
+        odd = np.logical_xor.reduce(flipped[1:, cycles, ends], axis=2)
         hit = odd & ~changed[:, None] & (2 * np.abs(values) > tol * max(1.0, scale))
         if hit.any():
             p, c = np.argwhere(hit)[0]
@@ -173,8 +136,11 @@ def find_loops(edges: np.ndarray, max_len: int = 8) -> np.ndarray:
     only the canonical orientation path[1] < path[-1] closes.  A path closes
     when `searchsorted` finds its start-last code.  LOOP_ROWS paths at most
     grow at a time, depth first and in order, so each length comes out
-    sorted.  More than MAX_LOOPS cycles raise ValueError.
+    sorted.  A max_len above MAX_LOOP_LEN, or more than MAX_LOOPS cycles,
+    raise ValueError.
     """
+    if max_len > MAX_LOOP_LEN:
+        raise ValueError(f"cycles of more than {MAX_LOOP_LEN} nodes are not listed, got {max_len}")
     ends = np.asarray(edges).reshape(-1, 2)
     if ends.dtype.kind not in "iu" or np.any(ends < 0):
         raise ValueError("find_loops: edges are pairs of non-negative ints")
@@ -211,19 +177,20 @@ def find_loops(edges: np.ndarray, max_len: int = 8) -> np.ndarray:
     return np.concatenate([np.full((0, max_len), -1), *(part for per in found for part in per)])
 
 
-def random_loop_hamiltonian(n: int, rng: np.random.Generator) -> LoopHamiltonian:
+def random_loop_hamiltonian(n: int, rng: np.random.Generator) -> np.ndarray:
     """Generic n-cycle Hamiltonian: |omega| in [0.5, 1.5], uniform phases.
 
-    Draws are repeated until the spectrum is non-degenerate (gap > MIN_GAP),
-    since accidental degeneracies defeat the flip-parity classification.
+    Edge by edge around the ring, the edge between a and a + 1 mod n, with
+    ends lo < hi, draws omega (magnitude, then phase) into h[hi, lo] and its
+    conjugate into h[lo, hi].  Draws are repeated until the spectrum is
+    non-degenerate (gap > MIN_GAP), since accidental degeneracies defeat the
+    flip-parity classification.
     """
-    ring = [(i, (i + 1) % n) for i in range(n)]
     while True:
-        omegas = {
-            (min(a, b), max(a, b)): rng.uniform(0.5, 1.5) * np.exp(2j * np.pi * rng.uniform())
-            for a, b in ring
-        }
-        h = LoopHamiltonian.from_upper(n, omegas)
-        eig = spectrum(h)
-        if np.min(np.diff(eig)) > MIN_GAP:
+        h = np.zeros((n, n), dtype=complex)
+        for a in range(n):
+            lo, hi = sorted((a, (a + 1) % n))
+            w = rng.uniform(0.5, 1.5) * np.exp(2j * np.pi * rng.uniform())
+            h[hi, lo], h[lo, hi] = w, np.conj(w)
+        if np.min(np.diff(spectrum(h))) > MIN_GAP:
             return h

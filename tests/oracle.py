@@ -15,9 +15,11 @@ a time, the references of the vectorised labelling and layered potential
 of `propagate`, and `members` expands an `Ensemble` into dense state
 vectors for the per-member propagation the block trace must match.
 `flip_sensitivity` classifies one row of a sign-pattern mask with one
-`eigvalsh`, the reference of the stacked `looptopology.flip_sensitivity`,
-and `dress` and `dress_field` diagonalize and gauge-fix one grid point at
-a time, the references of the stacked `dressed.dress` and
+`eigvalsh` of the copy of h that `with_flips` negates edge by edge, the
+reference of the stacked `looptopology.flip_sensitivity`; `from_upper`
+builds the loop Hamiltonians the tests classify from their upper couplings.
+`dress` and `dress_field` diagonalize and gauge-fix one grid point at a
+time, the references of the stacked `dressed.dress` and
 `dressed.dress_field`.
 `find_loops` lists cycles by a recursive depth-first search, the reference
 of the array path expansion of `looptopology.find_loops`, and `loop_phases`
@@ -35,7 +37,7 @@ from chiralsep import dressed
 from chiralsep.coupling import DipoleModel, Enantiomer, LaserSpec, UnknownTransitionError
 from chiralsep.hamiltonian import BasisNotClosedError, LevelIndex, _classify_setup
 from chiralsep.looptopology import (SPECTRUM_CHANGED, SPECTRUM_UNCHANGED, FlipIndeterminateError,
-                                    spectrum)
+                                    edges, spectrum)
 from chiralsep.rotbasis import RotState
 from chiralsep.wigner import three_j_exact
 
@@ -233,11 +235,34 @@ def members(ens) -> list[tuple[float, np.ndarray]]:
     return list(zip(ens.weights.tolist(), states))
 
 
+def from_upper(n: int, omegas: dict) -> np.ndarray:
+    """The n-level Hermitian matrix with h[j, i] = omega for each
+    {(i, j): omega}, 0 <= i < j < n, and zero elsewhere."""
+    h = np.zeros((n, n), dtype=complex)
+    for (i, j), w in omegas.items():
+        if not 0 <= i < j < n:
+            raise ValueError(f"edge ({i}, {j}) out of range for n = {n}")
+        h[i, j] = np.conj(w)
+        h[j, i] = w
+    return h
+
+
+def with_flips(h, flips) -> np.ndarray:
+    """A copy of h with the couplings of the (a, b) in flips negated."""
+    h = h.copy()
+    for a, b in flips:
+        if h[a, b] == 0:
+            raise ValueError(f"edge ({a}, {b}) has zero coupling")
+        h[a, b] = -h[a, b]
+        h[b, a] = -h[b, a]
+    return h
+
+
 def flip_sensitivity(h, row, tol: float = 1e-9) -> str:
     """One mask row's classification, from the spectrum of h with the
-    edges h.edges()[k] of its true entries flipped."""
-    pattern = {edge for edge, flip in zip(h.edges(), row, strict=True) if flip}
-    dist = float(np.max(np.abs(spectrum(h) - spectrum(h.with_flips(pattern)))))
+    edges edges(h)[k] of its true entries flipped."""
+    pattern = {edge for edge, flip in zip(edges(h), row, strict=True) if flip}
+    dist = float(np.max(np.abs(spectrum(h) - spectrum(with_flips(h, pattern)))))
     if dist > tol:
         return SPECTRUM_CHANGED
     before = loop_phases(h)
@@ -255,10 +280,10 @@ def loop_phases(h, max_len: int = 8) -> dict[tuple, float]:
     """Re[product of couplings] around each cycle of `find_loops` below,
     keyed by the cycle's node tuple, one loop and one edge at a time."""
     out = {}
-    for cyc in find_loops(h.edges(), max_len=max_len):
+    for cyc in find_loops(edges(h), max_len=max_len):
         prod = 1.0 + 0j
         for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-            prod *= h.matrix[b, a]
+            prod *= h[b, a]
         out[tuple(cyc)] = float(np.real(prod))
     return out
 

@@ -16,7 +16,7 @@ import pytest
 from chiralsep.coupling import DipoleModel, Enantiomer, GaussianBeam, LaserSpec
 from chiralsep.dressed import FieldConfiguration, dress, dress_field, scalar_potential, vector_potential
 from chiralsep.hamiltonian import CouplingMatrix, LevelIndex, assemble, chirality_transform
-from chiralsep.looptopology import loop_phases, random_loop_hamiltonian, spectrum
+from chiralsep.looptopology import edges, loop_phases, random_loop_hamiltonian, spectrum
 from chiralsep.propagate import (Ensemble, _block_midpoint, _midpoint_schedule,
                                  ensemble_potential_trace, potential_trace, propagate)
 from chiralsep.rotbasis import D2S2, BasisTruncation, RotState, enumerate_basis
@@ -95,11 +95,10 @@ def test_flip_parity_of_loop_spectra():
         for _ in range(50):
             h = random_loop_hamiltonian(n, rng)
             base = spectrum(h)
-            edges = h.edges()
             for r in range(1, n + 1):
-                for pat in itertools.combinations(edges, r):
+                for pat in itertools.combinations(edges(h), r):
                     dist = float(np.max(np.abs(
-                        spectrum(h.with_flips(pat)) - base)))
+                        spectrum(oracle.with_flips(h, pat)) - base)))
                     if r % 2:
                         assert dist > 1e-6, (n, pat, dist)
                         worst_odd = min(worst_odd, dist)

@@ -280,6 +280,8 @@ def test_an_absurd_jmax_exits_before_any_basis_is_built(tmp_path, capsys, comman
     (["--draws", "-1"], "--draws"),
     (["--sizes", "16", "--draws", "17"], "--draws"),  # 17 x 65,535 rows
     (["--draws", "9040"], "--draws"),                 # 9,040 x 116 rows
+    (["--seed", "-1"], "--seed"),    # seed + n would still be >= 0
+    (["--seed", "-10"], "--seed"),
 ])
 def test_flip_sensitivity_argument_errors_name_their_flag(capsys, args, flag):
     assert main(["flip-sensitivity", *args]) == 2
@@ -301,6 +303,13 @@ def test_flip_sensitivity_argument_errors_name_their_flag(capsys, args, flag):
     (["dressed-potentials", "--span", "inf"], "--span"),
     (["dressed-potentials", "--span", "1e308"], "--span"),  # 2 span overflows
     (["dressed-potentials", "--points", "3"], "--points"),  # too coarse for the beams
+    (["dressed-potentials", "--points", "1000001"], "--points"),
+    (["dressed-potentials", "--offsets", "nan,0,0"], "--offsets"),
+    (["dressed-potentials", "--offsets", "inf,0,0"], "--offsets"),  # the 1-2 beam dark
+    (["dressed-potentials", "--offsets", "0,0"], "--offsets"),
+    (["dressed-potentials", "--offsets", "a,0,0"], "--offsets"),
+    (["loops", "--max-len", "13"], "--max-len"),
+    (["loops", "--max-len", "100"], "--max-len"),  # 1.6 GB of padded paths without the ceiling
 ])
 def test_grid_and_loop_length_errors_name_their_flag(capsys, args, flag):
     assert main([*args, "--scenario", "fig7-1mK-xxz"]) == 2
@@ -356,6 +365,24 @@ def test_flip_sensitivity_row_ceiling_is_checked_before_any_draw(monkeypatch, ca
     assert main(["flip-sensitivity", "--draws", "3"]) == 2
     assert capsys.readouterr().err == ("error: --draws: 3 draws of sizes 3,4,5,6 give 348 "
                                        "table rows, more than 232\n")
+
+
+def test_flip_sensitivity_writes_each_draw_once_classified(monkeypatch, capsys):
+    # the second draw fails: the header and the first draw's 7 rows are out
+    from chiralsep import cli
+
+    first = cli.random_loop_hamiltonian
+
+    def draw(n, rng):
+        monkeypatch.setattr(cli, "random_loop_hamiltonian", None)
+        return first(n, rng)
+
+    monkeypatch.setattr(cli, "random_loop_hamiltonian", draw)
+    with pytest.raises(TypeError):
+        main(["flip-sensitivity", "--sizes", "3", "--draws", "2"])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "n,draw,flips,classification"
+    assert [line[:4] for line in lines[1:]] == ["3,0,"] * 7
 
 
 def test_flip_sensitivity_holds_no_object_per_sign_pattern(capsys):
