@@ -25,25 +25,24 @@ enantiomer (of both, when `scenarios.run_scenario` maps R onto H_L) in one
 call and loops once over the blocks, with no n x n matrix and no per-member
 state.  A branch's block density matrix rho = sum_k w_k |psi_k><psi_k|
 comes from one matrix product; branches whose block rho are equal by value
-share one column, and one of two kernels evolves the stacked distinct rho
-on the output grid np.linspace(0, t_end, n), which the trace builds itself:
+share one column, and one of two kernels evolves the distinct rho on the
+output grid np.linspace(0, t_end, n), which the trace builds itself:
 
-- static frame: from the block's H0 - diag(f) = V diag(eps) V^dag and
-  p_n(t) = exp(-i 2 pi eps_n t) = c_n - i s_n, with the Hermitian
-  C = (V^dag rho V) * (V^dag H0 V)^T = X + iY,
-  <H(t)> = sum_nm p_n C_nm conj(p_m) = c X c + s X s - 2 c Y s, computed
-  in real arithmetic: one product [c; s] @ [X_1 | ...] for all branches,
-  and c @ [Y_1 | ...] only when some Y is nonzero (never for real couplings
-  and real rho, where V and V^dag rho V are real).  Only the eigen-
-  components that carry thermal weight enter it: with w = diag(V^dag rho V)
-  a Schwarz bound, 2 sum_{n in D} sqrt(w_n) (|G|^T sqrt(w))_n, limits what
-  leaving out a set D moves any value, and each branch leaves out the
-  largest D whose bound stays below half of SCREEN_BUDGET (1e-14 GHz).
-  The phase matrix of the kept components on the n output times is built
-  from ~2 sqrt(n) rows of exponentials.  On the builtin scenarios the
-  traces stay within 1e-12 Omega12 of the direct complex contraction
-  sum(p @ C * conj(p)) over all components (largest difference 5.3e-13,
-  fig7);
+- static frame: one eigendecomposition H0 - diag(f) = V diag(eps) V^dag
+  and G = V^dag H0 V per block; then each rho on its own.  With
+  p_n(t) = exp(-i 2 pi eps_n t) = c_n - i s_n and the Hermitian
+  C = (V^dag rho V) * G^T = X + iY, <H(t)> = sum_nm p_n C_nm conj(p_m)
+  = c X c + s X s - 2 c Y s: one real product [c; s] @ X, and c @ Y only
+  when Y is nonzero (never for real couplings and a real rho).  With
+  w = diag(V^dag rho V), a Schwarz bound 2 sum_{n in D} sqrt(w_n)
+  (|G|^T sqrt(w))_n limits what leaving out a set D of eigencomponents
+  moves any value; the rho leaves out the largest D whose bound stays below
+  half of SCREEN_BUDGET (1e-14 GHz), and the phases of the rest come from
+  ~2 sqrt(n) rows of exponentials.  No rho's arithmetic depends on another
+  rho, so a branch's values are the same, bit for bit, whichever branches
+  share the call (unless one has a negative weight, which turns screening
+  off for all).  The builtin traces stay within 1e-12 Omega12 of the direct
+  complex contraction over all components (at most 5.3e-13, fig7);
 - midpoint (no node potential): the generic stepper's schedule, one
   eigendecomposition per block and step, rho <- U rho U^dag, and
   <H(t)> = tr(rho H(t)) at the output times.
@@ -55,10 +54,9 @@ a block no branch keeps gets no rho, no eigendecomposition and no kernel
 
 A trace predicts its size before it builds any array and raises
 TraceTooLargeError above a fixed ceiling: MAX_TRACE_BYTES for the static
-kernel's largest array, MAX_MIDPOINT_STEPS for the midpoint schedule.  The
-static array has one column per distinct rho of a block, so before the grid
-is built only one column of the largest block is checked; each block's
-distinct columns are counted after the equal-rho pass, before its kernel.
+kernel's [c; s], one column of the largest block (16 n size bytes, however
+many rho a block has; its workspace, `_workspace`, holds that and the
+phases), MAX_MIDPOINT_STEPS for the midpoint schedule.
 """
 
 from __future__ import annotations
@@ -74,7 +72,7 @@ from .hamiltonian import CouplingMatrix, LevelIndex
 #: largest change, in GHz, that screening may make to any block's <H(t)>
 SCREEN_BUDGET = 1e-14
 #: ceilings on one trace, checked before it builds any array
-MAX_TRACE_BYTES = 2**30  # the static kernel's largest array
+MAX_TRACE_BYTES = 2**30  # the static kernel's [c; s] for one rho
 MAX_MIDPOINT_STEPS = 10**6  # steps of the midpoint schedule
 #: relative eigenvalue gap below which an adiabatic assignment warns
 GAP_WARN = 1e-9
@@ -284,15 +282,15 @@ def ensemble_potential_trace(
 
     `ensembles` maps a branch label to its Ensemble; returns the mapping
     branch -> PotentialTrace in the same order, all on one grid of n >= 1
-    times, which is built only after the size ceilings are checked (the
-    static one for a single column; each block's distinct columns are
-    checked before its kernel runs).  Mathematically identical to
-    propagating each pure member and averaging, but evolves one density
-    matrix per block and branch: in the static frame when a node potential
-    exists, else with the steps of `propagate(method="midpoint")`.
-    Branches whose block rho are equal by value (-0.0 counts as 0.0) are
-    evolved once, as one column, and get bitwise-equal values from that
-    block.
+    times, which is built only after the size ceilings are checked.
+    Mathematically identical to propagating each pure member and averaging,
+    but evolves one density matrix per block and branch: in the static frame
+    when a node potential exists, else with the steps of
+    `propagate(method="midpoint")`.  Branches whose block rho are equal by
+    value (-0.0 counts as 0.0) are evolved once, as one column, and get
+    bitwise-equal values from that block.  In the static frame a branch's
+    values do not depend on the other branches of the call, unless one of
+    them has a negative weight (see below).
 
     Screening moves each value by at most SCREEN_BUDGET (GHz), split in two
     fixed halves.  The block screen serves both kernels: a branch leaves out
@@ -307,9 +305,12 @@ def ensemble_potential_trace(
             raise ValueError(f"branch {branch}: empty ensemble")
     blocks, label, local, edges, f = _blocks(h)
     # the ceilings are checked before any array of n values is built
-    if f is not None:  # one column; the block loop counts the distinct ones
-        _static_ceiling(n, 1, max(len(idx) for idx in blocks))
-    elif n - 1 > MAX_MIDPOINT_STEPS:  # at least one step per output interval
+    largest = max(len(idx) for idx in blocks)
+    need = 16 * n * largest  # [c; s] of `_block_expectations`, one rho of the largest block
+    if f is not None and need > MAX_TRACE_BYTES:
+        raise TraceTooLargeError(f"the static trace needs a {need / 2**30:.3g} GiB array, "
+                                 f"more than {MAX_TRACE_BYTES / 2**30:.3g} GiB", by_grid=True)
+    if f is None and n - 1 > MAX_MIDPOINT_STEPS:  # at least one step per output interval
         raise TraceTooLargeError(f"the midpoint stepper needs at least {n - 1} steps, "
                                  f"more than {MAX_MIDPOINT_STEPS}", by_grid=True)
     times = np.linspace(0.0, t_end, n)
@@ -318,6 +319,8 @@ def ensemble_potential_trace(
         if steps * (n - 1) > MAX_MIDPOINT_STEPS:
             raise TraceTooLargeError(f"the midpoint stepper needs {steps * (n - 1)} steps, "
                                      f"more than {MAX_MIDPOINT_STEPS}", by_grid=False)
+    else:  # one workspace serves the static kernel of every block
+        work = _workspace(n, largest)
     # a negative weight leaves rho indefinite, where both screening bounds fail
     budget = SCREEN_BUDGET if all(np.all(e.weights >= 0) for e in ensembles.values()) else 0.0
     # the block screen spends half the budget, the kernel's component screen the rest
@@ -351,31 +354,16 @@ def ensemble_potential_trace(
             col[k] = j
         if not col:
             continue
-        rho = np.array(distinct)
         if f is None:
-            vals = _block_midpoint(edges(c), rho, times, dt, steps)
-            if not np.max(np.abs(vals.imag)) <= 1e-10 * max(1.0, np.max(np.abs(vals.real))):
-                raise ValueError("non-real ensemble expectation of a Hermitian operator")
-            vals = vals.real
+            vals = _block_midpoint(edges(c), np.array(distinct), times, dt, steps)
         else:
-            _static_ceiling(n, len(distinct), len(idx))
-            vals = _block_expectations(_block_matrix(*edges(c), 0.0), f[idx], rho, times,
-                                       budget / 2)
+            vals = _block_expectations(_block_matrix(*edges(c), 0.0), f[idx], distinct, times,
+                                       budget / 2, work)
         if not np.all(np.isfinite(vals)):
             raise ValueError("non-finite ensemble expectation")
         totals[:, list(col)] += vals[:, list(col.values())]
     return {branch: PotentialTrace.from_values(times, totals[:, k] / omega_ref)
             for k, branch in enumerate(ensembles)}
-
-
-def _static_ceiling(n, columns, size):
-    """TraceTooLargeError when [c; s] @ [X_1 | ...] of `_block_expectations`,
-    on n times for `columns` stacked rho of a block of `size` levels, would
-    exceed MAX_TRACE_BYTES."""
-    need = 16 * n * columns * size
-    if need > MAX_TRACE_BYTES:
-        raise TraceTooLargeError(f"the static trace needs a {need / 2**30:.3g} GiB array, "
-                                 f"more than {MAX_TRACE_BYTES / 2**30:.3g} GiB", by_grid=True)
 
 
 def _block_bounds(h: CouplingMatrix, ensembles: dict, label, count) -> np.ndarray:
@@ -452,22 +440,23 @@ def _block_matrix(size, a, b, omega, delta, t) -> np.ndarray:
     return m
 
 
-def _block_expectations(h0, f, rhos, times, budget=SCREEN_BUDGET) -> np.ndarray:
-    """<H(t)> of each stacked block density matrix, shape (times, rhos).
+def _block_expectations(h0, f, rhos, times, budget=SCREEN_BUDGET, work=None) -> np.ndarray:
+    """<H(t)> of each block density matrix in `rhos`, shape (times, rhos).
 
-    With H0 - diag(f) = V diag(eps) V^dag, G = V^dag H0 V and the rotated
+    One eigenframe (`_eigenframe`) serves the block; each rho is then traced
+    on its own, so its values do not depend on the others.  With
+    H0 - diag(f) = V diag(eps) V^dag, G = V^dag H0 V and the rotated
     rho~ = V^dag rho V, C_nm = rho~_nm G_mn is Hermitian; X = Re C is
     symmetric and Y = Im C antisymmetric.  With c = cos(theta),
     s = sin(theta), theta_n(t) = 2 pi eps_n t,
 
         <H(t)> = sum_nm p_n C_nm conj(p_m) = c X c + s X s - 2 c Y s,
 
-    one real product [c; s] @ [X_1 | ...] for all rhos, and a second one
-    c @ [Y_1 | ...] only when some Y is nonzero.  A block with real couplings
-    has a real V, so V^dag rho V is formed in real arithmetic, and Y
-    vanishes, whenever its rhos are real.  C is replaced by its Hermitian
-    part; a remainder above 1e-10 max(1, max|C|), or a NaN, raises
-    ValueError.
+    one real product [c; s] @ X, and a second one c @ Y only when Y is
+    nonzero.  A block with real couplings has a real V, so V^dag rho V is
+    formed in real arithmetic, and Y vanishes, whenever the rho is real.
+    C is replaced by its Hermitian part; a remainder above
+    1e-10 max(1, max|C|) of that rho's C, or a NaN, raises ValueError.
 
     Screening: a positive semidefinite rho~ has |rho~_nm| <= sqrt(w_n w_m),
     w = diag rho~, so leaving out the components in a set D (every pair n,
@@ -476,54 +465,57 @@ def _block_expectations(h0, f, rhos, times, budget=SCREEN_BUDGET) -> np.ndarray:
         2 sum_{n in D} sqrt(w_n) (|G|^T sqrt(w))_n    (GHz, at every t).
 
     `_screen` gives each rho the largest D whose bound stays below
-    `budget`; the phases and products are built only for the components
-    some rho keeps, with each rho's own D zeroed, so a value does not
-    depend on the rhos stacked with it.  A block that keeps nothing adds 0.
-    The bound needs every rho to be positive semidefinite: pass budget 0,
-    which drops nothing, for any other.  `ensemble_potential_trace` passes
-    half of SCREEN_BUDGET: its block screen spends the other half.  On the
-    builtin scenarios the traces stay within 1e-12 Omega12 of the unscreened
-    complex contraction.
+    `budget`; its phases and products are built for the components it
+    keeps.  The bound needs every rho to be positive semidefinite: pass
+    budget 0, which drops nothing, for any other.  `ensemble_potential_trace`
+    passes half of SCREEN_BUDGET: its block screen spends the other half.
+    On the builtin scenarios the traces stay within 1e-12 Omega12 of the
+    unscreened complex contraction.
     The phases come from `_phases`, so the grid must be linspace(0, t_end, n).
+    Each rho's temporaries go into `work` (`_workspace`), which a trace
+    allocates once for all its blocks.
     """
-    eps, g, rot = _eigenframe(h0, f, rhos)
-    c = rot * g.T
-    herm = (c + c.conj().transpose(0, 2, 1)) / 2
-    # also false for NaN, so a non-finite C raises here too
-    if not np.max(np.abs(c - herm)) <= 1e-10 * max(1.0, np.max(np.abs(c))):
-        raise ValueError("non-real ensemble expectation of a Hermitian operator")
-    dropped, _ = _screen(rot, g, budget)
-    keep = np.flatnonzero(~np.all(dropped, axis=0))
-    n, b, s = len(times), len(rhos), len(keep)
-    if s == 0:
-        return np.zeros((n, b))
-    live = ~dropped[:, keep]
-    herm = herm[:, keep[:, None], keep] * (live[:, :, None] & live[:, None, :])
-    q = _phases(times, eps[keep])
-    q = np.concatenate((q.real, q.imag))  # rows cos(theta), then -sin(theta)
-    z = (q @ np.concatenate(herm.real, axis=1)).reshape(2 * n, b, s)
-    vals = np.einsum("tbn,tn->tb", z, q)
-    vals = vals[:n] + vals[n:]
-    if np.any(herm.imag):
-        w = (q[:n] @ np.concatenate(herm.imag, axis=1)).reshape(n, b, s)
-        vals += 2 * np.einsum("tbn,tn->tb", w, q[n:])
+    eps, v, g = _eigenframe(h0, f)
+    n = len(times)
+    if work is None:
+        work = _workspace(n, len(f))
+    vals = np.zeros((n, len(rhos)))
+    for k, rho in enumerate(rhos):
+        rot = v.conj().T @ (rho if np.any(rho.imag) else rho.real) @ v
+        c = rot * g.T
+        herm = (c + c.conj().T) / 2
+        # also false for NaN, so a non-finite C raises here too
+        if not np.max(np.abs(c - herm)) <= 1e-10 * max(1.0, np.max(np.abs(c))):
+            raise ValueError("non-real ensemble expectation of a Hermitian operator")
+        keep = np.flatnonzero(~_screen(rot, g, budget)[0])
+        s = len(keep)  # a rho that keeps nothing adds 0
+        herm = herm[np.ix_(keep, keep)]
+        # the phases, then the products over them, at the head of work; [c; s] at its tail
+        p = _phases(times, eps[keep], work.view(complex))
+        q = np.concatenate((p.real, p.imag), out=work[len(work) - 2 * n * s:].reshape(2 * n, s))
+        z = np.matmul(q, herm.real, out=work[:2 * n * s].reshape(2 * n, s))
+        z = np.einsum("tn,tn->t", z, q)
+        vals[:, k] = z[:n] + z[n:]
+        if np.any(herm.imag):
+            y = np.matmul(q[:n], herm.imag, out=work[:n * s].reshape(n, s))
+            vals[:, k] += 2 * np.einsum("tn,tn->t", y, q[n:])
     return vals
 
 
-def _eigenframe(h0, f, rhos):
-    """(eps, G, rho~) with H0 - diag(f) = V diag(eps) V^dag, G = V^dag H0 V
-    and rho~ = V^dag rho V for each stacked rho.
+def _workspace(n, size) -> np.ndarray:
+    """Room for `_block_expectations`' phases and [c; s] on n times, <= size levels."""
+    return np.empty(2 * (2 * n + math.isqrt(n - 1)) * size)
 
-    V and G are real when h0 is, and rho~ when the rhos are too.  V and eps
-    are eigh's, refined by `_refine`.
+
+def _eigenframe(h0, f):
+    """(eps, V, G) with H0 - diag(f) = V diag(eps) V^dag and G = V^dag H0 V.
+
+    V and G are real when h0 is.  V and eps are eigh's, refined by `_refine`.
     """
     if not np.any(h0.imag):
         h0 = h0.real  # real eigh: real V and G
-    if not np.any(rhos.imag):
-        rhos = rhos.real
     eps, v = _refine(h0, f, np.linalg.eigh(h0 - np.diag(f))[1])
-    vh = v.conj().T
-    return eps, vh @ h0 @ v, vh @ rhos @ v
+    return eps, v, v.conj().T @ h0 @ v
 
 
 def _refine(h0, f, v) -> tuple[np.ndarray, np.ndarray]:
@@ -553,46 +545,49 @@ def _refine(h0, f, v) -> tuple[np.ndarray, np.ndarray]:
     return eps, out
 
 
-def _screen(rot, g, budget) -> tuple[np.ndarray, np.ndarray]:
-    """(dropped, bound): the components each rho leaves out, shape (rhos, s),
-    and the bound on how far that moves its values.
+def _screen(rot, g, budget) -> tuple[np.ndarray, float]:
+    """(dropped, bound): the components one rho leaves out, shape (s,), and
+    the bound on how far that moves its values.
 
-    rot and g are rho~ and G of `_eigenframe`; see `_block_expectations`.
-    The bound of a set D is the sum of t_n = 2 sqrt(w_n) (|G|^T sqrt(w))_n
-    over D, so the largest D below the budget is a prefix of the t_n in
+    rot is the rho's V^dag rho V and g is G; see `_block_expectations`.  The
+    bound of a set D is the sum of t_n = 2 sqrt(w_n) (|G|^T sqrt(w))_n over
+    D, so the largest D below the budget is a prefix of the t_n in
     ascending order.  A NaN in w is never dropped.
     """
-    w = np.diagonal(rot, axis1=1, axis2=2).real
-    sw = np.sqrt(np.maximum(w, 0.0))  # rounding can leave a w_n just below 0
+    sw = np.sqrt(np.maximum(np.diagonal(rot).real, 0.0))  # rounding can leave w_n just below 0
     t = 2 * sw * (sw @ np.abs(g))
-    order = np.argsort(t, axis=1, kind="stable")  # NaN sorts last
-    cum = np.cumsum(np.take_along_axis(t, order, axis=1), axis=1)
-    count = np.count_nonzero(cum < budget, axis=1)  # cum never decreases
-    dropped = np.zeros(t.shape, dtype=bool)
-    np.put_along_axis(dropped, order, np.arange(t.shape[1]) < count[:, None], axis=1)
-    bound = np.take_along_axis(cum, np.maximum(count - 1, 0)[:, None], axis=1)[:, 0]
-    return dropped, np.where(count > 0, bound, 0.0)
+    order = np.argsort(t, kind="stable")  # NaN sorts last
+    cum = np.cumsum(t[order])
+    count = np.count_nonzero(cum < budget)  # cum never decreases
+    return np.argsort(order) < count, float(cum[count - 1]) if count else 0.0
 
 
-def _phases(times, eps) -> np.ndarray:
+def _phases(times, eps, out=None) -> np.ndarray:
     """exp(-i 2 pi eps_n t_k) on the grid times = linspace(0, t_end, n).
 
     With m = ceil(sqrt(n)), row a*m + b is the product of a coarse row at
     times[a*m] and a fine row at times[b]: (n/m + m) exponentials per level
     instead of n.  Each entry is within 4 ulp of max(largest phase, 1) of
-    the direct exp(-i 2 pi outer(times, eps)).
+    the direct exp(-i 2 pi outer(times, eps)).  With `out`, a flat complex
+    array of at least (n + m - 1) len(eps) entries, the product is written
+    to its head.
     """
     m = math.isqrt(len(times) - 1) + 1
     coarse = np.exp(-2j * np.pi * np.outer(times[::m], eps))
     fine = np.exp(-2j * np.pi * np.outer(times[:m], eps))
-    return (coarse[:, None, :] * fine).reshape(-1, len(eps))[:len(times)]
+    shape = (len(coarse), m, len(eps))
+    out = None if out is None else out[:math.prod(shape)].reshape(shape)
+    p = np.multiply(coarse[:, None, :], fine, out=out)
+    return p.reshape(len(coarse) * m, len(eps))[:len(times)]
 
 
 def _block_midpoint(edges, rho, times, dt, steps) -> np.ndarray:
     """<H(t)> = tr(rho H(t)) of each stacked block rho, shape (times, rhos).
 
     Each step applies U = V exp(-i 2 pi lam dt) V^dag, from the midpoint
-    H = V diag(lam) V^dag, to every rho as U rho U^dag.
+    H = V diag(lam) V^dag, to every rho as U rho U^dag.  A column whose
+    imaginary part exceeds 1e-10 max(1, its largest |real part|), or holds a
+    NaN, raises ValueError.
     """
     out = np.empty((len(times), len(rho)), dtype=complex)
     for k, t in enumerate(times):
@@ -601,7 +596,10 @@ def _block_midpoint(edges, rho, times, dt, steps) -> np.ndarray:
             u = (v * np.exp(-2j * np.pi * lam * dt)) @ v.conj().T
             rho = u @ rho @ u.conj().T
         out[k] = np.sum(rho * _block_matrix(*edges, t).T, axis=(1, 2))
-    return out
+    scale = np.maximum(1.0, np.max(np.abs(out.real), axis=0))
+    if not np.all(np.max(np.abs(out.imag), axis=0) <= 1e-10 * scale):  # false for NaN
+        raise ValueError("non-real ensemble expectation of a Hermitian operator")
+    return out.real
 
 
 def prepare_initial(

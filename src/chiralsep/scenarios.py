@@ -39,7 +39,8 @@ output.  Tables are formatted by `csv_lines`, which formats each distinct
 float of a chunk once, ``key = value`` text by `keyvalue_lines`, and every
 file is written by `write_text`.  A full basis at jmax 0 couples nothing
 (no laser couples J = 0 to J = 0): building it is reported against
-``scenario.jmax``, or against the flag a command-line override names.
+``scenario.jmax``, or against the flag a command-line override names; a
+restricted loop that couples nothing, against ``scenario.loop_rot_state``.
 """
 
 from __future__ import annotations
@@ -393,8 +394,8 @@ def _assemble(config: ScenarioConfig, who: Enantiomer) -> CouplingMatrix:
         return assemble(config.lasers, config.dipole, who, config.constants,
                         config.trunc, x=config.evaluation_x, basis=basis)
     except EmptyCouplingError as exc:
-        if config.restricted_loop:
-            raise
+        if config.restricted_loop:  # its three levels all share loop_rot
+            raise ConfigError(f"scenario.loop_rot_state: {exc}") from None
         # J = 0 couples only to J = 1, so a full basis fails at jmax 0 alone
         raise ConfigError(f"{config.jmax_key}: {exc}; increase jmax") from None
 
