@@ -226,6 +226,39 @@ def chirality_permutation(polarizations, basis, lookup=None) -> tuple[np.ndarray
     return perm, (-1.0) ** (j if kind == "mrev-j" else j + m)
 
 
+def mirror_permutation(lookup) -> tuple[np.ndarray, np.ndarray] | None:
+    """The (K, M) reversal S|v J K M> = (-1)^M |v J -K -M> as (perm, sign).
+
+    S[perm[k], k] = sign[k], as in `chirality_permutation`; `lookup` is the
+    basis's `basis_lookup`.  None when some level has no image in the basis.
+    D^J_{MK}* = (-1)^{M-K} D^J_{-M,-K} (Zare, Angular Momentum, 1988) makes
+    S a symmetry of some laser setups; `is_symmetry` certifies it on a table.
+    """
+    (vib, j, k, m), find = lookup
+    perm = find(vib, j, -k, -m)
+    if np.any(perm < 0) or not np.array_equal(perm[perm], np.arange(len(perm))):
+        return None  # a missing image, or levels with equal quantum numbers
+    return perm, (-1.0) ** m
+
+
+def is_symmetry(h: CouplingMatrix, perm, sign) -> bool:
+    """Whether S^dag H(t) S = H(t) at every t for the signed permutation S.
+
+    Conjugation moves edge (fin, ini) to (inv[fin], inv[ini]) with omega
+    times sign[inv[fin]] sign[inv[ini]] and the same delta (see
+    `transform_residual`).  The mapped rows must equal the table's rows
+    exactly, both sorted by (fin, ini): no sample time and no tolerance.
+    """
+    inv = np.empty(h.n, dtype=int)
+    inv[perm] = np.arange(h.n)
+    a, b = inv[h.fin], inv[h.ini]
+    pairs, want = a * h.n + b, h.fin * h.n + h.ini
+    mapped, table = np.argsort(pairs, kind="stable"), np.argsort(want, kind="stable")
+    return (np.array_equal(pairs[mapped], want[table])
+            and np.array_equal((sign[a] * sign[b] * h.omega)[mapped], h.omega[table])
+            and np.array_equal(h.delta[mapped], h.delta[table]))
+
+
 def chirality_transform(polarizations, basis) -> np.ndarray:
     """Rotational unitary T with T^dag H^L(t) T = H^R(t) for all t.
 

@@ -23,10 +23,15 @@ adiabatic member is an eigenvector of its bare state's block H(0), so it
 lives inside that block.  The ensemble trace takes every branch of one
 enantiomer (of both, when `scenarios.run_scenario` maps R onto H_L) in one
 call and loops once over the blocks, with no n x n matrix and no per-member
-state.  A branch's block density matrix rho = sum_k w_k |psi_k><psi_k|
-comes from one matrix product; branches whose block rho are equal by value
-share one column, and one of two kernels evolves the distinct rho on the
-output grid np.linspace(0, t_end, n), which the trace builds itself:
+state.  A branch's block density matrix rho = sum_k w_k |psi_k><psi_k| is
+known by its canonical factor (`_factor`), and each distinct block trace is
+computed once, decided on the factors before any rho is built: equal
+factors share one column and one rho; and when the (K, M) reversal S
+(`hamiltonian.mirror_permutation`) maps the table onto itself exactly
+(`hamiltonian.is_symmetry`), a branch whose factor in block c is S of its
+factor in the partner block takes that block's column.  One of two kernels
+evolves the distinct rho on the output grid np.linspace(0, t_end, n),
+which the trace builds itself:
 
 - static frame: one eigendecomposition H0 - diag(f) = V diag(eps) V^dag
   and G = V^dag H0 V per block; then each rho on its own.  With
@@ -39,9 +44,9 @@ output grid np.linspace(0, t_end, n), which the trace builds itself:
   moves any value; the rho leaves out the largest D whose bound stays below
   half of SCREEN_BUDGET (1e-14 GHz), and the phases of the rest come from
   ~2 sqrt(n) rows of exponentials.  No rho's arithmetic depends on another
-  rho, so a branch's values are the same, bit for bit, whichever branches
-  share the call (unless one has a negative weight, which turns screening
-  off for all).  The builtin traces stay within 1e-12 Omega12 of the direct
+  rho, and a branch with a negative weight turns screening off for itself
+  only, so a branch's values are the same, bit for bit, whichever branches
+  share the call.  The builtin traces stay within 1e-12 Omega12 of the direct
   complex contraction over all components (at most 5.3e-13, fig7);
 - midpoint (no node potential): the generic stepper's schedule, one
   eigendecomposition per block and step, rho <- U rho U^dag, and
@@ -67,7 +72,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonian import CouplingMatrix, LevelIndex
+from .hamiltonian import CouplingMatrix, LevelIndex, is_symmetry, mirror_permutation
 
 #: largest change, in GHz, that screening may make to any block's <H(t)>
 SCREEN_BUDGET = 1e-14
@@ -286,17 +291,25 @@ def ensemble_potential_trace(
     Mathematically identical to propagating each pure member and averaging,
     but evolves one density matrix per block and branch: in the static frame
     when a node potential exists, else with the steps of
-    `propagate(method="midpoint")`.  Branches whose block rho are equal by
-    value (-0.0 counts as 0.0) are evolved once, as one column, and get
-    bitwise-equal values from that block.  In the static frame a branch's
-    values do not depend on the other branches of the call, unless one of
-    them has a negative weight (see below).
+    `propagate(method="midpoint")`.  In either kernel a branch's values do
+    not depend on the other branches of the call.
+
+    Each distinct block trace is computed once, decided on the branches'
+    canonical factors (`_factor`) before any rho is built.  Branches with
+    equal factors and equal budgets share one column, with one rho built
+    from that factor.  When the (K, M) reversal S (`mirror_permutation`)
+    maps the table onto itself exactly (`is_symmetry`), block c takes, for
+    each branch that keeps both, the column of its partner block
+    p = S(c) < c if the branch's factor at c, mapped through S, equals its
+    factor at p: S rho_c S^dag = rho_p and S commutes with H(t), so the two
+    traces are equal.  Every other branch is traced at c.
 
     Screening moves each value by at most SCREEN_BUDGET (GHz), split in two
     fixed halves.  The block screen serves both kernels: a branch leaves out
     block c when tr(rho_c) ||H_c|| (`_block_bounds`) is below half the
     budget.  The component screen of `_block_expectations` gets the other
-    half.  A negative weight sets the budget to 0, which leaves out nothing.
+    half.  A branch with a negative weight has budget 0, which leaves out
+    nothing of it.
     """
     if n < 1:
         raise ValueError(f"a trace needs n >= 1 output times, got {n}")
@@ -308,8 +321,8 @@ def ensemble_potential_trace(
     largest = max(len(idx) for idx in blocks)
     need = 16 * n * largest  # [c; s] of `_block_expectations`, one rho of the largest block
     if f is not None and need > MAX_TRACE_BYTES:
-        raise TraceTooLargeError(f"the static trace needs a {need / 2**30:.3g} GiB array, "
-                                 f"more than {MAX_TRACE_BYTES / 2**30:.3g} GiB", by_grid=True)
+        raise TraceTooLargeError(f"the static trace needs a {need}-byte array, "
+                                 f"more than {MAX_TRACE_BYTES} bytes", by_grid=True)
     if f is None and n - 1 > MAX_MIDPOINT_STEPS:  # at least one step per output interval
         raise TraceTooLargeError(f"the midpoint stepper needs at least {n - 1} steps, "
                                  f"more than {MAX_MIDPOINT_STEPS}", by_grid=True)
@@ -322,48 +335,88 @@ def ensemble_potential_trace(
     else:  # one workspace serves the static kernel of every block
         work = _workspace(n, largest)
     # a negative weight leaves rho indefinite, where both screening bounds fail
-    budget = SCREEN_BUDGET if all(np.all(e.weights >= 0) for e in ensembles.values()) else 0.0
+    budget = np.array([SCREEN_BUDGET if np.all(e.weights >= 0) else 0.0
+                       for e in ensembles.values()])
     # the block screen spends half the budget, the kernel's component screen the rest
-    kept = np.ones((len(ensembles), len(blocks)), dtype=bool)
-    if budget:
-        kept = ~(_block_bounds(h, ensembles, label, len(blocks)) < budget / 2)  # keeps a NaN
+    kept = (budget[:, None] == 0) | ~(_block_bounds(h, ensembles, label, len(blocks))
+                                      < budget[:, None] / 2)  # keeps a NaN
+    mirror = mirror_permutation(h.lookup)
+    if mirror is not None and not is_symmetry(h, *mirror):
+        mirror = None
     triplet_block = [label[ens.level] for ens in ensembles.values()]
     totals = np.zeros((n, len(ensembles)))
+    # block c -> (factor key, column) of each branch traced there, and the
+    # values, held until c's partner block reads them
+    held = {}
     for c in np.flatnonzero(np.any(kept, axis=0)).tolist():
         idx = blocks[c]
         if len(idx) == 1:
             continue  # uncoupled level: zero-diagonal H contributes nothing
-        # branches whose block rho are equal by value share one column:
-        # distinct holds the column rho, col maps each branch that keeps
-        # the block to its column
-        distinct, col = [], {}
+        p = c if mirror is None else int(label[mirror[0][idx[0]]])
+        partner = held.pop(p, None) if p < c else None
+        # factors holds each distinct factor's column, col each traced branch's
+        factors, col = {}, {}
         for k, ens in enumerate(ensembles.values()):
             sel = np.flatnonzero(triplet_block[k] == c) if kept[k, c] else []
             if len(sel) == 0:
                 continue
-            touch, row = np.unique(ens.member[sel], return_inverse=True)
-            sub = np.zeros((len(touch), len(idx)), dtype=complex)
-            sub[row, local[ens.level[sel]]] = ens.amp[sel]
-            rho = (sub.T * ens.weights[touch]) @ sub.conj()
-            for j, r in enumerate(distinct):
-                if np.array_equal(r, rho):  # by value, so -0.0 == 0.0
-                    break
-            else:
-                j = len(distinct)
-                distinct.append(rho)
-            col[k] = j
+            lvl, member, amp = ens.level[sel], ens.member[sel], ens.amp[sel]
+            if partner is not None and k in partner[0]:
+                perm, sign = mirror
+                key, j = partner[0][k]
+                if _factor(local[perm[lvl]], member, amp * sign[lvl], ens.weights)[0] == key:
+                    totals[:, k] += partner[1][:, j]
+                    continue
+            key, factor = _factor(local[lvl], member, amp, ens.weights)
+            col[k] = key, factors.setdefault((budget[k], key), (len(factors), factor))[0]
         if not col:
             continue
+        rhos = []
+        for _, (pos, row, amp, w) in factors.values():
+            sub = np.zeros((len(w), len(idx)), dtype=complex)
+            sub[row, pos] = amp
+            rhos.append((sub.T * w) @ sub.conj())
         if f is None:
-            vals = _block_midpoint(edges(c), np.array(distinct), times, dt, steps)
-        else:
-            vals = _block_expectations(_block_matrix(*edges(c), 0.0), f[idx], distinct, times,
-                                       budget / 2, work)
+            vals = _block_midpoint(edges(c), np.array(rhos), times, dt, steps)
+        else:  # one kernel call per budget; a negative weight alone adds a second
+            h0 = _block_matrix(*edges(c), 0.0)
+            vals = np.empty((n, len(rhos)))
+            at = [b for b, _ in factors]
+            for b in set(at):
+                j = [i for i, x in enumerate(at) if x == b]
+                vals[:, j] = _block_expectations(h0, f[idx], [rhos[i] for i in j], times,
+                                                 b / 2, work)
         if not np.all(np.isfinite(vals)):
             raise ValueError("non-finite ensemble expectation")
-        totals[:, list(col)] += vals[:, list(col.values())]
+        for k, (_, j) in col.items():
+            totals[:, k] += vals[:, j]
+        if p > c and np.any(kept[:, p]):
+            held[c] = col, vals
     return {branch: PotentialTrace.from_values(times, totals[:, k] / omega_ref)
             for k, branch in enumerate(ensembles)}
+
+
+def _factor(pos, member, amp, weights):
+    """(key, factor) of one branch's block rho = sum_r w_r a_r a_r^dag.
+
+    factor = (pos, row, amp, w): triplet j puts amp[j] at block position
+    pos[j] of row row[j], and row r has weight w[r].  The triplets are in
+    position order (member order within a position) and rows are numbered
+    by their first triplet; each row is negated, an exact flip that leaves
+    rho as it is, where its first amplitude's first nonzero part (real,
+    then imaginary) is negative, and -0.0 becomes 0.0.  Equal keys give
+    equal factors, and so bitwise-equal rho built from them.
+    """
+    order = np.lexsort((member, pos))
+    pos, member, amp = pos[order], member[order], amp[order]
+    touch, first, row = np.unique(member, return_index=True, return_inverse=True)
+    by_first = np.argsort(first)
+    row = np.argsort(by_first)[row]  # each member's rank by its first triplet
+    lead = amp[first[by_first]]
+    flip = (lead.real < 0) | ((lead.real == 0) & (lead.imag < 0))
+    amp = np.where(flip[row], -amp, amp) + 0.0
+    w = weights[touch[by_first]] + 0.0
+    return (pos.tobytes(), row.tobytes(), amp.tobytes(), w.tobytes()), (pos, row, amp, w)
 
 
 def _block_bounds(h: CouplingMatrix, ensembles: dict, label, count) -> np.ndarray:

@@ -6,7 +6,9 @@ This is the single-pair form in exact `Fraction` arithmetic, one 3j product
 and one square root per call, kept as the oracle the array code must match
 bit for bit.  Likewise `chirality_permutation` here looks each M-reversed
 level up in a dict over the basis, the reference of the integer-coded
-`hamiltonian.chirality_permutation`, and `trace_csv`, `couplings_csv`,
+`hamiltonian.chirality_permutation`; `is_symmetry` conjugates the dense
+H(t) by a dense signed permutation at sample times, the reference of the
+exact row check `hamiltonian.is_symmetry`; and `trace_csv`, `couplings_csv`,
 `loops_csv`, `dressed_csv` and `summary_text` format one row or line at a
 time, element by element, the references of the column-wise
 `scenarios.csv_lines` and `scenarios.keyvalue_lines`.  `components` (a union-find) and
@@ -102,6 +104,14 @@ def chirality_permutation(polarizations, basis):
             perm[k] = pos[img]
             sign[k] = (-1.0) ** (r.J if kind == "mrev-j" else r.J + r.M)
     return perm, sign
+
+
+def is_symmetry(h, perm, sign, times=(0.0, 0.37, 1.9)):
+    """Whether T^dag H(t) T == H(t) exactly at each of `times`, with the dense
+    T[perm[k], k] = sign[k]: the reference of `hamiltonian.is_symmetry`."""
+    t_mat = np.zeros((h.n, h.n))
+    t_mat[perm, np.arange(h.n)] = sign
+    return all(np.array_equal(t_mat.T @ h.evaluate(t) @ t_mat, h.evaluate(t)) for t in times)
 
 
 def trace_csv(result, branch) -> str:

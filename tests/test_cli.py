@@ -196,8 +196,8 @@ def test_static_ceiling_is_one_column_of_the_largest_block(monkeypatch, tmp_path
     assert main(["run", "--scenario", "fig7-1mK-xxz", "--out", str(tmp_path / "o")]) == rc
     err = capsys.readouterr().err
     if rc:
-        assert err == ("error: scenario.n_times: the static trace needs a 0.000715 GiB array, "
-                       "more than 0.000715 GiB\n")
+        assert err == ("error: scenario.n_times: the static trace needs a 768000-byte array, "
+                       "more than 767999 bytes\n")
         assert not (tmp_path / "o").exists()
     else:
         assert err == ""

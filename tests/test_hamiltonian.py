@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from dataclasses import replace
+
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from chiralsep.coupling import (
@@ -18,8 +20,11 @@ from chiralsep.hamiltonian import (
     LevelIndex,
     UnsupportedSetupError,
     assemble,
+    basis_lookup,
     chirality_permutation,
     chirality_transform,
+    is_symmetry,
+    mirror_permutation,
     product_basis,
 )
 from chiralsep.rotbasis import D2S2, BasisTruncation, RotState, enumerate_basis, rot_energy
@@ -249,3 +254,46 @@ def test_enantiomers_share_edges_and_differ_by_the_flagged_signs(data):
     # exact, and bitwise except where a zero real or imaginary part may
     # carry either sign
     assert np.array_equal(hr.omega[flagged], -hl.omega[flagged])
+
+
+@settings(max_examples=60, deadline=None)
+@given(pols=st.tuples(*[st.sampled_from(["x", "z"]) | POLARIZATION] * 3),
+       mus=st.tuples(*[st.just((0.0, 1.0, 0.0)) | DIPOLE] * 3),
+       offsets=st.tuples(*[st.sampled_from([0.0, 0.3, -12.8])] * 3),
+       jmax=st.integers(1, 2), bump=st.none() | st.integers(0, 10**6))
+# the fig5 setup keeps the (K, M) reversal; a sigma+ laser or a K-odd
+# dipole component breaks it
+@example(pols=("x", "x", "z"), mus=((0.0, 1.0, 0.0),) * 3, offsets=(0.0, 0.0, 0.0), jmax=2,
+         bump=None)
+@example(pols=("x", "x", "sigma+"), mus=((0.0, 1.0, 0.0),) * 3, offsets=(0.0, 0.0, 0.0),
+         jmax=2, bump=None)
+@example(pols=("x", "x", "z"), mus=((0.0, 1.0, 0.0), (0.0, 1.0, 0.0), (0.0, 1.0, 0.5j)),
+         offsets=(0.0, 0.0, 0.0), jmax=2, bump=None)
+def test_mirror_row_check_agrees_with_the_dense_conjugation(pols, mus, offsets, jmax, bump):
+    # which polarization mixes and dipoles keep the symmetry is left to the
+    # draw, which leans to x, z and the z-aligned dipole so that both outcomes occur
+    dipole = DipoleModel({pair: DipoleTransition(mu=mu)
+                          for pair, mu in zip(((1, 2), (2, 3), (1, 3)), mus)})
+    try:
+        h = assemble(lasers(*pols, offsets=offsets), dipole, Enantiomer.L, D2S2,
+                     BasisTruncation(jmax))
+    except EmptyCouplingError:
+        return
+    perm, sign = mirror_permutation(h.lookup)  # the full basis holds every image
+    if bump is not None:  # one coupling moved by a relative 2**-40
+        omega = h.omega.copy()
+        omega[bump % len(omega)] *= 1 + 2.0**-40
+        h = replace(h, omega=omega)
+    certified = is_symmetry(h, perm, sign)
+    event("symmetric" if certified else "not symmetric")
+    assert certified == oracle.is_symmetry(h, perm, sign)
+
+
+def test_mirror_needs_every_image_in_the_basis():
+    full = product_basis(BasisTruncation(1))
+    perm, sign = mirror_permutation(basis_lookup(full))
+    assert np.array_equal(perm[perm], np.arange(len(full)))
+    assert all(full[perm[k]].rot == RotState(lvl.rot.J, -lvl.rot.K, -lvl.rot.M)
+               and sign[k] == (-1.0) ** lvl.rot.M for k, lvl in enumerate(full))
+    assert mirror_permutation(basis_lookup([LevelIndex(1, RotState(1, 1, 0))])) is None
+    assert mirror_permutation(basis_lookup([LevelIndex(1, RotState(0, 0, 0))] * 2)) is None

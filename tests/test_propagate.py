@@ -13,7 +13,8 @@ import oracle
 from chiralsep import propagate as propagate_module
 from chiralsep import scenarios as scenarios_module
 from chiralsep.coupling import DipoleModel, Enantiomer, LaserSpec
-from chiralsep.hamiltonian import CouplingMatrix, EmptyCouplingError, LevelIndex, assemble
+from chiralsep.hamiltonian import (CouplingMatrix, EmptyCouplingError, LevelIndex, assemble,
+                                   is_symmetry, mirror_permutation)
 from chiralsep.propagate import (
     DegenerateEigenstateWarning,
     Ensemble,
@@ -457,6 +458,154 @@ def test_branches_with_equal_block_rho_share_one_column(monkeypatch):
     assert out["a"].values.tobytes() == out["copy"].values.tobytes() \
         == out["twin"].values.tobytes()
     assert np.any(out["a"].values != 0)
+
+
+def _kernel_work(monkeypatch):
+    """[calls, rho] of the static kernel from here on: one call per traced block."""
+    seen = [0, 0]
+    kernel = propagate_module._block_expectations
+
+    def spy(h0, f, rhos, *args):
+        seen[0] += 1
+        seen[1] += len(rhos)
+        return kernel(h0, f, rhos, *args)
+
+    monkeypatch.setattr(propagate_module, "_block_expectations", spy)
+    return seen
+
+
+def test_factors_that_differ_only_in_their_weights_get_their_own_columns(monkeypatch):
+    h = triangle([0.5, 0.3, 0.2], [0.0, 0.0, 0.0])
+    ens = Ensemble.from_triplets(3, [0.25, 0.75], [0, 1], [0, 1], [1.0, 1.0])
+    swapped = replace(ens, weights=ens.weights[::-1])
+    seen = _kernel_work(monkeypatch)
+    out = ensemble_potential_trace(h, {"a": ens, "swapped": swapped}, 1.0, 5)
+    assert seen == [1, 2]
+    alone = ensemble_potential_trace(h, {"swapped": swapped}, 1.0, 5)["swapped"].values
+    assert np.array_equal(out["swapped"].values, alone)
+    assert np.any(out["a"].values != alone)
+
+
+@pytest.mark.parametrize("name, blocks, rhos", [("fig5-T0.5K-xxz-groundres", 6, 18),
+                                                ("fig7-1mK-xxz", 2, 6)])
+def test_mirror_blocks_and_equal_factors_are_traced_once(monkeypatch, name, blocks, rhos):
+    # L and R in one call, 3 distinct factors per block among the 6 branches;
+    # fig5 keeps 4 mirror pairs and 2 self-mapped blocks, fig7 2 self-mapped ones
+    seen = _kernel_work(monkeypatch)
+    run_scenario(builtin_config(name))
+    assert seen == [blocks, rhos]
+
+
+def _fig5_j4():
+    """fig5 at jmax 4 (H_L, its branches, _blocks): 4 of its 10 kept blocks are
+    mirror images of 4 others."""
+    config = replace(builtin_config("fig5-T0.5K-xxz-groundres", jmax=4), truncation_mass=1e-4)
+    thermal = thermal_rot_state(config.temperature, config.constants, config.trunc,
+                                cutoff_mass=config.truncation_mass)
+    h = _assemble(config, Enantiomer.L)
+    return config, h, _branch_members(config, Enantiomer.L, h, thermal), \
+        propagate_module._blocks(h)
+
+
+def _traced_blocks(h, members, blocks, label):
+    """Blocks of more than one level that some branch keeps: all are traced
+    when no mirror pair shares."""
+    bounds = propagate_module._block_bounds(h, members, label, len(blocks))
+    keep = np.any(~(bounds < propagate_module.SCREEN_BUDGET / 2), axis=0)
+    return sum(1 for c in np.flatnonzero(keep) if len(blocks[c]) > 1)
+
+
+def test_a_pair_whose_factors_differ_is_traced_twice(monkeypatch):
+    config, h, members, (blocks, label, _, _, _) = _fig5_j4()
+    perm, _ = mirror_permutation(h.lookup)
+    ens = members[1]
+    # the heaviest member on a mirror pair of blocks gets 1.5 times its weight
+    # on one of its levels, so only that block's factor changes
+    paired = np.flatnonzero(label[ens.level] != label[perm[ens.level]])
+    j = paired[np.argmax(ens.weights[ens.member[paired]])]
+    moved = replace(ens, amp=np.where(np.arange(len(ens.amp)) == j, np.sqrt(1.5), 1.0) * ens.amp)
+    seen = _kernel_work(monkeypatch)
+    shared = ensemble_potential_trace(h, {1: ens}, config.t_end, config.n_times)[1].values
+    calls = seen[0]
+    assert calls < _traced_blocks(h, {1: ens}, blocks, label)
+    out = ensemble_potential_trace(h, {1: moved}, config.t_end, config.n_times)[1].values
+    assert seen[0] - calls == calls + 1
+    monkeypatch.undo()
+    # the unshared reference: each block traced on a table of its own edges
+    for branch, values in ((ens, shared), (moved, out)):
+        ref = 0.0
+        for c in range(len(blocks)):
+            e = np.flatnonzero(label[h.fin] == c)
+            block = replace(h, fin=h.fin[e], ini=h.ini[e], omega=h.omega[e], delta=h.delta[e])
+            ref = ref + ensemble_potential_trace(block, {1: branch}, config.t_end,
+                                                 config.n_times)[1].values
+        assert np.max(np.abs(values - ref)) <= 1e-12
+
+
+def test_the_midpoint_path_shares_mirror_blocks_too(monkeypatch):
+    # the non-closing loop at 5 K, where the K = +-1 blocks are populated:
+    # 6 kept blocks, 2 of them mirror images of 2 others
+    config = replace(parse_config(MISMATCH_CONFIG.read_text().replace("{rot_offset_13}", "0.01")),
+                     temperature=5.0, truncation_mass=1.0)
+    h = _assemble(config, Enantiomer.L)
+    thermal = thermal_rot_state(config.temperature, config.constants, config.trunc,
+                                cutoff_mass=config.truncation_mass)
+    members = _branch_members(config, Enantiomer.L, h, thermal)
+    calls = []
+    kernel = propagate_module._block_midpoint
+
+    def spy(edges, rho, *args):
+        calls.append(len(rho))
+        return kernel(edges, rho, *args)
+
+    monkeypatch.setattr(propagate_module, "_block_midpoint", spy)
+    shared = ensemble_potential_trace(h, members, config.t_end, config.n_times)
+    assert len(calls) == 4
+    calls.clear()
+    monkeypatch.setattr(propagate_module, "mirror_permutation", lambda lookup: None)
+    unshared = ensemble_potential_trace(h, members, config.t_end, config.n_times)
+    assert len(calls) == 6
+    for branch in members:
+        assert np.max(np.abs(shared[branch].values - unshared[branch].values)) <= 1e-12
+
+
+@pytest.mark.parametrize("broken", ["omega", "sigma+"])
+def test_a_table_the_mirror_does_not_map_onto_itself_traces_every_block(monkeypatch, broken):
+    config, h, members, _ = _fig5_j4()
+    if broken == "omega":  # one edge inside a mirror pair of blocks, 1 ulp off
+        blocks, label, _, _, _ = propagate_module._blocks(h)
+        perm, _ = mirror_permutation(h.lookup)
+        e = np.flatnonzero(label[h.fin] != label[perm[h.fin]])[0]
+        omega = h.omega.copy()
+        omega[e] = np.nextafter(omega[e].real, np.inf) + 1j * omega[e].imag
+        h = replace(h, omega=omega)
+    else:
+        lasers = config.lasers[:2] + (replace(config.lasers[2], polarization="sigma+"),)
+        config = replace(config, lasers=lasers)
+        h = _assemble(config, Enantiomer.L)
+        thermal = thermal_rot_state(config.temperature, config.constants, config.trunc,
+                                    cutoff_mass=config.truncation_mass)
+        members = _branch_members(config, Enantiomer.L, h, thermal)
+    assert not is_symmetry(h, *mirror_permutation(h.lookup))
+    seen = _kernel_work(monkeypatch)
+    ensemble_potential_trace(h, members, config.t_end, config.n_times)
+    blocks, label, _, _, _ = propagate_module._blocks(h)
+    assert seen[0] == _traced_blocks(h, members, blocks, label)
+
+
+def test_a_negative_weight_changes_no_other_branch():
+    # fig7's partially-dressed branch 1 next to a copy of itself with negated
+    # weights, which turns screening off for the copy alone
+    config = builtin_config("fig7-1mK-xxz")
+    h = _assemble(config, Enantiomer.L)
+    thermal = thermal_rot_state(config.temperature, config.constants, config.trunc,
+                                cutoff_mass=config.truncation_mass)
+    ens = _branch_members(config, Enantiomer.L, h, thermal)[1]
+    alone = ensemble_potential_trace(h, {1: ens}, config.t_end, 200)
+    stacked = ensemble_potential_trace(h, {1: ens, "negated": replace(ens, weights=-ens.weights)},
+                                       config.t_end, 200)
+    assert np.array_equal(alone[1].values, stacked[1].values)
+    assert np.max(np.abs(stacked["negated"].values + alone[1].values)) <= 1e-14
 
 
 def test_trace_needs_an_output_time():
