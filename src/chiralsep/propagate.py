@@ -43,11 +43,14 @@ which the trace builds itself:
   (|G|^T sqrt(w))_n limits what leaving out a set D of eigencomponents
   moves any value; the rho leaves out the largest D whose bound stays below
   half of SCREEN_BUDGET (1e-14 GHz), and the phases of the rest come from
-  ~2 sqrt(n) rows of exponentials.  No rho's arithmetic depends on another
-  rho, and a branch with a negative weight turns screening off for itself
-  only, so a branch's values are the same, bit for bit, whichever branches
-  share the call.  The builtin traces stay within 1e-12 Omega12 of the direct
-  complex contraction over all components (at most 5.3e-13, fig7);
+  ~2 sqrt(n) rows of exponentials.  The grid is walked in chunks of whole
+  coarse rows of those, up to CHUNK_VALUES values of [c; s] each, so the
+  values are the one array of n rows.  No rho's arithmetic depends on
+  another rho, and a branch with a negative weight turns screening off for
+  itself only, so a branch's values are the same, bit for bit, whichever
+  branches share the call.  The builtin traces stay within 1e-12 Omega12
+  of the direct complex contraction over all components (at most 5.3e-13,
+  fig7);
 - midpoint (no node potential): the generic stepper's schedule, one
   eigendecomposition per block and step, rho <- U rho U^dag, and
   <H(t)> = tr(rho H(t)) at the output times.
@@ -58,10 +61,10 @@ a block no branch keeps gets no rho, no eigendecomposition and no kernel
 (fig5 at jmax 8 keeps 10 of its 34 blocks).
 
 A trace predicts its size before it builds any array and raises
-TraceTooLargeError above a fixed ceiling: MAX_TRACE_BYTES for the static
-kernel's [c; s], one column of the largest block (16 n size bytes, however
-many rho a block has; its workspace, `_workspace`, holds that and the
-phases), MAX_MIDPOINT_STEPS for the midpoint schedule.
+TraceTooLargeError above a fixed ceiling: MAX_TRACE_BYTES for [c; s] of one
+rho of the largest block over the whole grid (16 n size bytes, however many
+rho a block has; the kernel's chunks hold less), MAX_MIDPOINT_STEPS for the
+midpoint schedule.
 """
 
 from __future__ import annotations
@@ -77,8 +80,14 @@ from .hamiltonian import CouplingMatrix, LevelIndex, is_symmetry, mirror_permuta
 #: largest change, in GHz, that screening may make to any block's <H(t)>
 SCREEN_BUDGET = 1e-14
 #: ceilings on one trace, checked before it builds any array
-MAX_TRACE_BYTES = 2**30  # the static kernel's [c; s] for one rho
+MAX_TRACE_BYTES = 2**30  # [c; s] of one rho over the whole grid
 MAX_MIDPOINT_STEPS = 10**6  # steps of the midpoint schedule
+#: values of [c; s] in one chunk of the static kernel's grid (at least one
+#: coarse row).  Swept over 2**13 to 2**16 (2-vCPU Xeon, 2 MiB L2, one BLAS
+#: thread): kernel times within noise, fig5-j8 peak RSS 39.5 MB at 2**14 up
+#: to 41.2 at 2**16, and 2**14 is the least that takes a 3-level block's
+#: 2,000 times in one chunk
+CHUNK_VALUES = 2**14
 #: relative eigenvalue gap below which an adiabatic assignment warns
 GAP_WARN = 1e-9
 #: bare-state overlaps this close (relative) to the largest count as a tie
@@ -319,7 +328,7 @@ def ensemble_potential_trace(
     blocks, label, local, edges, f = _blocks(h)
     # the ceilings are checked before any array of n values is built
     largest = max(len(idx) for idx in blocks)
-    need = 16 * n * largest  # [c; s] of `_block_expectations`, one rho of the largest block
+    need = 16 * n * largest  # [c; s] of one rho of the largest block, on every time
     if f is not None and need > MAX_TRACE_BYTES:
         raise TraceTooLargeError(f"the static trace needs a {need}-byte array, "
                                  f"more than {MAX_TRACE_BYTES} bytes", by_grid=True)
@@ -332,8 +341,6 @@ def ensemble_potential_trace(
         if steps * (n - 1) > MAX_MIDPOINT_STEPS:
             raise TraceTooLargeError(f"the midpoint stepper needs {steps * (n - 1)} steps, "
                                      f"more than {MAX_MIDPOINT_STEPS}", by_grid=False)
-    else:  # one workspace serves the static kernel of every block
-        work = _workspace(n, largest)
     # a negative weight leaves rho indefinite, where both screening bounds fail
     budget = np.array([SCREEN_BUDGET if np.all(e.weights >= 0) else 0.0
                        for e in ensembles.values()])
@@ -384,8 +391,7 @@ def ensemble_potential_trace(
             at = [b for b, _ in factors]
             for b in set(at):
                 j = [i for i, x in enumerate(at) if x == b]
-                vals[:, j] = _block_expectations(h0, f[idx], [rhos[i] for i in j], times,
-                                                 b / 2, work)
+                vals[:, j] = _block_expectations(h0, f[idx], [rhos[i] for i in j], times, b / 2)
         if not np.all(np.isfinite(vals)):
             raise ValueError("non-finite ensemble expectation")
         for k, (_, j) in col.items():
@@ -493,7 +499,7 @@ def _block_matrix(size, a, b, omega, delta, t) -> np.ndarray:
     return m
 
 
-def _block_expectations(h0, f, rhos, times, budget=SCREEN_BUDGET, work=None) -> np.ndarray:
+def _block_expectations(h0, f, rhos, times, budget=SCREEN_BUDGET) -> np.ndarray:
     """<H(t)> of each block density matrix in `rhos`, shape (times, rhos).
 
     One eigenframe (`_eigenframe`) serves the block; each rho is then traced
@@ -524,14 +530,13 @@ def _block_expectations(h0, f, rhos, times, budget=SCREEN_BUDGET, work=None) -> 
     passes half of SCREEN_BUDGET: its block screen spends the other half.
     On the builtin scenarios the traces stay within 1e-12 Omega12 of the
     unscreened complex contraction.
-    The phases come from `_phases`, so the grid must be linspace(0, t_end, n).
-    Each rho's temporaries go into `work` (`_workspace`), which a trace
-    allocates once for all its blocks.
+    The phases come from the factors of `_phases`, so the grid must be
+    linspace(0, t_end, n).  Each rho walks the grid in chunks of whole
+    coarse rows, up to CHUNK_VALUES values of [c; s] each, so only the
+    output has n rows; a rho's chunks depend on n and its kept count only.
     """
     eps, v, g = _eigenframe(h0, f)
     n = len(times)
-    if work is None:
-        work = _workspace(n, len(f))
     vals = np.zeros((n, len(rhos)))
     for k, rho in enumerate(rhos):
         rot = v.conj().T @ (rho if np.any(rho.imag) else rho.real) @ v
@@ -541,23 +546,22 @@ def _block_expectations(h0, f, rhos, times, budget=SCREEN_BUDGET, work=None) -> 
         if not np.max(np.abs(c - herm)) <= 1e-10 * max(1.0, np.max(np.abs(c))):
             raise ValueError("non-real ensemble expectation of a Hermitian operator")
         keep = np.flatnonzero(~_screen(rot, g, budget)[0])
-        s = len(keep)  # a rho that keeps nothing adds 0
+        s = len(keep)
+        if s == 0:
+            continue  # a rho that keeps nothing adds 0
         herm = herm[np.ix_(keep, keep)]
-        # the phases, then the products over them, at the head of work; [c; s] at its tail
-        p = _phases(times, eps[keep], work.view(complex))
-        q = np.concatenate((p.real, p.imag), out=work[len(work) - 2 * n * s:].reshape(2 * n, s))
-        z = np.matmul(q, herm.real, out=work[:2 * n * s].reshape(2 * n, s))
-        z = np.einsum("tn,tn->t", z, q)
-        vals[:, k] = z[:n] + z[n:]
-        if np.any(herm.imag):
-            y = np.matmul(q[:n], herm.imag, out=work[:n * s].reshape(n, s))
-            vals[:, k] += 2 * np.einsum("tn,tn->t", y, q[n:])
+        coarse, fine = _phases(times, eps[keep])
+        m = len(fine)
+        step = max(1, CHUNK_VALUES // (2 * m * s))  # coarse rows per chunk
+        for a in range(0, len(coarse), step):
+            p = (coarse[a:a + step, None, :] * fine).reshape(-1, s)[:n - a * m]
+            rows = slice(a * m, a * m + len(p))
+            q = np.concatenate((p.real, p.imag))
+            z = np.einsum("tn,tn->t", q @ herm.real, q)
+            vals[rows, k] = z[:len(p)] + z[len(p):]
+            if np.any(herm.imag):
+                vals[rows, k] += 2 * np.einsum("tn,tn->t", q[:len(p)] @ herm.imag, q[len(p):])
     return vals
-
-
-def _workspace(n, size) -> np.ndarray:
-    """Room for `_block_expectations`' phases and [c; s] on n times, <= size levels."""
-    return np.empty(2 * (2 * n + math.isqrt(n - 1)) * size)
 
 
 def _eigenframe(h0, f):
@@ -615,23 +619,18 @@ def _screen(rot, g, budget) -> tuple[np.ndarray, float]:
     return np.argsort(order) < count, float(cum[count - 1]) if count else 0.0
 
 
-def _phases(times, eps, out=None) -> np.ndarray:
-    """exp(-i 2 pi eps_n t_k) on the grid times = linspace(0, t_end, n).
+def _phases(times, eps) -> tuple[np.ndarray, np.ndarray]:
+    """(coarse, fine): exp(-i 2 pi eps_n t_k) on times = linspace(0, t_end, n), factored.
 
-    With m = ceil(sqrt(n)), row a*m + b is the product of a coarse row at
-    times[a*m] and a fine row at times[b]: (n/m + m) exponentials per level
-    instead of n.  Each entry is within 4 ulp of max(largest phase, 1) of
-    the direct exp(-i 2 pi outer(times, eps)).  With `out`, a flat complex
-    array of at least (n + m - 1) len(eps) entries, the product is written
-    to its head.
+    With m = ceil(sqrt(n)), row a*m + b of the phases (a row for each time)
+    is coarse[a] * fine[b], a coarse row at times[a*m] times a fine row at
+    times[b]: (n/m + m) exponentials per level instead of n.  Each product
+    is within 4 ulp of max(largest phase, 1) of the direct
+    exp(-i 2 pi outer(times, eps)).
     """
     m = math.isqrt(len(times) - 1) + 1
-    coarse = np.exp(-2j * np.pi * np.outer(times[::m], eps))
-    fine = np.exp(-2j * np.pi * np.outer(times[:m], eps))
-    shape = (len(coarse), m, len(eps))
-    out = None if out is None else out[:math.prod(shape)].reshape(shape)
-    p = np.multiply(coarse[:, None, :], fine, out=out)
-    return p.reshape(len(coarse) * m, len(eps))[:len(times)]
+    return (np.exp(-2j * np.pi * np.outer(times[::m], eps)),
+            np.exp(-2j * np.pi * np.outer(times[:m], eps)))
 
 
 def _block_midpoint(edges, rho, times, dt, steps) -> np.ndarray:

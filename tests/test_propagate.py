@@ -1,5 +1,6 @@
 """Propagation, potential traces and ensemble aggregation."""
 
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -648,8 +649,119 @@ def test_factorised_phases_match_direct_exponential(n):
     eps = np.concatenate([[0.0, -460.728], np.random.default_rng(n).uniform(-500, 500, 40)])
     direct = np.exp(-2j * np.pi * np.outer(times, eps))
     largest = 2 * np.pi * np.max(np.abs(eps)) * times[-1]
-    assert np.max(np.abs(propagate_module._phases(times, eps) - direct)) \
-        <= 4 * np.spacing(max(largest, 1.0))
+    coarse, fine = propagate_module._phases(times, eps)
+    # row a * m + b is coarse[a] * fine[b]
+    product = (coarse[:, None, :] * fine).reshape(-1, len(eps))[:n]
+    assert product.shape == direct.shape
+    assert np.max(np.abs(product - direct)) <= 4 * np.spacing(max(largest, 1.0))
+
+
+def _clustered_block(n, seed):
+    """(h0, f, rhos) of a real n-level block with f in three clusters far
+    apart next to weak couplings, and two random rank-3 rho."""
+    rng = np.random.default_rng(seed)
+    f = np.resize([0.0, 12.798, 38.394], n)
+    h0 = np.triu(rng.uniform(-0.1, 0.1, (n, n)) * (rng.random((n, n)) < 0.1), 1)
+    h0 = (h0 + h0.T).astype(complex)
+    rhos = []
+    for _ in range(2):
+        a = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
+        rhos.append(a @ a.conj().T / np.trace(a @ a.conj().T).real)
+    return h0, f, np.array(rhos)
+
+
+@pytest.mark.parametrize("n", [2000, 200_000])
+def test_static_kernel_memory_does_not_grow_with_the_grid_beyond_its_output(n):
+    # budget 0 keeps all 120 components.  Past its output (8 n bytes per
+    # rho) the kernel holds the eigenframe, the two phase factors and one
+    # chunk, at least one coarse row: 1.8 MB at n = 2000, 6.2 MB at 200,000.
+    # A workspace for the phases and [c; s] of every time would take
+    # 2 (2 n + sqrt(n)) 120 doubles, 7.8 MB at n = 2000
+    h0, f, rhos = _clustered_block(120, 0)
+    times = np.linspace(0.0, 40.0, n)
+    tracemalloc.start()
+    try:
+        vals = propagate_module._block_expectations(h0, f, rhos, times, budget=0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert vals.shape == (n, 2) and np.all(np.isfinite(vals))
+    assert peak < 8 * n * len(rhos) + 7 * 2**20
+
+
+def test_a_rho_that_keeps_no_component_adds_zero_and_builds_no_phases(monkeypatch):
+    h0, f, rhos = _clustered_block(12, 1)
+    phased = []
+    phases = propagate_module._phases
+
+    def spy(times, eps):
+        phased.append(len(eps))
+        return phases(times, eps)
+
+    monkeypatch.setattr(propagate_module, "_phases", spy)
+    times = np.linspace(0.0, 5.0, 50)
+    # a weight of 1e-40 leaves every component far below the screening budget
+    vals = propagate_module._block_expectations(h0, f, [1e-40 * rhos[0], rhos[1]], times)
+    assert len(phased) == 1
+    assert np.all(vals[:, 0] == 0) and np.any(vals[:, 1] != 0)
+
+
+@pytest.mark.parametrize("n", [45**2, 45**2 + 1, 2027])  # m^2, m^2 + 1, a prime
+def test_static_kernel_chunks_match_the_direct_complex_contraction(monkeypatch, n):
+    # three branches on a table with complex (sigma and y) couplings; every
+    # static-kernel call, and its phase factors' (coarse rows, fine rows,
+    # kept components)
+    lasers = [LaserSpec(drives=d, polarization=p, peak_rabi=w, rot_offset=0.0)
+              for d, p, w in zip(((1, 2), (2, 3), (1, 3)), ("x", "sigma+", "y"),
+                                 (1.3, 0.7, 0.9))]
+    trunc = BasisTruncation(3)
+    h = assemble(lasers, DipoleModel.z_aligned(), Enantiomer.L, D2S2, trunc)
+    assert np.any(h.omega.imag) and node_potential(h) is not None
+    ensembles = {
+        k: prepare_initial("partially-dressed", h,
+                           thermal_rot_state(temperature, D2S2, trunc, cutoff_mass=1.0),
+                           vib_amplitudes=amps)
+        for k, (temperature, amps) in enumerate([(0.5, (1.0, 0.5j, 0.0)),
+                                                 (0.5, (0.3, 0.0, 1.0j)),
+                                                 (0.05, (1.0, 1.0, 1.0))])}
+    calls, factors = [], []
+    kernel, phases = propagate_module._block_expectations, propagate_module._phases
+
+    def kernel_spy(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    def phases_spy(times, eps):
+        coarse, fine = phases(times, eps)
+        factors.append((len(coarse), len(fine), len(eps)))
+        return coarse, fine
+
+    monkeypatch.setattr(propagate_module, "_block_expectations", kernel_spy)
+    monkeypatch.setattr(propagate_module, "_phases", phases_spy)
+    batched = ensemble_potential_trace(h, ensembles, 2.0, n)
+    monkeypatch.undo()
+    single = {k: ensemble_potential_trace(h, {k: ens}, 2.0, n)[k] for k, ens in ensembles.items()}
+    for k, trace in batched.items():
+        assert np.array_equal(trace.values, single[k].values)
+    # the grid splits into several chunks, and on m^2 + 1 and the prime the
+    # last coarse row is cut short
+    chunks = [-(-coarse // max(1, propagate_module.CHUNK_VALUES // (2 * m * s)))
+              for coarse, m, s in factors]
+    assert max(chunks) >= 3
+    assert all((coarse * m > n) == (n != 45**2) for coarse, m, _ in factors)
+    complex_part = False
+    for h0, f, rhos, times, budget in calls:
+        eps, v, g = propagate_module._eigenframe(h0, f)
+        p = np.exp(-2j * np.pi * np.outer(times, eps))
+        vals = propagate_module._block_expectations(h0, f, rhos, times, budget)
+        for k, rho in enumerate(rhos):
+            rot = v.conj().T @ rho @ v
+            direct = np.einsum("tn,nm,tm->t", p, rot * g.T, p.conj())
+            complex_part |= bool(np.any(np.imag(rot * g.T)))
+            bound = propagate_module._screen(rot, g, budget)[1]
+            scale = max(1.0, np.max(np.abs(direct)))
+            assert np.max(np.abs(vals[:, k] - direct.real)) <= bound + 1e-12 * scale
+    assert complex_part
 
 
 POLARIZATION = st.sampled_from(["x", "y", "z", "sigma+", "sigma-"])

@@ -469,6 +469,9 @@ CATALOGUED = st.one_of(st.tuples(*[st.sampled_from(["x", "y", "sigma+", "sigma-"
          peaks=(0.4441598765280741, 0.440738463228601, 0.99999), offsets=(0.0, 0.0))
 @example(pols=("z", "y", "y"), preparation="adiabatic", temperature=0.0, jmax=2,
          peaks=(0.1, 0.2731019073663254, 0.6875), offsets=(0.0, 1.953125))
+# a block rho whose screen keeps no component, which adds 0 and builds no phases
+@example(pols=("z", "z", "y"), preparation="adiabatic", temperature=0.05, jmax=1,
+         peaks=(1.0, 1.0, 1.0), offsets=(0.0, 0.0))
 def test_r_traced_on_h_l_matches_r_traced_on_h_r(pols, preparation, temperature, jmax, peaks,
                                                 offsets):
     cfg = _random_config(pols, peaks, offsets, preparation=preparation, temperature=temperature,
