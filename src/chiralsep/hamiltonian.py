@@ -195,7 +195,7 @@ def assemble(
 def _classify_setup(polarizations) -> str:
     pols = set(polarizations)
     if not pols <= set("xyz") | {"sigma+", "sigma-"}:
-        raise UnsupportedSetupError(f"uncatalogued polarizations {sorted(pols)}")
+        raise UnsupportedSetupError(f"uncatalogued polarizations {sorted(pols, key=str)}")
     if "z" not in pols:
         return "diag-m"          # x / y / sigma+- only
     if pols <= {"z", "y"}:
@@ -241,22 +241,24 @@ def mirror_permutation(lookup) -> tuple[np.ndarray, np.ndarray] | None:
     return perm, (-1.0) ** m
 
 
-def is_symmetry(h: CouplingMatrix, perm, sign) -> bool:
-    """Whether S^dag H(t) S = H(t) at every t for the signed permutation S.
+def is_symmetry(h: CouplingMatrix, perm, sign, image: CouplingMatrix | None = None) -> bool:
+    """Whether S^dag H(t) S = image(t) (h's basis; default h) at every t for
+    the signed permutation S: the (K, M) reversal on h, or T from H_L to H_R.
 
     Conjugation moves edge (fin, ini) to (inv[fin], inv[ini]) with omega
     times sign[inv[fin]] sign[inv[ini]] and the same delta (see
-    `transform_residual`).  The mapped rows must equal the table's rows
+    `transform_residual`).  The mapped rows must equal the image's rows
     exactly, both sorted by (fin, ini): no sample time and no tolerance.
     """
+    image = h if image is None else image
     inv = np.empty(h.n, dtype=int)
     inv[perm] = np.arange(h.n)
     a, b = inv[h.fin], inv[h.ini]
-    pairs, want = a * h.n + b, h.fin * h.n + h.ini
+    pairs, want = a * h.n + b, image.fin * h.n + image.ini
     mapped, table = np.argsort(pairs, kind="stable"), np.argsort(want, kind="stable")
     return (np.array_equal(pairs[mapped], want[table])
-            and np.array_equal((sign[a] * sign[b] * h.omega)[mapped], h.omega[table])
-            and np.array_equal(h.delta[mapped], h.delta[table]))
+            and np.array_equal((sign[a] * sign[b] * h.omega)[mapped], image.omega[table])
+            and np.array_equal(h.delta[mapped], image.delta[table]))
 
 
 def chirality_transform(polarizations, basis) -> np.ndarray:

@@ -25,11 +25,12 @@ enantiomer (of both, when `scenarios.run_scenario` maps R onto H_L) in one
 call and loops once over the blocks, with no n x n matrix and no per-member
 state.  A branch's block density matrix rho = sum_k w_k |psi_k><psi_k| is
 known by its canonical factor (`_factor`), and each distinct block trace is
-computed once, decided on the factors before any rho is built: equal
-factors share one column and one rho; and when the (K, M) reversal S
-(`hamiltonian.mirror_permutation`) maps the table onto itself exactly
-(`hamiltonian.is_symmetry`), a branch whose factor in block c is S of its
-factor in the partner block takes that block's column.  One of two kernels
+computed once, decided on the factors before any rho is built, by one
+rule: every block is traced in its representative, the lower of it and
+its mirror under the (K, M) reversal S (`hamiltonian.mirror_permutation`)
+when S maps the table onto itself exactly (`hamiltonian.is_symmetry`), else
+itself; a branch's factor in the mirror block is moved through S first,
+and equal factors share one column and one rho.  One of two kernels
 evolves the distinct rho on the output grid np.linspace(0, t_end, n),
 which the trace builds itself:
 
@@ -61,10 +62,10 @@ a block no branch keeps gets no rho, no eigendecomposition and no kernel
 (fig5 at jmax 8 keeps 10 of its 34 blocks).
 
 A trace predicts its size before it builds any array and raises
-TraceTooLargeError above a fixed ceiling: MAX_TRACE_BYTES for [c; s] of one
-rho of the largest block over the whole grid (16 n size bytes, however many
-rho a block has; the kernel's chunks hold less), MAX_MIDPOINT_STEPS for the
-midpoint schedule.
+TraceTooLargeError above a fixed ceiling: MAX_TRACE_BYTES for the arrays of
+n rows a static trace holds at once, 8 n (1 + 3 branches) bytes (the grid,
+the totals, one block's values), MAX_MIDPOINT_STEPS for the midpoint
+schedule.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ from .hamiltonian import CouplingMatrix, LevelIndex, is_symmetry, mirror_permuta
 #: largest change, in GHz, that screening may make to any block's <H(t)>
 SCREEN_BUDGET = 1e-14
 #: ceilings on one trace, checked before it builds any array
-MAX_TRACE_BYTES = 2**30  # [c; s] of one rho over the whole grid
+MAX_TRACE_BYTES = 2**30  # the n-row arrays one static trace holds at once
 MAX_MIDPOINT_STEPS = 10**6  # steps of the midpoint schedule
 #: values of [c; s] in one chunk of the static kernel's grid (at least one
 #: coarse row).  Swept over 2**13 to 2**16 (2-vCPU Xeon, 2 MiB L2, one BLAS
@@ -304,14 +305,14 @@ def ensemble_potential_trace(
     not depend on the other branches of the call.
 
     Each distinct block trace is computed once, decided on the branches'
-    canonical factors (`_factor`) before any rho is built.  Branches with
-    equal factors and equal budgets share one column, with one rho built
-    from that factor.  When the (K, M) reversal S (`mirror_permutation`)
-    maps the table onto itself exactly (`is_symmetry`), block c takes, for
-    each branch that keeps both, the column of its partner block
-    p = S(c) < c if the branch's factor at c, mapped through S, equals its
-    factor at p: S rho_c S^dag = rho_p and S commutes with H(t), so the two
-    traces are equal.  Every other branch is traced at c.
+    canonical factors (`_factor`) before any rho is built.  When the (K, M)
+    reversal S (`mirror_permutation`) maps the table onto itself exactly
+    (`is_symmetry`), block c is traced in its representative
+    p = min(c, S(c)), else in itself.  A branch's triplets in c, mapped
+    through S when c != p, give its factor in p's positions: S commutes
+    with H(t), so S rho_c S^dag traced in p equals rho_c traced in c.
+    Equal factors with equal budgets share one column and one rho, so a
+    branch and its mirror image share, as do a branch's blocks of a pair.
 
     Screening moves each value by at most SCREEN_BUDGET (GHz), split in two
     fixed halves.  The block screen serves both kernels: a branch leaves out
@@ -326,11 +327,12 @@ def ensemble_potential_trace(
         if len(ens.weights) == 0:
             raise ValueError(f"branch {branch}: empty ensemble")
     blocks, label, local, edges, f = _blocks(h)
-    # the ceilings are checked before any array of n values is built
-    largest = max(len(idx) for idx in blocks)
-    need = 16 * n * largest  # [c; s] of one rho of the largest block, on every time
+    # the ceilings are checked before any array of n values is built.  The
+    # static trace holds the grid, a row of totals per branch (returned as
+    # the values) and one block's values, at most two columns per branch
+    need = 8 * n * (1 + 3 * len(ensembles))
     if f is not None and need > MAX_TRACE_BYTES:
-        raise TraceTooLargeError(f"the static trace needs a {need}-byte array, "
+        raise TraceTooLargeError(f"the static trace needs {need} bytes of n-row arrays, "
                                  f"more than {MAX_TRACE_BYTES} bytes", by_grid=True)
     if f is None and n - 1 > MAX_MIDPOINT_STEPS:  # at least one step per output interval
         raise TraceTooLargeError(f"the midpoint stepper needs at least {n - 1} steps, "
@@ -350,32 +352,27 @@ def ensemble_potential_trace(
     mirror = mirror_permutation(h.lookup)
     if mirror is not None and not is_symmetry(h, *mirror):
         mirror = None
+    # each traced block's representative: the lower of it and its mirror block
+    rep = {c: c if mirror is None else min(c, int(label[mirror[0][blocks[c][0]]]))
+           for c in np.flatnonzero(np.any(kept, axis=0)).tolist()
+           if len(blocks[c]) > 1}  # an uncoupled level's zero-diagonal H adds nothing
     triplet_block = [label[ens.level] for ens in ensembles.values()]
-    totals = np.zeros((n, len(ensembles)))
-    # block c -> (factor key, column) of each branch traced there, and the
-    # values, held until c's partner block reads them
-    held = {}
-    for c in np.flatnonzero(np.any(kept, axis=0)).tolist():
-        idx = blocks[c]
-        if len(idx) == 1:
-            continue  # uncoupled level: zero-diagonal H contributes nothing
-        p = c if mirror is None else int(label[mirror[0][idx[0]]])
-        partner = held.pop(p, None) if p < c else None
-        # factors holds each distinct factor's column, col each traced branch's
-        factors, col = {}, {}
-        for k, ens in enumerate(ensembles.values()):
-            sel = np.flatnonzero(triplet_block[k] == c) if kept[k, c] else []
-            if len(sel) == 0:
-                continue
-            lvl, member, amp = ens.level[sel], ens.member[sel], ens.amp[sel]
-            if partner is not None and k in partner[0]:
-                perm, sign = mirror
-                key, j = partner[0][k]
-                if _factor(local[perm[lvl]], member, amp * sign[lvl], ens.weights)[0] == key:
-                    totals[:, k] += partner[1][:, j]
+    totals = np.zeros((len(ensembles), n))
+    for p in sorted(set(rep.values())):
+        idx = blocks[p]
+        # factors holds each distinct factor's column; col each traced (branch, column)
+        factors, col = {}, []
+        for c in (c for c in rep if rep[c] == p):
+            for k, ens in enumerate(ensembles.values()):
+                sel = np.flatnonzero(triplet_block[k] == c) if kept[k, c] else []
+                if len(sel) == 0:
                     continue
-            key, factor = _factor(local[lvl], member, amp, ens.weights)
-            col[k] = key, factors.setdefault((budget[k], key), (len(factors), factor))[0]
+                lvl, member, amp = ens.level[sel], ens.member[sel], ens.amp[sel]
+                if c != p:  # S moves the branch's rho in c into p
+                    perm, sign = mirror
+                    lvl, amp = perm[lvl], amp * sign[lvl]
+                key, factor = _factor(local[lvl], member, amp, ens.weights)
+                col.append((k, factors.setdefault((budget[k], key), (len(factors), factor))[0]))
         if not col:
             continue
         rhos = []
@@ -384,21 +381,16 @@ def ensemble_potential_trace(
             sub[row, pos] = amp
             rhos.append((sub.T * w) @ sub.conj())
         if f is None:
-            vals = _block_midpoint(edges(c), np.array(rhos), times, dt, steps)
-        else:  # one kernel call per budget; a negative weight alone adds a second
-            h0 = _block_matrix(*edges(c), 0.0)
-            vals = np.empty((n, len(rhos)))
-            at = [b for b, _ in factors]
-            for b in set(at):
-                j = [i for i, x in enumerate(at) if x == b]
-                vals[:, j] = _block_expectations(h0, f[idx], [rhos[i] for i in j], times, b / 2)
+            vals = _block_midpoint(edges(p), np.array(rhos), times, dt, steps)
+        else:
+            vals = _block_expectations(_block_matrix(*edges(p), 0.0), f[idx], rhos, times,
+                                       np.array([b for b, _ in factors]) / 2)
         if not np.all(np.isfinite(vals)):
             raise ValueError("non-finite ensemble expectation")
-        for k, (_, j) in col.items():
-            totals[:, k] += vals[:, j]
-        if p > c and np.any(kept[:, p]):
-            held[c] = col, vals
-    return {branch: PotentialTrace.from_values(times, totals[:, k] / omega_ref)
+        for k, j in col:
+            totals[k] += vals[:, j]
+    totals /= omega_ref
+    return {branch: PotentialTrace.from_values(times, totals[k])
             for k, branch in enumerate(ensembles)}
 
 
@@ -523,11 +515,13 @@ def _block_expectations(h0, f, rhos, times, budget=SCREEN_BUDGET) -> np.ndarray:
 
         2 sum_{n in D} sqrt(w_n) (|G|^T sqrt(w))_n    (GHz, at every t).
 
-    `_screen` gives each rho the largest D whose bound stays below
-    `budget`; its phases and products are built for the components it
-    keeps.  The bound needs every rho to be positive semidefinite: pass
-    budget 0, which drops nothing, for any other.  `ensemble_potential_trace`
-    passes half of SCREEN_BUDGET: its block screen spends the other half.
+    `_screen` gives each rho the largest D whose bound stays below its
+    `budget` (one per rho, or one for all); its phases and products are
+    built for the components it keeps.  The bound needs a positive
+    semidefinite rho: pass budget 0, which drops nothing, for any other.
+    `ensemble_potential_trace` passes half of each factor's budget
+    (SCREEN_BUDGET, or 0 for a negative weight): its block screen spends the
+    other half.
     On the builtin scenarios the traces stay within 1e-12 Omega12 of the
     unscreened complex contraction.
     The phases come from the factors of `_phases`, so the grid must be
@@ -538,6 +532,7 @@ def _block_expectations(h0, f, rhos, times, budget=SCREEN_BUDGET) -> np.ndarray:
     eps, v, g = _eigenframe(h0, f)
     n = len(times)
     vals = np.zeros((n, len(rhos)))
+    budget = np.broadcast_to(budget, len(rhos))
     for k, rho in enumerate(rhos):
         rot = v.conj().T @ (rho if np.any(rho.imag) else rho.real) @ v
         c = rot * g.T
@@ -545,7 +540,7 @@ def _block_expectations(h0, f, rhos, times, budget=SCREEN_BUDGET) -> np.ndarray:
         # also false for NaN, so a non-finite C raises here too
         if not np.max(np.abs(c - herm)) <= 1e-10 * max(1.0, np.max(np.abs(c))):
             raise ValueError("non-real ensemble expectation of a Hermitian operator")
-        keep = np.flatnonzero(~_screen(rot, g, budget)[0])
+        keep = np.flatnonzero(~_screen(rot, g, budget[k])[0])
         s = len(keep)
         if s == 0:
             continue  # a rho that keeps nothing adds 0

@@ -63,6 +63,7 @@ from .hamiltonian import (
     UnsupportedSetupError,
     assemble,
     chirality_permutation,
+    is_symmetry,
     product_basis,
     transform_residual,
 )
@@ -432,12 +433,12 @@ def run_scenario(config: ScenarioConfig, enantiomers=("L", "R")) -> ScenarioResu
 
     Each enantiomer's Hamiltonian is assembled.  When the chirality
     permutation T exists and maps H_L onto the independently assembled H_R
-    exactly (edge residual 0.0), R's ensembles are moved onto H_L as
-    T rho_R T^dag, and every branch of both enantiomers goes through one
-    `ensemble_potential_trace` call on H_L, where branches with equal block
-    rho share their kernel work.  Otherwise (a single enantiomer, a
-    restricted basis, an uncatalogued polarization mix or a nonzero
-    residual) each enantiomer is traced on its own Hamiltonian.
+    row for row (`is_symmetry(H_L, *T, H_R)`), R's ensembles are moved onto
+    H_L as T rho_R T^dag, and every branch of both enantiomers goes through
+    one `ensemble_potential_trace` call on H_L, where branches with equal
+    block rho share their kernel work.  Otherwise (a single enantiomer, a
+    restricted basis, an uncatalogued polarization mix or a table T does
+    not map) each enantiomer is traced on its own Hamiltonian.
     """
     try:
         thermal = thermal_rot_state(config.temperature, config.constants, config.trunc,
@@ -459,7 +460,7 @@ def run_scenario(config: ScenarioConfig, enantiomers=("L", "R")) -> ScenarioResu
         raise ConfigError(f"{config.jmax_key}: {exc}; lower jmax") from None
     ensembles = {(branch, tag): ens for tag in enantiomers for branch, ens in
                  _branch_members(config, Enantiomer(tag), couplings[tag], thermal).items()}
-    if residual == 0.0:
+    if transform is not None and is_symmetry(couplings["L"], *transform, couplings["R"]):
         perm, sign = transform
         calls = [(couplings["L"], {
             (branch, tag): ens if tag == "L" else

@@ -7,8 +7,9 @@ and one square root per call, kept as the oracle the array code must match
 bit for bit.  Likewise `chirality_permutation` here looks each M-reversed
 level up in a dict over the basis, the reference of the integer-coded
 `hamiltonian.chirality_permutation`; `is_symmetry` conjugates the dense
-H(t) by a dense signed permutation at sample times, the reference of the
-exact row check `hamiltonian.is_symmetry`; and `trace_csv`, `couplings_csv`,
+H(t) by a dense signed permutation at sample times and compares it with
+its image table, the reference of the exact row check
+`hamiltonian.is_symmetry`; and `trace_csv`, `couplings_csv`,
 `loops_csv`, `dressed_csv` and `summary_text` format one row or line at a
 time, element by element, the references of the column-wise
 `scenarios.csv_lines` and `scenarios.keyvalue_lines`.  `components` (a union-find) and
@@ -106,12 +107,14 @@ def chirality_permutation(polarizations, basis):
     return perm, sign
 
 
-def is_symmetry(h, perm, sign, times=(0.0, 0.37, 1.9)):
-    """Whether T^dag H(t) T == H(t) exactly at each of `times`, with the dense
-    T[perm[k], k] = sign[k]: the reference of `hamiltonian.is_symmetry`."""
+def is_symmetry(h, perm, sign, image=None, times=(0.0, 0.37, 1.9)):
+    """Whether T^dag H(t) T == image(t) (h itself by default) exactly at each
+    of `times`, with the dense T[perm[k], k] = sign[k]: the reference of
+    `hamiltonian.is_symmetry`."""
+    image = h if image is None else image
     t_mat = np.zeros((h.n, h.n))
     t_mat[perm, np.arange(h.n)] = sign
-    return all(np.array_equal(t_mat.T @ h.evaluate(t) @ t_mat, h.evaluate(t)) for t in times)
+    return all(np.array_equal(t_mat.T @ h.evaluate(t) @ t_mat, image.evaluate(t)) for t in times)
 
 
 def trace_csv(result, branch) -> str:

@@ -171,36 +171,36 @@ def test_static_ceiling_exits_before_the_output_grid(tmp_path, capsys):
     assert peak < 50 * 2**20
 
 
-@pytest.mark.parametrize("columns, rc", [(4, 0), (3, 0)])
-def test_static_ceiling_counts_the_distinct_columns(monkeypatch, tmp_path, capsys, columns, rc):
-    # fig7 traces R on H_L: six branches, but each of its two kept blocks of
-    # 24 levels evolves 3 distinct rho, so 3 columns' worth is more than enough
-    # (the exact limit is below)
-    from chiralsep import propagate
-
-    monkeypatch.setattr(propagate, "MAX_TRACE_BYTES", 16 * 2000 * columns * 24)
-    assert main(["run", "--scenario", "fig7-1mK-xxz", "--out", str(tmp_path / "o")]) == rc
-    assert capsys.readouterr().err == ""
-    assert (tmp_path / "o" / "summary.txt").exists()
-
-
 @pytest.mark.parametrize("slack, rc", [(0, 0), (-1, 2)], ids=["at", "below"])
-def test_static_ceiling_is_one_column_of_the_largest_block(monkeypatch, tmp_path, capsys,
-                                                           slack, rc):
-    # fig7 traces R on H_L: six branches and 3 distinct rho in each of its two
-    # kept blocks of 24 levels, but the kernel takes one rho at a time, so
-    # one column's worth of the largest block is enough
+def test_static_ceiling_is_the_grid_and_three_rows_per_branch(monkeypatch, tmp_path, capsys,
+                                                              slack, rc):
+    # fig7 traces R on H_L: one call of six branches.  It holds the grid, a row
+    # of totals per branch (the returned values are those rows) and one
+    # block's values, at most two columns per branch: 8 * 2000 * (1 + 3 * 6) bytes
     from chiralsep import propagate
 
-    monkeypatch.setattr(propagate, "MAX_TRACE_BYTES", 16 * 2000 * 24 + slack)
+    monkeypatch.setattr(propagate, "MAX_TRACE_BYTES", 8 * 2000 * 19 + slack)
     assert main(["run", "--scenario", "fig7-1mK-xxz", "--out", str(tmp_path / "o")]) == rc
     err = capsys.readouterr().err
     if rc:
-        assert err == ("error: scenario.n_times: the static trace needs a 768000-byte array, "
-                       "more than 767999 bytes\n")
+        assert err == ("error: scenario.n_times: the static trace needs 304000 bytes of "
+                       "n-row arrays, more than 303999 bytes\n")
         assert not (tmp_path / "o").exists()
     else:
         assert err == ""
+        assert (tmp_path / "o" / "summary.txt").exists()
+
+
+@pytest.mark.parametrize("name", ["fig7-1mK-xxz", "fig5-T0.5K-xxz-groundres"])
+def test_static_ceiling_does_not_count_the_block_size(monkeypatch, tmp_path, capsys, name):
+    # the kernel walks the grid in chunks, so the largest kept block (24
+    # levels on fig7, 122 on fig5) adds nothing of n rows: both runs fit the
+    # ceiling of six branches
+    from chiralsep import propagate
+
+    monkeypatch.setattr(propagate, "MAX_TRACE_BYTES", 8 * 2000 * 19)
+    assert main(["run", "--scenario", name, "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("old, new, key", [
@@ -244,9 +244,10 @@ def test_unknown_builtin_exits_2(capsys):
     ("[laser12]\n", "[laser12]\npeak_rabi_GHz = 1e-320\n", "scenario.t_end_over_omega12"),
     ("[laser12]\n", "[laser12]\npeak_rabi_over_omega12 = 1e-323\n",
      "laser12.peak_rabi_over_omega12"),
-    # the static trace's [c; s] @ [X_1 | ...] would be 1.8 GiB: 5e6 times x a 24-level block
+    # the static trace of L and R's one branch each would hold 2.6 GiB of n-row
+    # arrays: 5e7 times x (the grid + 3 rows per branch)
     ("jmax = 1\nt_end_over_omega12 = 2\nn_times = 21",
-     "jmax = 3\nt_end_over_omega12 = 2\nn_times = 5000000", "scenario.n_times"),
+     "jmax = 3\nt_end_over_omega12 = 2\nn_times = 50000000", "scenario.n_times"),
     ("t_end_over_omega12 = 2", "t_end_over_omega12 = -1", "scenario.t_end_over_omega12"),
     ("t_end_over_omega12 = 2", "t_end_ns = 0", "scenario.t_end_ns"),
     ("n_times = 21", "n_times = 1", "scenario.n_times"),

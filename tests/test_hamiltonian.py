@@ -271,12 +271,13 @@ def test_enantiomers_share_edges_and_differ_by_the_flagged_signs(data):
          offsets=(0.0, 0.0, 0.0), jmax=2, bump=None)
 def test_mirror_row_check_agrees_with_the_dense_conjugation(pols, mus, offsets, jmax, bump):
     # which polarization mixes and dipoles keep the symmetry is left to the
-    # draw, which leans to x, z and the z-aligned dipole so that both outcomes occur
+    # draw, which leans to x, z and the z-aligned dipole so that both outcomes
+    # occur.  The same check certifies the chirality map T: H_L onto H_R
     dipole = DipoleModel({pair: DipoleTransition(mu=mu)
                           for pair, mu in zip(((1, 2), (2, 3), (1, 3)), mus)})
     try:
-        h = assemble(lasers(*pols, offsets=offsets), dipole, Enantiomer.L, D2S2,
-                     BasisTruncation(jmax))
+        h, hr = (assemble(lasers(*pols, offsets=offsets), dipole, who, D2S2,
+                          BasisTruncation(jmax)) for who in (Enantiomer.L, Enantiomer.R))
     except EmptyCouplingError:
         return
     perm, sign = mirror_permutation(h.lookup)  # the full basis holds every image
@@ -287,6 +288,14 @@ def test_mirror_row_check_agrees_with_the_dense_conjugation(pols, mus, offsets, 
     certified = is_symmetry(h, perm, sign)
     event("symmetric" if certified else "not symmetric")
     assert certified == oracle.is_symmetry(h, perm, sign)
+    try:
+        transform = chirality_permutation(pols, h.basis)
+    except UnsupportedSetupError:
+        event("no catalogued T")
+        return
+    certified = is_symmetry(h, *transform, hr)
+    event("T maps L onto R" if certified else "T does not map L onto R")
+    assert certified == oracle.is_symmetry(h, *transform, hr)
 
 
 def test_mirror_needs_every_image_in_the_basis():

@@ -527,10 +527,11 @@ def test_a_pair_whose_factors_differ_is_traced_twice(monkeypatch):
     moved = replace(ens, amp=np.where(np.arange(len(ens.amp)) == j, np.sqrt(1.5), 1.0) * ens.amp)
     seen = _kernel_work(monkeypatch)
     shared = ensemble_potential_trace(h, {1: ens}, config.t_end, config.n_times)[1].values
-    calls = seen[0]
+    calls, rhos = seen
     assert calls < _traced_blocks(h, {1: ens}, blocks, label)
     out = ensemble_potential_trace(h, {1: moved}, config.t_end, config.n_times)[1].values
-    assert seen[0] - calls == calls + 1
+    # the pair is still one kernel call, which now traces two rho
+    assert seen == [2 * calls, 2 * rhos + 1]
     monkeypatch.undo()
     # the unshared reference: each block traced on a table of its own edges
     for branch, values in ((ens, shared), (moved, out)):
@@ -541,6 +542,23 @@ def test_a_pair_whose_factors_differ_is_traced_twice(monkeypatch):
             ref = ref + ensemble_potential_trace(block, {1: branch}, config.t_end,
                                                  config.n_times)[1].values
         assert np.max(np.abs(values - ref)) <= 1e-12
+
+
+def test_a_branch_and_its_mirror_image_share_one_column(monkeypatch):
+    # A is branch 1 on the lower block of each mirror pair, B = S A on the
+    # upper: both are traced in the lower block, on one rho per pair
+    config, h, members, (blocks, label, _, _, _) = _fig5_j4()
+    perm, sign = mirror_permutation(h.lookup)
+    ens = members[1]
+    lower = label[ens.level] < label[perm[ens.level]]
+    a = Ensemble.from_triplets(h.n, ens.weights, ens.member[lower], ens.level[lower],
+                               ens.amp[lower])
+    b = replace(a, level=perm[a.level], amp=a.amp * sign[a.level])
+    seen = _kernel_work(monkeypatch)
+    out = ensemble_potential_trace(h, {"A": a, "B": b}, config.t_end, config.n_times)
+    assert seen == [4, 4]
+    assert np.array_equal(out["A"].values, out["B"].values)
+    assert np.any(out["A"].values != 0)
 
 
 def test_the_midpoint_path_shares_mirror_blocks_too(monkeypatch):
@@ -758,7 +776,7 @@ def test_static_kernel_chunks_match_the_direct_complex_contraction(monkeypatch, 
             rot = v.conj().T @ rho @ v
             direct = np.einsum("tn,nm,tm->t", p, rot * g.T, p.conj())
             complex_part |= bool(np.any(np.imag(rot * g.T)))
-            bound = propagate_module._screen(rot, g, budget)[1]
+            bound = propagate_module._screen(rot, g, budget[k])[1]  # each rho's own budget
             scale = max(1.0, np.max(np.abs(direct)))
             assert np.max(np.abs(vals[:, k] - direct.real)) <= bound + 1e-12 * scale
     assert complex_part
