@@ -23,42 +23,42 @@ adiabatic member is an eigenvector of its bare state's block H(0), so it
 lives inside that block.  The ensemble trace takes every branch of one
 enantiomer (of both, when `scenarios.run_scenario` maps R onto H_L) in one
 call and loops once over the blocks, with no n x n matrix and no per-member
-state.  A branch's block density matrix rho = sum_k w_k |psi_k><psi_k| is
-known by its canonical factor (`_factor`), and each distinct block trace is
-computed once, decided on the factors before any rho is built, by one
-rule: every block is traced in its representative, the lower of it and
-its mirror under the (K, M) reversal S (`hamiltonian.mirror_permutation`)
-when S maps the table onto itself exactly (`hamiltonian.is_symmetry`), else
-itself; a branch's factor in the mirror block is moved through S first,
-and equal factors share one column and one rho.  One of two kernels
-evolves the distinct rho on the output grid np.linspace(0, t_end, n),
-which the trace builds itself:
+state.  A branch's block density matrix rho = A^T W conj(A), W = diag(w),
+is known by its canonical factor (A, w) (`_factor`): a row of A per
+thermal member, with at most 3 nonzeros.  Each distinct block trace is
+computed once, decided on the factors, by one rule: every block is traced
+in its representative, the lower of it and its mirror under the (K, M)
+reversal S (`hamiltonian.mirror_permutation`) when S maps the table onto
+itself exactly (`hamiltonian.is_symmetry`), else itself; a branch's factor
+in the mirror block is moved through S first, and equal factors share one
+column.  One of two kernels evolves the distinct factors on the output
+grid np.linspace(0, t_end, n), which the trace builds itself:
 
 - static frame: one eigendecomposition H0 - diag(f) = V diag(eps) V^dag
-  and G = V^dag H0 V per block; then each rho on its own.  With
-  p_n(t) = exp(-i 2 pi eps_n t) = c_n - i s_n and the Hermitian
-  C = (V^dag rho V) * G^T = X + iY, <H(t)> = sum_nm p_n C_nm conj(p_m)
-  = c X c + s X s - 2 c Y s: one real product [c; s] @ X, and c @ Y only
-  when Y is nonzero (never for real couplings and a real rho).  With
-  w = diag(V^dag rho V), a Schwarz bound 2 sum_{n in D} sqrt(w_n)
-  (|G|^T sqrt(w))_n limits what leaving out a set D of eigencomponents
-  moves any value; the rho leaves out the largest D whose bound stays below
-  half of SCREEN_BUDGET (1e-14 GHz), and the phases of the rest come from
-  ~2 sqrt(n) rows of exponentials.  The grid is walked in chunks of whole
-  coarse rows of those, up to CHUNK_VALUES values of [c; s] each, so the
-  values are the one array of n rows.  No rho's arithmetic depends on
-  another rho, and a branch with a negative weight turns screening off for
-  itself only, so a branch's values are the same, bit for bit, whichever
-  branches share the call.  The builtin traces stay within 1e-12 Omega12
-  of the direct complex contraction over all components (at most 5.3e-13,
-  fig7);
-- midpoint (no node potential): the generic stepper's schedule, one
-  eigendecomposition per block and step, rho <- U rho U^dag, and
-  <H(t)> = tr(rho H(t)) at the output times.
+  and G = V^dag H0 V per block; then each factor on its own, with no rho.
+  B = A conj(V) gives eigencomponent n the weight w_n = sum_m w_m |B_mn|^2;
+  a Schwarz bound 2 sum_{n in D} sqrt(w_n) (|G|^T sqrt(w))_n limits what
+  leaving out a set D of components moves any value, and the factor leaves
+  out the largest D whose bound stays below half of SCREEN_BUDGET (1e-14
+  GHz).  On the kept set K, rho~ = B_K^T W conj(B_K) and the Hermitian
+  C = rho~ * G_KK^T = X + iY give, with p_n(t) = exp(-i 2 pi eps_n t) =
+  c_n - i s_n, <H(t)> = sum_nm p_n C_nm conj(p_m) = c X c + s X s - 2 c Y s:
+  one real product [c; s] @ X, and c @ Y only when Y is nonzero (never for
+  real couplings and a real A).  The phases come from ~2 sqrt(n) rows of
+  exponentials, and the grid is walked in chunks of whole coarse rows of
+  those, up to CHUNK_VALUES values of [c; s] each, so the values are the
+  one array of n rows.  No factor's arithmetic depends on another's, and a
+  branch with a negative weight turns screening off for itself only, so a
+  branch's values are the same, bit for bit, whichever branches share the
+  call.  The builtin traces stay within 1e-12 Omega12 of the direct complex
+  contraction over all components (at most 5.3e-13, fig7);
+- midpoint (no node potential): each factor's rho, evolved on the generic
+  stepper's schedule, one eigendecomposition per block and step,
+  rho <- U rho U^dag, with <H(t)> = tr(rho H(t)) at the output times.
 
 Before either kernel, a branch leaves out every block whose whole
 contribution, tr(rho_c) ||H_c||, is below the other half of SCREEN_BUDGET;
-a block no branch keeps gets no rho, no eigendecomposition and no kernel
+a block no branch keeps gets no factor, no eigendecomposition and no kernel
 (fig5 at jmax 8 keeps 10 of its 34 blocks).
 
 A trace predicts its size before it builds any array and raises
@@ -299,20 +299,19 @@ def ensemble_potential_trace(
     branch -> PotentialTrace in the same order, all on one grid of n >= 1
     times, which is built only after the size ceilings are checked.
     Mathematically identical to propagating each pure member and averaging,
-    but evolves one density matrix per block and branch: in the static frame
-    when a node potential exists, else with the steps of
-    `propagate(method="midpoint")`.  In either kernel a branch's values do
-    not depend on the other branches of the call.
+    but traces one canonical factor (`_factor`) of the density matrix per
+    block and branch: in the static frame when a node potential exists, with
+    no rho, else as a rho on the steps of `propagate(method="midpoint")`.
+    In either kernel a branch's values do not depend on the other branches.
 
-    Each distinct block trace is computed once, decided on the branches'
-    canonical factors (`_factor`) before any rho is built.  When the (K, M)
-    reversal S (`mirror_permutation`) maps the table onto itself exactly
-    (`is_symmetry`), block c is traced in its representative
+    Each distinct block trace is computed once, decided on the factors.
+    When the (K, M) reversal S (`mirror_permutation`) maps the table onto
+    itself exactly (`is_symmetry`), block c is traced in its representative
     p = min(c, S(c)), else in itself.  A branch's triplets in c, mapped
     through S when c != p, give its factor in p's positions: S commutes
     with H(t), so S rho_c S^dag traced in p equals rho_c traced in c.
-    Equal factors with equal budgets share one column and one rho, so a
-    branch and its mirror image share, as do a branch's blocks of a pair.
+    Equal factors with equal budgets share one column, so a branch and its
+    mirror image share, as do a branch's blocks of a pair.
 
     Screening moves each value by at most SCREEN_BUDGET (GHz), split in two
     fixed halves.  The block screen serves both kernels: a branch leaves out
@@ -375,15 +374,16 @@ def ensemble_potential_trace(
                 col.append((k, factors.setdefault((budget[k], key), (len(factors), factor))[0]))
         if not col:
             continue
-        rhos = []
+        subs = []
         for _, (pos, row, amp, w) in factors.values():
             sub = np.zeros((len(w), len(idx)), dtype=complex)
             sub[row, pos] = amp
-            rhos.append((sub.T * w) @ sub.conj())
+            subs.append((sub, w))
         if f is None:
-            vals = _block_midpoint(edges(p), np.array(rhos), times, dt, steps)
+            vals = _block_midpoint(edges(p), np.array([(a.T * w) @ a.conj() for a, w in subs]),
+                                   times, dt, steps)
         else:
-            vals = _block_expectations(_block_matrix(*edges(p), 0.0), f[idx], rhos, times,
+            vals = _block_expectations(_block_matrix(*edges(p), 0.0), f[idx], subs, times,
                                        np.array([b for b, _ in factors]) / 2)
         if not np.all(np.isfinite(vals)):
             raise ValueError("non-finite ensemble expectation")
@@ -403,7 +403,7 @@ def _factor(pos, member, amp, weights):
     by their first triplet; each row is negated, an exact flip that leaves
     rho as it is, where its first amplitude's first nonzero part (real,
     then imaginary) is negative, and -0.0 becomes 0.0.  Equal keys give
-    equal factors, and so bitwise-equal rho built from them.
+    equal factors, and so bitwise-equal traces of them.
     """
     order = np.lexsort((member, pos))
     pos, member, amp = pos[order], member[order], amp[order]
@@ -491,60 +491,60 @@ def _block_matrix(size, a, b, omega, delta, t) -> np.ndarray:
     return m
 
 
-def _block_expectations(h0, f, rhos, times, budget=SCREEN_BUDGET) -> np.ndarray:
-    """<H(t)> of each block density matrix in `rhos`, shape (times, rhos).
+def _block_expectations(h0, f, factors, times, budget=SCREEN_BUDGET) -> np.ndarray:
+    """<H(t)> of each block rho, given by its factor (A, w); shape (times, factors).
 
-    One eigenframe (`_eigenframe`) serves the block; each rho is then traced
-    on its own, so its values do not depend on the others.  With
-    H0 - diag(f) = V diag(eps) V^dag, G = V^dag H0 V and the rotated
-    rho~ = V^dag rho V, C_nm = rho~_nm G_mn is Hermitian; X = Re C is
-    symmetric and Y = Im C antisymmetric.  With c = cos(theta),
-    s = sin(theta), theta_n(t) = 2 pi eps_n t,
+    A factor stands for rho = A^T W conj(A), W = diag(w), and no rho is
+    formed.  One eigenframe (`_eigenframe`) serves the block; each factor is
+    then traced on its own, so its values do not depend on the others.  With
+    H0 - diag(f) = V diag(eps) V^dag and G = V^dag H0 V, B = A conj(V) has
+    row m = (V^dag a_m)^T, so rho~ = V^dag rho V = B^T W conj(B), and
+    C_nm = rho~_nm G_mn is Hermitian; X = Re C is symmetric and Y = Im C
+    antisymmetric.  With c = cos(theta), s = sin(theta), theta_n(t) = 2 pi eps_n t,
 
         <H(t)> = sum_nm p_n C_nm conj(p_m) = c X c + s X s - 2 c Y s,
 
     one real product [c; s] @ X, and a second one c @ Y only when Y is
-    nonzero.  A block with real couplings has a real V, so V^dag rho V is
-    formed in real arithmetic, and Y vanishes, whenever the rho is real.
-    C is replaced by its Hermitian part; a remainder above
-    1e-10 max(1, max|C|) of that rho's C, or a NaN, raises ValueError.
+    nonzero.  A block with real couplings has a real V, so B is formed in
+    real arithmetic, and Y vanishes, whenever A is real.  C is replaced by
+    its Hermitian part; a remainder above 1e-10 max(1, max|C|), or a NaN,
+    raises ValueError.
 
     Screening: a positive semidefinite rho~ has |rho~_nm| <= sqrt(w_n w_m),
-    w = diag rho~, so leaving out the components in a set D (every pair n,
-    m with n or m in D) moves each value by at most
+    w_n = rho~_nn = sum_m w_m |B_mn|^2, so leaving out the components in a
+    set D (every pair n, m with n or m in D) moves each value by at most
 
         2 sum_{n in D} sqrt(w_n) (|G|^T sqrt(w))_n    (GHz, at every t).
 
-    `_screen` gives each rho the largest D whose bound stays below its
-    `budget` (one per rho, or one for all); its phases and products are
-    built for the components it keeps.  The bound needs a positive
-    semidefinite rho: pass budget 0, which drops nothing, for any other.
-    `ensemble_potential_trace` passes half of each factor's budget
-    (SCREEN_BUDGET, or 0 for a negative weight): its block screen spends the
-    other half.
+    `_screen` gives each factor the largest D whose bound stays below its
+    `budget` (one per factor, or one for all); rho~, C, the phases and the
+    products are formed on the kept set only.  The bound fails for a
+    negative weight, which needs budget 0 (drops nothing);
+    `ensemble_potential_trace` passes half of a factor's budget, and its
+    block screen spends the other half.
     On the builtin scenarios the traces stay within 1e-12 Omega12 of the
     unscreened complex contraction.
-    The phases come from the factors of `_phases`, so the grid must be
-    linspace(0, t_end, n).  Each rho walks the grid in chunks of whole
+    The phases come from `_phases`, so the grid must be
+    linspace(0, t_end, n).  Each factor walks the grid in chunks of whole
     coarse rows, up to CHUNK_VALUES values of [c; s] each, so only the
-    output has n rows; a rho's chunks depend on n and its kept count only.
+    output has n rows; its chunks depend on n and its kept count only.
     """
     eps, v, g = _eigenframe(h0, f)
     n = len(times)
-    vals = np.zeros((n, len(rhos)))
-    budget = np.broadcast_to(budget, len(rhos))
-    for k, rho in enumerate(rhos):
-        rot = v.conj().T @ (rho if np.any(rho.imag) else rho.real) @ v
-        c = rot * g.T
+    vals = np.zeros((n, len(factors)))
+    budget = np.broadcast_to(budget, len(factors))
+    for k, (sub, w) in enumerate(factors):
+        b = (sub if np.any(sub.imag) else sub.real) @ v.conj()
+        keep = np.flatnonzero(~_screen(w @ np.abs(b) ** 2, g, budget[k])[0])
+        s = len(keep)
+        if s == 0:
+            continue  # a factor that keeps nothing adds 0
+        b = b[:, keep]
+        c = ((b.T * w) @ b.conj()) * g[np.ix_(keep, keep)].T
         herm = (c + c.conj().T) / 2
         # also false for NaN, so a non-finite C raises here too
         if not np.max(np.abs(c - herm)) <= 1e-10 * max(1.0, np.max(np.abs(c))):
             raise ValueError("non-real ensemble expectation of a Hermitian operator")
-        keep = np.flatnonzero(~_screen(rot, g, budget[k])[0])
-        s = len(keep)
-        if s == 0:
-            continue  # a rho that keeps nothing adds 0
-        herm = herm[np.ix_(keep, keep)]
         coarse, fine = _phases(times, eps[keep])
         m = len(fine)
         step = max(1, CHUNK_VALUES // (2 * m * s))  # coarse rows per chunk
@@ -597,16 +597,16 @@ def _refine(h0, f, v) -> tuple[np.ndarray, np.ndarray]:
     return eps, out
 
 
-def _screen(rot, g, budget) -> tuple[np.ndarray, float]:
-    """(dropped, bound): the components one rho leaves out, shape (s,), and
-    the bound on how far that moves its values.
+def _screen(w, g, budget) -> tuple[np.ndarray, float]:
+    """(dropped, bound): the components one factor leaves out, shape (s,),
+    and the bound on how far that moves its values.
 
-    rot is the rho's V^dag rho V and g is G; see `_block_expectations`.  The
-    bound of a set D is the sum of t_n = 2 sqrt(w_n) (|G|^T sqrt(w))_n over
-    D, so the largest D below the budget is a prefix of the t_n in
-    ascending order.  A NaN in w is never dropped.
+    w is the diagonal of the factor's V^dag rho V and g is G; see
+    `_block_expectations`.  The bound of a set D is the sum of
+    t_n = 2 sqrt(w_n) (|G|^T sqrt(w))_n over D, so the largest D below the
+    budget is a prefix of the t_n in ascending order.  A NaN is never dropped.
     """
-    sw = np.sqrt(np.maximum(np.diagonal(rot).real, 0.0))  # rounding can leave w_n just below 0
+    sw = np.sqrt(np.maximum(w, 0.0))  # a negative weight can leave w_n below 0
     t = 2 * sw * (sw @ np.abs(g))
     order = np.argsort(t, kind="stable")  # NaN sorts last
     cum = np.cumsum(t[order])

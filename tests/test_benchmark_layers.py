@@ -1,0 +1,41 @@
+"""The benchmark's traced run reports every per-layer metric it declares.
+
+A metric that `perfbench/spec.py` declares but the traced run leaves out
+makes the runner refuse the whole result line.  A metric goes missing when
+a function perfbench wraps (`layers.TARGETS`) is renamed or removed, or
+when `wigner.three_j_exact` loses its `cache_info`.
+"""
+
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent.parent / "perfbench"
+if str(BENCH) not in sys.path:
+    sys.path.insert(0, str(BENCH))
+
+import spec  # noqa: E402
+from layers import TARGETS, derive  # noqa: E402
+from tracer import Tracer  # noqa: E402
+
+from chiralsep import scenarios, wigner  # noqa: E402
+
+#: metrics the runner measures around the job, not from its spans
+OUTSIDE_THE_JOB = ("setup.", "tracing.overhead_ratio")
+
+
+def test_a_traced_run_derives_every_declared_per_layer_metric():
+    three_j = wigner.three_j_exact
+    if hasattr(three_j, "cache_clear"):
+        three_j.cache_clear()  # a cold cache, as in a fresh benchmark process
+    tracer = Tracer()
+    tracer.install(TARGETS)
+    try:
+        scenarios.run_scenario(scenarios.builtin_config("fig7-1mK-xxz"))
+    finally:
+        tracer.uninstall()
+    # the cache statistics are read as the benchmark's worker reads them
+    info = three_j.cache_info() if hasattr(three_j, "cache_info") else None
+    derived = derive(tracer.spans, tracer.missing, info)
+    declared = [name for name, _, _ in spec.PER_LAYER if not name.startswith(OUTSIDE_THE_JOB)]
+    assert [name for name in declared if name not in derived] == []
+    assert tracer.missing == []

@@ -262,13 +262,13 @@ def test_block_trace_with_a_negative_weight_matches_per_member_static():
 
 
 def _static_kernel_calls(monkeypatch, config):
-    """(h0, f, rhos, times) of every static-kernel call of an L and R trace."""
+    """(h0, f, factors, times) of every static-kernel call of an L and R trace."""
     calls = []
     kernel = propagate_module._block_expectations
 
-    def spy(h0, f, rhos, times, *args):
-        calls.append((h0, f, rhos, times))
-        return kernel(h0, f, rhos, times, *args)
+    def spy(h0, f, factors, times, *args):
+        calls.append((h0, f, factors, times))
+        return kernel(h0, f, factors, times, *args)
 
     monkeypatch.setattr(propagate_module, "_block_expectations", spy)
     thermal = thermal_rot_state(config.temperature, config.constants, config.trunc,
@@ -283,8 +283,8 @@ def _static_kernel_calls(monkeypatch, config):
 
 def test_screen_never_drops_a_nan_weight():
     g = np.ones((2, 2))
-    rot = np.array([[[1.0, 0.0], [0.0, 1e-40]], [[np.nan, 0.0], [0.0, 1e-40]]])
-    screens = [propagate_module._screen(r, g, propagate_module.SCREEN_BUDGET) for r in rot]
+    w = np.array([[1.0, 1e-40], [np.nan, 1e-40]])
+    screens = [propagate_module._screen(x, g, propagate_module.SCREEN_BUDGET) for x in w]
     dropped = np.array([d for d, _ in screens])
     bound = [b for _, b in screens]
     assert dropped.tolist() == [[False, True], [False, False]]
@@ -297,11 +297,13 @@ def test_screening_bound_covers_dropped_part(monkeypatch, name, jmax):
     # fig5's 0.5 K population at J = 4 is above the default truncation mass
     config = replace(builtin_config(name, jmax=jmax), truncation_mass=1e-4)
     dropped_somewhere = False
-    for h0, f, rhos, times in _static_kernel_calls(monkeypatch, config):
+    for h0, f, factors, times in _static_kernel_calls(monkeypatch, config):
         eps, v, g = propagate_module._eigenframe(h0, f)
-        # each rho rotated as the kernel does, in real arithmetic when it is real
-        rot = [v.conj().T @ (r if np.any(r.imag) else r.real) @ v for r in rhos]
-        screens = [propagate_module._screen(r, g, propagate_module.SCREEN_BUDGET) for r in rot]
+        # each factor's rho, rotated in full
+        rhos = [(a.T * w) @ a.conj() for a, w in factors]
+        rot = [v.conj().T @ r @ v for r in rhos]
+        screens = [propagate_module._screen(np.diagonal(r).real, g,
+                                            propagate_module.SCREEN_BUDGET) for r in rot]
         outer = np.array([d for d, _ in screens])
         bound = np.array([b for _, b in screens])
         assert np.all(bound < propagate_module.SCREEN_BUDGET)
@@ -313,8 +315,8 @@ def test_screening_bound_covers_dropped_part(monkeypatch, name, jmax):
                                       p.conj())
         assert np.all(np.abs(dropped) <= bound)
         # the kernel leaves out exactly that part
-        screened = propagate_module._block_expectations(h0, f, rhos, times)
-        full = propagate_module._block_expectations(h0, f, rhos, times, budget=0.0)
+        screened = propagate_module._block_expectations(h0, f, factors, times)
+        full = propagate_module._block_expectations(h0, f, factors, times, budget=0.0)
         assert np.max(np.abs(full - screened - dropped.real)) < 1e-15
         dropped_somewhere |= bool(np.any(np.all(outer, axis=0)))
     assert dropped_somewhere
@@ -331,8 +333,8 @@ def test_block_and_component_bounds_cover_the_screened_part(monkeypatch, name, j
     component_bounds = []
     screen = propagate_module._screen
 
-    def spy(rot, g, budget):
-        dropped, bound = screen(rot, g, budget)
+    def spy(w, g, budget):
+        dropped, bound = screen(w, g, budget)
         component_bounds.append(bound)
         return dropped, bound
 
@@ -421,12 +423,14 @@ def test_nan_amplitude_raises(deltas):
         ensemble_potential_trace(h, {0: ens}, 1.0, 5)
 
 
-def test_non_hermitian_block_rho_raises():
+def test_non_finite_factor_raises():
+    # no factor gives a non-Hermitian rho; an infinite amplitude is never
+    # screened out and leaves C non-finite
     h0 = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex)
-    rho = np.array([[[1.0, 1.0], [0.0, 0.0]]], dtype=complex)
+    factor = (np.array([[np.inf, 1.0]], dtype=complex), np.array([1.0]))
     f = np.array([0.0, 1.0])  # so that V^dag H0 V, and hence C, is not diagonal
-    with pytest.raises(ValueError, match="non-real"):
-        propagate_module._block_expectations(h0, f, rho, np.linspace(0.0, 1.0, 3))
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-real"):
+        propagate_module._block_expectations(h0, f, [factor], np.linspace(0.0, 1.0, 3))
 
 
 def test_midpoint_kernel_checks_each_column_on_its_own_scale():
@@ -449,9 +453,9 @@ def test_branches_with_equal_block_rho_share_one_column(monkeypatch):
     stacked = []
     kernel = propagate_module._block_expectations
 
-    def spy(h0, f, rhos, *args):
-        stacked.append(len(rhos))
-        return kernel(h0, f, rhos, *args)
+    def spy(h0, f, factors, *args):
+        stacked.append(len(factors))
+        return kernel(h0, f, factors, *args)
 
     monkeypatch.setattr(propagate_module, "_block_expectations", spy)
     out = ensemble_potential_trace(h, {"a": ens, "copy": ens, "twin": twin}, 1.0, 5)
@@ -462,14 +466,14 @@ def test_branches_with_equal_block_rho_share_one_column(monkeypatch):
 
 
 def _kernel_work(monkeypatch):
-    """[calls, rho] of the static kernel from here on: one call per traced block."""
+    """[calls, factors] of the static kernel from here on: one call per traced block."""
     seen = [0, 0]
     kernel = propagate_module._block_expectations
 
-    def spy(h0, f, rhos, *args):
+    def spy(h0, f, factors, *args):
         seen[0] += 1
-        seen[1] += len(rhos)
-        return kernel(h0, f, rhos, *args)
+        seen[1] += len(factors)
+        return kernel(h0, f, factors, *args)
 
     monkeypatch.setattr(propagate_module, "_block_expectations", spy)
     return seen
@@ -646,16 +650,17 @@ def test_static_kernel_does_not_depend_on_the_level_order(seed):
     h0 = np.triu(rng.uniform(-0.1, 0.1, (n, n)) * (rng.random((n, n)) < 0.4), 1)
     h0 = (h0 + h0.T).astype(complex)
     a = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
-    rho = a @ a.conj().T / np.trace(a @ a.conj().T).real
+    factor = a.T / np.sqrt(np.trace(a @ a.conj().T).real)
     perm = rng.permutation(n)
     times = np.linspace(0.0, 27.0, 41)
     ulp = np.spacing(np.max(f))
     frames = [propagate_module._eigenframe(h0, f),
               propagate_module._eigenframe(h0[np.ix_(perm, perm)], f[perm])]
     assert np.max(np.abs(np.sort(frames[0][0]) - np.sort(frames[1][0]))) <= ulp
-    values = [propagate_module._block_expectations(h0, f, rho[None], times, budget=0.0),
+    values = [propagate_module._block_expectations(h0, f, [(factor, np.ones(3))], times,
+                                                   budget=0.0),
               propagate_module._block_expectations(h0[np.ix_(perm, perm)], f[perm],
-                                                   rho[np.ix_(perm, perm)][None], times,
+                                                   [(factor[:, perm], np.ones(3))], times,
                                                    budget=0.0)]
     assert np.max(np.abs(values[0] - values[1])) <= 4 * ulp
 
@@ -675,17 +680,17 @@ def test_factorised_phases_match_direct_exponential(n):
 
 
 def _clustered_block(n, seed):
-    """(h0, f, rhos) of a real n-level block with f in three clusters far
-    apart next to weak couplings, and two random rank-3 rho."""
+    """(h0, f, factors) of a real n-level block with f in three clusters far
+    apart next to weak couplings, and the factors of two random rank-3 rho."""
     rng = np.random.default_rng(seed)
     f = np.resize([0.0, 12.798, 38.394], n)
     h0 = np.triu(rng.uniform(-0.1, 0.1, (n, n)) * (rng.random((n, n)) < 0.1), 1)
     h0 = (h0 + h0.T).astype(complex)
-    rhos = []
+    factors = []
     for _ in range(2):
         a = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
-        rhos.append(a @ a.conj().T / np.trace(a @ a.conj().T).real)
-    return h0, f, np.array(rhos)
+        factors.append((a.T / np.sqrt(np.trace(a @ a.conj().T).real), np.ones(3)))
+    return h0, f, factors
 
 
 @pytest.mark.parametrize("n", [2000, 200_000])
@@ -695,20 +700,20 @@ def test_static_kernel_memory_does_not_grow_with_the_grid_beyond_its_output(n):
     # chunk, at least one coarse row: 1.8 MB at n = 2000, 6.2 MB at 200,000.
     # A workspace for the phases and [c; s] of every time would take
     # 2 (2 n + sqrt(n)) 120 doubles, 7.8 MB at n = 2000
-    h0, f, rhos = _clustered_block(120, 0)
+    h0, f, factors = _clustered_block(120, 0)
     times = np.linspace(0.0, 40.0, n)
     tracemalloc.start()
     try:
-        vals = propagate_module._block_expectations(h0, f, rhos, times, budget=0.0)
+        vals = propagate_module._block_expectations(h0, f, factors, times, budget=0.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert vals.shape == (n, 2) and np.all(np.isfinite(vals))
-    assert peak < 8 * n * len(rhos) + 7 * 2**20
+    assert peak < 8 * n * len(factors) + 7 * 2**20
 
 
 def test_a_rho_that_keeps_no_component_adds_zero_and_builds_no_phases(monkeypatch):
-    h0, f, rhos = _clustered_block(12, 1)
+    h0, f, (first, second) = _clustered_block(12, 1)
     phased = []
     phases = propagate_module._phases
 
@@ -719,7 +724,8 @@ def test_a_rho_that_keeps_no_component_adds_zero_and_builds_no_phases(monkeypatc
     monkeypatch.setattr(propagate_module, "_phases", spy)
     times = np.linspace(0.0, 5.0, 50)
     # a weight of 1e-40 leaves every component far below the screening budget
-    vals = propagate_module._block_expectations(h0, f, [1e-40 * rhos[0], rhos[1]], times)
+    vals = propagate_module._block_expectations(h0, f, [(first[0], 1e-40 * first[1]), second],
+                                                times)
     assert len(phased) == 1
     assert np.all(vals[:, 0] == 0) and np.any(vals[:, 1] != 0)
 
@@ -768,15 +774,16 @@ def test_static_kernel_chunks_match_the_direct_complex_contraction(monkeypatch, 
     assert max(chunks) >= 3
     assert all((coarse * m > n) == (n != 45**2) for coarse, m, _ in factors)
     complex_part = False
-    for h0, f, rhos, times, budget in calls:
+    for h0, f, factors, times, budget in calls:
         eps, v, g = propagate_module._eigenframe(h0, f)
         p = np.exp(-2j * np.pi * np.outer(times, eps))
-        vals = propagate_module._block_expectations(h0, f, rhos, times, budget)
-        for k, rho in enumerate(rhos):
-            rot = v.conj().T @ rho @ v
+        vals = propagate_module._block_expectations(h0, f, factors, times, budget)
+        for k, (a, w) in enumerate(factors):
+            rot = v.conj().T @ ((a.T * w) @ a.conj()) @ v
             direct = np.einsum("tn,nm,tm->t", p, rot * g.T, p.conj())
             complex_part |= bool(np.any(np.imag(rot * g.T)))
-            bound = propagate_module._screen(rot, g, budget[k])[1]  # each rho's own budget
+            # each factor's own budget
+            bound = propagate_module._screen(np.diagonal(rot).real, g, budget[k])[1]
             scale = max(1.0, np.max(np.abs(direct)))
             assert np.max(np.abs(vals[:, k] - direct.real)) <= bound + 1e-12 * scale
     assert complex_part
