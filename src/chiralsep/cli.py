@@ -17,6 +17,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import dressed as dressedmod
+from . import looptopology
 from .coupling import Enantiomer, GaussianBeam
 from .looptopology import edges, flip_sensitivity, random_loop_hamiltonian
 from .scenarios import (
@@ -78,7 +79,7 @@ def _cmd_loops(args):
 #: classify: n = 16 takes seconds a draw, and each edge more doubles it
 MAX_FLIP_PATTERNS = 2**16 - 1
 #: most table rows (draws x the sum of 2^n - 1) one flip-sensitivity run
-#: writes; it bounds run time and file size, not memory, as each draw's rows
+#: writes; it bounds run time and file size, not memory, as each stack's rows
 #: are written once classified: --sizes 16 --draws 16, 1,048,560 rows, took
 #: 31 s (one run, one BLAS thread)
 MAX_FLIP_ROWS = 2**20
@@ -115,23 +116,27 @@ def _cmd_flip_sensitivity(args):
 
 
 def _flip_table(sizes, draws, seed):
-    """The flip-sensitivity CSV chunks: the header, then each draw's rows
-    as soon as they are classified."""
+    """The flip-sensitivity CSV chunks: the header, then the rows of each stack
+    of draws (of 2^n - 1 sign patterns an n-ring) that fits FLIP_BATCH rows,
+    at least one, as soon as they are classified."""
     yield "n,draw,flips,classification\n"
     for n in sizes:
         rng = np.random.default_rng(seed + n)
-        for draw in range(draws):
-            h = random_loop_hamiltonian(n, rng)
-            if draw == 0:  # every ring of n levels has the same edges
-                names = ["-".join(map(str, e)) for e in edges(h)]
+        per = max(1, looptopology.FLIP_BATCH // (2**n - 1))
+        for start in range(0, draws, per):
+            rings = np.array([random_loop_hamiltonian(n, rng)
+                              for _ in range(start, min(start + per, draws))])
+            if start == 0:  # every ring of n levels has the same edges
+                names = ["-".join(map(str, e)) for e in edges(rings[0])]
                 subsets = [np.array(list(itertools.combinations(range(len(names)), r)))
                            for r in range(1, len(names) + 1)]
                 # row p of flips marks the edges of the p-th subset
                 flips = np.concatenate([np.eye(len(names), dtype=bool)[s].any(axis=1)
                                         for s in subsets])
                 labels = [";".join(names[k] for k in pat) for s in subsets for pat in s.tolist()]
-            yield from csv_lines(None, [[n] * len(flips), [draw] * len(flips), labels,
-                                        flip_sensitivity(h, flips)])
+            rows = len(rings) * len(flips)
+            yield from csv_lines(None, [[n] * rows, np.arange(start, start + len(rings)).repeat(
+                len(flips)), labels * len(rings), flip_sensitivity(rings, flips)])
 
 
 def _cmd_dressed_potentials(args):

@@ -7,7 +7,8 @@ cycle, i.e. when an odd number of loop edges is negated; sign patterns on
 tree-like parts are pure gauge.  A Hamiltonian is its complex (n, n)
 matrix.  A sign pattern is a row of a bool mask over the edges of h, column
 k for edges(h)[k]; `flip_sensitivity` classifies every row of one such mask
-with stacked eigensolves, FLIP_BATCH rows at a time.
+on each of a stack of rings with stacked eigensolves, FLIP_BATCH (ring,
+pattern) rows at a time.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ class FlipIndeterminateError(RuntimeError):
 
 
 def edges(h: np.ndarray) -> tuple:
-    """The (i, j), i < j, of h's nonzero couplings, in row order."""
-    i, j = np.nonzero(h)
+    """The (i, j), i < j, of h's nonzero couplings (in any matrix of a stack), in row order."""
+    i, j = np.nonzero(h if h.ndim == 2 else np.any(h, axis=0))
     upper = i < j
     return tuple(zip(i[upper].tolist(), j[upper].tolist()))
 
@@ -52,9 +53,12 @@ def spectrum(h: np.ndarray) -> np.ndarray:
 
 def loop_phases(h: np.ndarray, max_len: int = 8):
     """(cycles, phases): the simple cycles of h as `find_loops` rows and the
-    gauge-invariant Re[product of couplings] around each."""
+    gauge-invariant Re[product of couplings] around each (of each matrix of a stack)."""
     cycles, ends = _cycles(edges(h), max_len)
-    return cycles, np.prod(np.where(cycles >= 0, h[ends, cycles], 1.0), axis=1).real
+    # in C order each cycle's couplings are one contiguous row, reduced as
+    # for a single matrix: the gather alone would put the stack axis innermost
+    links = np.ascontiguousarray(np.where(cycles >= 0, h[..., ends, cycles], 1.0))
+    return cycles, np.prod(links, axis=-1).real
 
 
 @lru_cache(maxsize=64)
@@ -71,46 +75,53 @@ def _cycles(pairs: tuple, max_len: int):
 def flip_sensitivity(h: np.ndarray, flips, tol: float = 1e-9) -> list[str]:
     """Classify each sign pattern as spectrum-changed or spectrum-unchanged.
 
+    h is a matrix (n, n) or a stack (draws, n, n) of them on the same edges.
     `flips` is a bool array of shape (patterns, edges): row p negates the
     couplings of the edges edges(h)[k] with flips[p, k]; any other shape
-    raises ValueError.  Returns one classification per row, in order.
-    Raises FlipIndeterminateError when a pattern's sorted spectrum agrees
-    with h's within tol although the loop-phase product of some cycle
-    changed sign (a degenerate coincidence; the caller should retry with
-    perturbed couplings); the error is that of the first such pattern, as a
-    loop over the patterns would raise it.  The rows are taken FLIP_BATCH at
-    a time: their flipped matrices go to one stacked `eigvalsh`.  A flip
-    negates each cycle product exactly, so a cycle's phase after the flips
-    is -(its phase) when an odd number of its edges flip and unchanged
-    otherwise: the parities of all (pattern, cycle) pairs are one XOR over
-    each cycle's edges of the rows.
+    raises ValueError.  Returns one classification per (draw, pattern),
+    draw-major.  Raises FlipIndeterminateError when a pattern's sorted
+    spectrum agrees with its draw's within tol although the loop-phase
+    product of some cycle changed sign (a degenerate coincidence; the caller
+    should retry with perturbed couplings); the error is that of the first
+    such (draw, pattern), as a loop over them would raise it.  The (draw,
+    pattern) rows are taken FLIP_BATCH at a time: their flipped matrices go
+    to one stacked `eigvalsh`.  A flip negates each cycle product exactly,
+    so a cycle's phase after the flips is -(its phase) when an odd number of
+    its edges flip and unchanged otherwise: the parities of all (row, cycle)
+    pairs are one XOR over each cycle's edges of the rows.
     """
-    flips, width = np.asarray(flips), len(edges(h))
-    if flips.dtype != bool or flips.ndim != 2 or flips.shape[1] != width:
-        raise ValueError(f"flips: expected a bool array of shape (patterns, {width}), "
+    flips, pairs = np.asarray(flips), edges(h)
+    if flips.dtype != bool or flips.ndim != 2 or flips.shape[1] != len(pairs):
+        raise ValueError(f"flips: expected a bool array of shape (patterns, {len(pairs)}), "
                          f"got {flips.dtype} {flips.shape}")
-    return [label for start in range(0, len(flips), FLIP_BATCH)
-            for label in _classify(h, flips[start:start + FLIP_BATCH], tol)]
+    hs = h.reshape(-1, *h.shape[-2:])
+    total = len(hs) * len(flips)
+    return [label for start in range(0, total, FLIP_BATCH) for label in _classify(
+        hs, flips, pairs, np.arange(start, min(start + FLIP_BATCH, total)), tol)]
 
 
-def _classify(h: np.ndarray, flips: np.ndarray, tol: float) -> list[str]:
-    """`flip_sensitivity` of one stack of mask rows."""
-    pairs = edges(h)
+def _classify(hs: np.ndarray, flips: np.ndarray, pairs: tuple, rows: np.ndarray,
+              tol: float) -> list[str]:
+    """`flip_sensitivity` of the (draw, pattern) rows numbered draw-major."""
     i, j = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
-    n = len(h)
-    # whether each entry flips: row 0 for h itself, then one row per pattern
-    flipped = np.zeros((len(flips) + 1, n + 1, n + 1), dtype=bool)
-    flipped[1:, i, j] = flipped[1:, j, i] = flips
-    vals = spectrum(np.where(flipped[:, :-1, :-1], -h, h))
-    dist = np.max(np.abs(vals[0] - vals[1:]), axis=1)
+    n = hs.shape[-1]
+    draw, pattern = np.divmod(rows, len(flips))
+    rings = hs[draw[0]:draw[-1] + 1]
+    draw -= draw[0]
+    # whether each entry flips, one row per (draw, pattern)
+    flipped = np.zeros((len(rows), n + 1, n + 1), dtype=bool)
+    flipped[:, i, j] = flipped[:, j, i] = flips[pattern]
+    mats = rings[draw]
+    vals = spectrum(np.negative(mats, out=mats, where=flipped[:, :-1, :-1]))
+    dist = np.max(np.abs(spectrum(rings)[draw] - vals), axis=1)
     changed = dist > tol
     if not changed.all():
-        cycles, values = loop_phases(h)
+        cycles, values = loop_phases(rings)
         ends = _cycles(pairs, cycles.shape[1])[1]  # a cache hit: loop_phases listed them
-        scale = float(np.max(np.abs(values), initial=0.0))
+        scale = np.maximum(1.0, np.max(np.abs(values), axis=1, initial=0.0))
         # past a cycle's end, the padding -1 reads the last row: never flipped
-        odd = np.logical_xor.reduce(flipped[1:, cycles, ends], axis=2)
-        hit = odd & ~changed[:, None] & (2 * np.abs(values) > tol * max(1.0, scale))
+        odd = np.logical_xor.reduce(flipped[:, cycles, ends], axis=2)
+        hit = odd & ~changed[:, None] & (2 * np.abs(values) > tol * scale[:, None])[draw]
         if hit.any():
             p, c = np.argwhere(hit)[0]
             loop = tuple(cycles[c][cycles[c] >= 0].tolist())

@@ -511,8 +511,9 @@ def _block_expectations(h0, f, factors, times, budget=SCREEN_BUDGET) -> np.ndarr
     raises ValueError.
 
     Screening: a positive semidefinite rho~ has |rho~_nm| <= sqrt(w_n w_m),
-    w_n = rho~_nn = sum_m w_m |B_mn|^2, so leaving out the components in a
-    set D (every pair n, m with n or m in D) moves each value by at most
+    w_n = rho~_nn = sum_m w_m |B_mn|^2 (a non-finite w_n raises ValueError),
+    so leaving out the components in a set D (every pair n, m with n or m
+    in D) moves each value by at most
 
         2 sum_{n in D} sqrt(w_n) (|G|^T sqrt(w))_n    (GHz, at every t).
 
@@ -535,7 +536,9 @@ def _block_expectations(h0, f, factors, times, budget=SCREEN_BUDGET) -> np.ndarr
     budget = np.broadcast_to(budget, len(factors))
     for k, (sub, w) in enumerate(factors):
         b = (sub if np.any(sub.imag) else sub.real) @ v.conj()
-        keep = np.flatnonzero(~_screen(w @ np.abs(b) ** 2, g, budget[k])[0])
+        if not np.all(np.isfinite(weights := w @ np.abs(b) ** 2)):
+            raise ValueError("non-finite ensemble expectation")
+        keep = np.flatnonzero(~_screen(weights, g, budget[k])[0])
         s = len(keep)
         if s == 0:
             continue  # a factor that keeps nothing adds 0

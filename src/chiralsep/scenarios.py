@@ -36,8 +36,9 @@ not listed above (a ``[DEFAULT]`` entry counts as a key of every section) is
 rejected, never ignored.  Values are taken literally (no interpolation).
 Scenario runs are deterministic: identical configs produce bit-identical CSV
 output.  Tables are formatted by `csv_lines`, which formats each distinct
-float of a chunk once, ``key = value`` text by `keyvalue_lines`, and every
-file is written by `write_text`.  A full basis at jmax 0 couples nothing
+float of a column once, ``key = value`` text by `keyvalue_lines`, and every
+file is written by `write_texts`, a run's trace files in lockstep so that a
+column they share is formatted once.  A full basis at jmax 0 couples nothing
 (no laser couples J = 0 to J = 0): building it is reported against
 ``scenario.jmax``, or against the flag a command-line override names; a
 restricted loop that couples nothing, against ``scenario.loop_rot_state``.
@@ -46,6 +47,7 @@ restricted loop that couples nothing, against ``scenario.loop_rot_state``.
 from __future__ import annotations
 
 import configparser
+import contextlib
 import math
 import os
 import warnings
@@ -556,29 +558,51 @@ CSV_CHUNK_ROWS = 1024
 
 def csv_lines(header, columns):
     """The header line (none for None), then the rows in chunks of CSV_CHUNK_ROWS.
-    A column is an array or a sequence; a value prints as its str, the repr of a float."""
+    A column is an array or a sequence; a value prints as its str, the repr of
+    a float.  An array of dtype object holds its cells' text already."""
     if header is not None:
         yield ",".join(header) + "\n"
-    for start in range(0, len(columns[0]), CSV_CHUNK_ROWS):
-        chunk = [col[start:start + CSV_CHUNK_ROWS] for col in columns]
-        cells = [_float_strs(c) if isinstance(c, np.ndarray) and c.dtype == np.float64
-                 else map(str, c.tolist() if isinstance(c, np.ndarray) else c) for c in chunk]
-        # a row tuple joined at once is reused by zip: no tuple per row for the GC
-        yield "\n".join(map(",".join, zip(*cells))) + "\n"
+    yield from map(_rows, zip(*(_cells(c, CSV_CHUNK_ROWS) for c in columns)))
 
 
-def _float_strs(values: np.ndarray) -> list[str]:
-    """str of each float, formatted once per distinct bit pattern (so 0.0
-    and -0.0, and NaNs of different payloads, are told apart)."""
+def _rows(cells) -> str:
+    """The CSV lines of one chunk's cells, a list of str per column."""
+    # a row tuple joined at once is reused by zip: no tuple per row for the GC
+    return "\n".join(map(",".join, zip(*cells))) + "\n"
+
+
+def _cells(column, size):
+    """The str cells of the column, size rows at a time."""
+    if isinstance(column, np.ndarray) and column.dtype == np.float64:
+        return _float_cells(column, size)
+    parts = (column[start:start + size] for start in range(0, len(column), size))
+    if isinstance(column, np.ndarray):
+        return (p.tolist() if column.dtype == object else list(map(str, p.tolist())) for p in parts)
+    return (list(map(str, p)) for p in parts)
+
+
+def _float_cells(values: np.ndarray, size: int):
+    """str of each float, chunk by chunk, formatted once per distinct bit
+    pattern of the whole column (0.0 and -0.0 apart), at its first chunk and
+    dropped after its last: past ~18 bytes a value of index, a column of
+    distinct values holds one chunk's str."""
     bits = values.view(np.int64)
-    order = np.argsort(bits)
-    ranked = bits[order]
-    new = np.ones(len(bits), dtype=bool)  # the first of each run of equal bits
-    new[1:] = ranked[1:] != ranked[:-1]
-    strs = np.array([str(x) for x in values[order[new]].tolist()], dtype=object)
-    group = np.empty(len(values), dtype=np.intp)
-    group[order] = np.cumsum(new) - 1
-    return strs[group].tolist()
+    order = np.argsort(bits, kind="stable")  # equal bits stay in column order
+    new = np.ones(len(bits) + 1, dtype=bool)  # where each run of equal bits starts, and the end
+    new[1:-1] = np.diff(bits[order]) != 0
+    first, last = np.zeros((2, len(bits)), dtype=bool)
+    first[order[new[:-1]]] = last[order[new[1:]]] = True
+    new[0] = False  # so that the cumsum numbers the runs from 0
+    group = np.empty(len(bits), dtype=np.intp)  # the run of each value
+    group[order] = np.cumsum(new[:-1])
+    del order
+    strs = np.empty(np.count_nonzero(new), dtype=object)
+    for start in range(0, len(values), size):
+        at = slice(start, start + size)
+        g = group[at]
+        strs[g[first[at]]] = list(map(str, values[at][first[at]].tolist()))
+        yield strs[g].tolist()
+        strs[g[last[at]]] = None
 
 
 def keyvalue_lines(items):
@@ -588,19 +612,46 @@ def keyvalue_lines(items):
 
 def write_text(out_dir, name, chunks) -> str:
     """Write the text chunks to out_dir/name, creating out_dir; returns the path."""
+    return write_texts(out_dir, [name], zip(chunks))[0]
+
+
+def write_texts(out_dir, names, parts) -> list[str]:
+    """Write files in lockstep: each item of parts holds one text chunk per
+    name, appended to out_dir/name.  Creates out_dir; returns the paths."""
     os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, name)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(chunks)
-    return path
+    paths = [os.path.join(out_dir, name) for name in names]
+    with contextlib.ExitStack() as stack:
+        files = [stack.enter_context(open(path, "w", encoding="utf-8", newline="\n"))
+                 for path in paths]
+        for chunks in parts:
+            for fh, chunk in zip(files, chunks):
+                fh.write(chunk)
+    return paths
 
 
 def trace_csv(result: ScenarioResult, branch):
     """One row per time: time_ns, time_in_inverse_Omega12, value_<tag>..."""
-    per = result.traces[branch]
-    return csv_lines(["time_ns", "time_in_inverse_Omega12"] + [f"value_{t}" for t in per],
-                     [result.times, result.times * result.config.omega12_max]
-                     + [tr.values for tr in per.values()])
+    return (text for chunks in trace_csvs(result, [branch]) for text in chunks)
+
+
+def trace_csvs(result: ScenarioResult, branches):
+    """The `trace_csv` chunks of the branches in lockstep, one per branch an
+    item.  Each distinct column is formatted once for all files: the times, and
+    values that R's branch n shares with L's branch 4 - n on the mirror builtins."""
+    pers = [result.traces[b] for b in branches]
+    yield [",".join(["time_ns", "time_in_inverse_Omega12"] + [f"value_{t}" for t in per]) + "\n"
+           for per in pers]
+    columns, picks = [result.times, result.times * result.config.omega12_max], []
+    for per in pers:
+        picks.append([0, 1])  # the file's columns
+        for tr in per.values():
+            bits = tr.values.view(np.int64)
+            same = [k for k, c in enumerate(columns) if np.array_equal(c.view(np.int64), bits)]
+            picks[-1].append(same[0] if same else len(columns))
+            columns += [] if same else [tr.values]
+    # map lets go of a chunk's cells before the next chunk's are made
+    yield from map(lambda cells: (_rows([cells[k] for k in pick]) for pick in picks),
+                   zip(*(_cells(c, CSV_CHUNK_ROWS) for c in columns)))
 
 
 def couplings_csv(h: CouplingMatrix):
@@ -612,20 +663,22 @@ def couplings_csv(h: CouplingMatrix):
 
 def loops_csv(h: CouplingMatrix, loops: np.ndarray):
     """One row per loop of `loop_census(h)`: its length, its levels, whether
-    they share one |J K M>.  The cells are built column by column,
-    CSV_CHUNK_ROWS loops at a time, not for all loops at once."""
-    # the padding -1 picks the trailing "": a loop's levels end at its first -1
-    names = np.array([level.name for level in h.basis] + [""], dtype=object)
-    arrows = np.array([" -> " + name for name in names[:-1]] + [""], dtype=object)
+    they share one |J K M>.  The cells are built CSV_CHUNK_ROWS loops at a
+    time, not for all loops at once."""
+    names = [level.name for level in h.basis]
+    # a loop's first level prints as its name, a later one as " -> " + name
+    # (at n + 1 + level), and the padding -1 after its last as the "" at n
+    tokens = np.array(names + [""] + [" -> " + name for name in names], dtype=object)
+    shift = (len(names) + 1) * (np.arange(loops.shape[1]) > 0)
     jkm = h.lookup[0][1:]
+    r = 2 * int(np.abs(jkm).max(initial=0)) + 1  # |K|, |M| <= J < r / 2: one code per label
+    label = (jkm[0] * r + jkm[1]) * r + jkm[2]
     yield "length,states,same_rotational_label\n"
     for start in range(0, len(loops), CSV_CHUNK_ROWS):
         part = loops[start:start + CSV_CHUNK_ROWS]
-        states = names[part[:, 0]]
-        for col in part.T[1:]:
-            states = states + arrows[col]
-        same = np.all((jkm[:, part] == jkm[:, part[:, :1]]) | (part < 0), axis=(0, 2))
-        yield from csv_lines(None, [(part >= 0).sum(axis=1), states,
+        states = map("".join, zip(*(tokens[col].tolist() for col in (part + shift).T)))
+        same = np.all((label[part] == label[part[:, :1]]) | (part < 0), axis=1)
+        yield from csv_lines(None, [(part >= 0).sum(axis=1), list(states),
                                     np.where(same, "true", "false")])
 
 
@@ -645,9 +698,11 @@ def summary_text(result: ScenarioResult) -> str:
 
 
 def write_outputs(result: ScenarioResult, out_dir) -> list[str]:
-    """Write all CSVs and the summary into out_dir; returns the paths."""
-    files = [(f"trace_branch{b}.csv", trace_csv(result, b)) for b in result.traces]
-    files += [(f"couplings_{tag}.csv", couplings_csv(h)) for tag, h in result.couplings.items()]
+    """Write all CSVs and the summary into out_dir; returns the paths.  The
+    trace files are written in lockstep."""
+    paths = write_texts(out_dir, [f"trace_branch{b}.csv" for b in result.traces],
+                        trace_csvs(result, list(result.traces)))
+    files = [(f"couplings_{tag}.csv", couplings_csv(h)) for tag, h in result.couplings.items()]
     h = next(iter(result.couplings.values()))  # the census's: L and R share one basis
     files += [("loops.csv", loops_csv(h, result.loops)), ("summary.txt", [summary_text(result)])]
-    return [write_text(out_dir, name, chunks) for name, chunks in files]
+    return paths + [write_text(out_dir, name, chunks) for name, chunks in files]

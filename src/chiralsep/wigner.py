@@ -1,10 +1,10 @@
 """Exact Wigner 3j symbols and the rotational three-D-matrix integral.
 
-The 3j symbol is evaluated with the Racah sum using exact big-integer
-rationals (Edmonds, Angular Momentum in Quantum Mechanics, 1957) and
-cached per argument tuple.  Invalid couplings (triangle violation,
-m1 + m2 + m3 != 0) return 0 by convention.  Only integer angular momenta
-are supported.
+The 3j symbol is evaluated with the Racah sum in exact big-integer
+arithmetic (Edmonds, Angular Momentum in Quantum Mechanics, 1957), its
+terms summed over one common denominator, and cached per argument tuple.
+Invalid couplings (triangle violation, m1 + m2 + m3 != 0) return 0 by
+convention.  Only integer angular momenta are supported.
 
 The orientation integral over three rotation matrices reduces to
 
@@ -46,32 +46,21 @@ def three_j_exact(j1: int, j2: int, j3: int, m1: int, m2: int, m3: int) -> tuple
         return 0, Fraction(0)
 
     f = math.factorial
-    # triangle coefficient
-    delta = Fraction(
-        f(j1 + j2 - j3) * f(j1 - j2 + j3) * f(-j1 + j2 + j3), f(j1 + j2 + j3 + 1)
-    )
-    pref = delta * (
-        f(j1 + m1) * f(j1 - m1) * f(j2 + m2) * f(j2 - m2) * f(j3 + m3) * f(j3 - m3)
-    )
+    # the triangle coefficient times the factorials of j +- m, over (j1 + j2 + j3 + 1)!
+    pref = (f(j1 + j2 - j3) * f(j1 - j2 + j3) * f(-j1 + j2 + j3)
+            * f(j1 + m1) * f(j1 - m1) * f(j2 + m2) * f(j2 - m2) * f(j3 + m3) * f(j3 - m3))
 
-    kmin = max(0, j2 - j3 - m1, j1 - j3 + m2)
-    kmax = min(j1 + j2 - j3, j1 - m1, j2 + m2)
-    total = Fraction(0)
-    for k in range(kmin, kmax + 1):
-        den = (
-            f(k)
-            * f(j1 + j2 - j3 - k)
-            * f(j1 - m1 - k)
-            * f(j2 + m2 - k)
-            * f(j3 - j2 + m1 + k)
-            * f(j3 - j1 - m2 + k)
-        )
-        total += Fraction((-1) ** k, den)
+    # the Racah sum of (-1)^k / den_k as an integer over the common denominator
+    ks = range(max(0, j2 - j3 - m1, j1 - j3 + m2), min(j1 + j2 - j3, j1 - m1, j2 + m2) + 1)
+    dens = [f(k) * f(j1 + j2 - j3 - k) * f(j1 - m1 - k) * f(j2 + m2 - k)
+            * f(j3 - j2 + m1 + k) * f(j3 - j1 - m2 + k) for k in ks]
+    common = math.lcm(*dens)
+    total = sum(-(common // den) if k % 2 else common // den for k, den in zip(ks, dens))
     if total == 0:
         return 0, Fraction(0)
     phase = (-1) ** (j1 - j2 - m3)
     sign = phase * (1 if total > 0 else -1)
-    return sign, pref * total * total
+    return sign, Fraction(pref * total * total, f(j1 + j2 + j3 + 1) * common * common)
 
 
 def _exact_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:

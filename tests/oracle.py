@@ -1,5 +1,4 @@
 """Per-pair and per-level references for array code in the package.
-
 The package evaluates the orientation integral and the Rabi frequency over
 whole arrays of pairs (`wigner.rot_integrals`, `coupling.rabi_frequency`).
 This is the single-pair form in exact `Fraction` arithmetic, one 3j product
@@ -19,7 +18,8 @@ of `propagate`, and `members` expands an `Ensemble` into dense state
 vectors for the per-member propagation the block trace must match.
 `flip_sensitivity` classifies one row of a sign-pattern mask with one
 `eigvalsh` of the copy of h that `with_flips` negates edge by edge, the
-reference of the stacked `looptopology.flip_sensitivity`; `from_upper`
+reference of the stacked `looptopology.flip_sensitivity`, and `flip_table`
+writes the `flip-sensitivity` table with it one row at a time; `from_upper`
 builds the loop Hamiltonians the tests classify from their upper couplings.
 `dress` and `dress_field` diagonalize and gauge-fix one grid point at a
 time, the references of the stacked `dressed.dress` and
@@ -27,8 +27,11 @@ time, the references of the stacked `dressed.dress` and
 `find_loops` lists cycles by a recursive depth-first search, the reference
 of the array path expansion of `looptopology.find_loops`, and `loop_phases`
 multiplies the couplings around each of them one edge at a time.
+`racah_three_j` adds the Racah sum's terms one `Fraction` at a time, the
+reference of the common-denominator sum of `wigner.three_j_exact`.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -40,9 +43,46 @@ from chiralsep import dressed
 from chiralsep.coupling import DipoleModel, Enantiomer, LaserSpec, UnknownTransitionError
 from chiralsep.hamiltonian import BasisNotClosedError, LevelIndex, _classify_setup
 from chiralsep.looptopology import (SPECTRUM_CHANGED, SPECTRUM_UNCHANGED, FlipIndeterminateError,
-                                    edges, spectrum)
+                                    edges, random_loop_hamiltonian, spectrum)
 from chiralsep.rotbasis import RotState
 from chiralsep.wigner import three_j_exact
+
+
+def racah_three_j(j1: int, j2: int, j3: int, m1: int, m2: int, m3: int) -> tuple[int, Fraction]:
+    """The (sign, square) of `wigner.three_j_exact`, by a Racah sum of
+    `Fraction` terms added one at a time."""
+    if m1 + m2 + m3 != 0:
+        return 0, Fraction(0)
+    if j3 < abs(j1 - j2) or j3 > j1 + j2:
+        return 0, Fraction(0)
+
+    f = math.factorial
+    # triangle coefficient
+    delta = Fraction(
+        f(j1 + j2 - j3) * f(j1 - j2 + j3) * f(-j1 + j2 + j3), f(j1 + j2 + j3 + 1)
+    )
+    pref = delta * (
+        f(j1 + m1) * f(j1 - m1) * f(j2 + m2) * f(j2 - m2) * f(j3 + m3) * f(j3 - m3)
+    )
+
+    kmin = max(0, j2 - j3 - m1, j1 - j3 + m2)
+    kmax = min(j1 + j2 - j3, j1 - m1, j2 + m2)
+    total = Fraction(0)
+    for k in range(kmin, kmax + 1):
+        den = (
+            f(k)
+            * f(j1 + j2 - j3 - k)
+            * f(j1 - m1 - k)
+            * f(j2 + m2 - k)
+            * f(j3 - j2 + m1 + k)
+            * f(j3 - j1 - m2 + k)
+        )
+        total += Fraction((-1) ** k, den)
+    if total == 0:
+        return 0, Fraction(0)
+    phase = (-1) ** (j1 - j2 - m3)
+    sign = phase * (1 if total > 0 else -1)
+    return sign, pref * total * total
 
 
 def rot_integral(final: RotState, initial: RotState, sigma: int, sigma_prime: int) -> float:
@@ -287,6 +327,22 @@ def flip_sensitivity(h, row, tol: float = 1e-9) -> str:
                 f"loop phase of {key} changed but spectrum moved only {dist:.2e}"
             )
     return SPECTRUM_UNCHANGED
+
+
+def flip_table(sizes, draws, seed, tol: float = 1e-9) -> str:
+    """The `flip-sensitivity` CSV, one draw and one sign pattern at a time."""
+    lines = ["n,draw,flips,classification"]
+    for n in sizes:
+        rng = np.random.default_rng(seed + n)
+        for draw in range(draws):
+            h = random_loop_hamiltonian(n, rng)
+            pairs = edges(h)
+            for r in range(1, len(pairs) + 1):
+                for subset in itertools.combinations(range(len(pairs)), r):
+                    row = [k in subset for k in range(len(pairs))]
+                    label = ";".join(f"{a}-{b}" for a, b in (pairs[k] for k in subset))
+                    lines.append(f"{n},{draw},{label},{flip_sensitivity(h, row, tol)}")
+    return "\n".join(lines) + "\n"
 
 
 def loop_phases(h, max_len: int = 8) -> dict[tuple, float]:

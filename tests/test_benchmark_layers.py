@@ -3,9 +3,12 @@
 A metric that `perfbench/spec.py` declares but the traced run leaves out
 makes the runner refuse the whole result line.  A metric goes missing when
 a function perfbench wraps (`layers.TARGETS`) is renamed or removed, or
-when `wigner.three_j_exact` loses its `cache_info`.
+when `wigner.three_j_exact` loses its `cache_info`.  The flip-sensitivity
+spans are checked on their own, since no run_scenario call makes them.
 """
 
+import contextlib
+import io
 import sys
 from pathlib import Path
 
@@ -17,7 +20,7 @@ import spec  # noqa: E402
 from layers import TARGETS, derive  # noqa: E402
 from tracer import Tracer  # noqa: E402
 
-from chiralsep import scenarios, wigner  # noqa: E402
+from chiralsep import cli, scenarios, wigner  # noqa: E402
 
 #: metrics the runner measures around the job, not from its spans
 OUTSIDE_THE_JOB = ("setup.", "tracing.overhead_ratio")
@@ -38,4 +41,17 @@ def test_a_traced_run_derives_every_declared_per_layer_metric():
     derived = derive(tracer.spans, tracer.missing, info)
     declared = [name for name, _, _ in spec.PER_LAYER if not name.startswith(OUTSIDE_THE_JOB)]
     assert [name for name in declared if name not in derived] == []
+    assert tracer.missing == []
+
+
+def test_a_traced_flip_sensitivity_run_records_its_layer_spans():
+    tracer = Tracer()
+    tracer.install(TARGETS)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["flip-sensitivity", "--sizes", "3", "--draws", "2"]) == 0
+    finally:
+        tracer.uninstall()
+    names = {span.name for span in tracer.spans}
+    assert {"looptopology.flip_sensitivity", "looptopology.loop_phases"} <= names
     assert tracer.missing == []

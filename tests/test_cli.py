@@ -385,8 +385,9 @@ def test_flip_sensitivity_row_ceiling_is_checked_before_any_draw(monkeypatch, ca
 
 def test_flip_sensitivity_writes_each_draw_once_classified(monkeypatch, capsys):
     # the second draw fails: the header and the first draw's 7 rows are out
-    from chiralsep import cli
+    from chiralsep import cli, looptopology
 
+    monkeypatch.setattr(looptopology, "FLIP_BATCH", 7)  # a stack is one 3-ring
     first = cli.random_loop_hamiltonian
 
     def draw(n, rng):

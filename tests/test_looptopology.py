@@ -9,7 +9,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import oracle
-from chiralsep import looptopology
+from chiralsep import looptopology, scenarios
 from chiralsep.cli import main
 from chiralsep.looptopology import (
     SPECTRUM_CHANGED,
@@ -271,14 +271,17 @@ def outcome(fn, *args):
         return str(exc)
 
 
+#: a nonzero complex coupling
+WEIGHT = st.builds(lambda r, p: r * np.exp(2j * np.pi * p), st.floats(0.2, 2.0),
+                   st.floats(0.0, 1.0))
+
+
 def ring_with_chords(n, data):
     """A random n-ring with random chords, so a pattern meets several cycles."""
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
     chords = data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=4))
     ring_edges = {(min(i, (i + 1) % n), max(i, (i + 1) % n)) for i in range(n)}
-    weight = st.builds(lambda r, p: r * np.exp(2j * np.pi * p),
-                       st.floats(0.2, 2.0), st.floats(0.0, 1.0))
-    return oracle.from_upper(n, {e: data.draw(weight) for e in sorted(ring_edges | set(chords))})
+    return oracle.from_upper(n, {e: data.draw(WEIGHT) for e in sorted(ring_edges | set(chords))})
 
 
 @settings(max_examples=80, deadline=None)
@@ -317,6 +320,53 @@ def test_stacked_flip_sensitivity_matches_the_per_pattern_oracle(n, data, tol, b
         looptopology.FLIP_BATCH = old
     event("indeterminate" if isinstance(expected, tuple) else "classified")
     assert got == expected
+
+
+def per_draw(rings, patterns, tol):
+    """flip_sensitivity of each ring in turn, or the first error's type and text."""
+    try:
+        return [label for h in rings for label in flip_sensitivity(h, patterns, tol)]
+    except FlipIndeterminateError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(3, 6), data=st.data(), tol=st.sampled_from([1e-9, 0.5, 1.0, 1.9, 5.0]),
+       batch=st.sampled_from([1, 2, 3, 5, 1024]))
+def test_a_stack_of_rings_classifies_as_one_call_per_ring(n, data, tol, batch):
+    first = ring_with_chords(n, data)
+    more = data.draw(st.integers(0, 3))
+    rings = np.array([first] + [oracle.from_upper(n, {e: data.draw(WEIGHT) for e in edges(first)})
+                                for _ in range(more)])
+    width = len(edges(first))
+    row = st.lists(st.booleans(), min_size=width, max_size=width)
+    patterns = np.array(data.draw(st.lists(row, max_size=8)), dtype=bool).reshape(-1, width)
+    old = looptopology.FLIP_BATCH
+    looptopology.FLIP_BATCH = batch
+    try:
+        expected = per_draw(rings, patterns, tol)
+        try:
+            got = flip_sensitivity(rings, patterns, tol)
+        except FlipIndeterminateError as exc:
+            got = type(exc), str(exc)
+    finally:
+        looptopology.FLIP_BATCH = old
+    event("indeterminate" if isinstance(expected, tuple) else "classified")
+    assert got == expected
+    cycles, phases = loop_phases(rings)
+    assert phases.shape == (len(rings), len(cycles))
+    for h, per_ring in zip(rings, phases):
+        assert per_ring.tobytes() == loop_phases(h)[1].tobytes()  # bit for bit
+
+
+@pytest.mark.parametrize("batch", [7, 20, 1024])
+def test_flip_table_matches_the_per_row_oracle(monkeypatch, capsys, batch):
+    # with 7 rows a stack, a stack is one 3-ring and a 4- or 5-ring is split;
+    # with 20, two 3-rings share a stack
+    monkeypatch.setattr(looptopology, "FLIP_BATCH", batch)
+    monkeypatch.setattr(scenarios, "CSV_CHUNK_ROWS", 7)
+    assert main(["flip-sensitivity", "--sizes", "3,4,5", "--draws", "3", "--seed", "4"]) == 0
+    assert capsys.readouterr().out == oracle.flip_table([3, 4, 5], 3, 4)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -424,12 +424,11 @@ def test_nan_amplitude_raises(deltas):
 
 
 def test_non_finite_factor_raises():
-    # no factor gives a non-Hermitian rho; an infinite amplitude is never
-    # screened out and leaves C non-finite
+    # an infinite amplitude gives infinite screen weights: refused before the screen
     h0 = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex)
     factor = (np.array([[np.inf, 1.0]], dtype=complex), np.array([1.0]))
     f = np.array([0.0, 1.0])  # so that V^dag H0 V, and hence C, is not diagonal
-    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-real"):
+    with pytest.raises(ValueError, match="non-finite"):
         propagate_module._block_expectations(h0, f, [factor], np.linspace(0.0, 1.0, 3))
 
 

@@ -6,6 +6,7 @@ import pickle
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -23,7 +24,8 @@ from chiralsep.coupling import (POLARIZATION_TRIPLES, DipoleModel, DipoleTransit
                                 GaussianBeam)
 from chiralsep.hamiltonian import (LevelIndex, chirality_permutation, chirality_transform,
                                    transform_residual)
-from chiralsep.propagate import DegenerateEigenstateWarning, ensemble_potential_trace
+from chiralsep.propagate import (DegenerateEigenstateWarning, PotentialTrace,
+                                 ensemble_potential_trace)
 from chiralsep.rotbasis import BasisTruncation, RotState, TruncationError, thermal_rot_state
 from chiralsep.scenarios import (
     CONFIG_HEADER,
@@ -43,6 +45,7 @@ from chiralsep.scenarios import (
     summary_text,
     timescale_report,
     trace_csv,
+    write_outputs,
 )
 
 MISMATCH_CONFIG = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "mismatch-j1.cfg"
@@ -173,6 +176,55 @@ def test_csv_columns_match_the_per_row_formatter(monkeypatch, enantiomers):
     for h in res.couplings.values():
         assert "".join(couplings_csv(h)) == oracle.couplings_csv(h)
     assert summary_text(res) == oracle.summary_text(res)
+
+
+@pytest.mark.parametrize("name", ["restricted-loop", "fig7-1mK-xxz"])
+def test_written_files_match_the_per_row_formatters(monkeypatch, tmp_path, name):
+    # the three trace files are written in lockstep, chunk by chunk (on fig7
+    # R's branch n and L's branch 4 - n share a column); signed zeros and
+    # NaNs of two payloads sit on both sides of chunk edges (7 rows)
+    res = run_scenario(builtin_config(name))
+    specials = [0.0, -0.0, np.nan, _float_bits(0x7FF8000000000001), -0.0, 0.0, np.nan]
+    res.times = res.times.copy()
+    res.times[4:11] = specials
+    for per in res.traces.values():
+        for tag, tr in per.items():
+            values = tr.values.copy()
+            values[5:12], values[12:19] = specials[::-1], specials
+            per[tag] = PotentialTrace.from_values(res.times, values)
+    monkeypatch.setattr(scenarios, "CSV_CHUNK_ROWS", 7)
+    paths = write_outputs(res, tmp_path)
+    assert [os.path.basename(p) for p in paths] == [
+        "trace_branch1.csv", "trace_branch2.csv", "trace_branch3.csv", "couplings_L.csv",
+        "couplings_R.csv", "loops.csv", "summary.txt"]
+    written = {os.path.basename(p): Path(p).read_text() for p in paths}
+    for branch in res.traces:
+        assert written[f"trace_branch{branch}.csv"] == oracle.trace_csv(res, branch)
+    for tag, h in res.couplings.items():
+        assert written[f"couplings_{tag}.csv"] == oracle.couplings_csv(h)
+    h = res.couplings["L"]
+    assert written["loops.csv"] == oracle.loops_csv(_levels(h, res.loops))
+    assert written["summary.txt"] == oracle.summary_text(res)
+
+
+def test_csv_lines_holds_a_few_chunks_of_strings_of_a_long_column():
+    # a million distinct floats: their str take ~67 bytes each, ~70 MB at
+    # once, but each is dropped after its chunk; what stays is the index
+    column = np.random.default_rng(0).random(10**6)
+    tracemalloc.start()
+    try:
+        lines = csv_lines(None, [column])
+        next(lines)
+        held, setup_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        for _ in lines:
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    chunk = scenarios.CSV_CHUNK_ROWS * 100  # a chunk's str, their list and its row text
+    assert peak - held < 4 * chunk
+    assert max(setup_peak, peak) < 40 * len(column)
 
 
 def _levels(h, loops):

@@ -124,3 +124,13 @@ def test_rot_integrals_refuse_squares_beyond_exact_float_integers():
         rot_integrals(final, initial)
     assert rot_integral((1001, 0, 0), (1000, 0, 0)) == oracle.rot_integral(
         RotState(1001, 0, 0), RotState(1000, 0, 0), 0, 0)
+
+
+def test_three_j_common_denominator_sum_matches_the_fraction_sum():
+    # every symbol with j1 <= 8, j2 <= 6 and m3 = -m1 - m2 within j3
+    symbols = [(j1, j2, j3, m1, m2, -m1 - m2) for j1 in range(9) for j2 in range(7)
+               for j3 in range(abs(j1 - j2), j1 + j2 + 1) for m1 in range(-j1, j1 + 1)
+               for m2 in range(-j2, j2 + 1) if abs(m1 + m2) <= j3]
+    assert len(symbols) == 24871
+    for args in symbols:
+        assert three_j_exact.__wrapped__(*args) == oracle.racah_three_j(*args), args
