@@ -124,8 +124,7 @@ def _flip_table(sizes, draws, seed):
         rng = np.random.default_rng(seed + n)
         per = max(1, looptopology.FLIP_BATCH // (2**n - 1))
         for start in range(0, draws, per):
-            rings = np.array([random_loop_hamiltonian(n, rng)
-                              for _ in range(start, min(start + per, draws))])
+            rings = random_loop_hamiltonian(n, rng, size=min(per, draws - start))
             if start == 0:  # every ring of n levels has the same edges
                 names = ["-".join(map(str, e)) for e in edges(rings[0])]
                 subsets = [np.array(list(itertools.combinations(range(len(names)), r)))

@@ -142,6 +142,7 @@ def assemble(
     trunc: BasisTruncation,
     x: float = 0.0,
     basis: list[LevelIndex] | None = None,
+    like: CouplingMatrix | None = None,
 ) -> CouplingMatrix:
     """Build the coupling table over the (possibly restricted) product basis.
 
@@ -150,7 +151,22 @@ def assemble(
     dipole's components, kept when the basis holds them.  Each laser's
     transitions are ordered by (final, initial) basis position, evaluated
     in one `coupling.rabi_frequency` call, and exact zeros are dropped.
+
+    `like`, this call's table for the other enantiomer: chirality only flips
+    the flagged dipole elements' sign, so when the lasers drive distinct
+    pairs only omega is computed, with this enantiomer's sign (-like.omega
+    has other signed zeros), on like's basis, lookup, edges and delta.
     """
+    if like is not None and len({l.drives for l in lasers}) == len(lasers):
+        qn, omega = like.lookup[0], np.zeros(len(like.fin), dtype=complex)
+        for laser in lasers:  # like's edges of this laser, in like's order
+            on = (qn[0, like.ini] == laser.drives[0]) & (qn[0, like.fin] == laser.drives[1])
+            omega[on] = coupling.rabi_frequency(qn[:, like.fin[on]], qn[:, like.ini[on]],
+                                                laser, dipole, who, x)
+        keep = slice(None) if omega.all() else omega != 0  # views of like's arrays if all kept
+        h = CouplingMatrix(like.basis, *(a[keep] for a in (like.fin, like.ini, omega, like.delta)))
+        h.__dict__["lookup"] = like.lookup
+        return h
     basis = product_basis(trunc) if basis is None else tuple(basis)
     n = len(basis)
     qn, find = basis_lookup(basis)
@@ -277,8 +293,9 @@ def chirality_transform(polarizations, basis) -> np.ndarray:
 
 
 def transform_residual(hl: CouplingMatrix, hr: CouplingMatrix, perm, sign,
-                       t: float) -> float:
-    """Frobenius norm of T^dag H^L(t) T - H^R(t) for a signed permutation T.
+                       *times: float) -> float:
+    """Largest Frobenius norm of T^dag H^L(t) T - H^R(t) over `times` for a
+    signed permutation T; the L and R edges are aligned once for all times.
 
     Computed from the edge lists: conjugation by T moves the L edge (f, i)
     to (inv[f], inv[i]) with the factor sign[inv[f]] * sign[inv[i]].  Both
@@ -290,10 +307,15 @@ def transform_residual(hl: CouplingMatrix, hr: CouplingMatrix, perm, sign,
     inv = np.empty(n, dtype=int)
     inv[perm] = np.arange(n)
     a, b = inv[hl.fin], inv[hl.ini]
-    vals_l = sign[a] * sign[b] * (hl.omega * np.exp(-2j * np.pi * hl.delta * t))
-    vals_r = hr.omega * np.exp(-2j * np.pi * hr.delta * t)
+    factor = sign[a] * sign[b]
     keys, where = np.unique(np.concatenate([a * n + b, hr.fin * n + hr.ini]),
                             return_inverse=True)
-    diff = np.zeros(len(keys), dtype=complex)
-    np.add.at(diff, where, np.concatenate([vals_l, -vals_r]))
-    return float(np.sqrt(2.0) * np.linalg.norm(diff))
+
+    def norm(t):
+        vals_l = factor * (hl.omega * np.exp(-2j * np.pi * hl.delta * t))
+        vals_r = hr.omega * np.exp(-2j * np.pi * hr.delta * t)
+        diff = np.zeros(len(keys), dtype=complex)
+        np.add.at(diff, where, np.concatenate([vals_l, -vals_r]))
+        return float(np.sqrt(2.0) * np.linalg.norm(diff))
+
+    return max(norm(t) for t in times)

@@ -188,20 +188,27 @@ def find_loops(edges: np.ndarray, max_len: int = 8) -> np.ndarray:
     return np.concatenate([np.full((0, max_len), -1), *(part for per in found for part in per)])
 
 
-def random_loop_hamiltonian(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Generic n-cycle Hamiltonian: |omega| in [0.5, 1.5], uniform phases.
+def random_loop_hamiltonian(n: int, rng: np.random.Generator,
+                            size: int | None = None) -> np.ndarray:
+    """Generic n-cycle Hamiltonian: |omega| in [0.5, 1.5], uniform phases;
+    a stack of `size` of them, shape (size, n, n), when size is given.
 
     Edge by edge around the ring, the edge between a and a + 1 mod n, with
     ends lo < hi, draws omega (magnitude, then phase) into h[hi, lo] and its
     conjugate into h[lo, hi].  Draws are repeated until the spectrum is
     non-degenerate (gap > MIN_GAP), since accidental degeneracies defeat the
-    flip-parity classification.
+    flip-parity classification.  Each attempt takes 2n doubles, so a stack
+    draws the rings it still needs as one block, gap-checks them by one
+    stacked eigvalsh and redraws only the rejects: one-ring calls' rings.
     """
-    while True:
-        h = np.zeros((n, n), dtype=complex)
-        for a in range(n):
-            lo, hi = sorted((a, (a + 1) % n))
-            w = rng.uniform(0.5, 1.5) * np.exp(2j * np.pi * rng.uniform())
-            h[hi, lo], h[lo, hi] = w, np.conj(w)
-        if np.min(np.diff(spectrum(h))) > MIN_GAP:
-            return h
+    lo, hi = np.sort([np.arange(n), (np.arange(n) + 1) % n], axis=0)
+    rings, need = [np.empty((0, n, n), dtype=complex)], 1 if size is None else size
+    while need:
+        u = rng.uniform(size=(need, n, 2))
+        w = (0.5 + u[..., 0]) * np.exp(2j * np.pi * u[..., 1])
+        h = np.zeros((need, n, n), dtype=complex)
+        h[:, hi, lo], h[:, lo, hi] = w, np.conj(w)
+        rings.append(h[np.min(np.diff(spectrum(h)), axis=-1) > MIN_GAP])
+        need -= len(rings[-1])
+    rings = np.concatenate(rings)
+    return rings[0] if size is None else rings

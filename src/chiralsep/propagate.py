@@ -548,6 +548,7 @@ def _block_expectations(h0, f, factors, times, budget=SCREEN_BUDGET) -> np.ndarr
         # also false for NaN, so a non-finite C raises here too
         if not np.max(np.abs(c - herm)) <= 1e-10 * max(1.0, np.max(np.abs(c))):
             raise ValueError("non-real ensemble expectation of a Hermitian operator")
+        y = np.any(herm.imag)
         coarse, fine = _phases(times, eps[keep])
         m = len(fine)
         step = max(1, CHUNK_VALUES // (2 * m * s))  # coarse rows per chunk
@@ -557,7 +558,7 @@ def _block_expectations(h0, f, factors, times, budget=SCREEN_BUDGET) -> np.ndarr
             q = np.concatenate((p.real, p.imag))
             z = np.einsum("tn,tn->t", q @ herm.real, q)
             vals[rows, k] = z[:len(p)] + z[len(p):]
-            if np.any(herm.imag):
+            if y:
                 vals[rows, k] += 2 * np.einsum("tn,tn->t", q[:len(p)] @ herm.imag, q[len(p):])
     return vals
 

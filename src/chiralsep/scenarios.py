@@ -391,11 +391,11 @@ def _restricted_basis(config: ScenarioConfig):
     return [LevelIndex(v, config.loop_rot) for v in (1, 2, 3)]
 
 
-def _assemble(config: ScenarioConfig, who: Enantiomer) -> CouplingMatrix:
+def _assemble(config: ScenarioConfig, who: Enantiomer, like=None) -> CouplingMatrix:
     basis = _restricted_basis(config) if config.restricted_loop else None
     try:
         return assemble(config.lasers, config.dipole, who, config.constants,
-                        config.trunc, x=config.evaluation_x, basis=basis)
+                        config.trunc, x=config.evaluation_x, basis=basis, like=like)
     except EmptyCouplingError as exc:
         if config.restricted_loop:  # its three levels all share loop_rot
             raise ConfigError(f"scenario.loop_rot_state: {exc}") from None
@@ -433,9 +433,10 @@ def _branch_members(config, who, h, thermal):
 def run_scenario(config: ScenarioConfig, enantiomers=("L", "R")) -> ScenarioResult:
     """Propagate every branch for the requested enantiomers.
 
-    Each enantiomer's Hamiltonian is assembled.  When the chirality
-    permutation T exists and maps H_L onto the independently assembled H_R
-    row for row (`is_symmetry(H_L, *T, H_R)`), R's ensembles are moved onto
+    The first enantiomer's Hamiltonian is assembled, and the other's on its
+    edges and detunings, which both share (`assemble(..., like=)`).  When
+    the chirality permutation T exists and maps H_L onto H_R row for row
+    (`is_symmetry(H_L, *T, H_R)`), R's ensembles are moved onto
     H_L as T rho_R T^dag, and every branch of both enantiomers goes through
     one `ensemble_potential_trace` call on H_L, where branches with equal
     block rho share their kernel work.  Otherwise (a single enantiomer, a
@@ -448,12 +449,12 @@ def run_scenario(config: ScenarioConfig, enantiomers=("L", "R")) -> ScenarioResu
     except TruncationError as exc:
         raise ConfigError(f"{config.jmax_key}: {exc}; increase jmax, or raise "
                           "scenario.truncation_mass") from None
-    couplings = {tag: _assemble(config, Enantiomer(tag)) for tag in enantiomers}
-    href = couplings[enantiomers[0]]
+    href = _assemble(config, Enantiomer(enantiomers[0]))
+    couplings = {enantiomers[0]: href} | {
+        tag: _assemble(config, Enantiomer(tag), href) for tag in enantiomers[1:]}
     transform = _transform_or_none(config, href) if set(enantiomers) == {"L", "R"} else None
-    residual = None if transform is None else max(
-        transform_residual(couplings["L"], couplings["R"], *transform, t)
-        for t in (0.0, 0.37, 1.9))
+    residual = None if transform is None else transform_residual(
+        couplings["L"], couplings["R"], *transform, 0.0, 0.37, 1.9)
     # the loop census is built before the trace: memory the trace frees stays
     # resident, so a census built after it would add to the process peak
     try:

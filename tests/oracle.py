@@ -19,7 +19,9 @@ vectors for the per-member propagation the block trace must match.
 `flip_sensitivity` classifies one row of a sign-pattern mask with one
 `eigvalsh` of the copy of h that `with_flips` negates edge by edge, the
 reference of the stacked `looptopology.flip_sensitivity`, and `flip_table`
-writes the `flip-sensitivity` table with it one row at a time; `from_upper`
+writes the `flip-sensitivity` table with it one row at a time, on rings
+drawn by `random_loop_hamiltonian` one edge and one attempt at a time, the
+reference of the stacked draws of `looptopology.random_loop_hamiltonian`; `from_upper`
 builds the loop Hamiltonians the tests classify from their upper couplings.
 `dress` and `dress_field` diagonalize and gauge-fix one grid point at a
 time, the references of the stacked `dressed.dress` and
@@ -39,11 +41,11 @@ import numpy as np
 
 import warnings
 
-from chiralsep import dressed
+from chiralsep import dressed, looptopology
 from chiralsep.coupling import DipoleModel, Enantiomer, LaserSpec, UnknownTransitionError
 from chiralsep.hamiltonian import BasisNotClosedError, LevelIndex, _classify_setup
 from chiralsep.looptopology import (SPECTRUM_CHANGED, SPECTRUM_UNCHANGED, FlipIndeterminateError,
-                                    edges, random_loop_hamiltonian, spectrum)
+                                    edges, spectrum)
 from chiralsep.rotbasis import RotState
 from chiralsep.wigner import three_j_exact
 
@@ -327,6 +329,19 @@ def flip_sensitivity(h, row, tol: float = 1e-9) -> str:
                 f"loop phase of {key} changed but spectrum moved only {dist:.2e}"
             )
     return SPECTRUM_UNCHANGED
+
+
+def random_loop_hamiltonian(n: int, rng: np.random.Generator) -> np.ndarray:
+    """One generic n-ring, drawn edge by edge (magnitude, then phase) and
+    drawn again until its spectral gap exceeds `looptopology.MIN_GAP`."""
+    while True:
+        h = np.zeros((n, n), dtype=complex)
+        for a in range(n):
+            lo, hi = sorted((a, (a + 1) % n))
+            w = rng.uniform(0.5, 1.5) * np.exp(2j * np.pi * rng.uniform())
+            h[hi, lo], h[lo, hi] = w, np.conj(w)
+        if np.min(np.diff(spectrum(h))) > looptopology.MIN_GAP:
+            return h
 
 
 def flip_table(sizes, draws, seed, tol: float = 1e-9) -> str:

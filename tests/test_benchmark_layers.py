@@ -12,6 +12,8 @@ import io
 import sys
 from pathlib import Path
 
+import pytest
+
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 if str(BENCH) not in sys.path:
     sys.path.insert(0, str(BENCH))
@@ -26,22 +28,40 @@ from chiralsep import cli, scenarios, wigner  # noqa: E402
 OUTSIDE_THE_JOB = ("setup.", "tracing.overhead_ratio")
 
 
-def test_a_traced_run_derives_every_declared_per_layer_metric():
+@pytest.fixture(scope="module")
+def traced_fig7():
+    """(tracer, result, 3j cache info) of one traced fig7 run."""
     three_j = wigner.three_j_exact
     if hasattr(three_j, "cache_clear"):
         three_j.cache_clear()  # a cold cache, as in a fresh benchmark process
     tracer = Tracer()
     tracer.install(TARGETS)
     try:
-        scenarios.run_scenario(scenarios.builtin_config("fig7-1mK-xxz"))
+        result = scenarios.run_scenario(scenarios.builtin_config("fig7-1mK-xxz"))
     finally:
         tracer.uninstall()
     # the cache statistics are read as the benchmark's worker reads them
-    info = three_j.cache_info() if hasattr(three_j, "cache_info") else None
+    return tracer, result, three_j.cache_info() if hasattr(three_j, "cache_info") else None
+
+
+def test_a_traced_run_derives_every_declared_per_layer_metric(traced_fig7):
+    tracer, _, info = traced_fig7
     derived = derive(tracer.spans, tracer.missing, info)
     declared = [name for name, _, _ in spec.PER_LAYER if not name.startswith(OUTSIDE_THE_JOB)]
     assert [name for name in declared if name not in derived] == []
     assert tracer.missing == []
+
+
+def test_each_enantiomer_is_one_traced_assemble_that_evaluates_its_couplings(traced_fig7):
+    # the measure hook reads (n, edges) from every return, and each Rabi
+    # frequency call is made inside an assemble, also when R is built on L's table
+    tracer, result, _ = traced_fig7
+    spans = tracer.spans
+    assert [sp.measure for sp in spans if sp.name == "hamiltonian.assemble"] == [
+        (result.couplings[tag].n, len(result.couplings[tag].fin)) for tag in ("L", "R")]
+    rabi = [sp for sp in spans if sp.name == "coupling.rabi_frequency"]
+    assert rabi
+    assert {spans[sp.parent].name for sp in rabi} == {"hamiltonian.assemble"}
 
 
 def test_a_traced_flip_sensitivity_run_records_its_layer_spans():

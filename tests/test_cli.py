@@ -390,9 +390,9 @@ def test_flip_sensitivity_writes_each_draw_once_classified(monkeypatch, capsys):
     monkeypatch.setattr(looptopology, "FLIP_BATCH", 7)  # a stack is one 3-ring
     first = cli.random_loop_hamiltonian
 
-    def draw(n, rng):
+    def draw(n, rng, size=None):
         monkeypatch.setattr(cli, "random_loop_hamiltonian", None)
-        return first(n, rng)
+        return first(n, rng, size=size)
 
     monkeypatch.setattr(cli, "random_loop_hamiltonian", draw)
     with pytest.raises(TypeError):

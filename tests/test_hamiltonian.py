@@ -214,7 +214,12 @@ def test_assemble_matches_brute_force_pair_enumeration(data):
         with pytest.raises(EmptyCouplingError):
             assemble(lasers_, dipole, who, D2S2, trunc, x=x, basis=basis)
         return
-    h = assemble(lasers_, dipole, who, D2S2, trunc, x=x, basis=basis)
+    # R may be built on L's table and L on R's: the enantiomers share edges
+    other = Enantiomer.R if who is Enantiomer.L else Enantiomer.L
+    like = data.draw(st.sampled_from([None, other]), label="like")
+    if like is not None:
+        like = assemble(lasers_, dipole, like, D2S2, trunc, x=x, basis=basis)
+    h = assemble(lasers_, dipole, who, D2S2, trunc, x=x, basis=basis, like=like)
     fin, ini, omega, delta = zip(*expected)
     assert h.fin.tolist() == list(fin)
     assert h.ini.tolist() == list(ini)
@@ -254,6 +259,31 @@ def test_enantiomers_share_edges_and_differ_by_the_flagged_signs(data):
     # exact, and bitwise except where a zero real or imaginary part may
     # carry either sign
     assert np.array_equal(hr.omega[flagged], -hl.omega[flagged])
+    # R built on L's table is the independent R to the bit, signed zeros
+    # included, so its omega is computed with R's sign and not taken as -omega_L
+    on_l = assemble(lasers(*pols), dipole, Enantiomer.R, D2S2, trunc, x=x, like=hl)
+    for name in ("fin", "ini", "delta", "omega"):
+        assert getattr(on_l, name).tobytes() == getattr(hr, name).tobytes(), name
+    assert on_l.lookup is hl.lookup and np.shares_memory(on_l.fin, hl.fin)
+    # an edge of `like` that R does not couple is dropped by the `omega != 0` rule
+    ground = [hl.index(LevelIndex(v, RotState(0, 0, 0))) for v in (2, 1)]  # a 0-0 3j
+    padded = replace(hl, **{name: np.append(getattr(hl, name), value) for name, value in
+                            zip(("fin", "ini", "omega", "delta"), (*ground, 0j, 0.0))})
+    on_padded = assemble(lasers(*pols), dipole, Enantiomer.R, D2S2, trunc, x=x, like=padded)
+    for name in ("fin", "ini", "delta", "omega"):
+        assert getattr(on_padded, name).tobytes() == getattr(hr, name).tobytes(), name
+
+
+def test_two_lasers_on_one_pair_are_assembled_in_full_even_with_like():
+    # like's edges of one pair would mix both lasers' edges
+    two = [LaserSpec(drives=(1, 2), polarization="x"),
+           LaserSpec(drives=(1, 2), polarization="x", peak_rabi=0.5)]
+    args = DM, Enantiomer.R, D2S2, BasisTruncation(1)
+    hl = assemble(two, DM, Enantiomer.L, D2S2, BasisTruncation(1))
+    hr, on_l = assemble(two, *args), assemble(two, *args, like=hl)
+    assert len(hr.fin) > len(set(zip(hr.fin.tolist(), hr.ini.tolist())))  # repeated edges
+    for name in ("fin", "ini", "delta", "omega"):
+        assert getattr(on_l, name).tobytes() == getattr(hr, name).tobytes(), name
 
 
 @settings(max_examples=60, deadline=None)

@@ -247,6 +247,27 @@ def test_random_loop_hamiltonian_properties():
     assert np.array_equal(h, h.conj().T)
 
 
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from([3, 4, 5, 6, 16]), seed=st.integers(0, 2**32 - 1),
+       size=st.integers(0, 12), redraw=st.booleans())
+@example(n=6, seed=0, size=8, redraw=True)  # a stack with redraws
+def test_stacked_ring_draws_match_one_ring_at_a_time(n, seed, size, redraw):
+    # every attempt takes 2n doubles, so the stack redraws only its rejects
+    # and leaves the stream where one-ring calls would; a gap of 0.3 rejects
+    # many rings of up to 6 levels (and almost every 16-level one)
+    gap = 0.3 if redraw and n <= 6 else 1e-6
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(looptopology, "MIN_GAP", gap)
+        rings = random_loop_hamiltonian(n, rng, size=size)
+        expected = [oracle.random_loop_hamiltonian(n, ref) for _ in range(size)]
+        one = random_loop_hamiltonian(n, rng), oracle.random_loop_hamiltonian(n, ref)
+    assert rings.shape == (size, n, n)
+    assert rings.tobytes() == np.array(expected, dtype=complex).reshape(size, n, n).tobytes()
+    assert one[0].tobytes() == one[1].tobytes()
+    assert rng.uniform() == ref.uniform()
+
+
 def flip_sensitivity_two_censuses(h, pattern, tol=1e-9):
     """flip_sensitivity with the cycles enumerated again on h with the edges
     of `pattern` flipped."""

@@ -361,7 +361,7 @@ def test_a_run_builds_one_code_table_per_coupling_matrix(monkeypatch):
     build = hamiltonian.basis_lookup
     monkeypatch.setattr(hamiltonian, "basis_lookup", lambda basis: calls.append(1) or build(basis))
     run_scenario(builtin_config("fig7-1mK-xxz"))
-    assert len(calls) == 2  # in `assemble`, for L and for R
+    assert len(calls) == 1  # in `assemble` for L; R is built on L's table
 
 
 def test_a_run_result_pickles():
@@ -453,6 +453,10 @@ def test_edge_isospectrality_residual_matches_dense():
             assert edge == pytest.approx(dense, rel=1e-12, abs=1e-15)
         assert transform_residual(hl, hr, perm, sign, t) == 0.0
         assert transform_residual(hl, bumped, perm, sign, t) > 1e-6
+    times = (0.0, 0.37, 1.9)
+    for r in (hr, bumped, dropped):  # one alignment for all times, to the bit
+        assert transform_residual(hl, r, perm, sign, *times) == max(
+            transform_residual(hl, r, perm, sign, t) for t in times)
 
 
 def _mismatch_config():
