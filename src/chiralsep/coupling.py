@@ -6,10 +6,12 @@ A coupling factorizes as
                * sum_{sigma} I(f, i, sigma, sigma') * E_sigma(r)
 
 with I the orientation integral from `wigner`.  Chirality enters as a sign
-flip of the vibrational matrix element on flagged transitions.
-`rabi_frequency` takes a whole array of pairs of one laser in one call and
-evaluates the sums in the single-pair order, so every value is the one the
-sum over sigma' and sigma gives term by term.
+flip of the vibrational matrix element on flagged transitions, so the
+orientation integrals are the same for both enantiomers.
+`rabi_frequency` takes a whole array of pairs of one laser, with their
+orientation integrals, in one call and evaluates the sums in the
+single-pair order, so every value is the one the sum over sigma' and sigma
+gives term by term.
 
 Helicity convention for the field triples (E_{-1}, E_0, E_{+1}):
 
@@ -30,8 +32,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-
-from .wigner import rot_integrals
 
 SQRT2 = math.sqrt(2.0)
 
@@ -161,13 +161,14 @@ def _times(c: complex, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def rabi_frequency(final: np.ndarray, initial: np.ndarray, laser: LaserSpec,
-                   dipole: DipoleModel, who: Enantiomer = Enantiomer.L,
+def rabi_frequency(final: np.ndarray, initial: np.ndarray, orient: np.ndarray,
+                   laser: LaserSpec, dipole: DipoleModel, who: Enantiomer = Enantiomer.L,
                    x: float = 0.0) -> np.ndarray:
     """Complex Rabi frequencies (GHz) of many pairs final <- initial at position x.
 
     `final` and `initial` are (vib, J, K, M) integer arrays of shape
-    (4, pairs) with |M_f - M_i| <= 1 and |K_f - K_i| <= 1.  Every pair must
+    (4, pairs) with |M_f - M_i| <= 1 and |K_f - K_i| <= 1, and `orient` is
+    their `wigner.rot_integrals(final[1:], initial[1:])`.  Every pair must
     match the laser's driven vibrational pair (either order of the matrix
     element; the value is for absorption f <- i when final vib > initial
     vib).  The sums over sigma' and sigma run in that order for every pair,
@@ -180,7 +181,6 @@ def rabi_frequency(final: np.ndarray, initial: np.ndarray, laser: LaserSpec,
         raise UnknownTransitionError(f"laser drives {pair}; some pair couples other levels")
     trans = dipole.get(pair)
     field_triple = laser.helicity_triple()
-    orient = rot_integrals(final[1:], initial[1:])
     sigma, sigma_p = final[3] - initial[3], final[2] - initial[2]
     total = np.zeros(len(orient), dtype=complex)
     for sp, mu in zip((-1, 0, 1), trans.mu):

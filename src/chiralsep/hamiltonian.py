@@ -13,13 +13,14 @@ Delta_fi = E_rot(f) - E_rot(i) - rot_offset for an absorption f <- i.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
 from . import coupling
 from .coupling import DipoleModel, Enantiomer, LaserSpec
-from .rotbasis import BasisTruncation, RotorConstants, RotState, enumerate_basis
+from .rotbasis import BasisTruncation, RotorConstants, RotState
+from .wigner import rot_integrals
 
 
 class EmptyCouplingError(ValueError):
@@ -41,26 +42,61 @@ class LevelIndex:
     vib: int
     rot: RotState
 
-    @cached_property
-    def name(self) -> str:  # formatted once per level: CSVs print each many times
+    def __str__(self):
         return f"|{self.vib}>{self.rot}"
 
-    def __str__(self):
-        return self.name
 
+class LevelTable:
+    """A basis as the (vib, J, K, M) of its levels, `qn`, int64 of shape (4, n).
 
-@lru_cache(maxsize=8)
-def product_basis(trunc: BasisTruncation, vibs=(1, 2, 3)) -> tuple[LevelIndex, ...]:
-    """Ordered product basis, vibrational level major, rotational order minor.
-
-    Built once per (trunc, vibs) and shared: a run asks for it per enantiomer.
+    What the run reads of the basis is derived from `qn` on first use and
+    kept: the search (`lookup`) and the level names.  R's matrix shares L's
+    table.
     """
-    rots = enumerate_basis(trunc)
-    return tuple(LevelIndex(v, r) for v in vibs for r in rots)
+
+    def __init__(self, qn):
+        self.qn = qn
+
+    @classmethod
+    def of(cls, levels):
+        """The table of LevelIndex levels, in their order."""
+        return cls(np.array([(lvl.vib, lvl.rot.J, lvl.rot.K, lvl.rot.M) for lvl in levels],
+                            dtype=np.int64).reshape(-1, 4).T)
+
+    @cached_property
+    def lookup(self):
+        return basis_lookup(self.qn)
+
+    @cached_property
+    def names(self) -> np.ndarray:
+        """str(LevelIndex) of each level, an object array: each distinct
+        |J K M> and |vib> is formatted once, then the two are joined."""
+        vib, j, k, m = self.qn
+        r = 2 * int(np.abs(self.qn[1:]).max(initial=0)) + 1
+        code = (j * r + k) * r + m  # one per |J K M>
+        order = np.argsort(code, kind="stable")
+        first = order[np.diff(code[order], prepend=code[order][:1] - 1) != 0]  # by label
+        labels = np.array([f"|{a} {b} {c}>" for a, b, c in zip(*self.qn[1:, first].tolist())],
+                          dtype=object)[np.searchsorted(code[first], code)]
+        low = int(vib.min(initial=0))
+        return np.array([f"|{v}>" for v in range(low, int(vib.max(initial=0)) + 1)],
+                        dtype=object)[vib - low] + labels
+
+    def __getstate__(self):  # the lookup's search is a closure: rebuilt after unpickling
+        return {"qn": self.qn}
 
 
-def basis_lookup(basis):
-    """(qn, find): the basis's quantum numbers and a search over them.
+def product_table(trunc: BasisTruncation, vibs=(1, 2, 3)) -> LevelTable:
+    """The product basis, vibrational level major and |J K M> minor in the
+    ascending (J, K, M) order of `rotbasis.enumerate_basis`."""
+    rot = np.hstack([np.vstack([np.full((1, (2 * j + 1) ** 2), j),
+                                np.indices((2 * j + 1,) * 2).reshape(2, -1) - j])
+                     for j in range(trunc.jmax + 1)])
+    return LevelTable(np.vstack([np.repeat(vibs, rot.shape[1]), np.tile(rot, len(vibs))]))
+
+
+def basis_lookup(qn):
+    """(qn, find): a basis's quantum numbers and a search over them.
 
     qn is the (vib, J, K, M) of every level as int64 rows, shape (4, n).
     find(vib, J, K, M) takes integer arrays (broadcast together) and gives
@@ -68,9 +104,6 @@ def basis_lookup(basis):
     the basis would keep, or -1 where the basis has none.  It works on
     integer codes and `searchsorted`, with no per-level object.
     """
-    n = len(basis)
-    qn = np.array([(lvl.vib, lvl.rot.J, lvl.rot.K, lvl.rot.M) for lvl in basis],
-                  dtype=np.int64).reshape(n, 4).T
     lo = qn.min(axis=1, initial=0)
     size = qn.max(axis=1, initial=0) - lo + 1
 
@@ -99,31 +132,39 @@ def basis_lookup(basis):
 class CouplingMatrix:
     """All allowed transitions with Rabi frequencies and detunings.
 
-    Entry arrays are aligned: fin[k], ini[k] index into `basis` with
-    basis[fin[k]].vib > basis[ini[k]].vib; omega[k] is the absorption
-    amplitude Omega_fi in GHz and delta[k] the detuning in GHz.
+    Entry arrays are aligned: fin[k], ini[k] index the levels of `levels`,
+    the basis's table, with vib[fin[k]] > vib[ini[k]]; omega[k] is the
+    absorption amplitude Omega_fi in GHz and delta[k] the detuning in GHz.
+    orient[k], kept by `assemble`, is the edge's `rot_integrals` factor,
+    which carries no enantiomer sign.
     """
 
-    basis: tuple[LevelIndex, ...]
+    levels: LevelTable
     fin: np.ndarray
     ini: np.ndarray
     omega: np.ndarray
     delta: np.ndarray
+    orient: np.ndarray | None = None
 
     @property
     def n(self):
-        return len(self.basis)
+        return self.levels.qn.shape[1]
 
     @cached_property
-    def lookup(self):
-        """`basis_lookup(self.basis)`, built once per matrix."""
-        return basis_lookup(self.basis)
+    def basis(self) -> tuple[LevelIndex, ...]:
+        """The levels as LevelIndex objects, built for a caller that asks."""
+        return tuple(LevelIndex(v, RotState(j, k, m)) for v, j, k, m in self.levels.qn.T.tolist())
 
-    def __getstate__(self):  # the lookup's search is a closure: rebuilt after unpickling
-        return {key: value for key, value in self.__dict__.items() if key != "lookup"}
+    @property
+    def lookup(self):
+        return self.levels.lookup
 
     def index(self, level: LevelIndex) -> int:
-        return self.basis.index(level)
+        """The basis position of level (the last one, if the basis repeats it)."""
+        at = int(self.lookup[1](level.vib, level.rot.J, level.rot.K, level.rot.M))
+        if at < 0:
+            raise ValueError(f"{level} is not in the basis")
+        return at
 
     def evaluate(self, t: float) -> np.ndarray:
         """Dense Hermitian matrix at time t (ns), zero diagonal."""
@@ -149,31 +190,35 @@ def assemble(
     Partners of each lower state come from the selection rules: Delta J in
     {0, +-1}, Delta M from the laser's helicities and Delta K from the
     dipole's components, kept when the basis holds them.  Each laser's
-    transitions are ordered by (final, initial) basis position, evaluated
-    in one `coupling.rabi_frequency` call, and exact zeros are dropped.
+    transitions are ordered by (final, initial) basis position, their
+    orientation factors (`wigner.rot_integrals`) evaluated once, kept with
+    the table as `orient`, and their Rabi frequencies in one
+    `coupling.rabi_frequency` call; exact zeros are dropped.
 
     `like`, this call's table for the other enantiomer: chirality only flips
     the flagged dipole elements' sign, so when the lasers drive distinct
-    pairs only omega is computed, with this enantiomer's sign (-like.omega
-    has other signed zeros), on like's basis, lookup, edges and delta.
+    pairs and like holds `orient`, only omega is computed, from like's
+    orientation factors with this enantiomer's sign (-like.omega has other
+    signed zeros), on like's level table, edges and delta.
     """
-    if like is not None and len({l.drives for l in lasers}) == len(lasers):
-        qn, omega = like.lookup[0], np.zeros(len(like.fin), dtype=complex)
+    distinct = len({l.drives for l in lasers}) == len(lasers)
+    if like is not None and like.orient is not None and distinct:
+        qn, omega = like.levels.qn, np.zeros(len(like.fin), dtype=complex)
         for laser in lasers:  # like's edges of this laser, in like's order
             on = (qn[0, like.ini] == laser.drives[0]) & (qn[0, like.fin] == laser.drives[1])
             omega[on] = coupling.rabi_frequency(qn[:, like.fin[on]], qn[:, like.ini[on]],
-                                                laser, dipole, who, x)
+                                                like.orient[on], laser, dipole, who, x)
         keep = slice(None) if omega.all() else omega != 0  # views of like's arrays if all kept
-        h = CouplingMatrix(like.basis, *(a[keep] for a in (like.fin, like.ini, omega, like.delta)))
-        h.__dict__["lookup"] = like.lookup
-        return h
-    basis = product_basis(trunc) if basis is None else tuple(basis)
-    n = len(basis)
-    qn, find = basis_lookup(basis)
+        return CouplingMatrix(like.levels, *(a[keep] for a in (like.fin, like.ini, omega,
+                                                               like.delta, like.orient)))
+    levels = product_table(trunc) if basis is None else LevelTable.of(basis)
+    qn, find = levels.lookup
+    n = qn.shape[1]
     vib, j, k, m = qn
     # rot_energy of every level, in its operation order
     energy = constants.c * j * (j + 1) + (constants.a - constants.c) * k**2
-    fin, ini, omega, delta = [], [], [], []
+    # fin, ini, omega, delta and orient, laser by laser
+    columns = [[np.empty(0, dtype=dtype)] for dtype in (int, int, complex, float, float)]
     for laser in lasers:
         vi, vf = laser.drives
         sigmas = [s for s, amp in zip((-1, 0, 1), laser.helicity_triple()) if amp != 0]
@@ -186,26 +231,18 @@ def assemble(
         hit = upper >= 0
         pairs = np.sort(upper[hit] * n + lower[hit], kind="stable")
         f, i = pairs // n, pairs % n
-        w = coupling.rabi_frequency(qn[:, f], qn[:, i], laser, dipole, who, x)
+        o = rot_integrals(qn[1:, f], qn[1:, i])
+        w = coupling.rabi_frequency(qn[:, f], qn[:, i], o, laser, dipole, who, x)
         keep = w != 0
         if not keep.any():
             raise EmptyCouplingError(
                 f"laser driving {laser.drives} couples nothing in the truncated basis"
             )
         f, i = f[keep], i[keep]
-        fin.append(f)
-        ini.append(i)
-        omega.append(w[keep])
-        delta.append(energy[f] - energy[i] - laser.rot_offset)
-    h = CouplingMatrix(
-        basis=basis,
-        fin=np.concatenate([np.empty(0, dtype=int)] + fin),
-        ini=np.concatenate([np.empty(0, dtype=int)] + ini),
-        omega=np.concatenate([np.empty(0, dtype=complex)] + omega),
-        delta=np.concatenate([np.empty(0)] + delta),
-    )
-    h.__dict__["lookup"] = qn, find  # the table searched above, as `lookup` would build it
-    return h
+        for column, part in zip(columns, (f, i, w[keep], energy[f] - energy[i] - laser.rot_offset,
+                                          o[keep])):
+            column.append(part)
+    return CouplingMatrix(levels, *map(np.concatenate, columns))
 
 
 def _classify_setup(polarizations) -> str:
@@ -223,19 +260,19 @@ def _classify_setup(polarizations) -> str:
     )
 
 
-def chirality_permutation(polarizations, basis, lookup=None) -> tuple[np.ndarray, np.ndarray]:
+def chirality_permutation(polarizations, lookup) -> tuple[np.ndarray, np.ndarray]:
     """The chirality transformation T as a signed permutation (perm, sign).
 
     T[perm[k], k] = sign[k] and every other entry is zero; see
-    `chirality_transform` for the catalogued setups.  `lookup` is
-    `basis_lookup(basis)` when the caller holds it.  Raises
+    `chirality_transform` for the catalogued setups.  `lookup` is the
+    basis's `basis_lookup`.  Raises
     UnsupportedSetupError for other mixes and BasisNotClosedError when an
     M-reversing T needs a level the basis lacks.
     """
     kind = _classify_setup(polarizations)
-    (vib, j, k, m), find = basis_lookup(basis) if lookup is None else lookup
+    (vib, j, k, m), find = lookup
     if kind == "diag-m":
-        return np.arange(len(basis)), (-1.0) ** m
+        return np.arange(len(vib)), (-1.0) ** m
     perm = find(vib, j, k, -m)
     if np.any(perm < 0):
         raise BasisNotClosedError("basis is not closed under M reversal")
@@ -286,7 +323,7 @@ def chirality_transform(polarizations, basis) -> np.ndarray:
     UnsupportedSetupError otherwise, and BasisNotClosedError when the basis
     lacks an M-reversed partner.
     """
-    perm, sign = chirality_permutation(polarizations, basis)
+    perm, sign = chirality_permutation(polarizations, LevelTable.of(basis).lookup)
     t = np.zeros((len(basis), len(basis)))
     t[perm, np.arange(len(basis))] = sign
     return t

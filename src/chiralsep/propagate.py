@@ -53,8 +53,8 @@ grid np.linspace(0, t_end, n), which the trace builds itself:
   call.  The builtin traces stay within 1e-12 Omega12 of the direct complex
   contraction over all components (at most 5.3e-13, fig7);
 - midpoint (no node potential): each factor's rho, evolved on the generic
-  stepper's schedule, one eigendecomposition per block and step,
-  rho <- U rho U^dag, with <H(t)> = tr(rho H(t)) at the output times.
+  stepper's schedule, one eigendecomposition per block and step (solved in
+  stacks), rho <- U rho U^dag, with <H(t)> = tr(rho H(t)) at the output times.
 
 Before either kernel, a branch leaves out every block whose whole
 contribution, tr(rho_c) ||H_c||, is below the other half of SCREEN_BUDGET;
@@ -84,7 +84,8 @@ SCREEN_BUDGET = 1e-14
 MAX_TRACE_BYTES = 2**30  # the n-row arrays one static trace holds at once
 MAX_MIDPOINT_STEPS = 10**6  # steps of the midpoint schedule
 #: values of [c; s] in one chunk of the static kernel's grid (at least one
-#: coarse row).  Swept over 2**13 to 2**16 (2-vCPU Xeon, 2 MiB L2, one BLAS
+#: coarse row), and entries of the midpoint's step matrices in one stack.
+#: Swept over 2**13 to 2**16 for the grid (2-vCPU Xeon, 2 MiB L2, one BLAS
 #: thread): kernel times within noise, fig5-j8 peak RSS 39.5 MB at 2**14 up
 #: to 41.2 at 2**16, and 2**14 is the least that takes a 3-level block's
 #: 2,000 times in one chunk
@@ -483,11 +484,12 @@ def _blocks(h: CouplingMatrix, tol: float = 1e-10):
 
 
 def _block_matrix(size, a, b, omega, delta, t) -> np.ndarray:
-    """Dense block H(t) from its edges (a, b) in block-local positions."""
+    """Dense block H(t) from its edges (a, b) in block-local positions; for
+    t of shape (s, 1), the stack of the s matrices H(t_j)."""
     w = omega * np.exp(-2j * np.pi * delta * t)
-    m = np.zeros((size, size), dtype=complex)
-    m[a, b] = w
-    m[b, a] = np.conj(w)
+    m = np.zeros(w.shape[:-1] + (size, size), dtype=complex)
+    m[..., a, b] = w
+    m[..., b, a] = np.conj(w)
     return m
 
 
@@ -636,17 +638,26 @@ def _block_midpoint(edges, rho, times, dt, steps) -> np.ndarray:
     """<H(t)> = tr(rho H(t)) of each stacked block rho, shape (times, rhos).
 
     Each step applies U = V exp(-i 2 pi lam dt) V^dag, from the midpoint
-    H = V diag(lam) V^dag, to every rho as U rho U^dag.  A column whose
-    imaginary part exceeds 1e-10 max(1, its largest |real part|), or holds a
-    NaN, raises ValueError.
+    H = V diag(lam) V^dag, to every rho as U rho U^dag.  The steps' H do
+    not depend on rho: one `eigh` solves a stack of up to CHUNK_VALUES
+    entries (at least one H), and rho takes the steps in order, bit for bit
+    as with one solve per step.  A column whose imaginary part exceeds
+    1e-10 max(1, its largest |real part|), or holds a NaN, raises ValueError.
     """
     out = np.empty((len(times), len(rho)), dtype=complex)
-    for k, t in enumerate(times):
-        for s in range(steps if k else 0):  # from times[k - 1] up to t
-            lam, v = np.linalg.eigh(_block_matrix(*edges, times[k - 1] + (s + 0.5) * dt))
-            u = (v * np.exp(-2j * np.pi * lam * dt)) @ v.conj().T
-            rho = u @ rho @ u.conj().T
-        out[k] = np.sum(rho * _block_matrix(*edges, t).T, axis=(1, 2))
+    out[0] = np.sum(rho * _block_matrix(*edges, times[0]).T, axis=(1, 2))
+    size, a, b, omega, delta = edges
+    total, stack = steps * (len(times) - 1), max(1, CHUNK_VALUES // size**2)
+    for start in range(0, total, stack):
+        interval, s = np.divmod(np.arange(start, min(start + stack, total)), steps)
+        # omega as a (1, E) row: numpy rounds a (1,) times (1, 1) product otherwise
+        lam, v = np.linalg.eigh(_block_matrix(size, a, b, omega[None], delta,
+                                              (times[interval] + (s + 0.5) * dt)[:, None]))
+        u = (v * np.exp(-2j * np.pi * lam * dt)[:, None, :]) @ v.conj().transpose(0, 2, 1)
+        for k, last, step in zip(interval.tolist(), (s == steps - 1).tolist(), u):
+            rho = step @ rho @ step.conj().T
+            if last:  # at times[k + 1]
+                out[k + 1] = np.sum(rho * _block_matrix(*edges, times[k + 1]).T, axis=(1, 2))
     scale = np.maximum(1.0, np.max(np.abs(out.real), axis=0))
     if not np.all(np.max(np.abs(out.imag), axis=0) <= 1e-10 * scale):  # false for NaN
         raise ValueError("non-real ensemble expectation of a Hermitian operator")

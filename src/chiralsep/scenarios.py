@@ -66,7 +66,6 @@ from .hamiltonian import (
     assemble,
     chirality_permutation,
     is_symmetry,
-    product_basis,
     transform_residual,
 )
 from .looptopology import find_loops
@@ -387,12 +386,8 @@ def with_jmax(cfg: ScenarioConfig, jmax: int | None) -> ScenarioConfig:
     return cfg if jmax is None else replace(cfg, trunc=BasisTruncation(jmax))
 
 
-def _restricted_basis(config: ScenarioConfig):
-    return [LevelIndex(v, config.loop_rot) for v in (1, 2, 3)]
-
-
 def _assemble(config: ScenarioConfig, who: Enantiomer, like=None) -> CouplingMatrix:
-    basis = _restricted_basis(config) if config.restricted_loop else None
+    basis = [LevelIndex(v, config.loop_rot) for v in (1, 2, 3)] if config.restricted_loop else None
     try:
         return assemble(config.lasers, config.dipole, who, config.constants,
                         config.trunc, x=config.evaluation_x, basis=basis, like=like)
@@ -508,7 +503,7 @@ def _transform_or_none(config, h):
     if signs != {-1.0}:
         return None
     try:
-        return chirality_permutation(config.polarizations, h.basis, h.lookup)
+        return chirality_permutation(config.polarizations, h.lookup)
     except (UnsupportedSetupError, BasisNotClosedError):
         return None
 
@@ -657,30 +652,30 @@ def trace_csvs(result: ScenarioResult, branches):
 
 def couplings_csv(h: CouplingMatrix):
     """One row per coupling: the final and initial level, Omega and Delta."""
-    names = np.array([level.name for level in h.basis], dtype=object)
+    names = h.levels.names
     return csv_lines(["final", "initial", "omega_re_GHz", "omega_im_GHz", "delta_GHz"],
                      [names[h.fin], names[h.ini], h.omega.real, h.omega.imag, h.delta])
 
 
 def loops_csv(h: CouplingMatrix, loops: np.ndarray):
     """One row per loop of `loop_census(h)`: its length, its levels, whether
-    they share one |J K M>.  The cells are built CSV_CHUNK_ROWS loops at a
-    time, not for all loops at once."""
-    names = [level.name for level in h.basis]
+    they share one |J K M>.  Each row is the tokens `length,`, the levels'
+    names and `,true` or `,false`, joined CSV_CHUNK_ROWS loops at a time."""
+    names = h.levels.names
     # a loop's first level prints as its name, a later one as " -> " + name
     # (at n + 1 + level), and the padding -1 after its last as the "" at n
-    tokens = np.array(names + [""] + [" -> " + name for name in names], dtype=object)
+    tokens = np.concatenate([names, [""], " -> " + names])
     shift = (len(names) + 1) * (np.arange(loops.shape[1]) > 0)
-    jkm = h.lookup[0][1:]
-    r = 2 * int(np.abs(jkm).max(initial=0)) + 1  # |K|, |M| <= J < r / 2: one code per label
-    label = (jkm[0] * r + jkm[1]) * r + jkm[2]
+    lengths = np.array([f"{k}," for k in range(loops.shape[1] + 1)], dtype=object)
+    ends = np.array([",false\n", ",true\n"], dtype=object)
+    jkm = h.levels.qn[1:]
     yield "length,states,same_rotational_label\n"
     for start in range(0, len(loops), CSV_CHUNK_ROWS):
         part = loops[start:start + CSV_CHUNK_ROWS]
-        states = map("".join, zip(*(tokens[col].tolist() for col in (part + shift).T)))
-        same = np.all((label[part] == label[part[:, :1]]) | (part < 0), axis=1)
-        yield from csv_lines(None, [(part >= 0).sum(axis=1), list(states),
-                                    np.where(same, "true", "false")])
+        same = np.all(np.all(jkm[:, part] == jkm[:, part[:, :1]], axis=0) | (part < 0), axis=1)
+        row = np.column_stack([lengths[(part >= 0).sum(axis=1)], tokens[part + shift],
+                               ends[same.astype(int)]])
+        yield "".join(row.ravel().tolist())
 
 
 def summary_text(result: ScenarioResult) -> str:

@@ -31,6 +31,10 @@ of the array path expansion of `looptopology.find_loops`, and `loop_phases`
 multiplies the couplings around each of them one edge at a time.
 `racah_three_j` adds the Racah sum's terms one `Fraction` at a time, the
 reference of the common-denominator sum of `wigner.three_j_exact`.
+`product_basis` builds the basis one `LevelIndex` at a time, the reference
+of the quantum-number table of `hamiltonian.product_table`, and
+`block_midpoint` solves the midpoint stepper's steps one `eigh` at a time,
+the reference of the stacked solves of `propagate._block_midpoint`.
 """
 
 import itertools
@@ -46,7 +50,7 @@ from chiralsep.coupling import DipoleModel, Enantiomer, LaserSpec, UnknownTransi
 from chiralsep.hamiltonian import BasisNotClosedError, LevelIndex, _classify_setup
 from chiralsep.looptopology import (SPECTRUM_CHANGED, SPECTRUM_UNCHANGED, FlipIndeterminateError,
                                     edges, spectrum)
-from chiralsep.rotbasis import RotState
+from chiralsep.rotbasis import RotState, enumerate_basis
 from chiralsep.wigner import three_j_exact
 
 
@@ -85,6 +89,32 @@ def racah_three_j(j1: int, j2: int, j3: int, m1: int, m2: int, m3: int) -> tuple
     phase = (-1) ** (j1 - j2 - m3)
     sign = phase * (1 if total > 0 else -1)
     return sign, pref * total * total
+
+
+def product_basis(trunc, vibs=(1, 2, 3)) -> tuple[LevelIndex, ...]:
+    """Ordered product basis, vibrational level major, rotational order minor."""
+    return tuple(LevelIndex(v, r) for v in vibs for r in enumerate_basis(trunc))
+
+
+def block_matrix(size, a, b, omega, delta, t) -> np.ndarray:
+    """The dense block H(t) of `propagate._block_matrix` at one time t."""
+    w = omega * np.exp(-2j * np.pi * delta * t)
+    m = np.zeros((size, size), dtype=complex)
+    m[a, b] = w
+    m[b, a] = np.conj(w)
+    return m
+
+
+def block_midpoint(edges, rho, times, dt, steps) -> np.ndarray:
+    """The complex <H(t)> of `propagate._block_midpoint`, one `eigh` per step."""
+    out = np.empty((len(times), len(rho)), dtype=complex)
+    for k, t in enumerate(times):
+        for s in range(steps if k else 0):  # from times[k - 1] up to t
+            lam, v = np.linalg.eigh(block_matrix(*edges, times[k - 1] + (s + 0.5) * dt))
+            u = (v * np.exp(-2j * np.pi * lam * dt)) @ v.conj().T
+            rho = u @ rho @ u.conj().T
+        out[k] = np.sum(rho * block_matrix(*edges, t).T, axis=(1, 2))
+    return out
 
 
 def rot_integral(final: RotState, initial: RotState, sigma: int, sigma_prime: int) -> float:

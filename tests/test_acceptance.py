@@ -15,7 +15,8 @@ import pytest
 
 from chiralsep.coupling import DipoleModel, Enantiomer, GaussianBeam, LaserSpec
 from chiralsep.dressed import FieldConfiguration, dress, dress_field, scalar_potential, vector_potential
-from chiralsep.hamiltonian import CouplingMatrix, LevelIndex, assemble, chirality_transform
+from chiralsep.hamiltonian import (CouplingMatrix, LevelIndex, LevelTable, assemble,
+                                   chirality_transform)
 from chiralsep.looptopology import edges, loop_phases, random_loop_hamiltonian, spectrum
 from chiralsep.propagate import (Ensemble, _block_midpoint, _midpoint_schedule,
                                  ensemble_potential_trace, potential_trace, propagate)
@@ -193,7 +194,7 @@ def test_propagator_against_closed_form_rabi_solutions():
     basis = (LevelIndex(1, RotState(0, 0, 0)), LevelIndex(2, RotState(1, 0, 0)))
 
     def two_level(omega, delta):
-        return CouplingMatrix(basis=basis, fin=np.array([1]), ini=np.array([0]),
+        return CouplingMatrix(levels=LevelTable.of(basis), fin=np.array([1]), ini=np.array([0]),
                               omega=np.array([omega], dtype=complex),
                               delta=np.array([delta], dtype=float))
 

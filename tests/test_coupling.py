@@ -15,8 +15,10 @@ from chiralsep.coupling import (
     UnknownTransitionError,
     rabi_frequency,
 )
-from chiralsep.hamiltonian import LevelIndex, assemble, product_basis
+from chiralsep.hamiltonian import LevelIndex, assemble
 from chiralsep.rotbasis import D2S2, BasisTruncation, RotState
+from chiralsep.wigner import rot_integrals
+from oracle import product_basis
 
 S2 = math.sqrt(2.0)
 
@@ -28,7 +30,8 @@ def quantum_numbers(lvl):
 
 def rabi(final, initial, laser, dm, **kw):
     """rabi_frequency of the single pair final <- initial."""
-    (w,) = rabi_frequency(quantum_numbers(final), quantum_numbers(initial), laser, dm, **kw)
+    f, i = quantum_numbers(final), quantum_numbers(initial)
+    (w,) = rabi_frequency(f, i, rot_integrals(f[1:], i[1:]), laser, dm, **kw)
     return complex(w)
 
 

@@ -14,22 +14,25 @@ from chiralsep.coupling import (
     Enantiomer,
     LaserSpec,
 )
+from chiralsep import hamiltonian
 from chiralsep.hamiltonian import (
     BasisNotClosedError,
+    CouplingMatrix,
     EmptyCouplingError,
     LevelIndex,
+    LevelTable,
     UnsupportedSetupError,
     assemble,
-    basis_lookup,
     chirality_permutation,
     chirality_transform,
     is_symmetry,
     mirror_permutation,
-    product_basis,
+    product_table,
 )
 from chiralsep.rotbasis import D2S2, BasisTruncation, RotState, enumerate_basis, rot_energy
+from chiralsep.scenarios import _assemble, builtin_config
 import oracle
-from oracle import rabi_frequency
+from oracle import product_basis, rabi_frequency
 
 
 def lasers(p12, p23, p13, offsets=(0.0, 0.0, 0.0)):
@@ -51,6 +54,41 @@ def test_product_basis_order():
     vibs = [lvl.vib for lvl in basis]
     assert vibs == sorted(vibs)
 
+
+
+def test_product_table_is_the_product_basis_and_names_its_levels():
+    for vibs in ((1, 2, 3), (1, 2)):
+        for jmax in range(7):
+            levels = product_basis(BasisTruncation(jmax), vibs)
+            table = product_table(BasisTruncation(jmax), vibs)
+            assert table.qn.dtype == np.int64
+            assert table.qn.T.tolist() == [[lvl.vib, lvl.rot.J, lvl.rot.K, lvl.rot.M]
+                                           for lvl in levels]
+            assert table.names.tolist() == [str(lvl) for lvl in levels]
+            none = np.empty(0, dtype=int)
+            h = CouplingMatrix(table, none, none, none.astype(complex), none.astype(float))
+            assert h.basis == levels
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_a_table_of_any_levels_names_and_finds_them(data):
+    # subsets, shuffles and repeated levels; a repeated level is found at
+    # its last position, as a dict over the basis would keep it
+    full = product_basis(BasisTruncation(data.draw(st.integers(0, 2), label="jmax")))
+    levels = data.draw(st.lists(st.sampled_from(full), min_size=1, max_size=40)
+                       | st.permutations(full), label="levels")
+    none = np.empty(0, dtype=int)
+    h = CouplingMatrix(LevelTable.of(levels), none, none, none.astype(complex), none.astype(float))
+    assert h.n == len(levels)
+    assert h.levels.names.tolist() == [str(lvl) for lvl in levels]
+    assert h.basis == tuple(levels)
+    for lvl in full:
+        if lvl in levels:
+            assert h.index(lvl) == max(k for k, x in enumerate(levels) if x == lvl)
+        else:
+            with pytest.raises(ValueError, match="not in the basis"):
+                h.index(lvl)
 
 def test_assemble_hermitian_and_upward():
     h = assemble(lasers("x", "x", "z"), DM, Enantiomer.L, D2S2, BasisTruncation(2))
@@ -125,9 +163,9 @@ def test_chirality_transform_needs_m_closure():
 def test_m_closure_error_is_typed():
     basis = [LevelIndex(v, RotState(1, 1, 1)) for v in (1, 2, 3)]
     with pytest.raises(BasisNotClosedError):
-        chirality_permutation(("x", "x", "z"), basis)
+        chirality_permutation(("x", "x", "z"), LevelTable.of(basis).lookup)
     # the diagonal transform needs no M-reversed partners
-    perm, sign = chirality_permutation(("x", "x", "x"), basis)
+    perm, sign = chirality_permutation(("x", "x", "x"), LevelTable.of(basis).lookup)
     assert list(perm) == [0, 1, 2] and list(sign) == [-1.0, -1.0, -1.0]
 
 
@@ -142,9 +180,9 @@ def test_chirality_permutation_matches_per_level_lookup(pols, data):
         expected = oracle.chirality_permutation(pols, basis)
     except (UnsupportedSetupError, BasisNotClosedError) as exc:
         with pytest.raises(type(exc)):
-            chirality_permutation(pols, basis)
+            chirality_permutation(pols, LevelTable.of(basis).lookup)
         return
-    perm, sign = chirality_permutation(pols, basis)
+    perm, sign = chirality_permutation(pols, LevelTable.of(basis).lookup)
     assert perm.tobytes() == expected[0].tobytes()
     assert sign.tobytes() == expected[1].tobytes()
 
@@ -268,11 +306,30 @@ def test_enantiomers_share_edges_and_differ_by_the_flagged_signs(data):
     # an edge of `like` that R does not couple is dropped by the `omega != 0` rule
     ground = [hl.index(LevelIndex(v, RotState(0, 0, 0))) for v in (2, 1)]  # a 0-0 3j
     padded = replace(hl, **{name: np.append(getattr(hl, name), value) for name, value in
-                            zip(("fin", "ini", "omega", "delta"), (*ground, 0j, 0.0))})
+                            zip(("fin", "ini", "omega", "delta", "orient"),
+                                (*ground, 0j, 0.0, 0.0))})
     on_padded = assemble(lasers(*pols), dipole, Enantiomer.R, D2S2, trunc, x=x, like=padded)
     for name in ("fin", "ini", "delta", "omega"):
         assert getattr(on_padded, name).tobytes() == getattr(hr, name).tobytes(), name
 
+
+
+@pytest.mark.parametrize("name", ["fig5-T0.5K-xxz-groundres", "fig7-1mK-xxz"])
+def test_r_on_l_orientation_factors_is_the_independent_r_to_the_byte(name, monkeypatch):
+    # R built on L's table takes L's orientation factors, evaluates no 3j
+    # table, and is the independently assembled R to the byte, signed zeros
+    # included (-omega_L is not: it has other signed zeros)
+    config = builtin_config(name)
+    hl, hr = _assemble(config, Enantiomer.L), _assemble(config, Enantiomer.R)
+    # a table without orientation factors is no `like`: R is built in full
+    bare = _assemble(config, Enantiomer.R, replace(hl, orient=None))
+    assert bare.levels is not hl.levels and bare.omega.tobytes() == hr.omega.tobytes()
+    monkeypatch.setattr(hamiltonian, "rot_integrals", None)  # a call raises TypeError
+    on_l = _assemble(config, Enantiomer.R, hl)
+    assert on_l.levels is hl.levels
+    for field in ("fin", "ini", "omega", "delta", "orient"):
+        assert getattr(on_l, field).tobytes() == getattr(hr, field).tobytes(), field
+    assert (-hl.omega).tobytes() != hr.omega.tobytes()
 
 def test_two_lasers_on_one_pair_are_assembled_in_full_even_with_like():
     # like's edges of one pair would mix both lasers' edges
@@ -319,7 +376,7 @@ def test_mirror_row_check_agrees_with_the_dense_conjugation(pols, mus, offsets, 
     event("symmetric" if certified else "not symmetric")
     assert certified == oracle.is_symmetry(h, perm, sign)
     try:
-        transform = chirality_permutation(pols, h.basis)
+        transform = chirality_permutation(pols, h.lookup)
     except UnsupportedSetupError:
         event("no catalogued T")
         return
@@ -330,9 +387,9 @@ def test_mirror_row_check_agrees_with_the_dense_conjugation(pols, mus, offsets, 
 
 def test_mirror_needs_every_image_in_the_basis():
     full = product_basis(BasisTruncation(1))
-    perm, sign = mirror_permutation(basis_lookup(full))
+    perm, sign = mirror_permutation(LevelTable.of(full).lookup)
     assert np.array_equal(perm[perm], np.arange(len(full)))
     assert all(full[perm[k]].rot == RotState(lvl.rot.J, -lvl.rot.K, -lvl.rot.M)
                and sign[k] == (-1.0) ** lvl.rot.M for k, lvl in enumerate(full))
-    assert mirror_permutation(basis_lookup([LevelIndex(1, RotState(1, 1, 0))])) is None
-    assert mirror_permutation(basis_lookup([LevelIndex(1, RotState(0, 0, 0))] * 2)) is None
+    assert mirror_permutation(LevelTable.of([LevelIndex(1, RotState(1, 1, 0))]).lookup) is None
+    assert mirror_permutation(LevelTable.of([LevelIndex(1, RotState(0, 0, 0))] * 2).lookup) is None

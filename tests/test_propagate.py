@@ -14,8 +14,8 @@ import oracle
 from chiralsep import propagate as propagate_module
 from chiralsep import scenarios as scenarios_module
 from chiralsep.coupling import DipoleModel, Enantiomer, LaserSpec
-from chiralsep.hamiltonian import (CouplingMatrix, EmptyCouplingError, LevelIndex, assemble,
-                                   is_symmetry, mirror_permutation)
+from chiralsep.hamiltonian import (CouplingMatrix, EmptyCouplingError, LevelIndex, LevelTable,
+                                   assemble, is_symmetry, mirror_permutation)
 from chiralsep.propagate import (
     DegenerateEigenstateWarning,
     Ensemble,
@@ -47,7 +47,7 @@ MISMATCH_CONFIG = Path(__file__).resolve().parents[1] / "perfbench" / "configs" 
 def two_level(omega, delta):
     basis = (LevelIndex(1, RotState(0, 0, 0)), LevelIndex(2, RotState(1, 0, 0)))
     return CouplingMatrix(
-        basis=basis,
+        levels=LevelTable.of(basis),
         fin=np.array([1]),
         ini=np.array([0]),
         omega=np.array([omega], dtype=complex),
@@ -66,7 +66,7 @@ def from_members(n, members):
 def triangle(omegas, deltas):
     basis = tuple(LevelIndex(v, RotState(0, 0, 0)) for v in (1, 2, 3))
     return CouplingMatrix(
-        basis=basis,
+        levels=LevelTable.of(basis),
         fin=np.array([1, 2, 2]),
         ini=np.array([0, 1, 0]),
         omega=np.asarray(omegas, dtype=complex),
@@ -132,7 +132,7 @@ def test_default_dt_resolves_fastest_scale():
 
 def test_components_partition():
     basis = tuple(LevelIndex(v, RotState(0, 0, 0)) for v in (1, 2, 3))
-    h = CouplingMatrix(basis=basis, fin=np.array([1]), ini=np.array([0]),
+    h = CouplingMatrix(levels=LevelTable.of(basis), fin=np.array([1]), ini=np.array([0]),
                        omega=np.array([1.0 + 0j]), delta=np.array([0.0]))
     comps = components(h)
     assert sorted(len(c) for c in comps) == [1, 2]
@@ -159,7 +159,8 @@ def coupling_graphs(draw, cycle=False):
 def graph_matrix(n, edges, delta):
     basis = tuple(LevelIndex(1, RotState(j, 0, 0)) for j in range(n))
     fin, ini = np.array(edges, dtype=int).reshape(-1, 2).T
-    return CouplingMatrix(basis=basis, fin=fin, ini=ini, omega=np.ones(len(edges), dtype=complex),
+    return CouplingMatrix(levels=LevelTable.of(basis), fin=fin, ini=ini,
+                          omega=np.ones(len(edges), dtype=complex),
                           delta=np.asarray(delta, dtype=float).reshape(-1))
 
 
@@ -442,6 +443,35 @@ def test_midpoint_kernel_checks_each_column_on_its_own_scale():
         with pytest.raises(ValueError, match="non-real"):
             propagate_module._block_midpoint(edges, rho, times, 0.05, 10)
     assert propagate_module._block_midpoint(edges, large[None], times, 0.05, 10).dtype == float
+
+
+@settings(max_examples=60, deadline=None)
+@given(size=st.integers(2, 7), rhos=st.integers(1, 3), n=st.integers(1, 6),
+       steps=st.integers(1, 5), stack=st.integers(0, 12), seed=st.integers(0, 2**32 - 1))
+# a one-edge block in stacks of one step: a (1, 1) product that numpy can round
+# apart from the per-step loop's (1,) one
+@example(size=2, rhos=1, n=2, steps=2, stack=1, seed=1)
+def test_stacked_midpoint_steps_are_the_per_step_loop_bit_for_bit(size, rhos, n, steps, stack,
+                                                                   seed):
+    # stacks of 1 to 12 step matrices (or CHUNK_VALUES' own) end inside
+    # output intervals as well as on their ends
+    rng = np.random.default_rng(seed)
+    a, b = np.tril_indices(size, -1)
+    pick = rng.random(len(a)) < 0.6
+    omega = rng.normal(size=pick.sum()) + 1j * rng.normal(size=pick.sum())
+    edges = (size, a[pick], b[pick], omega, rng.normal(scale=3.0, size=pick.sum()))
+    amps = rng.normal(size=(rhos, size, size)) + 1j * rng.normal(size=(rhos, size, size))
+    rho = amps @ amps.conj().transpose(0, 2, 1)
+    times = np.linspace(0.0, rng.uniform(0.1, 2.0), n)
+    dt = (times[-1] / (n - 1) if n > 1 else 0.1) / steps
+    expected = oracle.block_midpoint(edges, rho, times, dt, steps)
+    old = propagate_module.CHUNK_VALUES
+    propagate_module.CHUNK_VALUES = stack * size**2 or old
+    try:
+        got = propagate_module._block_midpoint(edges, rho, times, dt, steps)
+    finally:
+        propagate_module.CHUNK_VALUES = old
+    assert got.tobytes() == expected.real.tobytes()
 
 
 def test_branches_with_equal_block_rho_share_one_column(monkeypatch):

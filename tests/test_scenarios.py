@@ -272,7 +272,8 @@ def _equal_labels_table(capsys):
     basis = (*[LevelIndex(v, RotState(1, 1, 1)) for v in (1, 2, 3)],
              LevelIndex(2, RotState(1, 1, 0)))
     none = np.empty(0, dtype=int)
-    h = hamiltonian.CouplingMatrix(basis, none, none, none.astype(complex), none.astype(float))
+    h = hamiltonian.CouplingMatrix(hamiltonian.LevelTable.of(basis), none, none,
+                                   none.astype(complex), none.astype(float))
     loops = np.array([[0, 1, 2, -1], [0, 3, 2, -1], [0, 1, 2, 3], [2, 1, 0, -1]])
     return [("".join(loops_csv(h, loops)), oracle.loops_csv(_levels(h, loops)))]
 
@@ -364,6 +365,23 @@ def test_a_run_builds_one_code_table_per_coupling_matrix(monkeypatch):
     assert len(calls) == 1  # in `assemble` for L; R is built on L's table
 
 
+
+@pytest.mark.parametrize("name, jmax", [("fig7-1mK-xxz", None), ("fig5-T0.5K-xxz-groundres", 5)])
+def test_a_full_basis_run_and_write_build_no_level_object(name, jmax, tmp_path, monkeypatch):
+    # the basis is its quantum-number table: names, lookups and CSVs never
+    # ask for a LevelIndex (fig5 at its smallest jmax the thermal gate accepts)
+    made = []
+    init = LevelIndex.__init__
+    monkeypatch.setattr(LevelIndex, "__init__",
+                        lambda self, *args: made.append(args) or init(self, *args))
+    result = run_scenario(scenarios.with_jmax(builtin_config(name), jmax))
+    write_outputs(result, tmp_path)
+    assert made == []
+    h = result.couplings["L"]
+    assert h.levels is result.couplings["R"].levels  # one name table for both files
+    assert (tmp_path / "couplings_L.csv").read_text().splitlines()[1].split(",")[:2] == [
+        str(h.basis[h.fin[0]]), str(h.basis[h.ini[0]])]
+
 def test_a_run_result_pickles():
     res = run_scenario(builtin_config("fig7-1mK-xxz"))
     copy = pickle.loads(pickle.dumps(res))
@@ -439,7 +457,7 @@ def test_timescale_report_separation():
 def test_edge_isospectrality_residual_matches_dense():
     config = builtin_config("fig7-1mK-xxz")
     hl, hr = _assemble(config, Enantiomer.L), _assemble(config, Enantiomer.R)
-    perm, sign = chirality_permutation(config.polarizations, hl.basis)
+    perm, sign = chirality_permutation(config.polarizations, hl.lookup)
     t_mat = chirality_transform(config.polarizations, hl.basis)
     omega = hr.omega.copy()
     omega[len(omega) // 2] *= 1.001
