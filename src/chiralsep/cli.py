@@ -163,10 +163,13 @@ def _cmd_dressed_potentials(args):
             lasers, grid, who=Enantiomer(tag), dipole=cfg.dipole))
         vs = [dressedmod.scalar_potential(frame, n) / cfg.omega12_max for n in range(3)]
         try:
-            avs = [dressedmod.vector_potential(frame, n) for n in range(3)]
+            with np.errstate(divide="ignore", invalid="ignore"):  # non-finite: refused below
+                avs = [dressedmod.vector_potential(frame, n) for n in range(3)]
         except dressedmod.DiscontinuousFrameError as exc:
             raise ConfigError(f"--points: {exc}; the grid is too coarse for the beams: "
                               "raise --points or lower --span") from None
+        if not np.all(np.isfinite([*vs, *avs])):
+            raise ConfigError(f"--span: {args.span} gives non-finite finite differences; raise it")
         _emit(csv_lines(["x", "V_1", "V_2", "V_3", "A_1", "A_2", "A_3"], [grid, *vs, *avs]),
               args.out, f"dressed_{tag}.csv")
 

@@ -68,6 +68,7 @@ class GaussianBeam:
                              f"got {self.waist!r}")
 
     def __call__(self, x: float) -> float:
+        x = float(x)  # a numpy float would warn on overflow instead of raising
         try:
             return math.exp(-((x - self.center) ** 2) / self.waist**2)
         except OverflowError:  # a square past the float range: square the ratio

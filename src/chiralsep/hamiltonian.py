@@ -13,7 +13,7 @@ Delta_fi = E_rot(f) - E_rot(i) - rot_offset for an absorption f <- i.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -49,9 +49,10 @@ class LevelIndex:
 class LevelTable:
     """A basis as the (vib, J, K, M) of its levels, `qn`, int64 of shape (4, n).
 
-    What the run reads of the basis is derived from `qn` on first use and
-    kept: the search (`lookup`) and the level names.  R's matrix shares L's
-    table.
+    A basis lists each level once.  What the run reads of the basis is
+    derived from `qn` on first use and kept, and pickles with the table: the
+    sorted level codes that `find` searches, and the level names.  R's
+    matrix shares L's table.
     """
 
     def __init__(self, qn):
@@ -59,13 +60,41 @@ class LevelTable:
 
     @classmethod
     def of(cls, levels):
-        """The table of LevelIndex levels, in their order."""
-        return cls(np.array([(lvl.vib, lvl.rot.J, lvl.rot.K, lvl.rot.M) for lvl in levels],
-                            dtype=np.int64).reshape(-1, 4).T)
+        """The table of LevelIndex levels, in their order.  Raises ValueError
+        naming a level that the list holds twice."""
+        table = cls(np.array([(lvl.vib, lvl.rot.J, lvl.rot.K, lvl.rot.M) for lvl in levels],
+                             dtype=np.int64).reshape(-1, 4).T)
+        twice = np.flatnonzero(table.find(*table.qn) != np.arange(len(levels)))
+        if len(twice):  # find gives a repeated level's first position
+            raise ValueError(f"{levels[twice[0]]} is listed twice in the basis")
+        return table
+
+    @staticmethod
+    def _code(q, lo, size):  # mixed radix over the ranges lo .. lo + size - 1
+        return reduce(lambda c, x: c * x[2] + (x[0] - x[1]), zip(q, lo, size), 0)
 
     @cached_property
-    def lookup(self):
-        return basis_lookup(self.qn)
+    def _search(self):
+        """(lo, size, codes, order): qn's ranges, the level codes ascending
+        and closed by a sentinel above every code, and the levels' positions
+        in that order, closed by -1."""
+        lo = self.qn.min(axis=1, initial=0)
+        size = self.qn.max(axis=1, initial=0) - lo + 1
+        codes = self._code(self.qn, lo, size)
+        order = np.argsort(codes, kind="stable")
+        return lo, size, np.append(codes[order], np.iinfo(np.int64).max), np.append(order, -1)
+
+    def find(self, vib, j, k, m):
+        """The basis position of each (vib, J, K, M), or -1 where the basis
+        has no such level.  Takes integer arrays, broadcast together, and
+        works on integer codes and `searchsorted`, with no per-level object."""
+        lo, size, codes, order = self._search
+        q = np.broadcast_arrays(*(np.asarray(x, dtype=np.int64) for x in (vib, j, k, m)))
+        inside = np.logical_and.reduce([(x >= low) & (x - low < span)
+                                        for x, low, span in zip(q, lo, size)])
+        want = np.where(inside, self._code(q, lo, size), -1)  # no code is -1
+        at = np.searchsorted(codes, want)
+        return np.where(codes[at] == want, order[at], -1)
 
     @cached_property
     def names(self) -> np.ndarray:
@@ -82,9 +111,6 @@ class LevelTable:
         return np.array([f"|{v}>" for v in range(low, int(vib.max(initial=0)) + 1)],
                         dtype=object)[vib - low] + labels
 
-    def __getstate__(self):  # the lookup's search is a closure: rebuilt after unpickling
-        return {"qn": self.qn}
-
 
 def product_table(trunc: BasisTruncation, vibs=(1, 2, 3)) -> LevelTable:
     """The product basis, vibrational level major and |J K M> minor in the
@@ -93,39 +119,6 @@ def product_table(trunc: BasisTruncation, vibs=(1, 2, 3)) -> LevelTable:
                                 np.indices((2 * j + 1,) * 2).reshape(2, -1) - j])
                      for j in range(trunc.jmax + 1)])
     return LevelTable(np.vstack([np.repeat(vibs, rot.shape[1]), np.tile(rot, len(vibs))]))
-
-
-def basis_lookup(qn):
-    """(qn, find): a basis's quantum numbers and a search over them.
-
-    qn is the (vib, J, K, M) of every level as int64 rows, shape (4, n).
-    find(vib, J, K, M) takes integer arrays (broadcast together) and gives
-    the last basis position holding those quantum numbers, as a dict over
-    the basis would keep, or -1 where the basis has none.  It works on
-    integer codes and `searchsorted`, with no per-level object.
-    """
-    lo = qn.min(axis=1, initial=0)
-    size = qn.max(axis=1, initial=0) - lo + 1
-
-    def code(q):  # mixed radix over the basis's range: one code per level
-        c = 0
-        for x, low, span in zip(q, lo, size):
-            c = c * span + (x - low)
-        return c
-
-    codes = code(qn)
-    order = np.argsort(codes, kind="stable")
-    codes = codes[order]
-
-    def find(*q):
-        q = np.broadcast_arrays(*(np.asarray(x, dtype=np.int64) for x in q))
-        inside = np.logical_and.reduce([(x >= low) & (x - low < span)
-                                        for x, low, span in zip(q, lo, size)])
-        want = np.where(inside, code(q), -1)
-        at = np.searchsorted(codes, want, side="right") - 1
-        return np.where(inside & (codes[at] == want), order[at], -1)
-
-    return qn, find
 
 
 @dataclass(frozen=True)
@@ -155,13 +148,9 @@ class CouplingMatrix:
         """The levels as LevelIndex objects, built for a caller that asks."""
         return tuple(LevelIndex(v, RotState(j, k, m)) for v, j, k, m in self.levels.qn.T.tolist())
 
-    @property
-    def lookup(self):
-        return self.levels.lookup
-
     def index(self, level: LevelIndex) -> int:
-        """The basis position of level (the last one, if the basis repeats it)."""
-        at = int(self.lookup[1](level.vib, level.rot.J, level.rot.K, level.rot.M))
+        """The basis position of level."""
+        at = int(self.levels.find(level.vib, level.rot.J, level.rot.K, level.rot.M))
         if at < 0:
             raise ValueError(f"{level} is not in the basis")
         return at
@@ -212,7 +201,7 @@ def assemble(
         return CouplingMatrix(like.levels, *(a[keep] for a in (like.fin, like.ini, omega,
                                                                like.delta, like.orient)))
     levels = product_table(trunc) if basis is None else LevelTable.of(basis)
-    qn, find = levels.lookup
+    qn = levels.qn
     n = qn.shape[1]
     vib, j, k, m = qn
     # rot_energy of every level, in its operation order
@@ -225,7 +214,7 @@ def assemble(
         sps = [sp for sp, mu in zip((-1, 0, 1), dipole.get((vi, vf)).mu) if mu != 0]
         # candidates (vf, J + dj, K + sigma', M + sigma), axes (lower, dj, sigma, sigma')
         lower, dj, s, sp = np.ix_(np.flatnonzero(vib == vi), (-1, 0, 1), sigmas, sps)
-        upper = find(vf, j[lower] + dj, k[lower] + sp, m[lower] + s)
+        upper = levels.find(vf, j[lower] + dj, k[lower] + sp, m[lower] + s)
         lower = np.broadcast_to(lower, upper.shape).ravel()
         upper = upper.ravel()
         hit = upper >= 0
@@ -260,57 +249,68 @@ def _classify_setup(polarizations) -> str:
     )
 
 
-def chirality_permutation(polarizations, lookup) -> tuple[np.ndarray, np.ndarray]:
+def _reversal(levels: LevelTable, k_sign: int):
+    """The positions of |v J k_sign*K -M> for the table's levels |v J K M>,
+    or None when the table lacks one of them.  The map reverses quantum
+    numbers and a basis lists each level once, so it is an involution."""
+    vib, j, k, m = levels.qn
+    perm = levels.find(vib, j, k_sign * k, -m)
+    return None if np.any(perm < 0) else perm
+
+
+def chirality_permutation(polarizations, levels: LevelTable) -> tuple[np.ndarray, np.ndarray]:
     """The chirality transformation T as a signed permutation (perm, sign).
 
     T[perm[k], k] = sign[k] and every other entry is zero; see
-    `chirality_transform` for the catalogued setups.  `lookup` is the
-    basis's `basis_lookup`.  Raises
-    UnsupportedSetupError for other mixes and BasisNotClosedError when an
-    M-reversing T needs a level the basis lacks.
+    `chirality_transform` for the catalogued setups.  `levels` is the
+    basis's table.  Raises UnsupportedSetupError for other mixes and
+    BasisNotClosedError when an M-reversing T needs a level the basis lacks.
     """
     kind = _classify_setup(polarizations)
-    (vib, j, k, m), find = lookup
+    vib, j, k, m = levels.qn
     if kind == "diag-m":
         return np.arange(len(vib)), (-1.0) ** m
-    perm = find(vib, j, k, -m)
-    if np.any(perm < 0):
+    perm = _reversal(levels, 1)
+    if perm is None:
         raise BasisNotClosedError("basis is not closed under M reversal")
     return perm, (-1.0) ** (j if kind == "mrev-j" else j + m)
 
 
-def mirror_permutation(lookup) -> tuple[np.ndarray, np.ndarray] | None:
+def mirror_permutation(levels: LevelTable) -> tuple[np.ndarray, np.ndarray] | None:
     """The (K, M) reversal S|v J K M> = (-1)^M |v J -K -M> as (perm, sign).
 
-    S[perm[k], k] = sign[k], as in `chirality_permutation`; `lookup` is the
-    basis's `basis_lookup`.  None when some level has no image in the basis.
+    S[perm[k], k] = sign[k], as in `chirality_permutation`; `levels` is the
+    basis's table.  None when some level has no image in the basis.
     D^J_{MK}* = (-1)^{M-K} D^J_{-M,-K} (Zare, Angular Momentum, 1988) makes
     S a symmetry of some laser setups; `is_symmetry` certifies it on a table.
     """
-    (vib, j, k, m), find = lookup
-    perm = find(vib, j, -k, -m)
-    if np.any(perm < 0) or not np.array_equal(perm[perm], np.arange(len(perm))):
-        return None  # a missing image, or levels with equal quantum numbers
-    return perm, (-1.0) ** m
+    perm = _reversal(levels, -1)
+    return None if perm is None else (perm, (-1.0) ** levels.qn[3])
+
+
+def _conjugated(h: CouplingMatrix, perm, sign):
+    """(codes, factor): conjugation by the signed permutation S moves edge
+    (fin, ini) to (inv[fin], inv[ini]), coded inv[fin] * n + inv[ini], with
+    omega times factor = sign[inv[fin]] sign[inv[ini]] and the same delta."""
+    inv = np.empty(h.n, dtype=int)
+    inv[perm] = np.arange(h.n)
+    a, b = inv[h.fin], inv[h.ini]
+    return a * h.n + b, sign[a] * sign[b]
 
 
 def is_symmetry(h: CouplingMatrix, perm, sign, image: CouplingMatrix | None = None) -> bool:
     """Whether S^dag H(t) S = image(t) (h's basis; default h) at every t for
     the signed permutation S: the (K, M) reversal on h, or T from H_L to H_R.
 
-    Conjugation moves edge (fin, ini) to (inv[fin], inv[ini]) with omega
-    times sign[inv[fin]] sign[inv[ini]] and the same delta (see
-    `transform_residual`).  The mapped rows must equal the image's rows
+    The conjugated rows (`_conjugated`) must equal the image's rows
     exactly, both sorted by (fin, ini): no sample time and no tolerance.
     """
     image = h if image is None else image
-    inv = np.empty(h.n, dtype=int)
-    inv[perm] = np.arange(h.n)
-    a, b = inv[h.fin], inv[h.ini]
-    pairs, want = a * h.n + b, image.fin * h.n + image.ini
+    pairs, factor = _conjugated(h, perm, sign)
+    want = image.fin * h.n + image.ini
     mapped, table = np.argsort(pairs, kind="stable"), np.argsort(want, kind="stable")
     return (np.array_equal(pairs[mapped], want[table])
-            and np.array_equal((sign[a] * sign[b] * h.omega)[mapped], image.omega[table])
+            and np.array_equal((factor * h.omega)[mapped], image.omega[table])
             and np.array_equal(h.delta[mapped], image.delta[table]))
 
 
@@ -321,9 +321,9 @@ def chirality_transform(polarizations, basis) -> np.ndarray:
     (-1)^M), z mixed with y or all-z (T|JKM> = (-1)^J |J K -M>), and z mixed
     with x such as the xxz setup (T|JKM> = (-1)^{J+M} |J K -M>).  Raises
     UnsupportedSetupError otherwise, and BasisNotClosedError when the basis
-    lacks an M-reversed partner.
+    lacks an M-reversed partner, and ValueError when it lists a level twice.
     """
-    perm, sign = chirality_permutation(polarizations, LevelTable.of(basis).lookup)
+    perm, sign = chirality_permutation(polarizations, LevelTable.of(basis))
     t = np.zeros((len(basis), len(basis)))
     t[perm, np.arange(len(basis))] = sign
     return t
@@ -334,25 +334,21 @@ def transform_residual(hl: CouplingMatrix, hr: CouplingMatrix, perm, sign,
     """Largest Frobenius norm of T^dag H^L(t) T - H^R(t) over `times` for a
     signed permutation T; the L and R edges are aligned once for all times.
 
-    Computed from the edge lists: conjugation by T moves the L edge (f, i)
-    to (inv[f], inv[i]) with the factor sign[inv[f]] * sign[inv[i]].  Both
-    tables orient edges by vibrational level, which T preserves, so each
-    edge difference appears twice in the Hermitian matrix, and an edge with
-    no partner counts in full.
+    Computed from the edge lists, conjugated by `_conjugated`.  Both tables
+    orient edges by vibrational level, which T preserves, so each edge
+    difference appears twice in the Hermitian matrix, and an edge with no
+    partner counts in full.
     """
-    n = hl.n
-    inv = np.empty(n, dtype=int)
-    inv[perm] = np.arange(n)
-    a, b = inv[hl.fin], inv[hl.ini]
-    factor = sign[a] * sign[b]
-    keys, where = np.unique(np.concatenate([a * n + b, hr.fin * n + hr.ini]),
+    pairs, factor = _conjugated(hl, perm, sign)
+    keys, where = np.unique(np.concatenate([pairs, hr.fin * hl.n + hr.ini]),
                             return_inverse=True)
 
     def norm(t):
         vals_l = factor * (hl.omega * np.exp(-2j * np.pi * hl.delta * t))
         vals_r = hr.omega * np.exp(-2j * np.pi * hr.delta * t)
         diff = np.zeros(len(keys), dtype=complex)
-        np.add.at(diff, where, np.concatenate([vals_l, -vals_r]))
+        np.add.at(diff, where[:len(vals_l)], vals_l)
+        np.subtract.at(diff, where[len(vals_l):], vals_r)
         return float(np.sqrt(2.0) * np.linalg.norm(diff))
 
     return max(norm(t) for t in times)

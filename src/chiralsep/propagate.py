@@ -218,30 +218,31 @@ def _propagate_static(h, psi0, times, f):
     return out
 
 
-def _midpoint_schedule(h: CouplingMatrix, times, dt=None) -> tuple[float, int]:
-    """(dt, steps per output interval) of the midpoint stepper.
+def _midpoint_schedule(h: CouplingMatrix, t_end, n, dt=None) -> tuple[float, float]:
+    """(dt, steps per output interval) of the midpoint stepper on linspace(0, t_end, n).
 
     dt defaults to `default_dt` over the whole table and is shortened so
     that a whole number of steps fills each interval of the output grid.
+    steps is a float, inf when dt underflows to 0, to be bounded before its int.
     """
     if dt is None:
         dt = default_dt(h)
     fmax = max_frequency(h)
     if fmax > 0 and dt > 1.0 / (20.0 * fmax) * (1 + 1e-12):
         raise StepTooLargeError(f"dt = {dt} does not resolve 1/(20 * {fmax} GHz)")
-    seg = times[-1] / (len(times) - 1) if len(times) > 1 else 0.0
-    steps = max(1, int(np.ceil(seg / dt)))
+    seg = t_end / (n - 1) if n > 1 else 0.0
+    steps = max(1.0, float(np.ceil(seg / dt))) if dt > 0 else (np.inf if seg else 1.0)
     return (seg / steps if seg else dt), steps
 
 
 def _propagate_midpoint(h, psi0, times, dt):
-    dt, steps = _midpoint_schedule(h, times, dt)
+    dt, steps = _midpoint_schedule(h, times[-1], len(times), dt)
     out = np.empty((len(times), h.n), dtype=complex)
     psi = psi0.copy()
     out[0] = psi
     for k in range(len(times) - 1):
         t = times[k]
-        for s in range(steps):
+        for s in range(int(steps)):
             tm = t + (s + 0.5) * dt
             hm = h.evaluate(tm)
             vals, vecs = np.linalg.eigh(hm)
@@ -334,22 +335,21 @@ def ensemble_potential_trace(
     if f is not None and need > MAX_TRACE_BYTES:
         raise TraceTooLargeError(f"the static trace needs {need} bytes of n-row arrays, "
                                  f"more than {MAX_TRACE_BYTES} bytes", by_grid=True)
-    if f is None and n - 1 > MAX_MIDPOINT_STEPS:  # at least one step per output interval
-        raise TraceTooLargeError(f"the midpoint stepper needs at least {n - 1} steps, "
-                                 f"more than {MAX_MIDPOINT_STEPS}", by_grid=True)
-    times = np.linspace(0.0, t_end, n)
-    if f is None:
-        dt, steps = _midpoint_schedule(h, times)
+    if f is None:  # at least one step per output interval: n - 1 alone can be too many
+        dt, steps = _midpoint_schedule(h, t_end, n)
         if steps * (n - 1) > MAX_MIDPOINT_STEPS:
-            raise TraceTooLargeError(f"the midpoint stepper needs {steps * (n - 1)} steps, "
-                                     f"more than {MAX_MIDPOINT_STEPS}", by_grid=False)
+            raise TraceTooLargeError(f"the midpoint stepper needs {steps * (n - 1):.15g} steps, "
+                                     f"more than {MAX_MIDPOINT_STEPS}",
+                                     by_grid=n - 1 > MAX_MIDPOINT_STEPS)
+        steps = int(steps)
+    times = np.linspace(0.0, t_end, n)
     # a negative weight leaves rho indefinite, where both screening bounds fail
     budget = np.array([SCREEN_BUDGET if np.all(e.weights >= 0) else 0.0
                        for e in ensembles.values()])
     # the block screen spends half the budget, the kernel's component screen the rest
     kept = (budget[:, None] == 0) | ~(_block_bounds(h, ensembles, label, len(blocks))
                                       < budget[:, None] / 2)  # keeps a NaN
-    mirror = mirror_permutation(h.lookup)
+    mirror = mirror_permutation(h.levels)
     if mirror is not None and not is_symmetry(h, *mirror):
         mirror = None
     # each traced block's representative: the lower of it and its mirror block
@@ -686,11 +686,10 @@ def prepare_initial(
     weights = [(rot, w) for rot, w in thermal.items() if w > 0]
     ws = [w for _, w in weights]
     jkm = np.array([(rot.J, rot.K, rot.M) for rot, _ in weights], dtype=np.int64).reshape(-1, 3)
-    find = h.lookup[1]
 
     def levels(vibs):
         """Basis positions of |vib>|rot>, shape (members, vibs)."""
-        pos = find(np.array(vibs)[None, :], *jkm.T[:, :, None])
+        pos = h.levels.find(np.array(vibs)[None, :], *jkm.T[:, :, None])
         missing = np.argwhere(pos < 0)
         if len(missing):
             k, v = missing[0]

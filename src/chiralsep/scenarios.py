@@ -503,7 +503,7 @@ def _transform_or_none(config, h):
     if signs != {-1.0}:
         return None
     try:
-        return chirality_permutation(config.polarizations, h.lookup)
+        return chirality_permutation(config.polarizations, h.levels)
     except (UnsupportedSetupError, BasisNotClosedError):
         return None
 

@@ -231,10 +231,10 @@ def test_propagator_against_closed_form_rabi_solutions():
     static = ensemble_potential_trace(h, {0: one}, 6.0, 601)[0]
     err_static = float(np.max(np.abs(static.values - energy(static.times))))
     assert err_static < 1e-12
-    dt, steps = _midpoint_schedule(h, times_m, 2e-4)
+    dt, steps = _midpoint_schedule(h, 6.0, len(times_m), 2e-4)
     edges = (2, h.fin, h.ini, h.omega, h.delta)
     rho = np.array([[[1.0, 0.0], [0.0, 0.0]]], dtype=complex)
-    midpoint = _block_midpoint(edges, rho, times_m, dt, steps)[:, 0]
+    midpoint = _block_midpoint(edges, rho, times_m, dt, int(steps))[:, 0]
     err_midpoint = float(np.max(np.abs(midpoint - energy(times_m))))
     assert err_midpoint < 1e-6
     print(f"\npropagator oracle (closed-form err {max(err_res, err_det):.2e}, "

@@ -2,6 +2,7 @@
 
 import os
 import tracemalloc
+import warnings
 
 import pytest
 
@@ -112,6 +113,19 @@ def test_dressed_potentials_subcommand(capsys):
     assert len(lines) == 2 * 52
 
 
+def test_a_beam_centred_past_the_float_range_is_dark_without_warnings(capsys):
+    # (x - 1e308)**2 overflows: the beam squares the ratio instead, and does so
+    # for the grid's numpy floats too
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["dressed-potentials", "--scenario", "fig7-1mK-xxz", "--points", "51",
+                   "--offsets", "1e308,0,0"])
+    assert rc == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "nan" not in captured.out and len(captured.out.splitlines()) == 2 * 52
+
+
 def test_timescales_subcommand(tiny_config, capsys):
     rc = main(["timescales", "--config", tiny_config])
     assert rc == 0
@@ -144,16 +158,21 @@ def test_negative_jmax_override_names_the_flag(capsys):
     ("t_end_over_omega12 = 2", "t_end_over_omega12 = 1e6", "scenario.t_end_over_omega12"),
     ("t_end_over_omega12 = 2", "t_end_ns = 1e7", "scenario.t_end_ns"),
     ("n_times = 21", "n_times = 2000000", "scenario.n_times"),  # one step per output time
+    # the fastest detuning sets dt: 20 x 1e200 GHz gives 1e201 steps, and 20 x
+    # 1e308 GHz overflows, which leaves dt 0 and the step count infinite
+    ("rot_offset_GHz = 0.01", "rot_offset_GHz = 1e200", "scenario.t_end_over_omega12"),
+    ("rot_offset_GHz = 0.01", "rot_offset_GHz = 1e308", "scenario.t_end_over_omega12"),
 ])
 def test_midpoint_step_ceiling_names_its_field(tmp_path, capsys, old, new, key):
     # a laser13 offset keeps the laser loop from closing: the midpoint stepper
-    text = TINY.replace(old, new) + "rot_offset_GHz = 0.01\n"
+    text = (TINY + "rot_offset_GHz = 0.01\n").replace(old, new)
     path = tmp_path / "long.cfg"
     path.write_text(text)
     rc = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {key}: ") and "steps" in err
+    assert len(err) < 120  # the step count in a few digits
 
 
 def test_static_ceiling_exits_before_the_output_grid(tmp_path, capsys):
@@ -326,6 +345,9 @@ def test_flip_sensitivity_argument_errors_name_their_flag(capsys, args, flag):
     (["dressed-potentials", "--offsets", "a,0,0"], "--offsets"),
     (["loops", "--max-len", "13"], "--max-len"),
     (["loops", "--max-len", "100"], "--max-len"),  # 1.6 GB of padded paths without the ceiling
+    # the squared spacing underflows in np.gradient's coefficients: NaN potentials
+    (["dressed-potentials", "--span", "1e-200"], "--span"),
+    (["dressed-potentials", "--span", "1e-300"], "--span"),
 ])
 def test_grid_and_loop_length_errors_name_their_flag(capsys, args, flag):
     assert main([*args, "--scenario", "fig7-1mK-xxz"]) == 2

@@ -1,5 +1,7 @@
 """Assembly of the interaction-picture coupling matrix."""
 
+import pickle
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -73,22 +75,60 @@ def test_product_table_is_the_product_basis_and_names_its_levels():
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_a_table_of_any_levels_names_and_finds_them(data):
-    # subsets, shuffles and repeated levels; a repeated level is found at
-    # its last position, as a dict over the basis would keep it
+    # subsets, the empty one included, and shuffles of a basis that lists
+    # each level once: the search agrees with a dict over the levels
     full = product_basis(BasisTruncation(data.draw(st.integers(0, 2), label="jmax")))
-    levels = data.draw(st.lists(st.sampled_from(full), min_size=1, max_size=40)
+    levels = data.draw(st.lists(st.sampled_from(full), max_size=40, unique=True)
                        | st.permutations(full), label="levels")
     none = np.empty(0, dtype=int)
     h = CouplingMatrix(LevelTable.of(levels), none, none, none.astype(complex), none.astype(float))
     assert h.n == len(levels)
     assert h.levels.names.tolist() == [str(lvl) for lvl in levels]
     assert h.basis == tuple(levels)
+    at = {lvl: k for k, lvl in enumerate(levels)}
     for lvl in full:
-        if lvl in levels:
-            assert h.index(lvl) == max(k for k, x in enumerate(levels) if x == lvl)
+        if lvl in at:
+            assert h.index(lvl) == at[lvl]
         else:
             with pytest.raises(ValueError, match="not in the basis"):
                 h.index(lvl)
+    qn = np.array([(lvl.vib, lvl.rot.J, lvl.rot.K, lvl.rot.M) for lvl in full]).T
+    assert h.levels.find(*qn).tolist() == [at.get(lvl, -1) for lvl in full]
+
+
+def test_find_answers_minus_one_outside_the_table():
+    table = product_table(BasisTruncation(1), (1, 2))
+    inside = table.find(*table.qn)
+    assert inside.tolist() == list(range(table.qn.shape[1]))
+    # each quantum number just outside its range, far outside it, and levels
+    # inside every range that the table lacks (|K|, |M| > J)
+    outside = [(0, 0, 0, 0), (3, 0, 0, 0), (1, -1, 0, 0), (1, 2, 0, 0), (2, 1, 2, 0),
+               (1, 1, 0, -2), (10**9, 0, 0, 0), (1, -10**9, 0, 0), (1, 0, 1, 0), (2, 0, 0, -1)]
+    assert table.find(*np.array(outside).T).tolist() == [-1] * len(outside)
+    assert table.find(2, 1, 1, 1) == inside[-1]
+    empty = LevelTable.of([])
+    assert empty.find(*np.array([(0, 0, 0, 0), *outside]).T).tolist() == [-1] * 11
+    none = np.empty(0, dtype=int)
+    with pytest.raises(ValueError, match="not in the basis"):
+        CouplingMatrix(empty, none, none, none.astype(complex),
+                       none.astype(float)).index(LevelIndex(0, RotState(0, 0, 0)))
+    # a table pickled after its search has run finds the same positions
+    copy = pickle.loads(pickle.dumps(table))
+    assert "_search" in vars(copy)
+    assert copy.find(*table.qn).tolist() == inside.tolist()
+    assert copy.find(*np.array(outside).T).tolist() == [-1] * len(outside)
+
+
+def test_a_basis_that_lists_a_level_twice_is_refused():
+    twice = LevelIndex(2, RotState(1, 0, -1))
+    basis = [LevelIndex(1, RotState(1, 0, -1)), twice, LevelIndex(3, RotState(1, 0, -1)), twice]
+    for build in (lambda: LevelTable.of(basis),
+                  lambda: assemble(lasers("z", "z", "z"), DM, Enantiomer.L, D2S2,
+                                   BasisTruncation(1), basis=basis),
+                  lambda: chirality_transform(("x", "x", "z"), basis)):
+        with pytest.raises(ValueError, match=r"\|2>\|1 0 -1> is listed twice in the basis"):
+            build()
+
 
 def test_assemble_hermitian_and_upward():
     h = assemble(lasers("x", "x", "z"), DM, Enantiomer.L, D2S2, BasisTruncation(2))
@@ -163,26 +203,26 @@ def test_chirality_transform_needs_m_closure():
 def test_m_closure_error_is_typed():
     basis = [LevelIndex(v, RotState(1, 1, 1)) for v in (1, 2, 3)]
     with pytest.raises(BasisNotClosedError):
-        chirality_permutation(("x", "x", "z"), LevelTable.of(basis).lookup)
+        chirality_permutation(("x", "x", "z"), LevelTable.of(basis))
     # the diagonal transform needs no M-reversed partners
-    perm, sign = chirality_permutation(("x", "x", "x"), LevelTable.of(basis).lookup)
+    perm, sign = chirality_permutation(("x", "x", "x"), LevelTable.of(basis))
     assert list(perm) == [0, 1, 2] and list(sign) == [-1.0, -1.0, -1.0]
 
 
 @settings(max_examples=60, deadline=None)
 @given(pols=st.tuples(*[st.sampled_from(["x", "y", "z", "sigma+"])] * 3), data=st.data())
 def test_chirality_permutation_matches_per_level_lookup(pols, data):
-    # subsets, shuffles and repeated levels of a jmax <= 2 basis
+    # subsets and shuffles of a jmax <= 2 basis
     full = product_basis(BasisTruncation(data.draw(st.integers(0, 2), label="jmax")))
-    basis = data.draw(st.lists(st.sampled_from(full), max_size=60)
+    basis = data.draw(st.lists(st.sampled_from(full), max_size=60, unique=True)
                       | st.permutations(full), label="basis")
     try:
         expected = oracle.chirality_permutation(pols, basis)
     except (UnsupportedSetupError, BasisNotClosedError) as exc:
         with pytest.raises(type(exc)):
-            chirality_permutation(pols, LevelTable.of(basis).lookup)
+            chirality_permutation(pols, LevelTable.of(basis))
         return
-    perm, sign = chirality_permutation(pols, LevelTable.of(basis).lookup)
+    perm, sign = chirality_permutation(pols, LevelTable.of(basis))
     assert perm.tobytes() == expected[0].tobytes()
     assert sign.tobytes() == expected[1].tobytes()
 
@@ -302,7 +342,7 @@ def test_enantiomers_share_edges_and_differ_by_the_flagged_signs(data):
     on_l = assemble(lasers(*pols), dipole, Enantiomer.R, D2S2, trunc, x=x, like=hl)
     for name in ("fin", "ini", "delta", "omega"):
         assert getattr(on_l, name).tobytes() == getattr(hr, name).tobytes(), name
-    assert on_l.lookup is hl.lookup and np.shares_memory(on_l.fin, hl.fin)
+    assert on_l.levels is hl.levels and np.shares_memory(on_l.fin, hl.fin)
     # an edge of `like` that R does not couple is dropped by the `omega != 0` rule
     ground = [hl.index(LevelIndex(v, RotState(0, 0, 0))) for v in (2, 1)]  # a 0-0 3j
     padded = replace(hl, **{name: np.append(getattr(hl, name), value) for name, value in
@@ -367,7 +407,7 @@ def test_mirror_row_check_agrees_with_the_dense_conjugation(pols, mus, offsets, 
                           BasisTruncation(jmax)) for who in (Enantiomer.L, Enantiomer.R))
     except EmptyCouplingError:
         return
-    perm, sign = mirror_permutation(h.lookup)  # the full basis holds every image
+    perm, sign = mirror_permutation(h.levels)  # the full basis holds every image
     if bump is not None:  # one coupling moved by a relative 2**-40
         omega = h.omega.copy()
         omega[bump % len(omega)] *= 1 + 2.0**-40
@@ -376,7 +416,7 @@ def test_mirror_row_check_agrees_with_the_dense_conjugation(pols, mus, offsets, 
     event("symmetric" if certified else "not symmetric")
     assert certified == oracle.is_symmetry(h, perm, sign)
     try:
-        transform = chirality_permutation(pols, h.lookup)
+        transform = chirality_permutation(pols, h.levels)
     except UnsupportedSetupError:
         event("no catalogued T")
         return
@@ -387,9 +427,10 @@ def test_mirror_row_check_agrees_with_the_dense_conjugation(pols, mus, offsets, 
 
 def test_mirror_needs_every_image_in_the_basis():
     full = product_basis(BasisTruncation(1))
-    perm, sign = mirror_permutation(LevelTable.of(full).lookup)
+    perm, sign = mirror_permutation(LevelTable.of(full))
     assert np.array_equal(perm[perm], np.arange(len(full)))
     assert all(full[perm[k]].rot == RotState(lvl.rot.J, -lvl.rot.K, -lvl.rot.M)
                and sign[k] == (-1.0) ** lvl.rot.M for k, lvl in enumerate(full))
-    assert mirror_permutation(LevelTable.of([LevelIndex(1, RotState(1, 1, 0))]).lookup) is None
-    assert mirror_permutation(LevelTable.of([LevelIndex(1, RotState(0, 0, 0))] * 2).lookup) is None
+    assert mirror_permutation(LevelTable.of([LevelIndex(1, RotState(1, 1, 0))])) is None
+    with pytest.raises(ValueError, match="listed twice"):  # no basis repeats a level
+        LevelTable.of([LevelIndex(1, RotState(0, 0, 0))] * 2)

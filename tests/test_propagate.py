@@ -551,7 +551,7 @@ def _traced_blocks(h, members, blocks, label):
 
 def test_a_pair_whose_factors_differ_is_traced_twice(monkeypatch):
     config, h, members, (blocks, label, _, _, _) = _fig5_j4()
-    perm, _ = mirror_permutation(h.lookup)
+    perm, _ = mirror_permutation(h.levels)
     ens = members[1]
     # the heaviest member on a mirror pair of blocks gets 1.5 times its weight
     # on one of its levels, so only that block's factor changes
@@ -581,7 +581,7 @@ def test_a_branch_and_its_mirror_image_share_one_column(monkeypatch):
     # A is branch 1 on the lower block of each mirror pair, B = S A on the
     # upper: both are traced in the lower block, on one rho per pair
     config, h, members, (blocks, label, _, _, _) = _fig5_j4()
-    perm, sign = mirror_permutation(h.lookup)
+    perm, sign = mirror_permutation(h.levels)
     ens = members[1]
     lower = label[ens.level] < label[perm[ens.level]]
     a = Ensemble.from_triplets(h.n, ens.weights, ens.member[lower], ens.level[lower],
@@ -614,7 +614,7 @@ def test_the_midpoint_path_shares_mirror_blocks_too(monkeypatch):
     shared = ensemble_potential_trace(h, members, config.t_end, config.n_times)
     assert len(calls) == 4
     calls.clear()
-    monkeypatch.setattr(propagate_module, "mirror_permutation", lambda lookup: None)
+    monkeypatch.setattr(propagate_module, "mirror_permutation", lambda levels: None)
     unshared = ensemble_potential_trace(h, members, config.t_end, config.n_times)
     assert len(calls) == 6
     for branch in members:
@@ -626,7 +626,7 @@ def test_a_table_the_mirror_does_not_map_onto_itself_traces_every_block(monkeypa
     config, h, members, _ = _fig5_j4()
     if broken == "omega":  # one edge inside a mirror pair of blocks, 1 ulp off
         blocks, label, _, _, _ = propagate_module._blocks(h)
-        perm, _ = mirror_permutation(h.lookup)
+        perm, _ = mirror_permutation(h.levels)
         e = np.flatnonzero(label[h.fin] != label[perm[h.fin]])[0]
         omega = h.omega.copy()
         omega[e] = np.nextafter(omega[e].real, np.inf) + 1j * omega[e].imag
@@ -638,7 +638,7 @@ def test_a_table_the_mirror_does_not_map_onto_itself_traces_every_block(monkeypa
         thermal = thermal_rot_state(config.temperature, config.constants, config.trunc,
                                     cutoff_mass=config.truncation_mass)
         members = _branch_members(config, Enantiomer.L, h, thermal)
-    assert not is_symmetry(h, *mirror_permutation(h.lookup))
+    assert not is_symmetry(h, *mirror_permutation(h.levels))
     seen = _kernel_work(monkeypatch)
     ensemble_potential_trace(h, members, config.t_end, config.n_times)
     blocks, label, _, _, _ = propagate_module._blocks(h)

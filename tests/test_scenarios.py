@@ -1,5 +1,6 @@
 """Config parsing, builtin scenarios and deterministic output."""
 
+import functools
 import itertools
 import os
 import pickle
@@ -359,8 +360,10 @@ def test_csv_lines_prints_each_float_as_its_str(values, repeat, chunk):
 
 def test_a_run_builds_one_code_table_per_coupling_matrix(monkeypatch):
     calls = []
-    build = hamiltonian.basis_lookup
-    monkeypatch.setattr(hamiltonian, "basis_lookup", lambda basis: calls.append(1) or build(basis))
+    build = hamiltonian.LevelTable._search.func
+    search = functools.cached_property(lambda table: calls.append(1) or build(table))
+    search.__set_name__(hamiltonian.LevelTable, "_search")
+    monkeypatch.setattr(hamiltonian.LevelTable, "_search", search)
     run_scenario(builtin_config("fig7-1mK-xxz"))
     assert len(calls) == 1  # in `assemble` for L; R is built on L's table
 
@@ -386,8 +389,9 @@ def test_a_run_result_pickles():
     res = run_scenario(builtin_config("fig7-1mK-xxz"))
     copy = pickle.loads(pickle.dumps(res))
     assert summary_text(copy) == summary_text(res)
-    h = copy.couplings["L"]
-    assert np.array_equal(h.lookup[0], res.couplings["L"].lookup[0])
+    h, qn = copy.couplings["L"], res.couplings["L"].levels.qn
+    assert np.array_equal(h.levels.qn, qn)
+    assert np.array_equal(h.levels.find(*qn), np.arange(qn.shape[1]))
 
 
 def test_a_fig5_run_does_not_import_numpy_ma(tmp_path):
@@ -457,7 +461,7 @@ def test_timescale_report_separation():
 def test_edge_isospectrality_residual_matches_dense():
     config = builtin_config("fig7-1mK-xxz")
     hl, hr = _assemble(config, Enantiomer.L), _assemble(config, Enantiomer.R)
-    perm, sign = chirality_permutation(config.polarizations, hl.lookup)
+    perm, sign = chirality_permutation(config.polarizations, hl.levels)
     t_mat = chirality_transform(config.polarizations, hl.basis)
     omega = hr.omega.copy()
     omega[len(omega) // 2] *= 1.001
