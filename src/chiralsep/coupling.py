@@ -8,10 +8,10 @@ A coupling factorizes as
 with I the orientation integral from `wigner`.  Chirality enters as a sign
 flip of the vibrational matrix element on flagged transitions, so the
 orientation integrals are the same for both enantiomers.
-`rabi_frequency` takes a whole array of pairs of one laser, with their
-orientation integrals, in one call and evaluates the sums in the
-single-pair order, so every value is the one the sum over sigma' and sigma
-gives term by term.
+I is nonzero only at sigma = M_f - M_i and sigma' = K_f - K_i, so
+`rabi_frequency` gathers that one term per pair, for a whole array of pairs
+of one laser in one call; every value equals the single-pair sum over
+sigma' and sigma bit for bit.
 
 Helicity convention for the field triples (E_{-1}, E_0, E_{+1}):
 
@@ -149,13 +149,14 @@ class DipoleModel:
         return -1.0 if who is Enantiomer.R and self.get(pair).chiral_sign_flip else 1.0
 
 
-def _times(c: complex, z: np.ndarray) -> np.ndarray:
-    """c * z per entry with Python's complex product, one rounding per real operation.
+def _times(c, z: np.ndarray) -> np.ndarray:
+    """c * z per entry (c one complex or one per entry) with Python's complex
+    product, one rounding per real operation.
 
     numpy's own complex multiply may fuse the products, which changes the
     last bit when both factors are fully complex.
     """
-    c = complex(c)
+    c = np.asarray(c, dtype=complex)
     out = np.empty(len(z), dtype=complex)
     out.real = c.real * z.real - c.imag * z.imag
     out.imag = c.real * z.imag + c.imag * z.real
@@ -168,29 +169,23 @@ def rabi_frequency(final: np.ndarray, initial: np.ndarray, orient: np.ndarray,
     """Complex Rabi frequencies (GHz) of many pairs final <- initial at position x.
 
     `final` and `initial` are (vib, J, K, M) integer arrays of shape
-    (4, pairs) with |M_f - M_i| <= 1 and |K_f - K_i| <= 1, and `orient` is
-    their `wigner.rot_integrals(final[1:], initial[1:])`.  Every pair must
-    match the laser's driven vibrational pair (either order of the matrix
-    element; the value is for absorption f <- i when final vib > initial
-    vib).  The sums over sigma' and sigma run in that order for every pair,
-    so each value equals the single-pair sum term by term.
+    (4, pairs) with |M_f - M_i| <= 1 and |K_f - K_i| <= 1 (else ValueError),
+    and `orient` is their `wigner.rot_integrals(final[1:], initial[1:])`.
+    Every pair must match the laser's driven vibrational pair (either order
+    of the matrix element; the value is for absorption f <- i when final vib
+    > initial vib).  A pair takes the field at sigma = M_f - M_i and the
+    dipole at sigma' = K_f - K_i.  + 0j turns a -0.0 part into 0.0, as the
+    single-pair sum from +0 does (a nonzero part ignores a zero's sign).
     """
     final, initial = np.asarray(final), np.asarray(initial)
     pair = tuple(laser.drives)
     lo, hi = np.minimum(final[0], initial[0]), np.maximum(final[0], initial[0])
     if np.any(lo != pair[0]) or np.any(hi != pair[1]):
         raise UnknownTransitionError(f"laser drives {pair}; some pair couples other levels")
-    trans = dipole.get(pair)
-    field_triple = laser.helicity_triple()
     sigma, sigma_p = final[3] - initial[3], final[2] - initial[2]
-    total = np.zeros(len(orient), dtype=complex)
-    for sp, mu in zip((-1, 0, 1), trans.mu):
-        if mu == 0:
-            continue
-        part = np.zeros(len(orient), dtype=complex)
-        for s, amp in zip((-1, 0, 1), field_triple):
-            if amp == 0:
-                continue
-            part += _times(amp, np.where((sigma == s) & (sigma_p == sp), orient, 0.0))
-        total += _times(mu, part)
+    if np.any(np.abs(sigma) > 1) or np.any(np.abs(sigma_p) > 1):
+        raise ValueError("some pair changes M or K by more than 1")
+    field_at = np.array(laser.helicity_triple(), dtype=complex)[sigma + 1]
+    mu_at = np.array(dipole.get(pair).mu, dtype=complex)[sigma_p + 1]
+    total = _times(mu_at, _times(field_at, orient)) + 0j
     return _times(dipole.sign(pair, who) * laser.peak_rabi * laser.beam(x), total)

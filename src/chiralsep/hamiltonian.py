@@ -19,7 +19,7 @@ import numpy as np
 
 from . import coupling
 from .coupling import DipoleModel, Enantiomer, LaserSpec
-from .rotbasis import BasisTruncation, RotorConstants, RotState
+from .rotbasis import BasisTruncation, RotorConstants, RotState, rot_energy
 from .wigner import rot_integrals
 
 
@@ -204,8 +204,7 @@ def assemble(
     qn = levels.qn
     n = qn.shape[1]
     vib, j, k, m = qn
-    # rot_energy of every level, in its operation order
-    energy = constants.c * j * (j + 1) + (constants.a - constants.c) * k**2
+    energy = rot_energy(j, k, constants)
     # fin, ini, omega, delta and orient, laser by laser
     columns = [[np.empty(0, dtype=dtype)] for dtype in (int, int, complex, float, float)]
     for laser in lasers:
@@ -337,12 +336,15 @@ def transform_residual(hl: CouplingMatrix, hr: CouplingMatrix, perm, sign,
     Computed from the edge lists, conjugated by `_conjugated`.  Both tables
     orient edges by vibrational level, which T preserves, so each edge
     difference appears twice in the Hermitian matrix, and an edge with no
-    partner counts in full.
+    partner counts in full.  A phase 2 pi Delta t past the float range makes
+    that time's norm NaN without a warning; the trace refuses such a table
+    when its own t_end reaches as far (`propagate.ensemble_potential_trace`).
     """
     pairs, factor = _conjugated(hl, perm, sign)
     keys, where = np.unique(np.concatenate([pairs, hr.fin * hl.n + hr.ini]),
                             return_inverse=True)
 
+    @np.errstate(over="ignore", invalid="ignore")
     def norm(t):
         vals_l = factor * (hl.omega * np.exp(-2j * np.pi * hl.delta * t))
         vals_r = hr.omega * np.exp(-2j * np.pi * hr.delta * t)

@@ -39,12 +39,13 @@ grid np.linspace(0, t_end, n), which the trace builds itself:
   B = A conj(V) gives eigencomponent n the weight w_n = sum_m w_m |B_mn|^2;
   a Schwarz bound 2 sum_{n in D} sqrt(w_n) (|G|^T sqrt(w))_n limits what
   leaving out a set D of components moves any value, and the factor leaves
-  out the largest D whose bound stays below half of SCREEN_BUDGET (1e-14
-  GHz).  On the kept set K, rho~ = B_K^T W conj(B_K) and the Hermitian
-  C = rho~ * G_KK^T = X + iY give, with p_n(t) = exp(-i 2 pi eps_n t) =
-  c_n - i s_n, <H(t)> = sum_nm p_n C_nm conj(p_m) = c X c + s X s - 2 c Y s:
-  one real product [c; s] @ X, and c @ Y only when Y is nonzero (never for
-  real couplings and a real A).  The phases come from ~2 sqrt(n) rows of
+  out the largest D whose bound stays below its share of SCREEN_BUDGET
+  (see `ensemble_potential_trace` for the split).  On the kept set K,
+  rho~ = B_K^T W conj(B_K) and the Hermitian C = rho~ * G_KK^T = X + iY
+  give, with p_n(t) = exp(-i 2 pi eps_n t) = c_n - i s_n,
+  <H(t)> = sum_nm p_n C_nm conj(p_m) = c X c + s X s - 2 c Y s: one real
+  product [c; s] @ X, and c @ Y only when Y is nonzero (never for real
+  couplings and a real A).  The phases come from ~2 sqrt(n) rows of
   exponentials, and the grid is walked in chunks of whole coarse rows of
   those, up to CHUNK_VALUES values of [c; s] each, so the values are the
   one array of n rows.  No factor's arithmetic depends on another's, and a
@@ -52,20 +53,20 @@ grid np.linspace(0, t_end, n), which the trace builds itself:
   branch's values are the same, bit for bit, whichever branches share the
   call.  The builtin traces stay within 1e-12 Omega12 of the direct complex
   contraction over all components (at most 5.3e-13, fig7);
-- midpoint (no node potential): each factor's rho, evolved on the generic
-  stepper's schedule, one eigendecomposition per block and step (solved in
+- midpoint (no node potential): each factor's rho, evolved on the steps of
+  `_midpoint_schedule`, one eigendecomposition per block and step (solved in
   stacks), rho <- U rho U^dag, with <H(t)> = tr(rho H(t)) at the output times.
 
 Before either kernel, a branch leaves out every block whose whole
-contribution, tr(rho_c) ||H_c||, is below the other half of SCREEN_BUDGET;
-a block no branch keeps gets no factor, no eigendecomposition and no kernel
+contribution, tr(rho_c) ||H_c||, is below its share of SCREEN_BUDGET; a
+block no branch keeps gets no factor, no eigendecomposition and no kernel
 (fig5 at jmax 8 keeps 10 of its 34 blocks).
 
 A trace predicts its size before it builds any array and raises
 TraceTooLargeError above a fixed ceiling: MAX_TRACE_BYTES for the arrays of
 n rows a static trace holds at once, 8 n (1 + 3 branches) bytes (the grid,
 the totals, one block's values), MAX_MIDPOINT_STEPS for the midpoint
-schedule.
+schedule; and for a static trace whose phases 2 pi f t would overflow.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ import numpy as np
 
 from .hamiltonian import CouplingMatrix, LevelIndex, is_symmetry, mirror_permutation
 
-#: largest change, in GHz, that screening may make to any block's <H(t)>
+#: screening's budget in GHz, split as `ensemble_potential_trace` states
 SCREEN_BUDGET = 1e-14
 #: ceilings on one trace, checked before it builds any array
 MAX_TRACE_BYTES = 2**30  # the n-row arrays one static trace holds at once
@@ -105,7 +106,8 @@ class MismatchedGridError(ValueError):
 
 
 class TraceTooLargeError(ValueError):
-    """A trace predicted to exceed MAX_TRACE_BYTES or MAX_MIDPOINT_STEPS.
+    """A trace predicted to exceed MAX_TRACE_BYTES or MAX_MIDPOINT_STEPS, or
+    a static one whose phases 2 pi f t would overflow.
 
     `by_grid` is true when the number of output times sets the size, false
     when the length of the time span does.
@@ -132,18 +134,6 @@ class PotentialTrace:
     def from_values(cls, times, values):
         return cls(times=np.asarray(times), values=np.asarray(values),
                    time_average=float(np.mean(values)))
-
-
-def max_frequency(h: CouplingMatrix) -> float:
-    """Fastest frequency scale max(|Delta|, |Omega|) in GHz."""
-    scales = [np.max(np.abs(h.delta), initial=0.0), np.max(np.abs(h.omega), initial=0.0)]
-    return float(max(scales))
-
-
-def default_dt(h: CouplingMatrix) -> float:
-    """Largest step resolving the fastest detuning/Rabi scale."""
-    f = max_frequency(h)
-    return 0.05 if f == 0 else 1.0 / (20.0 * f)
 
 
 def node_potential(h: CouplingMatrix, tol: float = 1e-10):
@@ -221,14 +211,16 @@ def _propagate_static(h, psi0, times, f):
 def _midpoint_schedule(h: CouplingMatrix, t_end, n, dt=None) -> tuple[float, float]:
     """(dt, steps per output interval) of the midpoint stepper on linspace(0, t_end, n).
 
-    dt defaults to `default_dt` over the whole table and is shortened so
-    that a whole number of steps fills each interval of the output grid.
-    steps is a float, inf when dt underflows to 0, to be bounded before its int.
+    The step rule: dt defaults to 1/(20 fmax), fmax = max(|Delta|, |Omega|) in
+    GHz, or 0.05 ns when the table couples nothing, and a larger dt raises
+    StepTooLargeError.  dt is shortened so that a whole number of steps fills
+    each interval of the output grid.  steps is a float, inf when dt
+    underflows to 0, to be bounded before its int.
     """
-    if dt is None:
-        dt = default_dt(h)
-    fmax = max_frequency(h)
-    if fmax > 0 and dt > 1.0 / (20.0 * fmax) * (1 + 1e-12):
+    fmax = float(max(np.max(np.abs(h.delta), initial=0.0), np.max(np.abs(h.omega), initial=0.0)))
+    rule = 0.05 if fmax == 0 else 1.0 / (20.0 * fmax)
+    dt = rule if dt is None else dt
+    if fmax > 0 and dt > rule * (1 + 1e-12):
         raise StepTooLargeError(f"dt = {dt} does not resolve 1/(20 * {fmax} GHz)")
     seg = t_end / (n - 1) if n > 1 else 0.0
     steps = max(1.0, float(np.ceil(seg / dt))) if dt > 0 else (np.inf if seg else 1.0)
@@ -315,12 +307,14 @@ def ensemble_potential_trace(
     Equal factors with equal budgets share one column, so a branch and its
     mirror image share, as do a branch's blocks of a pair.
 
-    Screening moves each value by at most SCREEN_BUDGET (GHz), split in two
-    fixed halves.  The block screen serves both kernels: a branch leaves out
-    block c when tr(rho_c) ||H_c|| (`_block_bounds`) is below half the
-    budget.  The component screen of `_block_expectations` gets the other
-    half.  A branch with a negative weight has budget 0, which leaves out
-    nothing of it.
+    Screening splits SCREEN_BUDGET (GHz) by one fixed rule, stated here
+    alone.  A block c of a branch is either left out by the block screen (both
+    kernels), its bound tr(rho_c) ||H_c|| (`_block_bounds`) below
+    SCREEN_BUDGET/2, or component-screened by `_block_expectations` (static
+    kernel), the bound of what it drops below SCREEN_BUDGET/2.  So each
+    block's <H(t)> moves by less than SCREEN_BUDGET/2, and a branch's total by
+    less than the sum over its blocks (a fig5 branch leaves out 24 blocks).
+    A negative weight gives its branch budget 0, which leaves out nothing.
     """
     if n < 1:
         raise ValueError(f"a trace needs n >= 1 output times, got {n}")
@@ -331,11 +325,17 @@ def ensemble_potential_trace(
     # the ceilings are checked before any array of n values is built.  The
     # static trace holds the grid, a row of totals per branch (returned as
     # the values) and one block's values, at most two columns per branch
-    need = 8 * n * (1 + 3 * len(ensembles))
-    if f is not None and need > MAX_TRACE_BYTES:
-        raise TraceTooLargeError(f"the static trace needs {need} bytes of n-row arrays, "
-                                 f"more than {MAX_TRACE_BYTES} bytes", by_grid=True)
-    if f is None:  # at least one step per output interval: n - 1 alone can be too many
+    if f is not None:
+        need = 8 * n * (1 + 3 * len(ensembles))
+        if need > MAX_TRACE_BYTES:
+            raise TraceTooLargeError(f"the static trace needs {need} bytes of n-row arrays, "
+                                     f"more than {MAX_TRACE_BYTES} bytes", by_grid=True)
+        fmax, dmax = (float(np.max(np.abs(a), initial=0.0)) for a in (f, h.delta))
+        # H(0) takes 2 pi Delta, and the phases 2 pi eps t have eps ~ -f
+        if not math.isfinite(2 * math.pi * max(fmax * t_end, dmax)):
+            raise TraceTooLargeError(f"the static phases 2 pi f t overflow: max|f| = "
+                                     f"{fmax:.3g} GHz, t_end = {t_end:.3g} ns", by_grid=False)
+    else:  # at least one step per output interval: n - 1 alone can be too many
         dt, steps = _midpoint_schedule(h, t_end, n)
         if steps * (n - 1) > MAX_MIDPOINT_STEPS:
             raise TraceTooLargeError(f"the midpoint stepper needs {steps * (n - 1):.15g} steps, "
@@ -346,7 +346,6 @@ def ensemble_potential_trace(
     # a negative weight leaves rho indefinite, where both screening bounds fail
     budget = np.array([SCREEN_BUDGET if np.all(e.weights >= 0) else 0.0
                        for e in ensembles.values()])
-    # the block screen spends half the budget, the kernel's component screen the rest
     kept = (budget[:, None] == 0) | ~(_block_bounds(h, ensembles, label, len(blocks))
                                       < budget[:, None] / 2)  # keeps a NaN
     mirror = mirror_permutation(h.levels)
@@ -522,9 +521,8 @@ def _block_expectations(h0, f, factors, times, budget=SCREEN_BUDGET) -> np.ndarr
     `_screen` gives each factor the largest D whose bound stays below its
     `budget` (one per factor, or one for all); rho~, C, the phases and the
     products are formed on the kept set only.  The bound fails for a
-    negative weight, which needs budget 0 (drops nothing);
-    `ensemble_potential_trace` passes half of a factor's budget, and its
-    block screen spends the other half.
+    negative weight, which needs budget 0 (drops nothing).
+    `ensemble_potential_trace` states how the budget is split.
     On the builtin scenarios the traces stay within 1e-12 Omega12 of the
     unscreened complex contraction.
     The phases come from `_phases`, so the grid must be
@@ -608,9 +606,10 @@ def _screen(w, g, budget) -> tuple[np.ndarray, float]:
     and the bound on how far that moves its values.
 
     w is the diagonal of the factor's V^dag rho V and g is G; see
-    `_block_expectations`.  The bound of a set D is the sum of
-    t_n = 2 sqrt(w_n) (|G|^T sqrt(w))_n over D, so the largest D below the
-    budget is a prefix of the t_n in ascending order.  A NaN is never dropped.
+    `_block_expectations`, and `ensemble_potential_trace` for the budget's
+    split.  The bound of a set D is the sum of t_n = 2 sqrt(w_n) (|G|^T
+    sqrt(w))_n over D, so the largest D below the budget is a prefix of the
+    t_n in ascending order.  A NaN is never dropped.
     """
     sw = np.sqrt(np.maximum(w, 0.0))  # a negative weight can leave w_n below 0
     t = 2 * sw * (sw @ np.abs(g))
@@ -672,7 +671,8 @@ def prepare_initial(
 ) -> Ensemble:
     """Weighted pure-state ensemble for one preparation protocol.
 
-    mode "diabatic": bare states |1>|JKM> with thermal weights.
+    mode "diabatic": bare states |1>|JKM> with thermal weights, the product
+    state of amplitude 1 on |1> alone.
     mode "adiabatic": each thermal bare state mapped to the eigenvector of
     its block's H(0) with the largest overlap; warns when that eigenvalue
     lies within GAP_WARN times the block's largest |eigenvalue| of another
@@ -696,16 +696,13 @@ def prepare_initial(
             raise KeyError(LevelIndex(vibs[v], weights[k][0]))
         return pos
 
-    if mode == "diabatic":
-        level = levels((1,)).ravel()
-        return Ensemble.from_triplets(h.n, ws, np.arange(len(level)), level,
-                                      np.ones(len(level)))
-    if mode == "partially-dressed":
-        if vib_amplitudes is None:
+    if mode in ("diabatic", "partially-dressed"):  # a product state on each thermal |JKM>
+        vibs, amps = ((1,), (1.0,)) if mode == "diabatic" else ((1, 2, 3), vib_amplitudes)
+        if amps is None:
             raise ValueError("partially-dressed preparation needs vib_amplitudes")
-        amps = np.asarray(vib_amplitudes, dtype=complex)
-        return Ensemble.from_triplets(h.n, ws, np.repeat(np.arange(len(weights)), 3),
-                                      levels((1, 2, 3)).ravel(), np.tile(amps, len(weights)))
+        return Ensemble.from_triplets(h.n, ws, np.repeat(np.arange(len(weights)), len(vibs)),
+                                      levels(vibs).ravel(),
+                                      np.tile(np.asarray(amps, dtype=complex), len(weights)))
     if mode == "adiabatic":
         blocks, label, local, edges, _ = _blocks(h)
         eig, member, level, amp = {}, [], [], []

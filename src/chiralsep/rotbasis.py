@@ -73,9 +73,9 @@ class BasisTruncation:
         return (j + 1) * (2 * j + 1) * (2 * j + 3) // 3
 
 
-def rot_energy(state: RotState, constants: RotorConstants) -> float:
-    """Rotational energy in GHz; M-independent."""
-    return constants.c * state.J * (state.J + 1) + (constants.a - constants.c) * state.K**2
+def rot_energy(j, k, constants: RotorConstants):
+    """Rotational energy in GHz of |J K M>, any M; j, k ints or integer arrays."""
+    return constants.c * j * (j + 1) + (constants.a - constants.c) * k**2
 
 
 def enumerate_basis(trunc: BasisTruncation) -> list[RotState]:
@@ -108,7 +108,7 @@ def thermal_rot_state(
     if temperature == 0:
         return {s: (1.0 if s.J == 0 else 0.0) for s in basis}
     kt = kelvin_to_ghz(temperature)
-    weights = [math.exp(-rot_energy(s, constants) / kt) for s in basis]
+    weights = [math.exp(-rot_energy(s.J, s.K, constants) / kt) for s in basis]
     z = sum(weights)
     probs = {s: w / z for s, w in zip(basis, weights)}
     edge_mass = sum(p for s, p in probs.items() if s.J == trunc.jmax)

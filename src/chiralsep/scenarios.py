@@ -352,7 +352,7 @@ polarization = z
 def _retuned(cfg):
     """Fig 5 (lower panel): lasers retuned so the 1-2 and 2-3 transitions are
     resonant for |1>|J K M> <-> |2>|J+1 K M> <-> |3>|J K M> with (J, K) = (1, 1)."""
-    d = rot_energy(RotState(2, 1, 1), D2S2) - rot_energy(RotState(1, 1, 1), D2S2)
+    d = rot_energy(2, 1, D2S2) - rot_energy(1, 1, D2S2)
     l12, l23, l13 = cfg.lasers
     return replace(cfg, lasers=(replace(l12, rot_offset=d), replace(l23, rot_offset=-d), l13))
 
@@ -625,15 +625,12 @@ def write_texts(out_dir, names, parts) -> list[str]:
     return paths
 
 
-def trace_csv(result: ScenarioResult, branch):
-    """One row per time: time_ns, time_in_inverse_Omega12, value_<tag>..."""
-    return (text for chunks in trace_csvs(result, [branch]) for text in chunks)
-
-
 def trace_csvs(result: ScenarioResult, branches):
-    """The `trace_csv` chunks of the branches in lockstep, one per branch an
-    item.  Each distinct column is formatted once for all files: the times, and
-    values that R's branch n shares with L's branch 4 - n on the mirror builtins."""
+    """The trace CSV of each branch, one row per time: time_ns,
+    time_in_inverse_Omega12, value_<tag>...  The files' chunks come in
+    lockstep, one per branch an item.  Each distinct column is formatted once
+    for all files: the times, and values that R's branch n shares with L's
+    branch 4 - n on the mirror builtins."""
     pers = [result.traces[b] for b in branches]
     yield [",".join(["time_ns", "time_in_inverse_Omega12"] + [f"value_{t}" for t in per]) + "\n"
            for per in pers]

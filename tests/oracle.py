@@ -11,7 +11,8 @@ its image table, the reference of the exact row check
 `hamiltonian.is_symmetry`; and `trace_csv`, `couplings_csv`,
 `loops_csv`, `dressed_csv` and `summary_text` format one row or line at a
 time, element by element, the references of the column-wise
-`scenarios.csv_lines` and `scenarios.keyvalue_lines`.  `components` (a union-find) and
+`scenarios.trace_csvs`, `scenarios.csv_lines` and
+`scenarios.keyvalue_lines`.  `components` (a union-find) and
 `node_potential` (a depth-first search) walk the coupling graph one edge at
 a time, the references of the vectorised labelling and layered potential
 of `propagate`, and `members` expands an `Ensemble` into dense state
@@ -190,7 +191,7 @@ def is_symmetry(h, perm, sign, image=None, times=(0.0, 0.37, 1.9)):
 
 
 def trace_csv(result, branch) -> str:
-    """The trace CSV of `scenarios.trace_csv`, one repr per element."""
+    """The branch's trace CSV of `scenarios.trace_csvs`, one repr per element."""
     omega12 = result.config.omega12_max
     per = result.traces[branch]
     lines = [",".join(["time_ns", "time_in_inverse_Omega12"] + [f"value_{t}" for t in per])]

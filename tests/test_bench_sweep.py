@@ -44,7 +44,7 @@ def test_the_sweep_on_fig7_writes_every_key_and_only_finite_numbers(tmp_path):
         assert point["run_scenario_s"]["runs"] == 1
         assert set(point["layers_s"]) >= {"assemble", "transform_residual", "loop_census",
                                           "prepare_initial", "ensemble_potential_trace",
-                                          "_eigenframe"}
+                                          "_eigenframe", "thermal_rot_state"}
     assert tree["points"]["3"]["max_trace_difference_from_reference"] == 0.0
     assert 0 < tree["points"]["2"]["max_trace_difference_from_reference"] < 1e-5
     assert tree["nonclosing_fig7"]["runs"] == 1

@@ -154,6 +154,23 @@ def test_negative_jmax_override_names_the_flag(capsys):
     assert capsys.readouterr().err.startswith("error: --jmax: ")
 
 
+def _refused(tmp_path, capsys, old, new):
+    """stderr of `run` on TINY with a laser13 offset, `old` replaced by `new`:
+    exit 2, no warning, one line."""
+    text = (TINY + "rot_offset_GHz = 0.01\n").replace(old, new)
+    assert text != TINY + "rot_offset_GHz = 0.01\n"
+    path = tmp_path / "long.cfg"
+    path.write_text(text)
+    with warnings.catch_warnings(record=True) as caught:  # a warning would print
+        warnings.simplefilter("always")
+        rc = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.endswith("\n")  # the one line
+    return err
+
+
 @pytest.mark.parametrize("old, new, key", [
     ("t_end_over_omega12 = 2", "t_end_over_omega12 = 1e6", "scenario.t_end_over_omega12"),
     ("t_end_over_omega12 = 2", "t_end_ns = 1e7", "scenario.t_end_ns"),
@@ -165,14 +182,20 @@ def test_negative_jmax_override_names_the_flag(capsys):
 ])
 def test_midpoint_step_ceiling_names_its_field(tmp_path, capsys, old, new, key):
     # a laser13 offset keeps the laser loop from closing: the midpoint stepper
-    text = (TINY + "rot_offset_GHz = 0.01\n").replace(old, new)
-    path = tmp_path / "long.cfg"
-    path.write_text(text)
-    rc = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
-    assert rc == 2
-    err = capsys.readouterr().err
+    err = _refused(tmp_path, capsys, old, new)
     assert err.startswith(f"error: {key}: ") and "steps" in err
     assert len(err) < 120  # the step count in a few digits
+
+
+def test_overflowing_static_phases_name_their_field(tmp_path, capsys):
+    # laser12 and laser23 at +-1e308 with laser13 at 0 close the loop: the
+    # static frame's phases 2 pi f t, and its H(0), would overflow
+    err = _refused(tmp_path, capsys,
+                   "polarization = x\n\n[laser23]\npolarization = x\n\n[laser13]\n"
+                   "polarization = z\nrot_offset_GHz = 0.01",
+                   "polarization = x\nrot_offset_GHz = 1e308\n\n[laser23]\npolarization = x\n"
+                   "rot_offset_GHz = -1e308\n\n[laser13]\npolarization = z\nrot_offset_GHz = 0")
+    assert err.startswith("error: scenario.t_end_over_omega12: ") and "phases" in err
 
 
 def test_static_ceiling_exits_before_the_output_grid(tmp_path, capsys):

@@ -126,6 +126,17 @@ def test_rabi_frequency_rejects_wrong_pair():
                        LevelIndex(2, RotState(1, 0, 0)), laser, dm)
 
 
+def test_rabi_frequency_rejects_a_pair_outside_the_helicities():
+    # |Delta K| or |Delta M| = 2 has no helicity component to gather
+    laser = LaserSpec(drives=(1, 2))
+    dm = DipoleModel({(1, 2): DipoleTransition(mu=(1.0, 1.0, 1.0))})
+    i = quantum_numbers(LevelIndex(1, RotState(2, 0, 0)))
+    for rot in (RotState(2, 2, 0), RotState(2, 0, -2)):
+        f = quantum_numbers(LevelIndex(2, rot))
+        with pytest.raises(ValueError, match="more than 1"):
+            rabi_frequency(f, i, np.ones(1), laser, dm)
+
+
 def driven_pairs(laser, dm, basis):
     """(final, initial) pairs that `assemble` couples with this one laser."""
     h = assemble([laser], dm, Enantiomer.L, D2S2, BasisTruncation(1), basis=basis)

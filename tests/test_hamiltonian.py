@@ -16,7 +16,7 @@ from chiralsep.coupling import (
     Enantiomer,
     LaserSpec,
 )
-from chiralsep import hamiltonian
+from chiralsep import coupling, hamiltonian
 from chiralsep.hamiltonian import (
     BasisNotClosedError,
     CouplingMatrix,
@@ -33,6 +33,7 @@ from chiralsep.hamiltonian import (
 )
 from chiralsep.rotbasis import D2S2, BasisTruncation, RotState, enumerate_basis, rot_energy
 from chiralsep.scenarios import _assemble, builtin_config
+from chiralsep.wigner import rot_integrals
 import oracle
 from oracle import product_basis, rabi_frequency
 
@@ -145,7 +146,7 @@ def test_assemble_detunings_from_level_energies():
                  DM, Enantiomer.L, D2S2, BasisTruncation(1))
     for f, i, d in zip(h.fin, h.ini, h.delta):
         f, i = h.basis[f], h.basis[i]
-        expected = rot_energy(f.rot, D2S2) - rot_energy(i.rot, D2S2)
+        expected = rot_energy(f.rot.J, f.rot.K, D2S2) - rot_energy(i.rot.J, i.rot.K, D2S2)
         if (i.vib, f.vib) == (1, 2):
             expected -= off
         assert d == pytest.approx(expected, abs=1e-12)
@@ -243,6 +244,31 @@ POLARIZATION = st.one_of(
 DIPOLE = st.tuples(*[st.sampled_from([0.0, 1.0, -0.7, 0.5j])] * 3).filter(any)
 
 
+def _bits(values):
+    """The bit patterns of the real and imaginary parts, -0.0 apart from 0.0."""
+    values = np.asarray(values, dtype=complex)
+    return values.real.view(np.int64).tolist(), values.imag.view(np.int64).tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(pol=POLARIZATION, mu=DIPOLE, flip=st.booleans(), who=st.sampled_from(list(Enantiomer)),
+       x=st.sampled_from([0.0, 0.4]))
+def test_rabi_frequency_is_the_single_pair_sum_bit_for_bit(pol, mu, flip, who, x):
+    # every (Delta M, Delta K) in range, over levels of J <= 2 in both
+    # orders of the matrix element; a -0.0 part of the gathered product
+    # must print as the sum's 0.0
+    laser = LaserSpec(drives=(1, 2), polarization=pol)
+    dipole = DipoleModel({(1, 2): DipoleTransition(mu=mu, chiral_sign_flip=flip)})
+    rots = enumerate_basis(BasisTruncation(2))
+    pairs = [(LevelIndex(vf, f), LevelIndex(3 - vf, i)) for vf in (2, 1) for f in rots
+             for i in rots if abs(f.M - i.M) <= 1 and abs(f.K - i.K) <= 1]
+    final, initial = (np.array([(l.vib, l.rot.J, l.rot.K, l.rot.M) for l in side]).T
+                      for side in zip(*pairs))
+    got = coupling.rabi_frequency(final, initial, rot_integrals(final[1:], initial[1:]),
+                                  laser, dipole, who, x)
+    assert _bits(got) == _bits([rabi_frequency(f, i, laser, dipole, who, x) for f, i in pairs])
+
+
 def brute_force_couplings(lasers, dipole, who, basis, x):
     """(fin, ini, omega, delta) rows of every nonzero pair, or None if a laser couples nothing."""
     rows = []
@@ -255,7 +281,8 @@ def brute_force_couplings(lasers, dipole, who, basis, x):
                     continue
                 w = rabi_frequency(upper, lower, laser, dipole, who, x)
                 if w != 0:
-                    d = rot_energy(upper.rot, D2S2) - rot_energy(lower.rot, D2S2) - laser.rot_offset
+                    d = (rot_energy(upper.rot.J, upper.rot.K, D2S2)
+                         - rot_energy(lower.rot.J, lower.rot.K, D2S2) - laser.rot_offset)
                     rows.append((f, i, w, d))
         if len(rows) == before:
             return None

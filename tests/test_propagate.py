@@ -23,8 +23,8 @@ from chiralsep.propagate import (
     PotentialTrace,
     TIE_RTOL,
     StepTooLargeError,
+    _midpoint_schedule,
     components,
-    default_dt,
     ensemble_average,
     ensemble_potential_trace,
     node_potential,
@@ -127,7 +127,7 @@ def test_node_potential_existence():
 
 def test_default_dt_resolves_fastest_scale():
     h = two_level(0.2, 3.0)
-    assert default_dt(h) == pytest.approx(1 / 60.0)
+    assert _midpoint_schedule(h, 1.0, 1)[0] == pytest.approx(1 / 60.0)  # one time: dt itself
 
 
 def test_components_partition():
@@ -397,6 +397,22 @@ def test_prepare_initial_modes():
         prepare_initial("partially-dressed", h, thermal)
     with pytest.raises(ValueError):
         prepare_initial("sudden", h, thermal)
+
+
+def test_diabatic_preparation_is_amplitude_one_on_the_bare_level():
+    # one member per thermal state in order, on |1>|JKM> alone: a basis
+    # without |2> and |3> serves, as no other level is looked up
+    thermal = thermal_rot_state(0.5, D2S2, BasisTruncation(6))
+    rots = [rot for rot, w in thermal.items() if w > 0]
+    levels = LevelTable.of([LevelIndex(1, rot) for rot in reversed(rots)])
+    none = np.empty(0, dtype=int)
+    h = CouplingMatrix(levels, none, none, none.astype(complex), none.astype(float))
+    ens = prepare_initial("diabatic", h, thermal)
+    assert ens.weights.tolist() == [thermal[rot] for rot in rots]
+    assert ens.member.tolist() == list(range(len(rots)))
+    assert ens.level.tolist() == list(range(len(rots)))[::-1]
+    assert ens.amp.dtype == complex
+    assert ens.amp.view(np.int64).tolist() == np.ones(len(rots), complex).view(np.int64).tolist()
 
 
 def test_ensemble_average_grid_check():

@@ -45,7 +45,7 @@ from chiralsep.scenarios import (
     run_scenario,
     summary_text,
     timescale_report,
-    trace_csv,
+    trace_csvs,
     write_outputs,
 )
 
@@ -141,7 +141,8 @@ def test_run_scenario_deterministic_output():
     r1 = run_scenario(cfg)
     r2 = run_scenario(cfg)
     for branch in r1.traces:
-        assert "".join(trace_csv(r1, branch)) == "".join(trace_csv(r2, branch))
+        text1, text2 = ("".join(c for (c,) in trace_csvs(r, [branch])) for r in (r1, r2))
+        assert text1 == text2
     assert summary_text(r1) == summary_text(r2)
     assert "".join(couplings_csv(r1.couplings["L"])) == "".join(couplings_csv(r2.couplings["L"]))
 
@@ -161,7 +162,7 @@ def test_run_scenario_trace_units_and_shape():
 def test_trace_csv_header():
     cfg = parse_config(MINIMAL)
     res = run_scenario(cfg)
-    lines = "".join(trace_csv(res, "thermal")).splitlines()
+    lines = "".join(c for (c,) in trace_csvs(res, ["thermal"])).splitlines()
     assert lines[0] == "time_ns,time_in_inverse_Omega12,value_L,value_R"
     assert len(lines) == 42
 
@@ -170,10 +171,10 @@ def test_trace_csv_header():
 def test_csv_columns_match_the_per_row_formatter(monkeypatch, enantiomers):
     res = run_scenario(builtin_config("fig7-1mK-xxz"), enantiomers=enantiomers)
     for branch in res.traces:
-        assert "".join(trace_csv(res, branch)) == oracle.trace_csv(res, branch)
+        assert "".join(c for (c,) in trace_csvs(res, [branch])) == oracle.trace_csv(res, branch)
         with monkeypatch.context() as m:
             m.setattr(scenarios, "CSV_CHUNK_ROWS", 7)  # 2000 rows: the last chunk is partial
-            assert "".join(trace_csv(res, branch)) == oracle.trace_csv(res, branch)
+            assert "".join(c for (c,) in trace_csvs(res, [branch])) == oracle.trace_csv(res, branch)
     for h in res.couplings.values():
         assert "".join(couplings_csv(h)) == oracle.couplings_csv(h)
     assert summary_text(res) == oracle.summary_text(res)
@@ -514,8 +515,8 @@ def test_enantiomer_order_sets_the_column_order():
         assert list(per) == ["R", "L"]
         for tag in "LR":
             assert np.max(np.abs(per[tag].values - lr.traces[branch][tag].values)) <= 1e-14
-    header = next(trace_csv(rl, 1))
-    assert header == "time_ns,time_in_inverse_Omega12,value_R,value_L\n"
+    header = next(trace_csvs(rl, [1]))
+    assert header == ["time_ns,time_in_inverse_Omega12,value_R,value_L\n"]
 
 
 def _random_config(pols, peaks, offsets, **fields):

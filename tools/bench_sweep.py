@@ -37,6 +37,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 #: functions timed in the child, by module: inclusive seconds, summed over calls
 LAYERS = {
     "hamiltonian": ("assemble", "transform_residual"),
+    "rotbasis": ("thermal_rot_state",),
     "wigner": ("rot_integrals",),
     "scenarios": ("loop_census", "write_outputs"),
     "propagate": ("prepare_initial", "ensemble_potential_trace", "_eigenframe",
