@@ -35,10 +35,10 @@ class DiscontinuousFrameError(RuntimeError):
 
 def loop_matrix(omega12, omega23, omega13) -> np.ndarray:
     """Resonant 3-level loop Hamiltonian with the given Rabi entries; arrays
-    of entries (broadcast together) give a stack of shape (..., 3, 3)."""
-    o12, o23, o13 = np.broadcast_arrays(*(np.asarray(w, dtype=complex)
-                                          for w in (omega12, omega23, omega13)))
-    h = np.zeros(o12.shape + (3, 3), dtype=complex)
+    of entries (broadcast together) give a stack of shape (..., 3, 3), in
+    their type: float64 and symmetric when all are real."""
+    o12, o23, o13 = np.broadcast_arrays(omega12, omega23, omega13)
+    h = np.zeros(o12.shape + (3, 3), dtype=np.result_type(float, o12, o23, o13))
     h[..., 1, 0], h[..., 2, 1], h[..., 2, 0] = o12, o23, o13
     h[..., 0, 1], h[..., 1, 2], h[..., 0, 2] = o12.conj(), o23.conj(), o13.conj()
     return h
@@ -51,8 +51,8 @@ def dress(omegas):
     Returns (eigenvalues ascending, shape (..., 3); eigenvectors as
     columns, shape (..., 3, 3)) from one stacked `eigh`, gauge-fixed so the
     largest-magnitude component of each vector (the first on ties) is real
-    positive.  Warns when some point's gap is below GAP_WARN times its
-    largest |omega|.
+    positive; real omegas take the real eigensolver.  Warns when some
+    point's gap is below GAP_WARN times its largest |omega|.
     """
     omegas = np.asarray(omegas)
     vals, vecs = np.linalg.eigh(loop_matrix(omegas[..., 0], omegas[..., 1], omegas[..., 2]))

@@ -26,41 +26,36 @@ call and loops once over the blocks, with no n x n matrix and no per-member
 state.  A branch's block density matrix rho = A^T W conj(A), W = diag(w),
 is known by its canonical factor (A, w) (`_factor`): a row of A per
 thermal member, with at most 3 nonzeros.  Each distinct block trace is
-computed once, decided on the factors, by one rule: every block is traced
-in its representative, the lower of it and its mirror under the (K, M)
-reversal S (`hamiltonian.mirror_permutation`) when S maps the table onto
-itself exactly (`hamiltonian.is_symmetry`), else itself; a branch's factor
-in the mirror block is moved through S first, and equal factors share one
-column.  One of two kernels evolves the distinct factors on the output
-grid np.linspace(0, t_end, n), which the trace builds itself:
+computed once, decided on the factors: a block is traced in its
+representative under the (K, M) reversal, and equal factors share one
+column (`ensemble_potential_trace` states the rule).  One of two kernels
+evolves the distinct factors on the output grid np.linspace(0, t_end, n),
+which the trace builds itself:
 
 - static frame: one eigendecomposition H0 - diag(f) = V diag(eps) V^dag
-  and G = V^dag H0 V per block; then each factor on its own, with no rho.
-  B = A conj(V) gives eigencomponent n the weight w_n = sum_m w_m |B_mn|^2;
-  a Schwarz bound 2 sum_{n in D} sqrt(w_n) (|G|^T sqrt(w))_n limits what
-  leaving out a set D of components moves any value, and the factor leaves
-  out the largest D whose bound stays below its share of SCREEN_BUDGET
-  (see `ensemble_potential_trace` for the split).  On the kept set K,
-  rho~ = B_K^T W conj(B_K) and the Hermitian C = rho~ * G_KK^T = X + iY
-  give, with p_n(t) = exp(-i 2 pi eps_n t) = c_n - i s_n,
-  <H(t)> = sum_nm p_n C_nm conj(p_m) = c X c + s X s - 2 c Y s: one real
-  product [c; s] @ X, and c @ Y only when Y is nonzero (never for real
-  couplings and a real A).  The phases come from ~2 sqrt(n) rows of
-  exponentials, and the grid is walked in chunks of whole coarse rows of
-  those, up to CHUNK_VALUES values of [c; s] each, so the values are the
-  one array of n rows.  No factor's arithmetic depends on another's, and a
-  branch with a negative weight turns screening off for itself only, so a
-  branch's values are the same, bit for bit, whichever branches share the
-  call.  The builtin traces stay within 1e-12 Omega12 of the direct complex
-  contraction over all components (at most 5.3e-13, fig7);
+  and G = V^dag H0 V per block; then each factor on its own, with no rho
+  (`_block_expectations`): a Schwarz bound lets it leave out components
+  that together move no value by more than its share of SCREEN_BUDGET, and
+  the kept ones give <H(t)> as real products of the phases' cosines and
+  sines, walked over the grid in chunks of up to CHUNK_VALUES values, so
+  the values are the one array of n rows.  No factor's arithmetic depends
+  on another's, and a branch with a negative weight turns screening off
+  for itself only, so a branch's values are the same, bit for bit,
+  whichever branches share the call.  The builtin traces stay within
+  1e-12 Omega12 of the direct complex contraction over all components (at
+  most 5.3e-13, fig7);
 - midpoint (no node potential): each factor's rho, evolved on the steps of
   `_midpoint_schedule`, one eigendecomposition per block and step (solved in
   stacks), rho <- U rho U^dag, with <H(t)> = tr(rho H(t)) at the output times.
 
-Before either kernel, a branch leaves out every block whose whole
-contribution, tr(rho_c) ||H_c||, is below its share of SCREEN_BUDGET; a
-block no branch keeps gets no factor, no eigendecomposition and no kernel
-(fig5 at jmax 8 keeps 10 of its 34 blocks).
+Before either kernel, a branch leaves out each block whose whole
+contribution tr(rho_c) ||H_c|| is below its share of SCREEN_BUDGET, and a
+block no branch keeps gets no kernel (fig5 at jmax 8 keeps 10 of 34).
+
+Each array's type is decided where it is made: the static kernel's H0
+(`_block_matrix` at t None) and a factor's amplitudes (`_factor`) are
+float64 when all real, and its A (`_dense`, one at a time) takes their
+type; the midpoint kernel and adiabatic preparation stay complex128.
 
 A trace predicts its size before it builds any array and raises
 TraceTooLargeError above a fixed ceiling: MAX_TRACE_BYTES for the arrays of
@@ -374,16 +369,12 @@ def ensemble_potential_trace(
                 col.append((k, factors.setdefault((budget[k], key), (len(factors), factor))[0]))
         if not col:
             continue
-        subs = []
-        for _, (pos, row, amp, w) in factors.values():
-            sub = np.zeros((len(w), len(idx)), dtype=complex)
-            sub[row, pos] = amp
-            subs.append((sub, w))
-        if f is None:
-            vals = _block_midpoint(edges(p), np.array([(a.T * w) @ a.conj() for a, w in subs]),
-                                   times, dt, steps)
+        distinct = [factor for _, factor in factors.values()]
+        if f is None:  # the midpoint's rho are complex, as its steps are
+            vals = _block_midpoint(edges(p), np.array([(a.T * w) @ a.conj() for a, w in (
+                _dense(factor, len(idx), complex) for factor in distinct)]), times, dt, steps)
         else:
-            vals = _block_expectations(_block_matrix(*edges(p), 0.0), f[idx], subs, times,
+            vals = _block_expectations(_block_matrix(*edges(p), None), f[idx], distinct, times,
                                        np.array([b for b, _ in factors]) / 2)
         if not np.all(np.isfinite(vals)):
             raise ValueError("non-finite ensemble expectation")
@@ -402,8 +393,8 @@ def _factor(pos, member, amp, weights):
     position order (member order within a position) and rows are numbered
     by their first triplet; each row is negated, an exact flip that leaves
     rho as it is, where its first amplitude's first nonzero part (real,
-    then imaginary) is negative, and -0.0 becomes 0.0.  Equal keys give
-    equal factors, and so bitwise-equal traces of them.
+    then imaginary) is negative, -0.0 becomes 0.0, and a real amp becomes
+    float64.  Equal keys give equal factors, so bitwise-equal traces.
     """
     order = np.lexsort((member, pos))
     pos, member, amp = pos[order], member[order], amp[order]
@@ -413,6 +404,7 @@ def _factor(pos, member, amp, weights):
     lead = amp[first[by_first]]
     flip = (lead.real < 0) | ((lead.real == 0) & (lead.imag < 0))
     amp = np.where(flip[row], -amp, amp) + 0.0
+    amp = amp if np.any(amp.imag) else amp.real
     w = weights[touch[by_first]] + 0.0
     return (pos.tobytes(), row.tobytes(), amp.tobytes(), w.tobytes()), (pos, row, amp, w)
 
@@ -484,18 +476,21 @@ def _blocks(h: CouplingMatrix, tol: float = 1e-10):
 
 def _block_matrix(size, a, b, omega, delta, t) -> np.ndarray:
     """Dense block H(t) from its edges (a, b) in block-local positions; for
-    t of shape (s, 1), the stack of the s matrices H(t_j)."""
-    w = omega * np.exp(-2j * np.pi * delta * t)
-    m = np.zeros(w.shape[:-1] + (size, size), dtype=complex)
+    t of shape (s, 1), the stack of the s matrices H(t_j); for t None, H(0)
+    in its values' type, float64 when omega is real (the static kernel's H0)."""
+    w = omega if t is None else omega * np.exp(-2j * np.pi * delta * t)
+    w = w.real if t is None and not np.any(w.imag) else w
+    m = np.zeros(w.shape[:-1] + (size, size), dtype=w.dtype)
     m[..., a, b] = w
     m[..., b, a] = np.conj(w)
     return m
 
 
 def _block_expectations(h0, f, factors, times, budget=SCREEN_BUDGET) -> np.ndarray:
-    """<H(t)> of each block rho, given by its factor (A, w); shape (times, factors).
+    """<H(t)> of each block rho, given by its factor; shape (times, factors).
 
-    A factor stands for rho = A^T W conj(A), W = diag(w), and no rho is
+    A factor (pos, row, amp, w) of `_factor` stands for rho = A^T W conj(A),
+    W = diag(w); one dense A (`_dense`) exists at a time, and no rho is
     formed.  One eigenframe (`_eigenframe`) serves the block; each factor is
     then traced on its own, so its values do not depend on the others.  With
     H0 - diag(f) = V diag(eps) V^dag and G = V^dag H0 V, B = A conj(V) has
@@ -505,10 +500,9 @@ def _block_expectations(h0, f, factors, times, budget=SCREEN_BUDGET) -> np.ndarr
 
         <H(t)> = sum_nm p_n C_nm conj(p_m) = c X c + s X s - 2 c Y s,
 
-    one real product [c; s] @ X, and a second one c @ Y only when Y is
-    nonzero.  A block with real couplings has a real V, so B is formed in
-    real arithmetic, and Y vanishes, whenever A is real.  C is replaced by
-    its Hermitian part; a remainder above 1e-10 max(1, max|C|), or a NaN,
+    one real product [c; s] @ X, and c @ Y only for a complex, nonzero Y
+    (a float64 h0 and A keep V, G, B and C real).  C is replaced by its
+    Hermitian part; a remainder above 1e-10 max(1, max|C|), or a NaN,
     raises ValueError.
 
     Screening: a positive semidefinite rho~ has |rho~_nm| <= sqrt(w_n w_m),
@@ -523,8 +517,6 @@ def _block_expectations(h0, f, factors, times, budget=SCREEN_BUDGET) -> np.ndarr
     products are formed on the kept set only.  The bound fails for a
     negative weight, which needs budget 0 (drops nothing).
     `ensemble_potential_trace` states how the budget is split.
-    On the builtin scenarios the traces stay within 1e-12 Omega12 of the
-    unscreened complex contraction.
     The phases come from `_phases`, so the grid must be
     linspace(0, t_end, n).  Each factor walks the grid in chunks of whole
     coarse rows, up to CHUNK_VALUES values of [c; s] each, so only the
@@ -534,8 +526,9 @@ def _block_expectations(h0, f, factors, times, budget=SCREEN_BUDGET) -> np.ndarr
     n = len(times)
     vals = np.zeros((n, len(factors)))
     budget = np.broadcast_to(budget, len(factors))
-    for k, (sub, w) in enumerate(factors):
-        b = (sub if np.any(sub.imag) else sub.real) @ v.conj()
+    for k, factor in enumerate(factors):
+        a, w = _dense(factor, len(f))
+        b = a @ v.conj()
         if not np.all(np.isfinite(weights := w @ np.abs(b) ** 2)):
             raise ValueError("non-finite ensemble expectation")
         keep = np.flatnonzero(~_screen(weights, g, budget[k])[0])
@@ -548,7 +541,7 @@ def _block_expectations(h0, f, factors, times, budget=SCREEN_BUDGET) -> np.ndarr
         # also false for NaN, so a non-finite C raises here too
         if not np.max(np.abs(c - herm)) <= 1e-10 * max(1.0, np.max(np.abs(c))):
             raise ValueError("non-real ensemble expectation of a Hermitian operator")
-        y = np.any(herm.imag)
+        y = np.iscomplexobj(herm) and np.any(herm.imag)
         coarse, fine = _phases(times, eps[keep])
         m = len(fine)
         step = max(1, CHUNK_VALUES // (2 * m * s))  # coarse rows per chunk
@@ -566,12 +559,18 @@ def _block_expectations(h0, f, factors, times, budget=SCREEN_BUDGET) -> np.ndarr
 def _eigenframe(h0, f):
     """(eps, V, G) with H0 - diag(f) = V diag(eps) V^dag and G = V^dag H0 V.
 
-    V and G are real when h0 is.  V and eps are eigh's, refined by `_refine`.
+    V and G have h0's type.  V and eps are eigh's, refined by `_refine`.
     """
-    if not np.any(h0.imag):
-        h0 = h0.real  # real eigh: real V and G
     eps, v = _refine(h0, f, np.linalg.eigh(h0 - np.diag(f))[1])
     return eps, v, v.conj().T @ h0 @ v
+
+
+def _dense(factor, size, dtype=None):
+    """(A, w) of `_factor`'s (pos, row, amp, w): A (rows, size) in amp's type or dtype."""
+    pos, row, amp, w = factor
+    a = np.zeros((len(w), size), dtype or amp.dtype)
+    a[row, pos] = amp
+    return a, w
 
 
 def _refine(h0, f, v) -> tuple[np.ndarray, np.ndarray]:

@@ -34,6 +34,19 @@ def test_loop_matrix_layout():
     assert np.all(np.diag(m) == 0)
 
 
+def test_loop_matrix_and_dress_have_their_entries_type():
+    real = loop_matrix(np.array([1.0, -0.5]), 2.0, 3)
+    assert real.dtype == np.float64 and real.shape == (2, 3, 3)
+    assert np.array_equal(real, real.transpose(0, 2, 1))
+    assert loop_matrix(1.0, 2.0, 3.0 + 0j).dtype == np.complex128
+    assert loop_matrix(np.array([1.0, 0.5j]), 2.0, 3.0).dtype == np.complex128
+    # real peaks take the real eigensolver; FieldConfiguration's omegas stay complex
+    assert dress((1.0, 0.7, 0.3))[1].dtype == np.float64
+    assert dress(np.array([1.0, 0.7, 0.3], dtype=complex))[1].dtype == np.complex128
+    cfg = FieldConfiguration.from_lasers(three_beams(), np.linspace(-1, 1, 5))
+    assert cfg.omegas.dtype == np.complex128 and dress_field(cfg).eigenvectors.dtype == complex
+
+
 def test_dress_equal_couplings():
     w = 0.7
     with warnings.catch_warnings():

@@ -1,5 +1,6 @@
 """Propagation, potential traces and ensemble aggregation."""
 
+import runpy
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -282,6 +283,36 @@ def _static_kernel_calls(monkeypatch, config):
     return calls
 
 
+@pytest.mark.parametrize("name, jmax", [("fig5-T0.5K-xxz-groundres", 4), ("fig7-1mK-xxz", None)])
+def test_a_run_on_real_couplings_keeps_eigh_inputs_and_factors_float64(monkeypatch, name, jmax):
+    # the dressing loop, each static block's H0 - diag(f) and its cluster
+    # re-solves, and the amplitudes of every factor the static kernel takes
+    inputs = []
+    eigh, kernel = np.linalg.eigh, propagate_module._block_expectations
+
+    def spy(a, *args, **kwargs):
+        inputs.append(np.asarray(a).dtype)
+        return eigh(a, *args, **kwargs)
+
+    def kernel_spy(h0, f, factors, *args):
+        inputs.extend(amp.dtype for _, _, amp, _ in factors)
+        return kernel(h0, f, factors, *args)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    monkeypatch.setattr(propagate_module, "_block_expectations", kernel_spy)
+    run_scenario(replace(builtin_config(name, jmax=jmax), truncation_mass=1e-4))
+    assert len(inputs) > 2 and set(inputs) == {np.dtype(np.float64)}
+
+
+def test_complex_couplings_reach_the_static_kernel_complex(monkeypatch):
+    tool = runpy.run_path(str(Path(__file__).resolve().parents[1] / "tools" / "cli_outputs.py"))
+    polarization, mu = tool["COMPLEX"]["complex-sigma"]
+    config = parse_config(tool["COMPLEX_TEXT"].format(name="complex-sigma",
+                                                      polarization=polarization, mu=mu))
+    calls = _static_kernel_calls(monkeypatch, config)
+    assert calls and all(h0.dtype == np.complex128 for h0, *_ in calls)
+
+
 def test_screen_never_drops_a_nan_weight():
     g = np.ones((2, 2))
     w = np.array([[1.0, 1e-40], [np.nan, 1e-40]])
@@ -301,7 +332,8 @@ def test_screening_bound_covers_dropped_part(monkeypatch, name, jmax):
     for h0, f, factors, times in _static_kernel_calls(monkeypatch, config):
         eps, v, g = propagate_module._eigenframe(h0, f)
         # each factor's rho, rotated in full
-        rhos = [(a.T * w) @ a.conj() for a, w in factors]
+        rhos = [(a.T * w) @ a.conj()
+                for a, w in (propagate_module._dense(x, len(f)) for x in factors)]
         rot = [v.conj().T @ r @ v for r in rhos]
         screens = [propagate_module._screen(np.diagonal(r).real, g,
                                             propagate_module.SCREEN_BUDGET) for r in rot]
@@ -442,8 +474,8 @@ def test_nan_amplitude_raises(deltas):
 
 def test_non_finite_factor_raises():
     # an infinite amplitude gives infinite screen weights: refused before the screen
-    h0 = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex)
-    factor = (np.array([[np.inf, 1.0]], dtype=complex), np.array([1.0]))
+    h0 = np.array([[0.0, 0.5], [0.5, 0.0]])
+    factor = _triplets(np.array([[np.inf, 1.0]]), np.array([1.0]))
     f = np.array([0.0, 1.0])  # so that V^dag H0 V, and hence C, is not diagonal
     with pytest.raises(ValueError, match="non-finite"):
         propagate_module._block_expectations(h0, f, [factor], np.linspace(0.0, 1.0, 3))
@@ -693,7 +725,7 @@ def test_static_kernel_does_not_depend_on_the_level_order(seed):
     n = 14
     f = np.resize([0.0, 12.798, 38.394], n)
     h0 = np.triu(rng.uniform(-0.1, 0.1, (n, n)) * (rng.random((n, n)) < 0.4), 1)
-    h0 = (h0 + h0.T).astype(complex)
+    h0 = h0 + h0.T
     a = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
     factor = a.T / np.sqrt(np.trace(a @ a.conj().T).real)
     perm = rng.permutation(n)
@@ -702,11 +734,11 @@ def test_static_kernel_does_not_depend_on_the_level_order(seed):
     frames = [propagate_module._eigenframe(h0, f),
               propagate_module._eigenframe(h0[np.ix_(perm, perm)], f[perm])]
     assert np.max(np.abs(np.sort(frames[0][0]) - np.sort(frames[1][0]))) <= ulp
-    values = [propagate_module._block_expectations(h0, f, [(factor, np.ones(3))], times,
-                                                   budget=0.0),
+    values = [propagate_module._block_expectations(h0, f, [_triplets(factor, np.ones(3))],
+                                                   times, budget=0.0),
               propagate_module._block_expectations(h0[np.ix_(perm, perm)], f[perm],
-                                                   [(factor[:, perm], np.ones(3))], times,
-                                                   budget=0.0)]
+                                                   [_triplets(factor[:, perm], np.ones(3))],
+                                                   times, budget=0.0)]
     assert np.max(np.abs(values[0] - values[1])) <= 4 * ulp
 
 
@@ -730,12 +762,18 @@ def _clustered_block(n, seed):
     rng = np.random.default_rng(seed)
     f = np.resize([0.0, 12.798, 38.394], n)
     h0 = np.triu(rng.uniform(-0.1, 0.1, (n, n)) * (rng.random((n, n)) < 0.1), 1)
-    h0 = (h0 + h0.T).astype(complex)
+    h0 = h0 + h0.T
     factors = []
     for _ in range(2):
         a = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
-        factors.append((a.T / np.sqrt(np.trace(a @ a.conj().T).real), np.ones(3)))
+        factors.append(_triplets(a.T / np.sqrt(np.trace(a @ a.conj().T).real), np.ones(3)))
     return h0, f, factors
+
+
+def _triplets(a, w):
+    """The static kernel's factor (pos, row, amp, w) of a dense (A, w)."""
+    row, pos = np.nonzero(a)
+    return pos, row, a[row, pos], w
 
 
 @pytest.mark.parametrize("n", [2000, 200_000])
@@ -769,7 +807,7 @@ def test_a_rho_that_keeps_no_component_adds_zero_and_builds_no_phases(monkeypatc
     monkeypatch.setattr(propagate_module, "_phases", spy)
     times = np.linspace(0.0, 5.0, 50)
     # a weight of 1e-40 leaves every component far below the screening budget
-    vals = propagate_module._block_expectations(h0, f, [(first[0], 1e-40 * first[1]), second],
+    vals = propagate_module._block_expectations(h0, f, [first[:3] + (1e-40 * first[3],), second],
                                                 times)
     assert len(phased) == 1
     assert np.all(vals[:, 0] == 0) and np.any(vals[:, 1] != 0)
@@ -823,7 +861,7 @@ def test_static_kernel_chunks_match_the_direct_complex_contraction(monkeypatch, 
         eps, v, g = propagate_module._eigenframe(h0, f)
         p = np.exp(-2j * np.pi * np.outer(times, eps))
         vals = propagate_module._block_expectations(h0, f, factors, times, budget)
-        for k, (a, w) in enumerate(factors):
+        for k, (a, w) in enumerate(propagate_module._dense(x, len(f)) for x in factors):
             rot = v.conj().T @ ((a.T * w) @ a.conj()) @ v
             direct = np.einsum("tn,nm,tm->t", p, rot * g.T, p.conj())
             complex_part |= bool(np.any(np.imag(rot * g.T)))

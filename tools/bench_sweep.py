@@ -9,15 +9,17 @@ a child process imports its `src` with BLAS on one thread and runs one
 `run_scenario` + `write_outputs` at one jmax.  The runs are interleaved: for
 each repeat, every jmax, and at each jmax every tree in turn (the order of
 the trees alternates between repeats), so that a drift of the host's speed
-touches all trees alike.  Give the trees directories with names of equal
-length: the peak RSS moves with the length of the path.
+touches all trees alike.  Trees whose absolute paths differ in length are
+refused: the peak RSS moves with the length of the path.
 
 Per tree and jmax the file holds n, the edges, the blocks and the largest
 block, the kernel calls, `run_scenario` and `write_outputs` seconds (median,
 min, max over the runs), `ru_maxrss` at exit, the inclusive seconds of the
 functions named in LAYERS (a name the tree lacks is listed as absent), and
 the largest |trace(jmax) - trace(reference jmax)| over every branch and
-enantiomer, the reference being the largest jmax of the sweep.  With
+enantiomer, the reference being the largest jmax of the sweep, and the
+largest |trace - trace of the first tree| at the same jmax, which is 0.0
+where the trees' traces are bit-identical.  With
 `--nonclosing-t-end T`, the non-closing fig7 case (`[laser13] rot_offset_GHz
 = 0.01`, L only, t_end = T / Omega12) runs once per tree, marked as one run.
 """
@@ -158,6 +160,12 @@ def _rev(tree):
         return "unknown"
 
 
+def _largest_difference(traces, reference):
+    """max |a - b| over every branch and enantiomer of two runs' traces."""
+    return max(max(abs(a - b) for a, b in zip(values, reference[key]))
+               for key, values in traces.items())
+
+
 def sweep(trees, revs, scenario, jmaxes, repeats, nonclosing_t_end, work_dir):
     """The BENCH document of the trees (see the module docstring)."""
     runs = {(t, j): [] for t in range(len(trees)) for j in jmaxes}
@@ -182,9 +190,10 @@ def sweep(trees, revs, scenario, jmaxes, repeats, nonclosing_t_end, work_dir):
                 "layers_s": {name: statistics.median(r["layers_s"][name] for r in rs)
                              for name in first["layers_s"]},
                 "absent": first["absent"],
-                "max_trace_difference_from_reference": max(
-                    max(abs(a - b) for a, b in zip(values, reference[key]))
-                    for key, values in first["traces"].items()),
+                "max_trace_difference_from_reference": _largest_difference(first["traces"],
+                                                                           reference),
+                "max_trace_difference_from_first_tree": _largest_difference(
+                    first["traces"], runs[0, jmax][0]["traces"]),
             }
         entry = {"rev": revs[t], "tree": os.path.basename(os.path.abspath(tree)),
                  "points": points}
@@ -218,6 +227,9 @@ def main(argv=None):
     revs = args.rev or [_rev(tree) for tree in trees]
     if len(revs) != len(trees):
         p.error("give one --rev per --tree")
+    if len({len(os.path.abspath(tree)) for tree in trees}) > 1:
+        p.error("the --tree paths differ in absolute length, which moves the peak RSS: "
+                f"{[os.path.abspath(tree) for tree in trees]}")
     jmaxes = [int(j) for j in args.jmax.split(",")]
     if args.repeats < 1 or not jmaxes:
         p.error("need at least one repeat and one jmax")
